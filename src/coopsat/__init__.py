@@ -8,12 +8,9 @@ users cooperatively on a shared band.
 __version__ = "0.1.0"
 
 from .beamforming import (AnalogBeamVector, Codebook, DigitalMatrix,
-                          HybridMatrix, analog_beamform, analog_power_scale,
-                          build_codebook, generalized_channel, hybrid_beamform,
-                          hybrid_combine, regularized_zf)
-from .channel import (ArrayConfig, AttenuationConfig, ChannelVector,
-                      LinkInvalidError, PathLossBreakdown, RfConfig,
-                      SmallScaleConfig, channel_vector, path_loss,
+                          analog_beamform, build_codebook, regularized_zf)
+from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
+                      PathLossBreakdown, RfConfig, SmallScaleConfig, path_loss,
                       small_scale, steering_vector, vsat_gain_dbi)
 from .config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
                      config_digest, load_config)
@@ -33,14 +30,12 @@ __all__ = [
     "ConstellationConfig", "GroundUser", "LinkGeometry", "SatelliteState",
     "VisibilitySets", "propagate", "link_geometry", "visibility",
     # channel
-    "ArrayConfig", "AttenuationConfig", "ChannelVector", "LinkInvalidError",
-    "PathLossBreakdown", "RfConfig", "SmallScaleConfig", "channel_vector",
+    "ArrayConfig", "AttenuationConfig", "LinkInvalidError",
+    "PathLossBreakdown", "RfConfig", "SmallScaleConfig",
     "path_loss", "small_scale", "steering_vector", "vsat_gain_dbi",
     # beamforming
-    "AnalogBeamVector", "Codebook", "DigitalMatrix", "HybridMatrix",
-    "analog_beamform", "analog_power_scale", "build_codebook",
-    "generalized_channel", "hybrid_beamform", "hybrid_combine",
-    "regularized_zf",
+    "AnalogBeamVector", "Codebook", "DigitalMatrix",
+    "analog_beamform", "build_codebook", "regularized_zf",
     # network / scheduling / metrics
     "EpochInstance", "SatelliteBeams", "LinkMatrix", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",

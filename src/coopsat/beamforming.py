@@ -5,8 +5,9 @@ The analog beam for a link is built by scoring every codeword of a 2D
 DFT codebook against the channel, least-squares combining the best K,
 and projecting the combination back onto the equal-amplitude constraint
 of phase-only hardware.  Per satellite, the digital stage inverts the
-generalized (beam-space) channel with a diagonal regularizer and a
-power scaling that keeps the transmitter at full power.
+beam-space channel with a diagonal regularizer; its power scaling
+``eta`` puts the hybrid product (analog beams times digital precoder)
+at exactly the satellite transmit power.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .channel import ArrayConfig, ChannelVector
+from .channel import ArrayConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,19 +41,11 @@ class AnalogBeamVector:
 @dataclass(frozen=True, eq=False)
 class DigitalMatrix:
     """Digital precoder of one satellite with its regularizer and the
-    power scaling applied when the hybrid matrix was formed."""
+    power scaling that brings the hybrid product to full power."""
 
     matrix: np.ndarray  # (n, n)
     beta: float
     eta: float = 1.0
-
-
-@dataclass(frozen=True, eq=False)
-class HybridMatrix:
-    """Transmit beam matrix, one column per served user; columns sum to
-    the satellite transmit power."""
-
-    matrix: np.ndarray  # (N, n)
 
 
 def _dft_unitary(n: int) -> np.ndarray:
@@ -74,8 +67,6 @@ def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
     to modulus 1/sqrt(N) keeping only the phases.  Entries that combine
     to exactly zero get phase zero.
     """
-    if isinstance(h, ChannelVector):
-        h = h.entries
     h = np.asarray(h)
     n = codebook.matrix.shape[0]
     if h.shape != (n,):
@@ -101,33 +92,22 @@ def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
                             coefficients=coeff)
 
 
-def generalized_channel(h_matrix: np.ndarray, analog: np.ndarray) -> np.ndarray:
-    """Beam-space channel: stacked conjugated channel rows times the
-    analog beam columns."""
-    h_matrix = np.asarray(h_matrix)
-    analog = np.asarray(analog)
-    if h_matrix.ndim != 2 or analog.ndim != 2 or h_matrix.shape[1] != analog.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {h_matrix.shape} x {analog.shape}")
-    return h_matrix @ analog
-
-
 def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
-                   noise_power: float = 1.0,
                    beta: float | None = None) -> DigitalMatrix:
     """Regularized zero-forcing precoder for a square beam-space channel.
 
-    ``beta=None`` selects n * noise / tx_power (the large-system optimum);
-    ``beta=0`` is plain channel inversion, falling back to the
-    pseudo-inverse when the channel is singular.  Power scaling is not
-    applied here: it belongs to the hybrid combination.
+    ``beta=None`` selects n / tx_power (the large-system optimum at the
+    unit noise power of the normalized channel); ``beta=0`` is plain
+    channel inversion, falling back to the pseudo-inverse when the
+    channel is singular.  Power scaling is not applied here: see
+    ``hybrid_from_beamspace``.
     """
     h_tilde = np.asarray(h_tilde)
     if h_tilde.ndim != 2 or h_tilde.shape[0] != h_tilde.shape[1]:
         raise ValueError(f"beam-space channel must be square, got {h_tilde.shape}")
     n = h_tilde.shape[0]
     if beta is None:
-        beta = n * noise_power / tx_power_w
+        beta = n / tx_power_w
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
     if beta == 0.0:
@@ -139,46 +119,15 @@ def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
     return DigitalMatrix(matrix=f, beta=float(beta))
 
 
-def hybrid_combine(analog: np.ndarray, digital, tx_power_w: float) -> HybridMatrix:
-    """Cascade the analog and digital stages and rescale so the column
-    powers sum exactly to ``tx_power_w``."""
-    if isinstance(digital, DigitalMatrix):
-        digital = digital.matrix
-    raw = np.asarray(analog) @ np.asarray(digital)
-    total = float(np.sum(np.abs(raw) ** 2))
-    if total == 0.0:
-        raise ValueError("hybrid matrix is identically zero")
-    return HybridMatrix(matrix=raw * math.sqrt(tx_power_w / total))
-
-
 def hybrid_from_beamspace(h_tilde: np.ndarray, analog: np.ndarray,
-                          tx_power_w: float, noise_power: float = 1.0,
-                          beta: float | None = None) -> tuple[HybridMatrix, DigitalMatrix]:
-    """Regularized ZF on an already-computed beam-space channel, followed
-    by the power-scaled hybrid combination."""
-    zf = regularized_zf(h_tilde, tx_power_w, noise_power, beta)
+                          tx_power_w: float,
+                          beta: float | None = None) -> DigitalMatrix:
+    """Regularized ZF on an already-computed beam-space channel, with the
+    power scaling ``eta`` that makes the column powers of the hybrid
+    product ``analog @ F`` sum exactly to ``tx_power_w``."""
+    zf = regularized_zf(h_tilde, tx_power_w, beta)
     raw = np.asarray(analog) @ zf.matrix
     total = float(np.sum(np.abs(raw) ** 2))
     if total == 0.0:
         raise ValueError("hybrid matrix is identically zero")
-    eta = tx_power_w / total
-    hybrid = HybridMatrix(matrix=raw * math.sqrt(eta))
-    return hybrid, DigitalMatrix(matrix=zf.matrix, beta=zf.beta, eta=eta)
-
-
-def hybrid_beamform(h_matrix: np.ndarray, analog: np.ndarray, tx_power_w: float,
-                    noise_power: float = 1.0,
-                    beta: float | None = None) -> tuple[HybridMatrix, DigitalMatrix]:
-    """Full digital pipeline for one satellite: beam-space channel,
-    regularized ZF, and power-scaled hybrid matrix."""
-    h_tilde = generalized_channel(h_matrix, analog)
-    return hybrid_from_beamspace(h_tilde, analog, tx_power_w, noise_power, beta)
-
-
-def analog_power_scale(analog: np.ndarray, tx_power_w: float) -> HybridMatrix:
-    """Analog-only transmit matrix: equal power per beam, full power total."""
-    analog = np.asarray(analog)
-    n = analog.shape[1] if analog.ndim == 2 else 0
-    if n == 0:
-        raise ValueError("no beams to scale")
-    return HybridMatrix(matrix=analog * math.sqrt(tx_power_w / n))
+    return DigitalMatrix(matrix=zf.matrix, beta=zf.beta, eta=tx_power_w / total)

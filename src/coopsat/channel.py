@@ -149,13 +149,6 @@ class PathLossBreakdown:
         return self.basic_db + self.gas_db + self.scintillation_db
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelVector:
-    sat_id: int
-    gu_id: int
-    entries: np.ndarray  # (N,) complex
-
-
 def steering_vector(phi_deg: float, theta_deg: float, array: ArrayConfig) -> np.ndarray:
     """Unit-norm planar-array steering vector for azimuth ``phi_deg`` and
     elevation ``theta_deg`` seen from the array.
@@ -252,20 +245,3 @@ def large_scale_amplitude(pl_total_db: float, rf: RfConfig,
     noise normalization (resulting SINR math uses unit noise power)."""
     g_db = (rf.satellite_antenna_gain_dbi + vsat_gain_dbi_value - pl_total_db)
     return math.sqrt(10.0 ** (g_db / 10.0) / rf.noise_power_w)
-
-
-def channel_vector(sat_id: int, gu_id: int, geom, rf: RfConfig,
-                   array: ArrayConfig, sscfg: SmallScaleConfig,
-                   atten: AttenuationConfig,
-                   rng: np.random.Generator) -> ChannelVector:
-    """Complete channel vector for one link: path loss and shadowing,
-    user antenna gain at the link's off-boresight angle, and Loo fading.
-    Draw order is fixed (shadowing, ray angles, fading coefficients) so a
-    per-link substream yields reproducible channels."""
-    pl = path_loss(geom, rf, atten, rng)
-    rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg, sscfg, rng)
-    h_ss = small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg, rays,
-                       sscfg, array, rng)
-    amp = large_scale_amplitude(pl.total_db, rf,
-                                vsat_gain_dbi(geom.off_boresight_deg, rf))
-    return ChannelVector(sat_id=sat_id, gu_id=gu_id, entries=amp * h_ss)

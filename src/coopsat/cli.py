@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .harness import build_epoch_instance, emit, run
-from .scheduling import (ExhaustiveSearchError, SchemeMode, exhaustive_schedule,
-                         greedy_schedule)
+from .scheduling import SchemeMode, exhaustive_schedule, greedy_schedule
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -133,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except ExhaustiveSearchError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -92,6 +93,16 @@ def bundled_cities(count: int | None = None) -> tuple[GroundUser, ...]:
                  for i, r in enumerate(rows))
 
 
+def _is_int(value) -> bool:
+    """True for integers but not for bools (YAML ``true`` is a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _build_section(cls, data: dict, path: str, errors: list[str]):
     known = {f.name for f in fields(cls)}
     for key in data:
@@ -124,10 +135,12 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
     out = []
     for i, row in enumerate(entries):
         try:
+            lon = float(row["lon"])
             out.append(GroundUser(
                 user_id=i,
                 latitude_deg=float(row["lat"]),
-                longitude_deg=float(row["lon"]),
+                # 180 E is 180 W; GroundUser keeps longitudes in [-180, 180)
+                longitude_deg=-180.0 if lon == 180.0 else lon,
                 altitude_km=float(row.get("alt_km", 0.0)),
                 label=str(row.get("label", f"gu{i}")),
             ))
@@ -177,12 +190,12 @@ def from_dict(data: dict) -> ScenarioConfig:
                 errors.append(f"schemes: {exc}")
 
     epochs = _build_section(EpochGrid, data.get("epochs", {}), "epochs", errors)
-    if epochs.count < 1:
-        errors.append("epochs.count: must be >= 1")
-    if epochs.step_s <= 0.0:
-        errors.append("epochs.step_s: must be > 0")
-    if epochs.start_s < 0.0:
-        errors.append("epochs.start_s: must be >= 0")
+    if not _is_int(epochs.count) or epochs.count < 1:
+        errors.append("epochs.count: must be a positive integer")
+    if not _is_finite(epochs.step_s) or epochs.step_s <= 0.0:
+        errors.append("epochs.step_s: must be a finite number > 0")
+    if not _is_finite(epochs.start_s) or epochs.start_s < 0.0:
+        errors.append("epochs.start_s: must be a finite number >= 0")
 
     def _number(key, default, low=None, high=None, low_open=False):
         value = data.get(key, default)
@@ -191,6 +204,9 @@ def from_dict(data: dict) -> ScenarioConfig:
         except (TypeError, ValueError):
             errors.append(f"{key}: must be a number")
             return default
+        if not math.isfinite(value):
+            errors.append(f"{key}: must be finite")
+            return default
         if low is not None and (value <= low if low_open else value < low):
             errors.append(f"{key}: must be {'>' if low_open else '>='} {low}")
         if high is not None and value >= high:
@@ -198,13 +214,13 @@ def from_dict(data: dict) -> ScenarioConfig:
         return value
 
     seed = data.get("seed", 1)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         errors.append("seed: must be a non-negative integer")
         seed = 1
     min_el = _number("min_elevation_deg", 10.0, low=0.0, high=90.0)
     threshold = _number("density_threshold_km", 400.0, low=0.0, low_open=True)
     codewords = data.get("codewords", 4)
-    if not isinstance(codewords, int) or codewords < 1:
+    if not _is_int(codewords) or codewords < 1:
         errors.append("codewords: must be a positive integer")
     elif codewords > array.n_elements:
         errors.append(f"codewords: must be <= array elements ({array.n_elements})")

@@ -57,10 +57,6 @@ class ConstellationConfig:
     def mean_motion_rad_s(self) -> float:
         return math.sqrt(EARTH_MU_KM3_S2 / self.radius_km**3)
 
-    @property
-    def period_s(self) -> float:
-        return _TWO_PI / self.mean_motion_rad_s
-
 
 @dataclass(frozen=True, eq=False)
 class SatelliteState:
@@ -115,15 +111,12 @@ class LinkGeometry:
     ``azimuth_sat_deg`` / ``elevation_sat_deg`` locate the user as seen
     from the satellite body frame (elevation measured from the body x-y
     plane toward nadir, so a user straight below sits at 90 degrees).
-    ``off_boresight_deg`` is the angle at the user between the serving
-    satellite direction (antenna boresight) and this satellite.
     """
 
     elevation_deg: float
     slant_range_km: float
     azimuth_sat_deg: float
     elevation_sat_deg: float
-    off_boresight_deg: float
 
 
 @dataclass(frozen=True)
@@ -207,13 +200,10 @@ def elevation_deg(sat_position_km: np.ndarray, gu_position_km: np.ndarray) -> fl
 
 
 def link_geometry(sat: SatelliteState, gu: GroundUser,
-                  serving_sat: SatelliteState, t: float = 0.0) -> LinkGeometry:
-    """Full geometry of the ``sat``-``gu`` link while the user antenna
-    points at ``serving_sat``."""
+                  t: float = 0.0) -> LinkGeometry:
+    """Full geometry of the ``sat``-``gu`` link."""
     gu_pos = ground_user_position(gu, t)
-    los = sat.position_km - gu_pos
-    slant = float(np.linalg.norm(los))
-    los_hat = los / slant
+    slant = float(np.linalg.norm(sat.position_km - gu_pos))
 
     elev = elevation_deg(sat.position_km, gu_pos)
 
@@ -221,16 +211,8 @@ def link_geometry(sat: SatelliteState, gu: GroundUser,
     d_body = sat.to_body(_unit(gu_pos - sat.position_km))
     theta = math.degrees(math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
     phi = math.degrees(math.atan2(d_body[1], d_body[0]))
-
-    if serving_sat.satellite_id == sat.satellite_id:
-        off = 0.0
-    else:
-        serve_hat = _unit(serving_sat.position_km - gu_pos)
-        off = math.degrees(math.acos(float(np.clip(np.dot(los_hat, serve_hat),
-                                                   -1.0, 1.0))))
     return LinkGeometry(elevation_deg=elev, slant_range_km=slant,
-                        azimuth_sat_deg=phi, elevation_sat_deg=theta,
-                        off_boresight_deg=off)
+                        azimuth_sat_deg=phi, elevation_sat_deg=theta)
 
 
 def visibility(states: list[SatelliteState], gus: list[GroundUser],

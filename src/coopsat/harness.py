@@ -63,7 +63,7 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
         sat = states[s]
         for g in sorted(vis.per_sat[s]):
             gu = gu_by_id[g]
-            geom = link_geometry(sat, gu, sat, t)  # boresight geometry
+            geom = link_geometry(sat, gu, t)
             rng = link_rng(config.seed, epoch_index, s, g)
             pl = path_loss(geom, config.rf, config.attenuation, rng)
             rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,

@@ -103,14 +103,6 @@ def user_metrics(instance: EpochInstance, links: "LinkMatrix",
     return out
 
 
-def sinr(gu_id: int, instance: EpochInstance, links: "LinkMatrix",
-         beams: Mapping[int, SatelliteBeams]) -> float:
-    for u in user_metrics(instance, links, beams):
-        if u.gu_id == gu_id:
-            return u.sinr
-    raise KeyError(f"unknown user {gu_id}")
-
-
 def total_se(instance: EpochInstance, links: "LinkMatrix",
              beams: Mapping[int, SatelliteBeams]) -> float:
     return sum(u.se for u in user_metrics(instance, links, beams))

@@ -9,6 +9,12 @@ Channel vectors here exclude the user antenna gain: it depends on which
 satellite the user antenna tracks, so it is applied as a scalar at
 evaluation time.  Noise power is already normalized to one inside the
 channel amplitudes.
+
+Each satellite transmits in one of three configurations, all expressed
+as a ``mixer`` on its analog beams: unit-power analog beams (scoring in
+AU and SHU), analog beams sharing the satellite power equally (AU's
+final beams), and hybrid beams with a power-scaled regularized-ZF
+precoder (JHU scoring and the final SHU and JHU beams).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .beamforming import analog_power_scale, hybrid_from_beamspace
+from .beamforming import hybrid_from_beamspace
 from .channel import RfConfig, vsat_gain_linear
 
 
@@ -145,8 +151,8 @@ def power_scaled_analog_beams(instance: EpochInstance,
         if not gus:
             continue
         n = len(gus)
-        scaled = analog_power_scale(np.eye(n), instance.tx_power_w)
-        out[s] = SatelliteBeams(s, gus, scaled.matrix)
+        out[s] = SatelliteBeams(s, gus,
+                                np.eye(n) * math.sqrt(instance.tx_power_w / n))
     return out
 
 
@@ -165,7 +171,7 @@ def hybrid_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
         idx = [instance.col_of(s, g) for g in gus]
         h_tilde = g0 * instance.cross(s)[np.ix_(idx, idx)]
         analog = instance.analog_matrix(s, gus)
-        _, digital = hybrid_from_beamspace(h_tilde, analog, instance.tx_power_w,
-                                           beta=beta)
+        digital = hybrid_from_beamspace(h_tilde, analog, instance.tx_power_w,
+                                        beta=beta)
         out[s] = SatelliteBeams(s, gus, math.sqrt(digital.eta) * digital.matrix)
     return out

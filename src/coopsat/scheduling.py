@@ -104,19 +104,6 @@ class LinkMatrix:
                      if not self.matrix[:, self._col[g]].any())
 
 
-@dataclass
-class SchedulerState:
-    """Mutable greedy-loop state: satellites still in the candidate pool
-    and users not yet linked."""
-
-    spare: set[int]
-    unserved: set[int]
-
-    @property
-    def n(self) -> int:
-        return len(self.unserved)
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     iteration: int
@@ -136,11 +123,6 @@ class ScheduleResult:
     trace: list[TraceRecord] = field(default_factory=list)
 
 
-def total_se(instance: EpochInstance, links: LinkMatrix, beams) -> float:
-    """Network total SE for the given links and beams."""
-    return metrics.total_se(instance, links, beams)
-
-
 def final_beams(instance: EpochInstance, links: LinkMatrix, mode: SchemeMode,
                 beta: float | None = None) -> dict[int, SatelliteBeams]:
     """Transmit matrices each scheme actually radiates with."""
@@ -150,48 +132,28 @@ def final_beams(instance: EpochInstance, links: LinkMatrix, mode: SchemeMode,
     return hybrid_beams(instance, served, beta=beta)
 
 
-def preassign_single_visibility(instance: EpochInstance, state: SchedulerState,
+def preassign_single_visibility(instance: EpochInstance,
                                 links: LinkMatrix) -> list[int]:
-    """Link every user that sees exactly one satellite.  Users whose only
-    satellite has no spare beam are dropped (capacity keeps priority).
-    Returns the dropped users."""
+    """Link every unlinked user that sees exactly one satellite.  Users
+    who see no satellite, or whose only satellite has no spare beam
+    (capacity keeps priority), are dropped.  Returns the dropped users."""
     dropped = []
-    for g in instance.gu_ids:
-        if g not in state.unserved:
-            continue
+    for g in links.unserved_gus():
         sats = instance.visible.get(g, ())
-        if len(sats) == 0:
-            state.unserved.discard(g)
+        if len(sats) == 1 and links.n_served(sats[0]) < instance.n_beams:
+            links.add_link(sats[0], g)
+        elif len(sats) <= 1:
             dropped.append(g)
-        elif len(sats) == 1:
-            s = sats[0]
-            if links.n_served(s) < instance.n_beams:
-                links.add_link(s, g)
-            else:
-                dropped.append(g)
-            state.unserved.discard(g)
     return dropped
 
 
-def _scoring_beams(instance: EpochInstance, links: LinkMatrix, mode: SchemeMode,
-                   beta: float | None) -> dict[int, SatelliteBeams]:
-    served = links.served_map()
+def _scoring_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
+                   mode: SchemeMode, beta: float | None) -> dict[int, SatelliteBeams]:
+    """Beams the greedy loop scores with: hybrid for JHU, unit-power
+    analog otherwise."""
     if mode is SchemeMode.JHU:
         return hybrid_beams(instance, served, beta=beta)
     return unit_analog_beams(instance, served)
-
-
-def _candidate_beams(instance: EpochInstance, base: dict[int, SatelliteBeams],
-                     links: LinkMatrix, sat_id: int, gu_id: int,
-                     mode: SchemeMode, beta: float | None) -> dict[int, SatelliteBeams]:
-    """Beams for links + one hypothetical link; only ``sat_id`` changes."""
-    gus = tuple(sorted(links.served_gus(sat_id) + (gu_id,)))
-    out = dict(base)
-    if mode is SchemeMode.JHU:
-        out.update(hybrid_beams(instance, {sat_id: gus}, beta=beta))
-    else:
-        out[sat_id] = SatelliteBeams(sat_id, gus, np.eye(len(gus)))
-    return out
 
 
 def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
@@ -202,28 +164,29 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     lexicographically smallest (satellite, user) pair."""
     mode = SchemeMode.parse(mode)
     links = LinkMatrix.empty(instance.sat_ids, instance.gu_ids)
-    state = SchedulerState(spare=set(instance.sat_ids),
-                           unserved=set(instance.gu_ids))
-    dropped = preassign_single_visibility(instance, state, links)
+    dropped = preassign_single_visibility(instance, links)
+    spare = set(instance.sat_ids)
+    unserved = set(links.unserved_gus()) - set(dropped)
     records: list[TraceRecord] = []
 
     iteration = 0
-    while state.n > 0:
+    while unserved:
         candidates = sorted(
             (s, g)
-            for g in state.unserved
+            for g in unserved
             for s in instance.visible.get(g, ())
-            if s in state.spare
+            if s in spare
         )
         if not candidates:
             break
-        base_beams = _scoring_beams(instance, links, mode, beta)
+        base_beams = _scoring_beams(instance, links.served_map(), mode, beta)
         base_se = metrics.total_se(instance, links, base_beams)
 
         best_pair = None
         best_gain = -math.inf
         for s, g in candidates:
-            cand = _candidate_beams(instance, base_beams, links, s, g, mode, beta)
+            gus = tuple(sorted(links.served_gus(s) + (g,)))
+            cand = {**base_beams, **_scoring_beams(instance, {s: gus}, mode, beta)}
             gain = metrics.total_se(instance, links.with_link(s, g), cand) - base_se
             if gain > best_gain:
                 best_gain = gain
@@ -233,9 +196,9 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         committed = links.n_served(s_hat) < instance.n_beams
         if committed:
             links.add_link(s_hat, g_hat)
-            state.unserved.discard(g_hat)
+            unserved.discard(g_hat)
         else:
-            state.spare.discard(s_hat)
+            spare.discard(s_hat)
         if trace:
             records.append(TraceRecord(iteration, len(candidates), s_hat, g_hat,
                                        best_gain, committed))
@@ -243,29 +206,23 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
 
     beams = final_beams(instance, links, mode, beta)
     se = metrics.total_se(instance, links, beams)
-    unserved = tuple(sorted(set(dropped) | state.unserved))
     return ScheduleResult(links=links, beams=beams, total_se=se,
-                          unserved=unserved, trace=records)
+                          unserved=tuple(sorted(set(dropped) | unserved)),
+                          trace=records)
 
 
 def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                         beta: float | None = None,
-                        allow_partial: bool = True,
                         max_space: int = 1_000_000) -> ScheduleResult:
     """Enumerate feasible assignments and return the best one.
 
-    With ``allow_partial`` every user may also stay unserved, which makes
-    the reported optimum a true upper bound for any partial greedy
-    outcome.  Complete assignments are enumerated first, so on exact ties
-    they win.
+    Every user may also stay unserved, which makes the reported optimum a
+    true upper bound for any partial greedy outcome.  Complete
+    assignments are enumerated first, so on exact ties they win.
     """
     mode = SchemeMode.parse(mode)
-    options = []
-    for g in instance.gu_ids:
-        opts: list[int | None] = list(instance.visible.get(g, ()))
-        if allow_partial or not opts:
-            opts.append(None)
-        options.append(opts)
+    options = [list(instance.visible.get(g, ())) + [None]
+               for g in instance.gu_ids]
 
     space = math.prod(len(o) for o in options)
     if space > max_space:

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from coopsat.beamforming import (analog_beamform, analog_power_scale,
-                                 build_codebook, generalized_channel,
-                                 hybrid_beamform, hybrid_combine,
-                                 regularized_zf)
+from coopsat.beamforming import (analog_beamform, build_codebook,
+                                 hybrid_from_beamspace, regularized_zf)
 from coopsat.channel import ArrayConfig
+from coopsat.network import power_scaled_analog_beams
 
 
 def cn_vector(rng, n):
@@ -126,33 +125,6 @@ class TestAnalogBeamform:
             analog_beamform(np.ones(63), cb, k=4)
 
 
-class TestGeneralizedChannel:
-    def test_scalar_case(self):
-        h = np.array([[1.0 + 1j, 2.0]])
-        w = np.array([[0.5], [0.5j]])
-        out = generalized_channel(h, w)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx((1.0 + 1j) * 0.5 + 2.0 * 0.5j)
-
-    def test_identity_analog(self):
-        rng = np.random.default_rng(6)
-        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(generalized_channel(h, np.eye(3)), h)
-
-    def test_matches_reference_product(self):
-        rng = np.random.default_rng(7)
-        h = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
-        f = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-        out = generalized_channel(h, f)
-        expected = np.array([[sum(h[i, k] * f[k, j] for k in range(64))
-                              for j in range(2)] for i in range(2)])
-        assert np.allclose(out, expected, rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            generalized_channel(np.ones((2, 3)), np.ones((4, 2)))
-
-
 class TestRegularizedZf:
     def test_identity_channel_beta_zero(self):
         zf = regularized_zf(np.eye(3), tx_power_w=10.0, beta=0.0)
@@ -182,7 +154,7 @@ class TestRegularizedZf:
 
     def test_default_beta_large_system_value(self):
         h = np.eye(5)
-        zf = regularized_zf(h, tx_power_w=80.0, noise_power=1.0)
+        zf = regularized_zf(h, tx_power_w=80.0)
         assert zf.beta == pytest.approx(5.0 / 80.0)
 
     def test_singular_beta_zero_falls_back_to_pinv(self):
@@ -200,10 +172,13 @@ class TestHybridAndPowerScaling:
         rng = np.random.default_rng(9)
         n = small_array.n_elements
         w = np.exp(1j * rng.uniform(0, 2 * math.pi, n))[:, None] / math.sqrt(n)
-        hy = hybrid_combine(w, np.eye(1), tx_power_w=80.0)
-        assert np.linalg.norm(hy.matrix) ** 2 == pytest.approx(80.0, rel=1e-12)
-        assert np.allclose(hy.matrix / np.linalg.norm(hy.matrix),
-                           w / np.linalg.norm(w))
+        digital = hybrid_from_beamspace(np.array([[0.7 - 0.2j]]), w,
+                                        tx_power_w=80.0)
+        hybrid = math.sqrt(digital.eta) * (w @ digital.matrix)
+        assert np.linalg.norm(hybrid) ** 2 == pytest.approx(80.0, rel=1e-12)
+        # collinear with the unit-norm analog beam
+        assert abs(np.vdot(w, hybrid)) == pytest.approx(np.linalg.norm(hybrid),
+                                                        rel=1e-12)
 
     @pytest.mark.parametrize("n_users", [1, 2, 4])
     def test_total_power_exact(self, n_users, small_array):
@@ -213,28 +188,25 @@ class TestHybridAndPowerScaling:
             [np.exp(1j * rng.uniform(0, 2 * math.pi, n)) / math.sqrt(n)
              for _ in range(n_users)])
         h = np.vstack([cn_vector(rng, n) for _ in range(n_users)]).conj()
-        hybrid, digital = hybrid_beamform(h, analog, tx_power_w=80.0)
-        total = float(np.sum(np.abs(hybrid.matrix) ** 2))
+        digital = hybrid_from_beamspace(h @ analog, analog, tx_power_w=80.0)
+        hybrid = math.sqrt(digital.eta) * (analog @ digital.matrix)
+        total = float(np.sum(np.abs(hybrid) ** 2))
         assert total == pytest.approx(80.0, rel=1e-9)
         assert digital.eta > 0.0
 
     def test_zero_product_rejected(self):
+        # a zero beam-space channel gives a zero precoder
         with pytest.raises(ValueError):
-            hybrid_combine(np.ones((4, 1)), np.zeros((1, 1)), 1.0)
+            hybrid_from_beamspace(np.zeros((1, 1)), np.ones((4, 1)), 1.0)
 
-    def test_analog_power_scale_arithmetic(self):
-        w = np.ones((4, 1)) / 2.0  # unit norm column
-        hy = analog_power_scale(w, tx_power_w=80.0)
-        assert np.linalg.norm(hy.matrix) ** 2 == pytest.approx(80.0)
-        w4 = np.tile(w, (1, 4))
-        hy4 = analog_power_scale(w4, tx_power_w=80.0)
-        for j in range(4):
-            assert np.linalg.norm(hy4.matrix[:, j]) ** 2 == pytest.approx(20.0)
-        # 32 beams at 80 W: 2.5 W per beam
-        w32 = np.tile(w, (1, 32))
-        hy32 = analog_power_scale(w32, tx_power_w=80.0)
-        assert np.linalg.norm(hy32.matrix[:, 0]) ** 2 == pytest.approx(2.5)
-
-    def test_analog_power_scale_no_beams(self):
-        with pytest.raises(ValueError):
-            analog_power_scale(np.ones((4, 0)), 80.0)
+    def test_power_scaled_analog_beams_arithmetic(self, instance_factory):
+        # P / n per beam: 80 W over 1, 4 and 32 beams of one satellite
+        for n_beams, per_beam in ((1, 80.0), (4, 20.0), (32, 2.5)):
+            gus = tuple(range(100, 100 + n_beams))
+            inst = instance_factory(np.random.default_rng(n_beams), n_sats=1,
+                                    n_gus=n_beams, n_beams=n_beams,
+                                    visible={g: (0,) for g in gus})
+            (beams,) = power_scaled_analog_beams(inst, {0: gus}).values()
+            w = inst.beam_matrix(beams)
+            assert np.sum(np.abs(w) ** 2, axis=0) == pytest.approx(
+                [per_beam] * n_beams, rel=1e-12)

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
-                             RfConfig, SmallScaleConfig, channel_vector,
-                             large_scale_amplitude, path_loss,
-                             sample_ray_angles, small_scale, steering_vector,
-                             vsat_gain_dbi)
+                             RfConfig, SmallScaleConfig, large_scale_amplitude,
+                             path_loss, sample_ray_angles, small_scale,
+                             steering_vector, vsat_gain_dbi)
 from coopsat.geometry import LinkGeometry
 
 
-def geom(elevation=90.0, slant=1200.0, az=0.0, el_sat=90.0, off=0.0):
+def geom(elevation=90.0, slant=1200.0, az=0.0, el_sat=90.0):
     return LinkGeometry(elevation_deg=elevation, slant_range_km=slant,
-                        azimuth_sat_deg=az, elevation_sat_deg=el_sat,
-                        off_boresight_deg=off)
+                        azimuth_sat_deg=az, elevation_sat_deg=el_sat)
 
 
 class TestSteeringVector:
@@ -150,30 +148,6 @@ class TestChannelVector:
         assert xi**2 == pytest.approx(expected_xi2, rel=1e-12)
         assert expected_xi2 == pytest.approx(0.8369, rel=1e-3)  # pinned
         assert xi**2 > 0.0 and math.isfinite(xi)
-
-    def test_channel_vector_composition(self, rf, default_array):
-        cfg = SmallScaleConfig()
-        atten = AttenuationConfig(shadow_sigma_db=0.0)
-        cv = channel_vector(3, 17, geom(), rf, default_array, cfg, atten,
-                            np.random.default_rng(11))
-        assert cv.sat_id == 3 and cv.gu_id == 17
-        assert cv.entries.shape == (default_array.n_elements,)
-        assert np.all(np.isfinite(cv.entries))
-        # determinism across identical substreams
-        cv2 = channel_vector(3, 17, geom(), rf, default_array, cfg, atten,
-                             np.random.default_rng(11))
-        assert np.array_equal(cv.entries, cv2.entries)
-
-    def test_off_boresight_reduces_amplitude(self, rf, default_array):
-        cfg = SmallScaleConfig()
-        atten = AttenuationConfig(shadow_sigma_db=0.0)
-        on = channel_vector(0, 0, geom(off=0.0), rf, default_array, cfg, atten,
-                            np.random.default_rng(5))
-        off = channel_vector(0, 0, geom(off=30.0), rf, default_array, cfg, atten,
-                             np.random.default_rng(5))
-        # 30 degrees is deep in the floor: exactly 30 dB down
-        ratio = np.linalg.norm(off.entries) / np.linalg.norm(on.entries)
-        assert ratio == pytest.approx(10.0 ** (-30.0 / 20.0), rel=1e-9)
 
 
 def test_noise_power_value(rf):

@@ -36,6 +36,13 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert "constellation" in err and "gus" in err
 
 
+def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
+    path = tmp_path / "frac.yaml"
+    path.write_text("epochs: {count: 2.5}\n")
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert "epochs.count" in capsys.readouterr().err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/nowhere.yaml"]) == EXIT_CONFIG
 

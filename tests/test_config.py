@@ -81,6 +81,33 @@ class TestFromDict:
             from_dict({"min_elevation_deg": "high"})
         assert any("min_elevation_deg" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("key", ["seed", "codewords"])
+    def test_bool_rejected_as_integer(self, key):
+        with pytest.raises(ConfigError) as err:
+            from_dict({key: True})
+        assert any(e.startswith(key) for e in err.value.errors)
+
+    def test_fractional_epoch_count_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"epochs": {"count": 2.5}})
+        assert any(e.startswith("epochs.count") for e in err.value.errors)
+
+    def test_non_numeric_epoch_step_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"epochs": {"step_s": "x"}})
+        assert any(e.startswith("epochs.step_s") for e in err.value.errors)
+
+    @pytest.mark.parametrize("key,value", [("beta", "1e400"),
+                                           ("min_elevation_deg", float("nan"))])
+    def test_non_finite_number_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            from_dict({key: value})
+        assert any(e.startswith(key) for e in err.value.errors)
+
+    def test_longitude_180_accepted(self):
+        cfg = from_dict({"gus": [{"lat": 10.0, "lon": 180.0}]})
+        assert cfg.gus[0].longitude_deg == -180.0  # the same meridian
+
 
 class TestYamlLoading:
     def test_round_trip_desk_profile(self, tmp_path):

@@ -65,22 +65,11 @@ def test_zenith_link():
                               altitude_km=1200.0)
     (sat,) = propagate(cfg, 0.0)
     gu = GroundUser(0, 0.0, 0.0)
-    geom = link_geometry(sat, gu, sat, t=0.0)
+    geom = link_geometry(sat, gu, t=0.0)
     assert geom.elevation_deg == pytest.approx(90.0)
     assert geom.slant_range_km == pytest.approx(1200.0)
-    assert geom.off_boresight_deg == 0.0
     # user straight below the satellite: body-frame elevation is 90 degrees
     assert geom.elevation_sat_deg == pytest.approx(90.0)
-
-
-def test_off_boresight_zero_for_serving_link():
-    cfg = ConstellationConfig(planes=2, sats_per_plane=2, inclination_deg=40.0)
-    states = propagate(cfg, 300.0)
-    gu = GroundUser(0, 20.0, 110.0)
-    geom = link_geometry(states[0], gu, states[0], t=300.0)
-    assert geom.off_boresight_deg == 0.0
-    cross = link_geometry(states[0], gu, states[1], t=300.0)
-    assert cross.off_boresight_deg > 0.0
 
 
 def test_slant_range_spherical_law_of_cosines():
@@ -97,7 +86,7 @@ def test_slant_range_spherical_law_of_cosines():
                     / (np.linalg.norm(gu_pos) * np.linalg.norm(sat.position_km)))
     r_gu, r_sat = np.linalg.norm(gu_pos), cfg.radius_km
     expected = math.sqrt(r_gu**2 + r_sat**2 - 2.0 * r_gu * r_sat * math.cos(psi))
-    geom = link_geometry(sat, gu, sat, t=t)
+    geom = link_geometry(sat, gu, t=t)
     assert geom.slant_range_km == pytest.approx(expected, rel=1e-12)
     assert psi == pytest.approx(math.radians(7.5), abs=1e-9)
 

@@ -6,9 +6,8 @@ import pytest
 from coopsat import metrics
 from coopsat.network import unit_analog_beams
 from coopsat.scheduling import (ExhaustiveSearchError, LinkMatrix, SchemeMode,
-                                SchedulerState, exhaustive_schedule,
-                                greedy_schedule, preassign_single_visibility,
-                                total_se)
+                                exhaustive_schedule, greedy_schedule,
+                                preassign_single_visibility)
 
 
 def audit_constraints(instance, links, maximal=True):
@@ -60,7 +59,7 @@ class TestTotalSe:
     def test_no_links_zero(self, instance_factory):
         inst = instance_factory(np.random.default_rng(0), n_sats=2, n_gus=3)
         links = LinkMatrix.empty(inst.sat_ids, inst.gu_ids)
-        assert total_se(inst, links, {}) == 0.0
+        assert metrics.total_se(inst, links, {}) == 0.0
 
     def test_single_link_snr_formula(self, instance_factory):
         inst = instance_factory(np.random.default_rng(1), n_sats=1, n_gus=1,
@@ -79,13 +78,12 @@ class TestPreassignment:
         inst = instance_factory(np.random.default_rng(2), n_sats=3, n_gus=3,
                                 visible=vis)
         links = LinkMatrix.empty(inst.sat_ids, inst.gu_ids)
-        state = SchedulerState(spare=set(inst.sat_ids), unserved=set(inst.gu_ids))
-        dropped = preassign_single_visibility(inst, state, links)
+        dropped = preassign_single_visibility(inst, links)
         assert dropped == []
         assert links.serving_sat(100) == 1
         assert links.serving_sat(102) == 2
         assert links.serving_sat(101) is None  # |V| = 2: untouched
-        assert state.unserved == {101}
+        assert links.unserved_gus() == (101,)
 
     def test_all_single_visibility_skips_greedy(self, instance_factory):
         vis = {100: (0,), 101: (1,), 102: (0,)}

@@ -18,8 +18,8 @@ from .geometry import (ConstellationConfig, GroundUser, LinkGeometry,
                        SatelliteState, VisibilitySets, link_geometry,
                        propagate, visibility)
 from .harness import RunReport, build_epoch_instance, emit, run
-from .metrics import (DensityClass, ExperimentResult, UserMetrics,
-                      density_classes, total_se, user_metrics)
+from .metrics import (DensityClass, ExperimentResult, NonFiniteSinrError,
+                      UserMetrics, density_classes, total_se, user_metrics)
 from .network import EpochInstance, SatelliteBeams
 from .scheduling import (LinkMatrix, ScheduleResult, SchemeMode,
                          exhaustive_schedule, greedy_schedule)
@@ -39,7 +39,8 @@ __all__ = [
     # network / scheduling / metrics
     "EpochInstance", "SatelliteBeams", "LinkMatrix", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",
-    "DensityClass", "ExperimentResult", "UserMetrics", "density_classes",
+    "DensityClass", "ExperimentResult", "NonFiniteSinrError", "UserMetrics",
+    "density_classes",
     "total_se", "user_metrics",
     # harness / config
     "ConfigError", "EpochGrid", "ScenarioConfig", "RunReport",

@@ -43,7 +43,7 @@ class DigitalMatrix:
     """Digital precoder of one satellite with its regularizer and the
     power scaling that brings the hybrid product to full power."""
 
-    matrix: np.ndarray  # (n, n)
+    matrix: np.ndarray  # (n, n), or (..., n, n) from a stacked regularized_zf
     beta: float
     eta: float = 1.0
 
@@ -94,7 +94,8 @@ def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
 
 def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
                    beta: float | None = None) -> DigitalMatrix:
-    """Regularized zero-forcing precoder for a square beam-space channel.
+    """Regularized zero-forcing precoder for a square beam-space channel,
+    or for each of a stack of them (shape ``(..., n, n)``).
 
     ``beta=None`` selects n / tx_power (the large-system optimum at the
     unit noise power of the normalized channel); ``beta=0`` is plain
@@ -103,9 +104,9 @@ def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
     ``hybrid_from_beamspace``.
     """
     h_tilde = np.asarray(h_tilde)
-    if h_tilde.ndim != 2 or h_tilde.shape[0] != h_tilde.shape[1]:
+    if h_tilde.ndim < 2 or h_tilde.shape[-1] != h_tilde.shape[-2]:
         raise ValueError(f"beam-space channel must be square, got {h_tilde.shape}")
-    n = h_tilde.shape[0]
+    n = h_tilde.shape[-1]
     if beta is None:
         beta = n / tx_power_w
     if beta < 0.0:
@@ -113,9 +114,9 @@ def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
     if beta == 0.0:
         f = np.linalg.pinv(h_tilde)
     else:
-        gram = h_tilde @ h_tilde.conj().T + beta * np.eye(n)
+        gram = h_tilde @ h_tilde.conj().swapaxes(-1, -2) + beta * np.eye(n)
         # H^H (H H^H + beta I)^-1, using the hermitian structure of the Gram
-        f = np.linalg.solve(gram, h_tilde).conj().T
+        f = np.linalg.solve(gram, h_tilde).conj().swapaxes(-1, -2)
     return DigitalMatrix(matrix=f, beta=float(beta))
 
 

@@ -103,12 +103,30 @@ def _is_finite(value) -> bool:
             and math.isfinite(value))
 
 
+def _section(data: dict, key: str, errors: list[str]) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        errors.append(f"{key}: expected a mapping")
+        return {}
+    return value
+
+
 def _build_section(cls, data: dict, path: str, errors: list[str]):
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
+    """Build a config dataclass from a section.  Fields declared ``int``
+    must be integers and fields declared ``float`` finite numbers; a field
+    that is not keeps its default while the error is collected."""
+    known = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        kind = known.get(key)
+        if kind is None:
             errors.append(f"{path}.{key}: unknown field")
-    kwargs = {k: v for k, v in data.items() if k in known}
+        elif kind == "int" and not _is_int(value):
+            errors.append(f"{path}.{key}: must be an integer")
+        elif kind == "float" and not _is_finite(value):
+            errors.append(f"{path}.{key}: must be a finite number")
+        else:
+            kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -123,6 +141,9 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
             errors.append(f"gus.dataset: unknown dataset {dataset!r}")
             return ()
         count = data.get("count")
+        if count is not None and not _is_int(count):
+            errors.append("gus.count: must be an integer")
+            return ()
         try:
             return bundled_cities(count)
         except (TypeError, ValueError) as exc:
@@ -162,12 +183,13 @@ def from_dict(data: dict) -> ScenarioConfig:
             errors.append(f"{key}: unknown field")
 
     constellation = _build_section(ConstellationConfig,
-                                   data.get("constellation", {}),
+                                   _section(data, "constellation", errors),
                                    "constellation", errors)
-    rf = _build_section(RfConfig, data.get("rf", {}), "rf", errors)
-    array = _build_section(ArrayConfig, data.get("array", {}), "array", errors)
+    rf = _build_section(RfConfig, _section(data, "rf", errors), "rf", errors)
+    array = _build_section(ArrayConfig, _section(data, "array", errors),
+                           "array", errors)
 
-    channel_data = dict(data.get("channel", {}))
+    channel_data = dict(_section(data, "channel", errors))
     atten_keys = {f.name for f in fields(AttenuationConfig)}
     atten_data = {k: channel_data.pop(k) for k in list(channel_data)
                   if k in atten_keys}
@@ -189,13 +211,14 @@ def from_dict(data: dict) -> ScenarioConfig:
             except ValueError as exc:
                 errors.append(f"schemes: {exc}")
 
-    epochs = _build_section(EpochGrid, data.get("epochs", {}), "epochs", errors)
-    if not _is_int(epochs.count) or epochs.count < 1:
+    epochs = _build_section(EpochGrid, _section(data, "epochs", errors),
+                            "epochs", errors)
+    if epochs.count < 1:
         errors.append("epochs.count: must be a positive integer")
-    if not _is_finite(epochs.step_s) or epochs.step_s <= 0.0:
-        errors.append("epochs.step_s: must be a finite number > 0")
-    if not _is_finite(epochs.start_s) or epochs.start_s < 0.0:
-        errors.append("epochs.start_s: must be a finite number >= 0")
+    if epochs.step_s <= 0.0:
+        errors.append("epochs.step_s: must be > 0")
+    if epochs.start_s < 0.0:
+        errors.append("epochs.start_s: must be >= 0")
 
     def _number(key, default, low=None, high=None, low_open=False):
         value = data.get(key, default)
@@ -227,7 +250,11 @@ def from_dict(data: dict) -> ScenarioConfig:
     beta = data.get("beta")
     if beta is not None:
         beta = _number("beta", None, low=0.0)
-    tracked = tuple(str(x) for x in data.get("tracked_labels", ()))
+    tracked = data.get("tracked_labels", ())
+    if not (isinstance(tracked, (list, tuple))
+            and all(isinstance(x, str) for x in tracked)):
+        errors.append("tracked_labels: must be a list of strings")
+        tracked = ()
 
     if errors:
         raise ConfigError(errors)
@@ -237,7 +264,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         schemes=tuple(dict.fromkeys(schemes)), epochs=epochs, seed=seed,
         min_elevation_deg=float(min_el), density_threshold_km=float(threshold),
         codewords=codewords, beta=None if beta is None else float(beta),
-        tracked_labels=tracked,
+        tracked_labels=tuple(tracked),
     )
 
 

@@ -61,14 +61,8 @@ class ExperimentResult:
             raise ValueError("total_se does not match the per-user sum")
 
 
-def _beam_amplitudes(instance: EpochInstance, beams: SatelliteBeams,
-                     gu_id: int) -> np.ndarray:
-    """Complex amplitudes of every beam of one satellite at ``gu_id``,
-    before the user antenna gain."""
-    s = beams.sat_id
-    row = instance.cross(s)[instance.col_of(s, gu_id), :]
-    cols = [instance.col_of(s, g) for g in beams.gus]
-    return row[cols] @ beams.mixer
+class NonFiniteSinrError(ValueError):
+    """A SINR or a scheduling score evaluated to NaN or infinity."""
 
 
 def user_metrics(instance: EpochInstance, links: "LinkMatrix",
@@ -78,20 +72,28 @@ def user_metrics(instance: EpochInstance, links: "LinkMatrix",
         if b.gus != links.served_gus(s):
             raise ValueError(f"beams of satellite {s} inconsistent with links")
 
+    cross = instance.cross_terms
+    gains = instance.gain_table
+    sat_index = instance.sat_index
+    cols = {s: [instance.gu_index[g] for g in b.gus] for s, b in beams.items()}
     out = []
-    for g in instance.gu_ids:
+    for u, g in enumerate(instance.gu_ids):
         serving = links.serving_sat(g)
         if serving is None:
             out.append(UserMetrics(g, 0.0, 0.0, None, 0.0))
             continue
+        a = sat_index[serving]
         signal = 0.0
         interference = 0.0
         for s in instance.visible[g]:
             b = beams.get(s)
             if b is None:
                 continue
-            gain = instance.receive_gain(g, serving, s)
-            powers = gain * np.abs(_beam_amplitudes(instance, b, g)) ** 2
+            i = sat_index[s]
+            # complex amplitudes of every beam of s at g, before the user
+            # antenna gain
+            amplitudes = cross[i, u, cols[s]] @ b.mixer
+            powers = gains[u, a, i] * np.abs(amplitudes) ** 2
             if s == serving:
                 j = b.gus.index(g)
                 signal = float(powers[j])
@@ -99,6 +101,9 @@ def user_metrics(instance: EpochInstance, links: "LinkMatrix",
             else:
                 interference += float(np.sum(powers))
         sinr = signal / (interference + 1.0)
+        if not math.isfinite(sinr):
+            raise NonFiniteSinrError(
+                f"SINR of user {g} served by satellite {serving} is {sinr}")
         out.append(UserMetrics(g, sinr, math.log2(1.0 + sinr), serving, interference))
     return out
 

@@ -3,18 +3,20 @@
 ``EpochInstance`` freezes everything the link-selection problem needs
 for one time snapshot: visibility, channel vectors, per-link analog
 beams, and the geometry needed to evaluate the user antenna gain for
-any hypothetical serving assignment.
+any hypothetical serving assignment.  Besides the per-link dicts it
+holds dense per-epoch arrays, built once on first use: the visibility
+mask, the beam-space cross terms and their powers, the user antenna
+gain table and (for the JHU scorer) the analog Gram matrices.
 
 Channel vectors here exclude the user antenna gain: it depends on which
 satellite the user antenna tracks, so it is applied as a scalar at
 evaluation time.  Noise power is already normalized to one inside the
 channel amplitudes.
 
-Each satellite transmits in one of three configurations, all expressed
-as a ``mixer`` on its analog beams: unit-power analog beams (scoring in
-AU and SHU), analog beams sharing the satellite power equally (AU's
-final beams), and hybrid beams with a power-scaled regularized-ZF
-precoder (JHU scoring and the final SHU and JHU beams).
+Each satellite transmits in one of two configurations, both expressed
+as a ``mixer`` on its analog beams: analog beams sharing the satellite
+power equally (AU's final beams), and hybrid beams with a power-scaled
+regularized-ZF precoder (the final SHU and JHU beams).
 """
 
 from __future__ import annotations
@@ -74,58 +76,85 @@ class EpochInstance:
         return self.rf.tx_power_w
 
     @cached_property
-    def candidates(self) -> dict[int, tuple[int, ...]]:
-        """gu candidates of each satellite (mirror of ``visible``)."""
-        out: dict[int, list[int]] = {s: [] for s in self.sat_ids}
-        for g in self.gu_ids:
+    def sat_index(self) -> dict[int, int]:
+        """Row of each satellite in the dense per-epoch arrays."""
+        return {s: i for i, s in enumerate(self.sat_ids)}
+
+    @cached_property
+    def gu_index(self) -> dict[int, int]:
+        """Row of each user in the dense per-epoch arrays."""
+        return {g: j for j, g in enumerate(self.gu_ids)}
+
+    @cached_property
+    def visible_mask(self) -> np.ndarray:
+        """V[u, s]: user ``u`` sees satellite ``s`` (U x S, bool)."""
+        out = np.zeros((len(self.gu_ids), len(self.sat_ids)), dtype=bool)
+        for u, g in enumerate(self.gu_ids):
             for s in self.visible.get(g, ()):
-                out[s].append(g)
-        return {s: tuple(sorted(gs)) for s, gs in out.items()}
-
-    @cached_property
-    def _col_index(self) -> dict[int, dict[int, int]]:
-        return {s: {g: j for j, g in enumerate(gs)}
-                for s, gs in self.candidates.items()}
-
-    @cached_property
-    def _cross(self) -> dict[int, np.ndarray]:
-        """Per satellite: X[i, j] = h_{s,gi}^H w^A_{s,gj} over candidates."""
-        out = {}
-        for s, gs in self.candidates.items():
-            if not gs:
-                out[s] = np.zeros((0, 0), dtype=complex)
-                continue
-            h = np.vstack([self.base_channels[(s, g)] for g in gs])
-            w = np.column_stack([self.analog_beams[(s, g)] for g in gs])
-            out[s] = h.conj() @ w
+                out[u, self.sat_index[s]] = True
         return out
+
+    def _per_satellite(self, block) -> np.ndarray:
+        """S x U x U array holding, for each satellite, ``block(h, w)`` of
+        the n users that see it (channels h: n x N, analog beams w: N x n)
+        on those users' rows and columns, zero elsewhere."""
+        out = np.zeros((len(self.sat_ids), len(self.gu_ids), len(self.gu_ids)),
+                       dtype=complex)
+        for i, s in enumerate(self.sat_ids):
+            gus = [g for g in self.gu_ids if s in self.visible.get(g, ())]
+            if not gus:
+                continue
+            h = np.vstack([self.base_channels[(s, g)] for g in gus])
+            w = np.column_stack([self.analog_beams[(s, g)] for g in gus])
+            rows = [self.gu_index[g] for g in gus]
+            out[i][np.ix_(rows, rows)] = block(h, w)
+        return out
+
+    @cached_property
+    def cross_terms(self) -> np.ndarray:
+        """X[s, u, v] = h_{s,u}^H w^A_{s,v} (S x U x U), zero unless both
+        users see the satellite."""
+        return self._per_satellite(lambda h, w: h.conj() @ w)
+
+    @cached_property
+    def cross_power(self) -> np.ndarray:
+        """|X|^2: power of user v's unit analog beam at user u."""
+        return np.abs(self.cross_terms) ** 2
+
+    @cached_property
+    def analog_gram(self) -> np.ndarray:
+        """(A^H A)[s, u, v] = w^A_{s,u}^H w^A_{s,v} (S x U x U); only the
+        JHU scorer's power scaling reads it."""
+        return self._per_satellite(lambda h, w: w.conj().T @ w)
 
     @cached_property
     def boresight_gain(self) -> float:
         return vsat_gain_linear(0.0, self.rf)
 
-    def cross(self, sat_id: int) -> np.ndarray:
-        return self._cross[sat_id]
-
-    def col_of(self, sat_id: int, gu_id: int) -> int:
-        return self._col_index[sat_id][gu_id]
-
-    def off_boresight_deg(self, gu_id: int, serving_sat: int, other_sat: int) -> float:
-        """Angle at the user between its boresight (serving satellite)
-        and another satellite."""
-        if serving_sat == other_sat:
-            return 0.0
-        d1 = self.sat_directions[(gu_id, serving_sat)]
-        d2 = self.sat_directions[(gu_id, other_sat)]
-        return math.degrees(math.acos(float(np.clip(np.dot(d1, d2), -1.0, 1.0))))
-
-    def receive_gain(self, gu_id: int, serving_sat: int, other_sat: int) -> float:
-        """Linear user antenna gain toward ``other_sat`` while tracking
-        ``serving_sat``."""
-        if serving_sat == other_sat:
-            return self.boresight_gain
-        return vsat_gain_linear(
-            self.off_boresight_deg(gu_id, serving_sat, other_sat), self.rf)
+    @cached_property
+    def gain_table(self) -> np.ndarray:
+        """G[u, a, b]: linear user antenna gain toward satellite ``b``
+        while user ``u`` tracks satellite ``a`` (U x S x S), zero unless
+        the user sees both.  The off-boresight angle is evaluated with the
+        scalar ``math.acos``, not ``np.arccos``, which may differ in the
+        last bit: ``metrics.user_metrics`` reads this table, and the
+        result files pin its values."""
+        n_s = len(self.sat_ids)
+        out = np.zeros((len(self.gu_ids), n_s, n_s))
+        for u, g in enumerate(self.gu_ids):
+            sats = self.visible.get(g, ())
+            for a in sats:
+                for b in sats:
+                    if a == b:
+                        gain = self.boresight_gain
+                    else:
+                        d1 = self.sat_directions[(g, a)]
+                        d2 = self.sat_directions[(g, b)]
+                        angle = math.degrees(
+                            math.acos(float(np.clip(np.dot(d1, d2), -1.0, 1.0))))
+                        gain = vsat_gain_linear(angle, self.rf)
+                    out[u, self.sat_index[a], self.sat_index[b]] = gain
+        return out
 
     def analog_matrix(self, sat_id: int, gus: tuple[int, ...]) -> np.ndarray:
         """Analog beam columns of ``sat_id`` for the given users."""
@@ -134,13 +163,6 @@ class EpochInstance:
     def beam_matrix(self, beams: SatelliteBeams) -> np.ndarray:
         """Actual transmit columns (N x n) of one satellite."""
         return self.analog_matrix(beams.sat_id, beams.gus) @ beams.mixer
-
-
-def unit_analog_beams(instance: EpochInstance,
-                      served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
-    """Plain analog beams with unit per-beam power (scheduling-time view)."""
-    return {s: SatelliteBeams(s, gus, np.eye(len(gus)))
-            for s, gus in served.items() if gus}
 
 
 def power_scaled_analog_beams(instance: EpochInstance,
@@ -168,8 +190,8 @@ def hybrid_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
     for s, gus in served.items():
         if not gus:
             continue
-        idx = [instance.col_of(s, g) for g in gus]
-        h_tilde = g0 * instance.cross(s)[np.ix_(idx, idx)]
+        idx = [instance.gu_index[g] for g in gus]
+        h_tilde = g0 * instance.cross_terms[instance.sat_index[s]][np.ix_(idx, idx)]
         analog = instance.analog_matrix(s, gus)
         digital = hybrid_from_beamspace(h_tilde, analog, instance.tx_power_w,
                                         beta=beta)

@@ -14,6 +14,41 @@ retired from the candidate pool.  Three evaluation modes:
   before scoring, so scheduling and digital precoding are designed
   jointly.
 
+Incremental scoring.  Write sigma(u) for the satellite serving user u,
+X_s[u, v] = h_{s,u}^H w_{s,v} for the beam-space cross terms,
+G[u, a, b] for u's antenna gain toward b while tracking a (g0 on
+boresight), and S_u / (I_u + 1) for a served user's SINR.  A candidate
+link (s, g) changes the SINR only of g and of served users that see s,
+so its gain is evaluated over those users alone:
+
+* AU/SHU (unit-power analog beams): the existing beams stay as they
+  are and one beam is added.  With L_t[u] = sum_{v: sigma(v)=t}
+  |X_t[u, v]|^2 the power of satellite t's beams at u,
+
+      gain(s, g) = log2(1 + g0 |X_s[g, g]|^2 / (sum_t G[g, s, t] L_t[g] + 1))
+                 + sum_u [log2(1 + S_u / (I_u + G[u, sigma(u), s] |X_s[u, g]|^2 + 1))
+                          - log2(1 + S_u / (I_u + 1))],
+
+  one numpy expression over every (s, g).
+* JHU: satellite s redesigns its beams on T = served(s) + {g}: the
+  regularized-ZF precoder F of sqrt(g0) X_s[T, T] is scaled by
+  eta = P / tr(F^H (A^H A) F), where A^H A is the analog Gram on T.
+  Served users that see s, and g, are re-evaluated with s's new beam
+  powers and the other satellites' unchanged interference.  Every
+  candidate of one satellite has |T| = n_s + 1, so their ZF systems are
+  solved in one batched call.
+
+The scores are exact, not approximations: each is the difference of the
+total SE with and without the link, minus terms that cancel, and
+tr(F^H (A^H A) F) equals ||A F||^2 in exact arithmetic.  They differ from
+re-evaluating the whole network only by floating-point rounding, so the
+argmax can change only among candidates whose gains agree to rounding.
+(That rounding is set by the largest powers, not by the gain: after ZF
+nulling, ``metrics.user_metrics`` obtains a user's intra-satellite
+interference as a difference of nearly equal beam powers.)
+Ties go to the smallest (satellite, user) pair: ``np.argmax`` scans the
+gain grid in row-major order over the sorted satellite and user ids.
+
 An exhaustive oracle for desk-scale instances provides the reference
 optimum for testing.
 """
@@ -28,8 +63,9 @@ from enum import Enum
 import numpy as np
 
 from . import metrics
+from .beamforming import regularized_zf
 from .network import (EpochInstance, SatelliteBeams, hybrid_beams,
-                      power_scaled_analog_beams, unit_analog_beams)
+                      power_scaled_analog_beams)
 
 
 class SchemeMode(str, Enum):
@@ -70,19 +106,11 @@ class LinkMatrix:
         self._row = {s: i for i, s in enumerate(self.sat_ids)}
         self._col = {g: j for j, g in enumerate(self.gu_ids)}
 
-    def copy(self) -> "LinkMatrix":
-        return LinkMatrix(self.sat_ids, self.gu_ids, self.matrix.copy())
-
     def add_link(self, sat_id: int, gu_id: int) -> None:
         i, j = self._row[sat_id], self._col[gu_id]
         if self.matrix[:, j].any():
             raise ValueError(f"user {gu_id} is already linked")
         self.matrix[i, j] = 1
-
-    def with_link(self, sat_id: int, gu_id: int) -> "LinkMatrix":
-        out = self.copy()
-        out.add_link(sat_id, gu_id)
-        return out
 
     def serving_sat(self, gu_id: int) -> int | None:
         col = self.matrix[:, self._col[gu_id]]
@@ -147,13 +175,113 @@ def preassign_single_visibility(instance: EpochInstance,
     return dropped
 
 
-def _scoring_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
-                   mode: SchemeMode, beta: float | None) -> dict[int, SatelliteBeams]:
-    """Beams the greedy loop scores with: hybrid for JHU, unit-power
-    analog otherwise."""
-    if mode is SchemeMode.JHU:
-        return hybrid_beams(instance, served, beta=beta)
-    return unit_analog_beams(instance, served)
+def _hybrid_mixers(instance: EpochInstance, sat: int, idx: np.ndarray,
+                   beta: float | None) -> np.ndarray:
+    """Scoring mixers sqrt(eta) F of satellite row ``sat`` serving each
+    row of user rows ``idx`` (K x n); returns K x n x n."""
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    h_tilde = math.sqrt(instance.boresight_gain) * instance.cross_terms[sat][rows, cols]
+    f = regularized_zf(h_tilde, instance.tx_power_w, beta).matrix
+    gram = instance.analog_gram[sat][rows, cols]
+    # tr(F^H (A^H A) F) = ||A F||_F^2 without forming A F
+    total = np.sum(f.conj() * (gram @ f), axis=(1, 2)).real
+    return np.sqrt(instance.tx_power_w / total)[:, None, None] * f
+
+
+def _analog_gains(instance: EpochInstance, serving: np.ndarray,
+                  candidates: np.ndarray, beta: float | None) -> np.ndarray:
+    """Total-SE gain of every (satellite row, user row) link under
+    unit-power analog beams (AU and SHU); the module docstring has the
+    formula."""
+    n_sats, n_gus = candidates.shape
+    p2 = instance.cross_power
+    gain = instance.gain_table
+    g0 = instance.boresight_gain
+    served = np.flatnonzero(serving >= 0)
+    sat_of = serving[served]
+
+    beams = np.zeros((n_sats, n_gus))
+    beams[sat_of, served] = 1.0
+    load = np.einsum("tuv,tv->tu", p2, beams)  # L_t[u]
+
+    # served users: gain toward each satellite, signal and interference
+    g_served = gain[served, sat_of, :]
+    signal = g0 * p2[sat_of, served, served]
+    interference = np.einsum("us,su->u", g_served, load[:, served]) - signal
+    base = np.log2(1.0 + signal / (interference + 1.0))
+    extra = g_served.T[:, :, None] * p2[:, served, :]  # (s, u, g)
+    changed = np.log2(1.0 + signal[:, None] / (interference[:, None] + extra + 1.0))
+    delta = (changed - base[:, None]).sum(axis=1)
+
+    # the new user, tracking s, sees every satellite's current beams
+    new_interference = np.einsum("gst,tg->sg", gain, load)
+    new_signal = g0 * np.einsum("sgg->sg", p2)
+    return np.log2(1.0 + new_signal / (new_interference + 1.0)) + delta
+
+
+def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
+                  candidates: np.ndarray, beta: float | None) -> np.ndarray:
+    """Total-SE gain of every candidate link when the satellite redesigns
+    its hybrid beams (JHU); -inf off the candidates."""
+    n_sats, n_gus = candidates.shape
+    x = instance.cross_terms
+    gain = instance.gain_table
+    g0 = instance.boresight_gain
+    served = serving >= 0
+
+    # current beams, before the user antenna gain: power of each
+    # satellite at each user, and each served user's own-beam power and
+    # the power of its satellite's other beams (summed directly: after ZF
+    # nulling a difference of the two would be rounding noise)
+    power = np.zeros((n_sats, n_gus))
+    own = np.zeros(n_gus)
+    intra = np.zeros(n_gus)
+    for t in range(n_sats):
+        members = np.flatnonzero(serving == t)
+        if members.size:
+            mixer = _hybrid_mixers(instance, t, members[None, :], beta)[0]
+            amp = np.abs(x[t][:, members] @ mixer) ** 2
+            power[t] = amp.sum(axis=1)
+            rest = amp[members]
+            own[members] = np.diagonal(rest)
+            np.fill_diagonal(rest, 0.0)
+            intra[members] = rest.sum(axis=1)
+    g_serving = gain[np.arange(n_gus), np.maximum(serving, 0), :] * served[:, None]
+    signal = g0 * own
+    by_sat = g_serving * power.T  # interference from each satellite at u
+    by_sat[served, serving[served]] = g0 * intra[served]
+    interference = by_sat.sum(axis=1)
+    base = np.log2(1.0 + signal / (interference + 1.0))
+    others = interference[:, None] - by_sat  # from every satellite but s
+    # a new user tracking s sees the other satellites' current beams
+    off = gain * (1.0 - np.eye(n_sats))
+    new_others = np.einsum("gst,tg->sg", off, power)
+
+    gains = np.full((n_sats, n_gus), -np.inf)
+    for s in range(n_sats):
+        cand = np.flatnonzero(candidates[s])
+        if not cand.size:
+            continue
+        members = np.flatnonzero(serving == s)
+        idx = np.sort(np.column_stack(
+            [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
+        mixer = _hybrid_mixers(instance, s, idx, beta)
+        affected = np.flatnonzero(served & instance.visible_mask[:, s])
+        m = affected.size
+        rows = np.column_stack([np.broadcast_to(affected, (cand.size, m)), cand])
+        amp = np.abs(x[s][rows[:, :, None], idx[:, None, :]] @ mixer) ** 2
+        mine = rows[:, :, None] == idx[:, None, :]  # each row's own beam
+        own_s = np.where(mine, amp, 0.0).sum(axis=2)
+        intra_s = np.where(mine, 0.0, amp).sum(axis=2)
+
+        tracks_s = serving[affected] == s
+        sig = np.where(tracks_s, g0 * own_s[:, :m], signal[affected])
+        intf = others[affected, s] + np.where(
+            tracks_s, g0 * intra_s[:, :m], g_serving[affected, s] * amp[:, :m].sum(axis=2))
+        delta = (np.log2(1.0 + sig / (intf + 1.0)) - base[affected]).sum(axis=1)
+        new_intf = new_others[s, cand] + g0 * intra_s[:, m]
+        gains[s, cand] = np.log2(1.0 + g0 * own_s[:, m] / (new_intf + 1.0)) + delta
+    return gains
 
 
 def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
@@ -165,50 +293,51 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     mode = SchemeMode.parse(mode)
     links = LinkMatrix.empty(instance.sat_ids, instance.gu_ids)
     dropped = preassign_single_visibility(instance, links)
-    spare = set(instance.sat_ids)
-    unserved = set(links.unserved_gus()) - set(dropped)
+    # serving satellite row of each user (-1: unserved), beams in use
+    serving = np.full(len(instance.gu_ids), -1)
+    sat_rows, gu_rows = np.nonzero(links.matrix)
+    serving[gu_rows] = sat_rows
+    load = links.matrix.sum(axis=1, dtype=int)
+    spare = np.ones(len(instance.sat_ids), dtype=bool)
+    pending = serving < 0
+    pending[[instance.gu_index[g] for g in dropped]] = False
+    score = _hybrid_gains if mode is SchemeMode.JHU else _analog_gains
     records: list[TraceRecord] = []
 
     iteration = 0
-    while unserved:
-        candidates = sorted(
-            (s, g)
-            for g in unserved
-            for s in instance.visible.get(g, ())
-            if s in spare
-        )
-        if not candidates:
+    while pending.any():
+        candidates = instance.visible_mask.T & spare[:, None] & pending
+        n_candidates = int(candidates.sum())
+        if not n_candidates:
             break
-        base_beams = _scoring_beams(instance, links.served_map(), mode, beta)
-        base_se = metrics.total_se(instance, links, base_beams)
-
-        best_pair = None
-        best_gain = -math.inf
-        for s, g in candidates:
-            gus = tuple(sorted(links.served_gus(s) + (g,)))
-            cand = {**base_beams, **_scoring_beams(instance, {s: gus}, mode, beta)}
-            gain = metrics.total_se(instance, links.with_link(s, g), cand) - base_se
-            if gain > best_gain:
-                best_gain = gain
-                best_pair = (s, g)
-
-        s_hat, g_hat = best_pair
-        committed = links.n_served(s_hat) < instance.n_beams
+        gains = np.where(candidates, score(instance, serving, candidates, beta),
+                         -np.inf)
+        bad = candidates & ~np.isfinite(gains)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise metrics.NonFiniteSinrError(
+                f"score of link ({instance.sat_ids[i]}, {instance.gu_ids[j]}) "
+                f"is {gains[i, j]}")
+        i, j = np.unravel_index(np.argmax(gains), gains.shape)
+        s_hat, g_hat = instance.sat_ids[i], instance.gu_ids[j]
+        committed = bool(load[i] < instance.n_beams)
         if committed:
             links.add_link(s_hat, g_hat)
-            unserved.discard(g_hat)
+            serving[j] = i
+            load[i] += 1
+            pending[j] = False
         else:
-            spare.discard(s_hat)
+            spare[i] = False
         if trace:
-            records.append(TraceRecord(iteration, len(candidates), s_hat, g_hat,
-                                       best_gain, committed))
+            records.append(TraceRecord(iteration, n_candidates, s_hat, g_hat,
+                                       float(gains[i, j]), committed))
         iteration += 1
 
     beams = final_beams(instance, links, mode, beta)
     se = metrics.total_se(instance, links, beams)
+    unserved = tuple(instance.gu_ids[j] for j in np.flatnonzero(serving < 0))
     return ScheduleResult(links=links, beams=beams, total_se=se,
-                          unserved=tuple(sorted(set(dropped) | unserved)),
-                          trace=records)
+                          unserved=unserved, trace=records)
 
 
 def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",

@@ -43,6 +43,21 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     assert "epochs.count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,field", [
+    ("rf: {tx_power_w: .inf}\n", "rf.tx_power_w"),
+    ("tracked_labels: 5\n", "tracked_labels"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    args = [command, str(path)] + (["--out", str(tmp_path / "o")]
+                                   if command == "run" else [])
+    assert main(args) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/nowhere.yaml"]) == EXIT_CONFIG
 

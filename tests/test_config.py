@@ -104,6 +104,45 @@ class TestFromDict:
             from_dict({key: value})
         assert any(e.startswith(key) for e in err.value.errors)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("rf", "tx_power_w", float("inf")),
+        ("array", "element_spacing", float("nan")),
+        ("constellation", "altitude_km", float("inf")),
+        ("channel", "angle_spread_deg", float("nan")),
+        ("channel", "zenith_gas_db", float("inf")),
+    ])
+    def test_non_finite_section_field_rejected(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            from_dict({section: {key: value}})
+        assert f"{section}.{key}: must be a finite number" in err.value.errors
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("array", "n_x", 2.5),
+        ("array", "n_sub_y", True),
+        ("constellation", "planes", 6.0),
+        ("channel", "n_rays", True),
+    ])
+    def test_non_integer_section_count_rejected(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            from_dict({section: {key: value}})
+        assert f"{section}.{key}: must be an integer" in err.value.errors
+
+    def test_bool_user_count_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"gus": {"count": True}})
+        assert "gus.count: must be an integer" in err.value.errors
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"rf": 3})
+        assert "rf: expected a mapping" in err.value.errors
+
+    @pytest.mark.parametrize("value", [5, "Beijing", ["Beijing", 7]])
+    def test_tracked_labels_must_be_strings(self, value):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"tracked_labels": value})
+        assert "tracked_labels: must be a list of strings" in err.value.errors
+
     def test_longitude_180_accepted(self):
         cfg = from_dict({"gus": [{"lat": 10.0, "lon": 180.0}]})
         assert cfg.gus[0].longitude_deg == -180.0  # the same meridian

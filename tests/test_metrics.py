@@ -6,8 +6,9 @@ import pytest
 from coopsat import metrics
 from coopsat.channel import RfConfig
 from coopsat.geometry import GroundUser
-from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams, unit_analog_beams
+from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams
 from coopsat.scheduling import LinkMatrix
+from reference_greedy import unit_analog_beams
 
 
 def scalar_sinr_oracle(instance, serving, beam_cols):
@@ -215,6 +216,16 @@ class TestSinrEvaluator:
         users = metrics.user_metrics(inst, links, {})
         assert all(u.se == 0.0 and u.serving_sat is None for u in users)
         assert metrics.total_se(inst, links, {}) == 0.0
+
+    def test_non_finite_sinr_names_user_and_satellite(self, instance_factory):
+        inst = instance_factory(np.random.default_rng(29), n_sats=2, n_gus=2,
+                                visible={100: (0,), 101: (1,)})
+        links = links_from_serving(inst, {100: 0, 101: 1})
+        beams = {0: SatelliteBeams(0, (100,), np.eye(1)),
+                 1: SatelliteBeams(1, (101,), np.full((1, 1), np.nan))}
+        with pytest.raises(metrics.NonFiniteSinrError,
+                           match="user 101 served by satellite 1"):
+            metrics.user_metrics(inst, links, beams)
 
     def test_beams_links_consistency_enforced(self, instance_factory):
         rng = np.random.default_rng(28)

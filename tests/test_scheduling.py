@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopsat import metrics
-from coopsat.network import unit_analog_beams
+from coopsat.network import EpochInstance
 from coopsat.scheduling import (ExhaustiveSearchError, LinkMatrix, SchemeMode,
                                 exhaustive_schedule, greedy_schedule,
                                 preassign_single_visibility)
@@ -47,12 +47,6 @@ class TestLinkMatrix:
         links.add_link(0, 7)
         with pytest.raises(ValueError):
             links.add_link(1, 7)
-
-    def test_with_link_copies(self):
-        links = LinkMatrix.empty((0,), (7,))
-        other = links.with_link(0, 7)
-        assert links.serving_sat(7) is None
-        assert other.serving_sat(7) == 0
 
 
 class TestTotalSe:
@@ -164,6 +158,14 @@ class TestGreedy:
         result = greedy_schedule(inst, SchemeMode.AU)
         assert result.unserved == (101,)
 
+    @pytest.mark.parametrize("mode", list(SchemeMode))
+    def test_no_active_satellite(self, mode, instance_factory):
+        inst = instance_factory(np.random.default_rng(18), n_sats=0, n_gus=2,
+                                visible={100: (), 101: ()})
+        result = greedy_schedule(inst, mode)
+        assert result.unserved == (100, 101)
+        assert result.total_se == 0.0
+
     def test_trace_records(self, instance_factory):
         inst = instance_factory(np.random.default_rng(11), n_sats=3, n_gus=4,
                                 n_beams=2)
@@ -183,6 +185,22 @@ class TestGreedy:
                 w = inst.beam_matrix(b)
                 assert float(np.sum(np.abs(w) ** 2)) == pytest.approx(
                     inst.tx_power_w, rel=1e-9)
+
+
+    @pytest.mark.parametrize("mode", list(SchemeMode))
+    def test_nan_score_raises_named_error(self, mode, instance_factory):
+        # a NaN channel makes the scores of its links NaN, which np.argmax
+        # would otherwise pick
+        inst = instance_factory(np.random.default_rng(17), n_sats=2, n_gus=2,
+                                visible={100: (0, 1), 101: (0, 1)})
+        base = dict(inst.base_channels)
+        base[(1, 101)] = np.full_like(base[(1, 101)], np.nan)
+        inst = EpochInstance(inst.sat_ids, inst.gu_ids, inst.rf, inst.n_beams,
+                             inst.visible, base, inst.analog_beams,
+                             inst.sat_directions)
+        with pytest.raises(metrics.NonFiniteSinrError,
+                           match=r"score of link \(\d, 101\) is nan"):
+            greedy_schedule(inst, mode)
 
 
 class TestExhaustive:

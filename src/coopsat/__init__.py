@@ -7,8 +7,8 @@ users cooperatively on a shared band.
 
 __version__ = "0.1.0"
 
-from .beamforming import (AnalogBeamVector, Codebook, DigitalMatrix,
-                          analog_beamform, build_codebook, regularized_zf)
+from .beamforming import (AnalogBeamVector, Codebook, analog_beamform,
+                          build_codebook, regularized_zf)
 from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                       PathLossBreakdown, RfConfig, SmallScaleConfig, path_loss,
                       small_scale, steering_vector, vsat_gain_dbi)
@@ -21,8 +21,8 @@ from .harness import RunReport, build_epoch_instance, emit, run
 from .metrics import (DensityClass, ExperimentResult, NonFiniteSinrError,
                       UserMetrics, density_classes, total_se, user_metrics)
 from .network import EpochInstance, SatelliteBeams
-from .scheduling import (LinkMatrix, ScheduleResult, SchemeMode,
-                         exhaustive_schedule, greedy_schedule)
+from .scheduling import (ScheduleResult, SchemeMode, exhaustive_schedule,
+                         greedy_schedule)
 
 __all__ = [
     "__version__",
@@ -34,10 +34,9 @@ __all__ = [
     "PathLossBreakdown", "RfConfig", "SmallScaleConfig",
     "path_loss", "small_scale", "steering_vector", "vsat_gain_dbi",
     # beamforming
-    "AnalogBeamVector", "Codebook", "DigitalMatrix",
-    "analog_beamform", "build_codebook", "regularized_zf",
+    "AnalogBeamVector", "Codebook", "analog_beamform", "build_codebook", "regularized_zf",
     # network / scheduling / metrics
-    "EpochInstance", "SatelliteBeams", "LinkMatrix", "ScheduleResult",
+    "EpochInstance", "SatelliteBeams", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",
     "DensityClass", "ExperimentResult", "NonFiniteSinrError", "UserMetrics",
     "density_classes",

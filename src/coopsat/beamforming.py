@@ -5,9 +5,10 @@ The analog beam for a link is built by scoring every codeword of a 2D
 DFT codebook against the channel, least-squares combining the best K,
 and projecting the combination back onto the equal-amplitude constraint
 of phase-only hardware.  Per satellite, the digital stage inverts the
-beam-space channel with a diagonal regularizer; its power scaling
-``eta`` puts the hybrid product (analog beams times digital precoder)
-at exactly the satellite transmit power.
+beam-space channel with a diagonal regularizer.  Its power scaling
+eta = P / tr(F^H (A^H A) F), which puts the hybrid product (analog
+beams A times digital precoder F) at exactly the satellite transmit
+power P, is applied by ``network.hybrid_from_beamspace``.
 """
 
 from __future__ import annotations
@@ -36,16 +37,6 @@ class AnalogBeamVector:
     entries: np.ndarray            # (N,), every entry has modulus 1/sqrt(N)
     codeword_indices: tuple[int, ...]
     coefficients: np.ndarray       # (K,) least-squares combination weights
-
-
-@dataclass(frozen=True, eq=False)
-class DigitalMatrix:
-    """Digital precoder of one satellite with its regularizer and the
-    power scaling that brings the hybrid product to full power."""
-
-    matrix: np.ndarray  # (n, n), or (..., n, n) from a stacked regularized_zf
-    beta: float
-    eta: float = 1.0
 
 
 def _dft_unitary(n: int) -> np.ndarray:
@@ -93,7 +84,7 @@ def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
 
 
 def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
-                   beta: float | None = None) -> DigitalMatrix:
+                   beta: float | None = None) -> np.ndarray:
     """Regularized zero-forcing precoder for a square beam-space channel,
     or for each of a stack of them (shape ``(..., n, n)``).
 
@@ -101,7 +92,7 @@ def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
     unit noise power of the normalized channel); ``beta=0`` is plain
     channel inversion, falling back to the pseudo-inverse when the
     channel is singular.  Power scaling is not applied here: see
-    ``hybrid_from_beamspace``.
+    ``network.hybrid_from_beamspace``.
     """
     h_tilde = np.asarray(h_tilde)
     if h_tilde.ndim < 2 or h_tilde.shape[-1] != h_tilde.shape[-2]:
@@ -112,23 +103,8 @@ def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
     if beta == 0.0:
-        f = np.linalg.pinv(h_tilde)
-    else:
-        gram = h_tilde @ h_tilde.conj().swapaxes(-1, -2) + beta * np.eye(n)
-        # H^H (H H^H + beta I)^-1, using the hermitian structure of the Gram
-        f = np.linalg.solve(gram, h_tilde).conj().swapaxes(-1, -2)
-    return DigitalMatrix(matrix=f, beta=float(beta))
+        return np.linalg.pinv(h_tilde)
+    gram = h_tilde @ h_tilde.conj().swapaxes(-1, -2) + beta * np.eye(n)
+    # H^H (H H^H + beta I)^-1, using the hermitian structure of the Gram
+    return np.linalg.solve(gram, h_tilde).conj().swapaxes(-1, -2)
 
-
-def hybrid_from_beamspace(h_tilde: np.ndarray, analog: np.ndarray,
-                          tx_power_w: float,
-                          beta: float | None = None) -> DigitalMatrix:
-    """Regularized ZF on an already-computed beam-space channel, with the
-    power scaling ``eta`` that makes the column powers of the hybrid
-    product ``analog @ F`` sum exactly to ``tx_power_w``."""
-    zf = regularized_zf(h_tilde, tx_power_w, beta)
-    raw = np.asarray(analog) @ zf.matrix
-    total = float(np.sum(np.abs(raw) ** 2))
-    if total == 0.0:
-        raise ValueError("hybrid matrix is identically zero")
-    return DigitalMatrix(matrix=zf.matrix, beta=zf.beta, eta=tx_power_w / total)

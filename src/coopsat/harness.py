@@ -105,7 +105,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunReport:
             results.append(ExperimentResult(
                 epoch_index=epoch_index, epoch_s=t, scheme=mode.value,
                 users=tuple(users), unserved=sched.unserved,
-                total_se=sched.total_se, links=sched.links))
+                total_se=sched.total_se))
             if trace:
                 traces[(epoch_index, mode.value)] = sched.trace
 

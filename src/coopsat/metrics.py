@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import EARTH_RADIUS_KM, GroundUser
 from .network import EpochInstance, SatelliteBeams
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scheduling import LinkMatrix
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,6 @@ class ExperimentResult:
     users: tuple[UserMetrics, ...]
     unserved: tuple[int, ...]
     total_se: float
-    links: "LinkMatrix | None" = None
 
     def __post_init__(self) -> None:
         total = sum(u.se for u in self.users)
@@ -65,12 +61,17 @@ class NonFiniteSinrError(ValueError):
     """A SINR or a scheduling score evaluated to NaN or infinity."""
 
 
-def user_metrics(instance: EpochInstance, links: "LinkMatrix",
+def user_metrics(instance: EpochInstance, serving: np.ndarray,
                  beams: Mapping[int, SatelliteBeams]) -> list[UserMetrics]:
-    """Evaluate every user under the given links and transmit beams."""
-    for s, b in beams.items():
-        if b.gus != links.served_gus(s):
-            raise ValueError(f"beams of satellite {s} inconsistent with links")
+    """Evaluate every user under a serving vector (the serving
+    satellite's row in ``instance.sat_ids`` per user, -1 when unserved)
+    and the transmit beams of exactly the satellites that serve someone.
+    A malformed serving vector (see ``EpochInstance.served_map``) or
+    beams that do not match it raise ``ValueError``."""
+    served = instance.served_map(serving)
+    if {s: b.gus for s, b in beams.items()} != served:
+        raise ValueError(f"beams {sorted(beams)} inconsistent with the users "
+                         f"served by satellites {sorted(served)}")
 
     cross = instance.cross_terms
     gains = instance.gain_table
@@ -78,11 +79,10 @@ def user_metrics(instance: EpochInstance, links: "LinkMatrix",
     cols = {s: [instance.gu_index[g] for g in b.gus] for s, b in beams.items()}
     out = []
     for u, g in enumerate(instance.gu_ids):
-        serving = links.serving_sat(g)
-        if serving is None:
+        a = int(serving[u])
+        if a < 0:
             out.append(UserMetrics(g, 0.0, 0.0, None, 0.0))
             continue
-        a = sat_index[serving]
         signal = 0.0
         interference = 0.0
         for s in instance.visible[g]:
@@ -94,23 +94,27 @@ def user_metrics(instance: EpochInstance, links: "LinkMatrix",
             # antenna gain
             amplitudes = cross[i, u, cols[s]] @ b.mixer
             powers = gains[u, a, i] * np.abs(amplitudes) ** 2
-            if s == serving:
+            if i == a:
+                # the other beams summed directly: after ZF nulling,
+                # sum(powers) - signal would be rounding noise
                 j = b.gus.index(g)
                 signal = float(powers[j])
-                interference += float(np.sum(powers)) - float(powers[j])
+                interference += float(np.sum(np.delete(powers, j)))
             else:
                 interference += float(np.sum(powers))
         sinr = signal / (interference + 1.0)
+        serving_sat = instance.sat_ids[a]
         if not math.isfinite(sinr):
             raise NonFiniteSinrError(
-                f"SINR of user {g} served by satellite {serving} is {sinr}")
-        out.append(UserMetrics(g, sinr, math.log2(1.0 + sinr), serving, interference))
+                f"SINR of user {g} served by satellite {serving_sat} is {sinr}")
+        out.append(UserMetrics(g, sinr, math.log2(1.0 + sinr), serving_sat,
+                               interference))
     return out
 
 
-def total_se(instance: EpochInstance, links: "LinkMatrix",
+def total_se(instance: EpochInstance, serving: np.ndarray,
              beams: Mapping[int, SatelliteBeams]) -> float:
-    return sum(u.se for u in user_metrics(instance, links, beams))
+    return sum(u.se for u in user_metrics(instance, serving, beams))
 
 
 def great_circle_km(a: GroundUser, b: GroundUser) -> float:

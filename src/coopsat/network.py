@@ -6,7 +6,10 @@ beams, and the geometry needed to evaluate the user antenna gain for
 any hypothetical serving assignment.  Besides the per-link dicts it
 holds dense per-epoch arrays, built once on first use: the visibility
 mask, the beam-space cross terms and their powers, the user antenna
-gain table and (for the JHU scorer) the analog Gram matrices.
+gain table and the analog Gram matrices of the hybrid power scaling.
+An assignment is a serving vector over ``gu_ids``: the row in
+``sat_ids`` of each user's serving satellite, or -1 when the user is
+unserved.
 
 Channel vectors here exclude the user antenna gain: it depends on which
 satellite the user antenna tracks, so it is applied as a scalar at
@@ -16,7 +19,9 @@ channel amplitudes.
 Each satellite transmits in one of two configurations, both expressed
 as a ``mixer`` on its analog beams: analog beams sharing the satellite
 power equally (AU's final beams), and hybrid beams with a power-scaled
-regularized-ZF precoder (the final SHU and JHU beams).
+regularized-ZF precoder (the final SHU and JHU beams, and the beams the
+JHU scheduler scores with).  ``hybrid_from_beamspace`` is the one place
+hybrid beams are designed and scaled.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .beamforming import hybrid_from_beamspace
+from .beamforming import regularized_zf
 from .channel import RfConfig, vsat_gain_linear
 
 
@@ -124,7 +129,7 @@ class EpochInstance:
     @cached_property
     def analog_gram(self) -> np.ndarray:
         """(A^H A)[s, u, v] = w^A_{s,u}^H w^A_{s,v} (S x U x U); only the
-        JHU scorer's power scaling reads it."""
+        hybrid power scaling reads it."""
         return self._per_satellite(lambda h, w: w.conj().T @ w)
 
     @cached_property
@@ -156,44 +161,77 @@ class EpochInstance:
                     out[u, self.sat_index[a], self.sat_index[b]] = gain
         return out
 
-    def analog_matrix(self, sat_id: int, gus: tuple[int, ...]) -> np.ndarray:
-        """Analog beam columns of ``sat_id`` for the given users."""
-        return np.column_stack([self.analog_beams[(sat_id, g)] for g in gus])
+    def served_map(self, serving: np.ndarray) -> dict[int, tuple[int, ...]]:
+        """Users served by each satellite that serves someone, by id, for
+        a serving vector; rejects a vector of the wrong shape or type, a
+        row outside ``sat_ids`` and a link to a satellite the user does
+        not see."""
+        serving = np.asarray(serving)
+        if serving.shape != (len(self.gu_ids),) or serving.dtype.kind not in "iu":
+            raise ValueError(f"serving vector must be {len(self.gu_ids)} integers, "
+                             f"got shape {serving.shape} of {serving.dtype}")
+        users: dict[int, list[int]] = {}
+        # a Python loop: the exhaustive oracle calls this for every
+        # assignment of a handful of users, where numpy's per-call
+        # overhead dominates
+        for u, i in enumerate(serving.tolist()):
+            if not -1 <= i < len(self.sat_ids):
+                raise ValueError(f"serving rows must lie in [-1, {len(self.sat_ids)})")
+            if i < 0:
+                continue
+            if not self.visible_mask[u, i]:
+                raise ValueError(f"user {self.gu_ids[u]} does not see its serving "
+                                 f"satellite {self.sat_ids[i]}")
+            users.setdefault(i, []).append(self.gu_ids[u])
+        return {self.sat_ids[i]: tuple(users[i]) for i in sorted(users)}
 
     def beam_matrix(self, beams: SatelliteBeams) -> np.ndarray:
         """Actual transmit columns (N x n) of one satellite."""
-        return self.analog_matrix(beams.sat_id, beams.gus) @ beams.mixer
+        analog = np.column_stack([self.analog_beams[(beams.sat_id, g)]
+                                  for g in beams.gus])
+        return analog @ beams.mixer
 
 
 def power_scaled_analog_beams(instance: EpochInstance,
                               served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
-    """Analog beams sharing the satellite power equally."""
+    """Analog beams sharing the satellite power equally; ``served`` maps
+    each satellite to its users, as ``EpochInstance.served_map`` does."""
     out = {}
     for s, gus in served.items():
-        if not gus:
-            continue
         n = len(gus)
         out[s] = SatelliteBeams(s, gus,
                                 np.eye(n) * math.sqrt(instance.tx_power_w / n))
     return out
 
 
+def hybrid_from_beamspace(instance: EpochInstance, sat: int, idx: np.ndarray,
+                          beta: float | None = None) -> np.ndarray:
+    """Hybrid mixers sqrt(eta) F of satellite row ``sat`` serving each
+    row of user rows ``idx`` (K x n); returns K x n x n.
+
+    F is the regularized-ZF precoder of the beam-space channel
+    sqrt(g0) X_s[T, T]; its rows carry the boresight user antenna gain
+    g0, since every served user tracks this satellite.  The power scaling
+    eta = P / tr(F^H (A^H A) F) makes the radiated product A F carry
+    exactly the satellite power P without forming it.
+    """
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    h_tilde = math.sqrt(instance.boresight_gain) * instance.cross_terms[sat][rows, cols]
+    f = regularized_zf(h_tilde, instance.tx_power_w, beta)
+    gram = instance.analog_gram[sat][rows, cols]
+    # tr(F^H (A^H A) F) = ||A F||_F^2
+    total = np.sum(f.conj() * (gram @ f), axis=(1, 2)).real
+    if np.any(total == 0.0):
+        raise ValueError("hybrid matrix is identically zero")
+    return np.sqrt(instance.tx_power_w / total)[:, None, None] * f
+
+
 def hybrid_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
                  beta: float | None = None) -> dict[int, SatelliteBeams]:
-    """Hybrid (analog + regularized-ZF) beams at full satellite power.
-
-    The beam-space channel rows carry the boresight user antenna gain:
-    every served user tracks this satellite.
-    """
+    """Hybrid (analog + regularized-ZF) beams at full satellite power."""
     out = {}
-    g0 = math.sqrt(instance.boresight_gain)
     for s, gus in served.items():
-        if not gus:
-            continue
-        idx = [instance.gu_index[g] for g in gus]
-        h_tilde = g0 * instance.cross_terms[instance.sat_index[s]][np.ix_(idx, idx)]
-        analog = instance.analog_matrix(s, gus)
-        digital = hybrid_from_beamspace(h_tilde, analog, instance.tx_power_w,
-                                        beta=beta)
-        out[s] = SatelliteBeams(s, gus, math.sqrt(digital.eta) * digital.matrix)
+        idx = np.array([[instance.gu_index[g] for g in gus]])
+        mixer = hybrid_from_beamspace(instance, instance.sat_index[s], idx, beta)
+        out[s] = SatelliteBeams(s, gus, mixer[0])
     return out

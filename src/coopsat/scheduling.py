@@ -1,10 +1,12 @@
 """Heuristic satellite-user link scheduling.
 
-Users with a single visible satellite are linked up front.  The greedy
-loop then scores every remaining candidate link by the total spectral
-efficiency increment it would produce and commits the best one; a
-satellite already at its beam capacity that wins the argmax is instead
-retired from the candidate pool.  Three evaluation modes:
+A schedule is a serving vector over the instance's users: the row in
+``sat_ids`` of each user's serving satellite, or -1 when the user is
+unserved.  Users with a single visible satellite are linked up front.
+The greedy loop then scores every remaining candidate link by the total
+spectral efficiency increment it would produce and commits the best
+one; a satellite already at its beam capacity that wins the argmax is
+instead retired from the candidate pool.  Three evaluation modes:
 
 * ``AU``  - scores with fixed unit-power analog beams; final transmit
   matrices are the power-scaled analog beams.
@@ -30,22 +32,20 @@ so its gain is evaluated over those users alone:
                           - log2(1 + S_u / (I_u + 1))],
 
   one numpy expression over every (s, g).
-* JHU: satellite s redesigns its beams on T = served(s) + {g}: the
-  regularized-ZF precoder F of sqrt(g0) X_s[T, T] is scaled by
-  eta = P / tr(F^H (A^H A) F), where A^H A is the analog Gram on T.
+* JHU: satellite s redesigns its beams on T = served(s) + {g} with
+  ``network.hybrid_from_beamspace``, which also builds the final SHU and
+  JHU beams: the regularized-ZF precoder F of sqrt(g0) X_s[T, T] is scaled
+  by eta = P / tr(F^H (A^H A) F), where A^H A is the analog Gram on T.
   Served users that see s, and g, are re-evaluated with s's new beam
   powers and the other satellites' unchanged interference.  Every
   candidate of one satellite has |T| = n_s + 1, so their ZF systems are
   solved in one batched call.
 
 The scores are exact, not approximations: each is the difference of the
-total SE with and without the link, minus terms that cancel, and
-tr(F^H (A^H A) F) equals ||A F||^2 in exact arithmetic.  They differ from
-re-evaluating the whole network only by floating-point rounding, so the
-argmax can change only among candidates whose gains agree to rounding.
-(That rounding is set by the largest powers, not by the gain: after ZF
-nulling, ``metrics.user_metrics`` obtains a user's intra-satellite
-interference as a difference of nearly equal beam powers.)
+total SE with and without the link, minus terms that cancel.  They
+differ from re-evaluating the whole network only by floating-point
+rounding, so the argmax can change only among candidates whose gains
+agree to rounding.
 Ties go to the smallest (satellite, user) pair: ``np.argmax`` scans the
 gain grid in row-major order over the sorted satellite and user ids.
 
@@ -63,9 +63,8 @@ from enum import Enum
 import numpy as np
 
 from . import metrics
-from .beamforming import regularized_zf
 from .network import (EpochInstance, SatelliteBeams, hybrid_beams,
-                      power_scaled_analog_beams)
+                      hybrid_from_beamspace, power_scaled_analog_beams)
 
 
 class SchemeMode(str, Enum):
@@ -87,51 +86,6 @@ class ExhaustiveSearchError(ValueError):
     """Assignment space too large for the exhaustive oracle."""
 
 
-@dataclass(eq=False)
-class LinkMatrix:
-    """Binary satellite-user assignment with index bookkeeping."""
-
-    sat_ids: tuple[int, ...]
-    gu_ids: tuple[int, ...]
-    matrix: np.ndarray  # (n_sats, n_gus) int8
-
-    @classmethod
-    def empty(cls, sat_ids, gu_ids) -> "LinkMatrix":
-        sat_ids = tuple(sat_ids)
-        gu_ids = tuple(gu_ids)
-        return cls(sat_ids, gu_ids,
-                   np.zeros((len(sat_ids), len(gu_ids)), dtype=np.int8))
-
-    def __post_init__(self) -> None:
-        self._row = {s: i for i, s in enumerate(self.sat_ids)}
-        self._col = {g: j for j, g in enumerate(self.gu_ids)}
-
-    def add_link(self, sat_id: int, gu_id: int) -> None:
-        i, j = self._row[sat_id], self._col[gu_id]
-        if self.matrix[:, j].any():
-            raise ValueError(f"user {gu_id} is already linked")
-        self.matrix[i, j] = 1
-
-    def serving_sat(self, gu_id: int) -> int | None:
-        col = self.matrix[:, self._col[gu_id]]
-        idx = np.nonzero(col)[0]
-        return self.sat_ids[idx[0]] if idx.size else None
-
-    def served_gus(self, sat_id: int) -> tuple[int, ...]:
-        row = self.matrix[self._row[sat_id], :]
-        return tuple(self.gu_ids[j] for j in np.nonzero(row)[0])
-
-    def n_served(self, sat_id: int) -> int:
-        return int(self.matrix[self._row[sat_id], :].sum())
-
-    def served_map(self) -> dict[int, tuple[int, ...]]:
-        return {s: self.served_gus(s) for s in self.sat_ids if self.n_served(s)}
-
-    def unserved_gus(self) -> tuple[int, ...]:
-        return tuple(g for g in self.gu_ids
-                     if not self.matrix[:, self._col[g]].any())
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     iteration: int
@@ -144,48 +98,42 @@ class TraceRecord:
 
 @dataclass(eq=False)
 class ScheduleResult:
-    links: LinkMatrix
+    links: np.ndarray  # serving vector: satellite row per user, -1 unserved
     beams: dict[int, SatelliteBeams]
     total_se: float
     unserved: tuple[int, ...]
     trace: list[TraceRecord] = field(default_factory=list)
 
 
-def final_beams(instance: EpochInstance, links: LinkMatrix, mode: SchemeMode,
+def final_beams(instance: EpochInstance, serving: np.ndarray, mode: SchemeMode,
                 beta: float | None = None) -> dict[int, SatelliteBeams]:
     """Transmit matrices each scheme actually radiates with."""
-    served = links.served_map()
+    served = instance.served_map(serving)
     if mode is SchemeMode.AU:
         return power_scaled_analog_beams(instance, served)
     return hybrid_beams(instance, served, beta=beta)
 
 
 def preassign_single_visibility(instance: EpochInstance,
-                                links: LinkMatrix) -> list[int]:
-    """Link every unlinked user that sees exactly one satellite.  Users
-    who see no satellite, or whose only satellite has no spare beam
-    (capacity keeps priority), are dropped.  Returns the dropped users."""
+                                serving: np.ndarray) -> list[int]:
+    """Link, in place, every unserved user that sees exactly one
+    satellite.  Users who see no satellite, or whose only satellite has no
+    spare beam (capacity keeps priority), are dropped.  Returns the rows
+    of the dropped users."""
+    load = np.bincount(serving[serving >= 0], minlength=len(instance.sat_ids))
     dropped = []
-    for g in links.unserved_gus():
-        sats = instance.visible.get(g, ())
-        if len(sats) == 1 and links.n_served(sats[0]) < instance.n_beams:
-            links.add_link(sats[0], g)
-        elif len(sats) <= 1:
-            dropped.append(g)
+    for u in np.flatnonzero(serving < 0):
+        sats = np.flatnonzero(instance.visible_mask[u])
+        if sats.size == 1 and load[sats[0]] < instance.n_beams:
+            serving[u] = sats[0]
+            load[sats[0]] += 1
+        elif sats.size <= 1:
+            dropped.append(int(u))
     return dropped
 
 
-def _hybrid_mixers(instance: EpochInstance, sat: int, idx: np.ndarray,
-                   beta: float | None) -> np.ndarray:
-    """Scoring mixers sqrt(eta) F of satellite row ``sat`` serving each
-    row of user rows ``idx`` (K x n); returns K x n x n."""
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    h_tilde = math.sqrt(instance.boresight_gain) * instance.cross_terms[sat][rows, cols]
-    f = regularized_zf(h_tilde, instance.tx_power_w, beta).matrix
-    gram = instance.analog_gram[sat][rows, cols]
-    # tr(F^H (A^H A) F) = ||A F||_F^2 without forming A F
-    total = np.sum(f.conj() * (gram @ f), axis=(1, 2)).real
-    return np.sqrt(instance.tx_power_w / total)[:, None, None] * f
+def _unserved(instance: EpochInstance, serving: np.ndarray) -> tuple[int, ...]:
+    return tuple(instance.gu_ids[u] for u in np.flatnonzero(serving < 0))
 
 
 def _analog_gains(instance: EpochInstance, serving: np.ndarray,
@@ -239,7 +187,7 @@ def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
     for t in range(n_sats):
         members = np.flatnonzero(serving == t)
         if members.size:
-            mixer = _hybrid_mixers(instance, t, members[None, :], beta)[0]
+            mixer = hybrid_from_beamspace(instance, t, members[None, :], beta)[0]
             amp = np.abs(x[t][:, members] @ mixer) ** 2
             power[t] = amp.sum(axis=1)
             rest = amp[members]
@@ -265,7 +213,7 @@ def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
         members = np.flatnonzero(serving == s)
         idx = np.sort(np.column_stack(
             [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
-        mixer = _hybrid_mixers(instance, s, idx, beta)
+        mixer = hybrid_from_beamspace(instance, s, idx, beta)
         affected = np.flatnonzero(served & instance.visible_mask[:, s])
         m = affected.size
         rows = np.column_stack([np.broadcast_to(affected, (cand.size, m)), cand])
@@ -287,20 +235,15 @@ def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
 def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                     beta: float | None = None,
                     trace: bool = False) -> ScheduleResult:
-    """Run the greedy link construction and return links, final beams and
-    the resulting total SE.  Deterministic: argmax ties go to the
-    lexicographically smallest (satellite, user) pair."""
+    """Run the greedy link construction and return the serving vector,
+    final beams and the resulting total SE.  Deterministic: argmax ties
+    go to the lexicographically smallest (satellite, user) pair."""
     mode = SchemeMode.parse(mode)
-    links = LinkMatrix.empty(instance.sat_ids, instance.gu_ids)
-    dropped = preassign_single_visibility(instance, links)
-    # serving satellite row of each user (-1: unserved), beams in use
     serving = np.full(len(instance.gu_ids), -1)
-    sat_rows, gu_rows = np.nonzero(links.matrix)
-    serving[gu_rows] = sat_rows
-    load = links.matrix.sum(axis=1, dtype=int)
+    dropped = preassign_single_visibility(instance, serving)
     spare = np.ones(len(instance.sat_ids), dtype=bool)
     pending = serving < 0
-    pending[[instance.gu_index[g] for g in dropped]] = False
+    pending[dropped] = False
     score = _hybrid_gains if mode is SchemeMode.JHU else _analog_gains
     records: list[TraceRecord] = []
 
@@ -320,11 +263,9 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                 f"is {gains[i, j]}")
         i, j = np.unravel_index(np.argmax(gains), gains.shape)
         s_hat, g_hat = instance.sat_ids[i], instance.gu_ids[j]
-        committed = bool(load[i] < instance.n_beams)
+        committed = bool(np.count_nonzero(serving == i) < instance.n_beams)
         if committed:
-            links.add_link(s_hat, g_hat)
             serving[j] = i
-            load[i] += 1
             pending[j] = False
         else:
             spare[i] = False
@@ -333,11 +274,10 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                                        float(gains[i, j]), committed))
         iteration += 1
 
-    beams = final_beams(instance, links, mode, beta)
-    se = metrics.total_se(instance, links, beams)
-    unserved = tuple(instance.gu_ids[j] for j in np.flatnonzero(serving < 0))
-    return ScheduleResult(links=links, beams=beams, total_se=se,
-                          unserved=unserved, trace=records)
+    beams = final_beams(instance, serving, mode, beta)
+    se = metrics.total_se(instance, serving, beams)
+    return ScheduleResult(links=serving, beams=beams, total_se=se,
+                          unserved=_unserved(instance, serving), trace=records)
 
 
 def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
@@ -350,8 +290,7 @@ def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     assignments are enumerated first, so on exact ties they win.
     """
     mode = SchemeMode.parse(mode)
-    options = [list(instance.visible.get(g, ())) + [None]
-               for g in instance.gu_ids]
+    options = [np.flatnonzero(row).tolist() + [-1] for row in instance.visible_mask]
 
     space = math.prod(len(o) for o in options)
     if space > max_space:
@@ -360,21 +299,14 @@ def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
 
     best: ScheduleResult | None = None
     for combo in itertools.product(*options):
-        counts: dict[int, int] = {}
-        for s in combo:
-            if s is not None:
-                counts[s] = counts.get(s, 0) + 1
-        if any(c > instance.n_beams for c in counts.values()):
+        serving = np.array(combo, dtype=int)
+        if np.bincount(serving + 1)[1:].max(initial=0) > instance.n_beams:
             continue
-        links = LinkMatrix.empty(instance.sat_ids, instance.gu_ids)
-        for g, s in zip(instance.gu_ids, combo):
-            if s is not None:
-                links.add_link(s, g)
-        beams = final_beams(instance, links, mode, beta)
-        se = metrics.total_se(instance, links, beams)
+        beams = final_beams(instance, serving, mode, beta)
+        se = metrics.total_se(instance, serving, beams)
         if best is None or se > best.total_se:
-            best = ScheduleResult(links=links, beams=beams, total_se=se,
-                                  unserved=links.unserved_gus())
+            best = ScheduleResult(links=serving, beams=beams, total_se=se,
+                                  unserved=_unserved(instance, serving))
     if best is None:  # cannot happen: the all-unserved combo is always feasible
         raise RuntimeError("no feasible assignment found")
     return best

@@ -15,7 +15,7 @@ import numpy as np
 
 from coopsat import metrics
 from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams
-from coopsat.scheduling import (LinkMatrix, SchemeMode, TraceRecord,
+from coopsat.scheduling import (SchemeMode, TraceRecord,
                                 preassign_single_visibility)
 
 
@@ -24,10 +24,6 @@ def unit_analog_beams(instance: EpochInstance,
     """Plain analog beams with unit per-beam power (scheduling-time view)."""
     return {s: SatelliteBeams(s, gus, np.eye(len(gus)))
             for s, gus in served.items() if gus}
-
-
-def copy_links(links: LinkMatrix) -> LinkMatrix:
-    return LinkMatrix(links.sat_ids, links.gu_ids, links.matrix.copy())
 
 
 def scoring_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
@@ -59,7 +55,7 @@ class ReferenceStep:
 def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
                      beta: float | None = None,
                      picks: list[tuple[int, int]] | None = None):
-    """Run the reference loop.  Returns ``(steps, links, unserved)``.
+    """Run the reference loop.  Returns ``(steps, serving, unserved)``.
 
     With ``picks`` the loop follows the given (satellite, user) decision
     at each step instead of its own argmax, so its per-step gains can be
@@ -67,10 +63,11 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
     sent the two down different paths.
     """
     mode = SchemeMode.parse(mode)
-    links = LinkMatrix.empty(instance.sat_ids, instance.gu_ids)
-    dropped = preassign_single_visibility(instance, links)
+    serving = np.full(len(instance.gu_ids), -1)
+    dropped = {instance.gu_ids[u]
+               for u in preassign_single_visibility(instance, serving)}
     spare = set(instance.sat_ids)
-    unserved = set(links.unserved_gus()) - set(dropped)
+    unserved = {g for g, s in zip(instance.gu_ids, serving) if s < 0} - dropped
     steps: list[ReferenceStep] = []
 
     iteration = 0
@@ -83,17 +80,18 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
         )
         if not candidates:
             break
-        base_beams = scoring_beams(instance, links.served_map(), mode, beta)
-        base_se = metrics.total_se(instance, links, base_beams)
+        served = instance.served_map(serving)
+        base_beams = scoring_beams(instance, served, mode, beta)
+        base_se = metrics.total_se(instance, serving, base_beams)
 
         gains = []
         best_pair = None
         best_gain = -math.inf
         for s, g in candidates:
-            gus = tuple(sorted(links.served_gus(s) + (g,)))
+            gus = tuple(sorted(served.get(s, ()) + (g,)))
             cand = {**base_beams, **scoring_beams(instance, {s: gus}, mode, beta)}
-            trial = copy_links(links)
-            trial.add_link(s, g)
+            trial = serving.copy()
+            trial[instance.gu_index[g]] = instance.sat_index[s]
             gain = metrics.total_se(instance, trial, cand) - base_se
             gains.append(gain)
             if gain > best_gain:
@@ -104,9 +102,9 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
             best_pair = picks[iteration]
             best_gain = gains[candidates.index(best_pair)]
         s_hat, g_hat = best_pair
-        committed = links.n_served(s_hat) < instance.n_beams
+        committed = len(served.get(s_hat, ())) < instance.n_beams
         if committed:
-            links.add_link(s_hat, g_hat)
+            serving[instance.gu_index[g_hat]] = instance.sat_index[s_hat]
             unserved.discard(g_hat)
         else:
             spare.discard(s_hat)
@@ -116,4 +114,4 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
                         committed)))
         iteration += 1
 
-    return steps, links, tuple(sorted(set(dropped) | unserved))
+    return steps, serving, tuple(sorted(dropped | unserved))

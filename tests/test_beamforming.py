@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coopsat.beamforming import (analog_beamform, build_codebook,
-                                 hybrid_from_beamspace, regularized_zf)
+from coopsat.beamforming import analog_beamform, build_codebook, regularized_zf
 from coopsat.channel import ArrayConfig
-from coopsat.network import power_scaled_analog_beams
+from coopsat.network import hybrid_beams, power_scaled_analog_beams
 
 
 def cn_vector(rng, n):
@@ -128,13 +127,13 @@ class TestAnalogBeamform:
 class TestRegularizedZf:
     def test_identity_channel_beta_zero(self):
         zf = regularized_zf(np.eye(3), tx_power_w=10.0, beta=0.0)
-        assert np.allclose(zf.matrix, np.eye(3), atol=1e-12)
+        assert np.allclose(zf, np.eye(3), atol=1e-12)
 
     def test_exact_nulling_beta_zero(self):
         rng = np.random.default_rng(8)
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         zf = regularized_zf(h, tx_power_w=10.0, beta=0.0)
-        prod = h @ zf.matrix
+        prod = h @ zf
         off = prod - np.diag(np.diag(prod))
         leakage = np.max(np.abs(off)) / np.min(np.abs(np.diag(prod)))
         assert leakage <= 1e-8
@@ -149,18 +148,21 @@ class TestRegularizedZf:
                         [-gram[1, 0], gram[0, 0]]]) / det
         expected = h.T @ inv
         zf = regularized_zf(h, tx_power_w=10.0, beta=beta)
-        assert np.allclose(zf.matrix, expected, rtol=1e-12)
-        assert zf.beta == 0.5
+        assert np.allclose(zf, expected, rtol=1e-12)
 
     def test_default_beta_large_system_value(self):
-        h = np.eye(5)
-        zf = regularized_zf(h, tx_power_w=80.0)
-        assert zf.beta == pytest.approx(5.0 / 80.0)
+        # the default is beta = n / P; on the identity F = I / (1 + beta)
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        assert np.array_equal(regularized_zf(h, tx_power_w=80.0),
+                              regularized_zf(h, tx_power_w=80.0, beta=5.0 / 80.0))
+        assert np.allclose(regularized_zf(np.eye(5), tx_power_w=80.0),
+                           np.eye(5) / (1.0 + 5.0 / 80.0), rtol=1e-12)
 
     def test_singular_beta_zero_falls_back_to_pinv(self):
         h = np.array([[1.0, 1.0], [1.0, 1.0]])
         zf = regularized_zf(h, tx_power_w=1.0, beta=0.0)
-        assert np.allclose(zf.matrix, np.linalg.pinv(h))
+        assert np.allclose(zf, np.linalg.pinv(h))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -168,36 +170,33 @@ class TestRegularizedZf:
 
 
 class TestHybridAndPowerScaling:
-    def test_single_user_hybrid_is_scaled_analog(self, small_array):
-        rng = np.random.default_rng(9)
-        n = small_array.n_elements
-        w = np.exp(1j * rng.uniform(0, 2 * math.pi, n))[:, None] / math.sqrt(n)
-        digital = hybrid_from_beamspace(np.array([[0.7 - 0.2j]]), w,
-                                        tx_power_w=80.0)
-        hybrid = math.sqrt(digital.eta) * (w @ digital.matrix)
+    def test_single_user_hybrid_is_scaled_analog(self, instance_factory):
+        inst = instance_factory(np.random.default_rng(9), n_sats=1, n_gus=1,
+                                visible={100: (0,)})
+        (beams,) = hybrid_beams(inst, {0: (100,)}).values()
+        hybrid = inst.beam_matrix(beams)
+        w = inst.analog_beams[(0, 100)][:, None]
         assert np.linalg.norm(hybrid) ** 2 == pytest.approx(80.0, rel=1e-12)
         # collinear with the unit-norm analog beam
         assert abs(np.vdot(w, hybrid)) == pytest.approx(np.linalg.norm(hybrid),
                                                         rel=1e-12)
 
     @pytest.mark.parametrize("n_users", [1, 2, 4])
-    def test_total_power_exact(self, n_users, small_array):
-        rng = np.random.default_rng(10 + n_users)
-        n = small_array.n_elements
-        analog = np.column_stack(
-            [np.exp(1j * rng.uniform(0, 2 * math.pi, n)) / math.sqrt(n)
-             for _ in range(n_users)])
-        h = np.vstack([cn_vector(rng, n) for _ in range(n_users)]).conj()
-        digital = hybrid_from_beamspace(h @ analog, analog, tx_power_w=80.0)
-        hybrid = math.sqrt(digital.eta) * (analog @ digital.matrix)
-        total = float(np.sum(np.abs(hybrid) ** 2))
+    def test_total_power_exact(self, n_users, instance_factory):
+        gus = tuple(range(100, 100 + n_users))
+        inst = instance_factory(np.random.default_rng(10 + n_users), n_sats=1,
+                                n_gus=n_users, n_beams=n_users,
+                                visible={g: (0,) for g in gus})
+        (beams,) = hybrid_beams(inst, {0: gus}).values()
+        total = float(np.sum(np.abs(inst.beam_matrix(beams)) ** 2))
         assert total == pytest.approx(80.0, rel=1e-9)
-        assert digital.eta > 0.0
 
-    def test_zero_product_rejected(self):
+    def test_zero_product_rejected(self, instance_factory):
         # a zero beam-space channel gives a zero precoder
-        with pytest.raises(ValueError):
-            hybrid_from_beamspace(np.zeros((1, 1)), np.ones((4, 1)), 1.0)
+        inst = instance_factory(np.random.default_rng(14), n_sats=1, n_gus=1,
+                                visible={100: (0,)}, channel_scale=0.0)
+        with pytest.raises(ValueError, match="identically zero"):
+            hybrid_beams(inst, {0: (100,)})
 
     def test_power_scaled_analog_beams_arithmetic(self, instance_factory):
         # P / n per beam: 80 W over 1, 4 and 32 beams of one satellite

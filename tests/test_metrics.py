@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import instances, serving_vector
 from coopsat import metrics
 from coopsat.channel import RfConfig
 from coopsat.geometry import GroundUser
 from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams
-from coopsat.scheduling import LinkMatrix
 from reference_greedy import unit_analog_beams
 
 
 def scalar_sinr_oracle(instance, serving, beam_cols):
-    """Independent SINR evaluation: plain python loops over beam columns,
-    antenna gain recomputed from the pattern definition."""
+    """Independent SINR and interference evaluation: plain python loops
+    over beam columns, antenna gain recomputed from the pattern
+    definition.  Returns {user: (sinr, interference power)}."""
     rf = instance.rf
     theta3 = 0.5 * math.sqrt(30000.0 / 10.0 ** (rf.vsat_max_gain_dbi / 10.0))
 
@@ -25,7 +28,7 @@ def scalar_sinr_oracle(instance, serving, beam_cols):
     for g in instance.gu_ids:
         a = serving.get(g)
         if a is None:
-            out[g] = 0.0
+            out[g] = (0.0, 0.0)
             continue
         signal = 0.0
         interference = 0.0
@@ -47,51 +50,47 @@ def scalar_sinr_oracle(instance, serving, beam_cols):
                     signal = p
                 else:
                     interference += p
-        out[g] = signal / (interference + 1.0)
+        out[g] = (signal / (interference + 1.0), interference)
     return out
 
 
-def links_from_serving(instance, serving):
-    links = LinkMatrix.empty(instance.sat_ids, instance.gu_ids)
-    for g, s in serving.items():
+@st.composite
+def served_instances(draw):
+    """A random instance with a random feasible serving map: each user
+    unserved or served by a visible satellite with a spare beam."""
+    inst = draw(instances())
+    serving, load = {}, {}
+    for g in inst.gu_ids:
+        spare = [s for s in inst.visible[g] if load.get(s, 0) < inst.n_beams]
+        s = draw(st.sampled_from([None] + spare))
         if s is not None:
-            links.add_link(s, g)
-    return links
+            serving[g] = s
+            load[s] = load.get(s, 0) + 1
+    return inst, serving
+
+
+def assert_matches_oracle(inst, serving, beams):
+    cols = {s: (b.gus, inst.beam_matrix(b)) for s, b in beams.items()}
+    expected = scalar_sinr_oracle(inst, serving, cols)
+    for u in metrics.user_metrics(inst, serving_vector(inst, serving), beams):
+        sinr, interference = expected[u.gu_id]
+        assert u.sinr == pytest.approx(sinr, rel=1e-10)
+        assert u.se == pytest.approx(math.log2(1.0 + sinr), rel=1e-10)
+        assert u.interference_power == pytest.approx(interference, rel=1e-6)
 
 
 class TestSinrEvaluator:
-    def test_matches_scalar_oracle_unit_beams(self, instance_factory):
-        rng = np.random.default_rng(21)
-        inst = instance_factory(rng, n_sats=2, n_gus=2, n_beams=2)
-        g0, g1 = inst.gu_ids
-        serving = {g0: inst.visible[g0][0], g1: inst.visible[g1][-1]}
-        links = links_from_serving(inst, serving)
-        beams = unit_analog_beams(inst, links.served_map())
-        cols = {s: (b.gus, inst.beam_matrix(b)) for s, b in beams.items()}
-        expected = scalar_sinr_oracle(inst, serving, cols)
-        for u in metrics.user_metrics(inst, links, beams):
-            assert u.sinr == pytest.approx(expected[u.gu_id], rel=1e-10)
-            assert u.se == pytest.approx(math.log2(1.0 + expected[u.gu_id]), rel=1e-10)
-
-    def test_matches_scalar_oracle_hybrid_beams(self, instance_factory):
-        rng = np.random.default_rng(22)
-        inst = instance_factory(rng, n_sats=3, n_gus=5, n_beams=3)
-        # serve every user by its first visible satellite, capacity allowing
-        serving, load = {}, {}
-        for g in inst.gu_ids:
-            for s in inst.visible[g]:
-                if load.get(s, 0) < inst.n_beams:
-                    serving[g] = s
-                    load[s] = load.get(s, 0) + 1
-                    break
-            else:
-                serving[g] = None
-        links = links_from_serving(inst, serving)
-        beams = hybrid_beams(inst, links.served_map())
-        cols = {s: (b.gus, inst.beam_matrix(b)) for s, b in beams.items()}
-        expected = scalar_sinr_oracle(inst, serving, cols)
-        for u in metrics.user_metrics(inst, links, beams):
-            assert u.sinr == pytest.approx(expected[u.gu_id], rel=1e-9)
+    @pytest.mark.parametrize("beams_of", [unit_analog_beams, hybrid_beams],
+                             ids=["unit", "hybrid"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=served_instances())
+    def test_matches_scalar_oracle(self, beams_of, case):
+        # with hybrid beams this also pins a ZF-served user's intra-satellite
+        # interference, ~1e-13 of the beam powers: it must be the sum of the
+        # other beams, not a difference of nearly equal totals
+        inst, serving = case
+        beams = beams_of(inst, inst.served_map(serving_vector(inst, serving)))
+        assert_matches_oracle(inst, serving, beams)
 
     def test_hand_built_two_satellite_closed_form(self):
         # fully hand-built 2x2 instance with unit analog beams; expected
@@ -121,9 +120,9 @@ class TestSinrEvaluator:
                              n_beams=4, visible={100: (0, 1), 101: (0, 1)},
                              base_channels=base, analog_beams=beams_a,
                              sat_directions=dirs)
-        links = links_from_serving(inst, {100: 0, 101: 1})
+        links = serving_vector(inst, {100: 0, 101: 1})
         users = metrics.user_metrics(inst, links,
-                                     unit_analog_beams(inst, links.served_map()))
+                                     unit_analog_beams(inst, inst.served_map(links)))
 
         g_max = 1e4
         # user 100: signal |[1,0].[s,s]|^2, interferer 10 deg off (floored
@@ -140,8 +139,8 @@ class TestSinrEvaluator:
         rng = np.random.default_rng(23)
         inst = instance_factory(rng, n_sats=1, n_gus=1, n_beams=2,
                                 visible={100: (0,)})
-        links = links_from_serving(inst, {100: 0})
-        beams = unit_analog_beams(inst, links.served_map())
+        links = serving_vector(inst, {100: 0})
+        beams = unit_analog_beams(inst, inst.served_map(links))
         (u,) = metrics.user_metrics(inst, links, beams)
         h = inst.base_channels[(0, 100)]
         w = inst.analog_beams[(0, 100)]
@@ -156,8 +155,8 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=1, n_gus=2, n_beams=2,
                                 visible={100: (0,), 101: (0,)})
         serving = {100: 0, 101: 0}
-        links = links_from_serving(inst, serving)
-        beams = hybrid_beams(inst, links.served_map(), beta=0.0)
+        links = serving_vector(inst, serving)
+        beams = hybrid_beams(inst, inst.served_map(links), beta=0.0)
         users = metrics.user_metrics(inst, links, beams)
         for u in users:
             assert u.interference_power <= 1e-6 * u.sinr
@@ -165,14 +164,14 @@ class TestSinrEvaluator:
         cols = {0: (beams[0].gus, inst.beam_matrix(beams[0]))}
         expected = scalar_sinr_oracle(inst, serving, cols)
         for u in users:
-            assert u.sinr == pytest.approx(expected[u.gu_id], rel=1e-6)
+            assert u.sinr == pytest.approx(expected[u.gu_id][0], rel=1e-6)
 
     def test_global_phase_invariance(self, instance_factory):
         rng = np.random.default_rng(25)
         inst = instance_factory(rng, n_sats=2, n_gus=3, n_beams=2)
         serving = {g: inst.visible[g][0] for g in inst.gu_ids}
-        links = links_from_serving(inst, serving)
-        beams = unit_analog_beams(inst, links.served_map())
+        links = serving_vector(inst, serving)
+        beams = unit_analog_beams(inst, inst.served_map(links))
         before = [u.sinr for u in metrics.user_metrics(inst, links, beams)]
         # rotate every channel of one user by a common unit phasor
         g = inst.gu_ids[1]
@@ -195,15 +194,15 @@ class TestSinrEvaluator:
             if load.get(s, 0) < inst.n_beams:
                 serving[g] = s
                 load[s] = load.get(s, 0) + 1
-        links = links_from_serving(inst, serving)
-        beams = unit_analog_beams(inst, links.served_map())
+        links = serving_vector(inst, serving)
+        beams = unit_analog_beams(inst, inst.served_map(links))
         base = {u.gu_id: u.sinr for u in metrics.user_metrics(inst, links, beams)}
         # drop one served user's link, keep every other beam identical
         victim = next(iter(serving))
         reduced = {g: s for g, s in serving.items() if g != victim}
-        links2 = links_from_serving(inst, reduced)
+        links2 = serving_vector(inst, reduced)
         beams2 = {}
-        for s, b in unit_analog_beams(inst, links2.served_map()).items():
+        for s, b in unit_analog_beams(inst, inst.served_map(links2)).items():
             beams2[s] = b
         for u in metrics.user_metrics(inst, links2, beams2):
             if u.gu_id != victim and u.serving_sat is not None:
@@ -212,7 +211,7 @@ class TestSinrEvaluator:
     def test_unserved_user_zero_rate(self, instance_factory):
         rng = np.random.default_rng(27)
         inst = instance_factory(rng, n_sats=2, n_gus=2, n_beams=1)
-        links = LinkMatrix.empty(inst.sat_ids, inst.gu_ids)
+        links = np.full(len(inst.gu_ids), -1)
         users = metrics.user_metrics(inst, links, {})
         assert all(u.se == 0.0 and u.serving_sat is None for u in users)
         assert metrics.total_se(inst, links, {}) == 0.0
@@ -220,7 +219,7 @@ class TestSinrEvaluator:
     def test_non_finite_sinr_names_user_and_satellite(self, instance_factory):
         inst = instance_factory(np.random.default_rng(29), n_sats=2, n_gus=2,
                                 visible={100: (0,), 101: (1,)})
-        links = links_from_serving(inst, {100: 0, 101: 1})
+        links = serving_vector(inst, {100: 0, 101: 1})
         beams = {0: SatelliteBeams(0, (100,), np.eye(1)),
                  1: SatelliteBeams(1, (101,), np.full((1, 1), np.nan))}
         with pytest.raises(metrics.NonFiniteSinrError,
@@ -230,11 +229,30 @@ class TestSinrEvaluator:
     def test_beams_links_consistency_enforced(self, instance_factory):
         rng = np.random.default_rng(28)
         inst = instance_factory(rng, n_sats=2, n_gus=2, n_beams=2)
-        links = LinkMatrix.empty(inst.sat_ids, inst.gu_ids)
+        links = np.full(len(inst.gu_ids), -1)
         g = inst.gu_ids[0]
-        bogus = {inst.visible[g][0]: SatelliteBeams(inst.visible[g][0], (g,), np.eye(1))}
+        s = inst.visible[g][0]
+        bogus = {s: SatelliteBeams(s, (g,), np.eye(1))}
+        # beams for a satellite that serves nobody
         with pytest.raises(ValueError):
             metrics.user_metrics(inst, links, bogus)
+        # a serving satellite without beams
+        links = serving_vector(inst, {g: s})
+        with pytest.raises(ValueError):
+            metrics.total_se(inst, links, {})
+        beams = {s: SatelliteBeams(s, (g,), np.eye(1))}
+        # serving vectors of the wrong length or type, or with a row
+        # outside sat_ids
+        for bad in (links[:1], links.astype(float), np.where(links >= 0, 2, -1),
+                    np.where(links >= 0, -2, -1)):
+            with pytest.raises(ValueError):
+                metrics.user_metrics(inst, bad, beams)
+        # a link to a satellite the user does not see
+        inst = instance_factory(rng, n_sats=2, n_gus=2, n_beams=2,
+                                visible={100: (0,), 101: (0, 1)})
+        with pytest.raises(ValueError, match="does not see"):
+            metrics.user_metrics(inst, np.array([1, -1]),
+                                 {1: SatelliteBeams(1, (100,), np.eye(1))})
 
 
 class TestDensityClasses:

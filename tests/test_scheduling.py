@@ -3,56 +3,37 @@ import math
 import numpy as np
 import pytest
 
+from conftest import serving_sats
 from coopsat import metrics
 from coopsat.network import EpochInstance
-from coopsat.scheduling import (ExhaustiveSearchError, LinkMatrix, SchemeMode,
-                                exhaustive_schedule, greedy_schedule,
-                                preassign_single_visibility)
+from coopsat.scheduling import (ExhaustiveSearchError, SchemeMode,
+                                exhaustive_schedule, final_beams,
+                                greedy_schedule, preassign_single_visibility)
 
 
-def audit_constraints(instance, links, maximal=True):
-    """Independent constraint check: binary entries, row sums within beam
-    capacity, single association, links only to visible satellites, and
-    (for the greedy scheduler) maximality: every unserved user's visible
-    satellites are full.  The exhaustive oracle may trade a user away for
-    total SE, so it is audited without the maximality clause."""
-    m = links.matrix
-    assert set(np.unique(m)).issubset({0, 1})
-    assert (m.sum(axis=1) <= instance.n_beams).all()
-    assert (m.sum(axis=0) <= 1).all()
-    for g in instance.gu_ids:
-        s = links.serving_sat(g)
-        if s is not None:
-            assert s in instance.visible[g]
-    if maximal:
-        for g in links.unserved_gus():
+def audit_constraints(instance, serving, maximal=True):
+    """Independent constraint check on a serving vector: one entry per
+    user, each a satellite row or -1, beam capacity, links only to
+    visible satellites, and (for the greedy scheduler) maximality: every
+    unserved user's visible satellites are full.  The exhaustive oracle
+    may trade a user away for total SE, so it is audited without the
+    maximality clause."""
+    assert serving.shape == (len(instance.gu_ids),)
+    assert ((serving >= -1) & (serving < len(instance.sat_ids))).all()
+    load = {s: int(np.sum(serving == i)) for i, s in enumerate(instance.sat_ids)}
+    assert all(n <= instance.n_beams for n in load.values())
+    for g, i in zip(instance.gu_ids, serving):
+        if i >= 0:
+            assert instance.sat_ids[i] in instance.visible[g]
+        elif maximal:
             for s in instance.visible.get(g, ()):
-                assert links.n_served(s) >= instance.n_beams
-
-
-class TestLinkMatrix:
-    def test_basic_bookkeeping(self):
-        links = LinkMatrix.empty((2, 5), (10, 11, 12))
-        links.add_link(5, 11)
-        links.add_link(2, 10)
-        assert links.serving_sat(11) == 5
-        assert links.serving_sat(12) is None
-        assert links.served_gus(5) == (11,)
-        assert links.n_served(2) == 1
-        assert links.unserved_gus() == (12,)
-        assert links.served_map() == {2: (10,), 5: (11,)}
-
-    def test_double_assignment_rejected(self):
-        links = LinkMatrix.empty((0, 1), (7,))
-        links.add_link(0, 7)
-        with pytest.raises(ValueError):
-            links.add_link(1, 7)
+                assert load[s] >= instance.n_beams
 
 
 class TestTotalSe:
     def test_no_links_zero(self, instance_factory):
         inst = instance_factory(np.random.default_rng(0), n_sats=2, n_gus=3)
-        links = LinkMatrix.empty(inst.sat_ids, inst.gu_ids)
+        links = np.full(len(inst.gu_ids), -1)
         assert metrics.total_se(inst, links, {}) == 0.0
 
     def test_single_link_snr_formula(self, instance_factory):
@@ -71,13 +52,11 @@ class TestPreassignment:
         vis = {100: (1,), 101: (0, 1), 102: (2,)}
         inst = instance_factory(np.random.default_rng(2), n_sats=3, n_gus=3,
                                 visible=vis)
-        links = LinkMatrix.empty(inst.sat_ids, inst.gu_ids)
-        dropped = preassign_single_visibility(inst, links)
+        serving = np.full(len(inst.gu_ids), -1)
+        dropped = preassign_single_visibility(inst, serving)
         assert dropped == []
-        assert links.serving_sat(100) == 1
-        assert links.serving_sat(102) == 2
-        assert links.serving_sat(101) is None  # |V| = 2: untouched
-        assert links.unserved_gus() == (101,)
+        # users 100 and 102 on satellites 1 and 2; 101 (|V| = 2) untouched
+        assert serving.tolist() == [1, -1, 2]
 
     def test_all_single_visibility_skips_greedy(self, instance_factory):
         vis = {100: (0,), 101: (1,), 102: (0,)}
@@ -94,8 +73,7 @@ class TestPreassignment:
         inst = instance_factory(np.random.default_rng(4), n_sats=1, n_gus=3,
                                 n_beams=1, visible=vis)
         result = greedy_schedule(inst, SchemeMode.AU)
-        assert result.links.n_served(0) == 1
-        assert result.links.serving_sat(100) == 0  # lowest id claims the beam
+        assert inst.served_map(result.links) == {0: (100,)}  # lowest id claims the beam
         assert result.unserved == (101, 102)
         audit_constraints(inst, result.links)
 
@@ -106,7 +84,7 @@ class TestGreedy:
         inst = instance_factory(np.random.default_rng(5), n_sats=1, n_gus=1,
                                 visible={100: (0,)})
         result = greedy_schedule(inst, mode)
-        assert result.links.serving_sat(100) == 0
+        assert serving_sats(inst, result.links)[100] == 0
         assert result.unserved == ()
 
     @pytest.mark.parametrize("mode", list(SchemeMode))
@@ -126,7 +104,7 @@ class TestGreedy:
                 inst = instance_factory(np.random.default_rng(7), n_sats=4,
                                         n_gus=6, n_beams=2)
                 runs.append(greedy_schedule(inst, mode))
-            assert np.array_equal(runs[0].links.matrix, runs[1].links.matrix)
+            assert np.array_equal(runs[0].links, runs[1].links)
             assert runs[0].total_se == runs[1].total_se
             assert runs[0].unserved == runs[1].unserved
 
@@ -138,8 +116,8 @@ class TestGreedy:
                                 n_beams=1, visible=vis)
         result = greedy_schedule(inst, SchemeMode.AU, trace=True)
         assert result.unserved == ()
-        assert result.links.n_served(0) == 1
-        assert result.links.n_served(1) == 1
+        served = inst.served_map(result.links)
+        assert {s: len(gus) for s, gus in served.items()} == {0: 1, 1: 1}
         audit_constraints(inst, result.links)
 
     def test_partial_assignment_reported(self, instance_factory):
@@ -173,7 +151,7 @@ class TestGreedy:
         committed = [r for r in result.trace if r.committed]
         # every committed trace entry matches a final link
         for rec in committed:
-            assert result.links.serving_sat(rec.gu_id) == rec.sat_id
+            assert serving_sats(inst, result.links)[rec.gu_id] == rec.sat_id
         assert all(r.n_candidates > 0 for r in result.trace)
 
     def test_beams_power_at_capacity(self, instance_factory):
@@ -210,12 +188,10 @@ class TestExhaustive:
         result = exhaustive_schedule(inst, SchemeMode.AU)
         per_sat = {}
         for s in range(3):
-            links = LinkMatrix.empty(inst.sat_ids, inst.gu_ids)
-            links.add_link(s, 100)
-            from coopsat.scheduling import final_beams
+            links = np.array([inst.sat_index[s]])
             per_sat[s] = metrics.total_se(inst, links,
                                           final_beams(inst, links, SchemeMode.AU))
-        assert result.links.serving_sat(100) == max(per_sat, key=per_sat.get)
+        assert serving_sats(inst, result.links)[100] == max(per_sat, key=per_sat.get)
 
     def test_disjoint_visibility_matches_greedy(self, instance_factory):
         vis = {100: (0,), 101: (1,), 102: (2,)}
@@ -224,7 +200,7 @@ class TestExhaustive:
         for mode in SchemeMode:
             g = greedy_schedule(inst, mode)
             e = exhaustive_schedule(inst, mode)
-            assert np.array_equal(g.links.matrix, e.links.matrix)
+            assert np.array_equal(g.links, e.links)
             assert g.total_se == pytest.approx(e.total_se, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -257,10 +233,10 @@ class TestSchemeMode:
                                 n_beams=3)
         au = greedy_schedule(inst, SchemeMode.AU)
         shu = greedy_schedule(inst, SchemeMode.SHU)
-        assert np.array_equal(au.links.matrix, shu.links.matrix)
+        assert np.array_equal(au.links, shu.links)
         # SHU applies digital beamforming afterwards: beams differ whenever
         # some satellite serves more than one user
-        multi = [s for s in inst.sat_ids if au.links.n_served(s) > 1]
+        multi = [s for s, gus in inst.served_map(au.links).items() if len(gus) > 1]
         if multi:
             s = multi[0]
             assert not np.allclose(inst.beam_matrix(au.beams[s]),

@@ -42,7 +42,8 @@ def _cmd_run(args) -> int:
     config = _resolve_config(args.config)
     if args.schemes:
         try:
-            modes = tuple(SchemeMode.parse(s) for s in args.schemes.split(","))
+            modes = tuple(dict.fromkeys(
+                SchemeMode.parse(s) for s in args.schemes.split(",")))
         except ValueError as exc:
             raise ConfigError([f"--schemes: {exc}"])
         config = replace(config, schemes=modes)

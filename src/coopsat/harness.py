@@ -52,45 +52,35 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     vis = visibility(list(states.values()), list(config.gus),
                      config.min_elevation_deg, t)
     codebook = build_codebook(config.array)
-    gu_by_id = {g.user_id: g for g in config.gus}
+    gus = sorted(config.gus, key=lambda g: g.user_id)
+    sat_ids = vis.active_satellites
+    visible = np.array([[g.user_id in vis.per_sat[s] for s in sat_ids] for g in gus],
+                       dtype=bool).reshape(len(gus), len(sat_ids))
+    channels = np.zeros((len(sat_ids), len(gus), config.array.n_elements), dtype=complex)
+    analog = np.zeros_like(channels)
+    directions = np.zeros((len(gus), len(sat_ids), 3))
 
-    base_channels: dict[tuple[int, int], np.ndarray] = {}
-    analog_beams: dict[tuple[int, int], np.ndarray] = {}
-    directions: dict[tuple[int, int], np.ndarray] = {}
-    visible = {g: tuple(sorted(sats)) for g, sats in vis.per_gu.items()}
+    for i, u in zip(*np.nonzero(visible.T)):  # by satellite, then user
+        sat, gu = states[sat_ids[i]], gus[u]
+        geom = link_geometry(sat, gu, t)
+        rng = link_rng(config.seed, epoch_index, sat_ids[i], gu.user_id)
+        pl = path_loss(geom, config.rf, config.attenuation, rng)
+        rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,
+                                 config.small_scale, rng)
+        h_ss = small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg,
+                           rays, config.small_scale, config.array, rng)
+        # user antenna gain is serving-dependent: keep it out of the
+        # stored channel and apply it at evaluation time
+        amp = large_scale_amplitude(pl.total_db, config.rf, 0.0)
+        h = amp * h_ss
+        channels[i, u] = h
+        analog[i, u] = analog_beamform(h, codebook, k=config.codewords).entries
+        los = sat.position_km - ground_user_position(gu, t)
+        directions[u, i] = los / np.linalg.norm(los)
 
-    for s in vis.active_satellites:
-        sat = states[s]
-        for g in sorted(vis.per_sat[s]):
-            gu = gu_by_id[g]
-            geom = link_geometry(sat, gu, t)
-            rng = link_rng(config.seed, epoch_index, s, g)
-            pl = path_loss(geom, config.rf, config.attenuation, rng)
-            rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,
-                                     config.small_scale, rng)
-            h_ss = small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg,
-                               rays, config.small_scale, config.array, rng)
-            # user antenna gain is serving-dependent: keep it out of the
-            # stored channel and apply it at evaluation time
-            amp = large_scale_amplitude(pl.total_db, config.rf, 0.0)
-            h = amp * h_ss
-            base_channels[(s, g)] = h
-            analog_beams[(s, g)] = analog_beamform(h, codebook,
-                                                   k=config.codewords).entries
-            gu_pos = ground_user_position(gu, t)
-            los = sat.position_km - gu_pos
-            directions[(g, s)] = los / np.linalg.norm(los)
-
-    return EpochInstance(
-        sat_ids=vis.active_satellites,
-        gu_ids=tuple(g.user_id for g in config.gus),
-        rf=config.rf,
-        n_beams=config.array.n_beams,
-        visible=visible,
-        base_channels=base_channels,
-        analog_beams=analog_beams,
-        sat_directions=directions,
-    )
+    return EpochInstance(sat_ids, tuple(g.user_id for g in gus), config.rf,
+                         config.array.n_beams, visible_mask=visible,
+                         channels=channels, analog=analog, directions=directions)
 
 
 def run(config: ScenarioConfig, trace: bool = False) -> RunReport:

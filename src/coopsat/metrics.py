@@ -5,7 +5,10 @@ The received SINR of a served user combines the desired beam through
 the boresight antenna gain with interference from every visible
 satellite's beams toward other users, each attenuated by the user
 antenna's off-boresight roll-off.  Noise power is one by channel
-normalization.  Unserved users count with zero rate.
+normalization.  Unserved users count with zero rate.  Signal and
+interference come from the evaluator in ``network``
+(``beam_powers``, ``signal_and_interference``), which the greedy
+scorers share.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .geometry import EARTH_RADIUS_KM, GroundUser
-from .network import EpochInstance, SatelliteBeams
+from .network import (EpochInstance, SatelliteBeams, beam_powers,
+                      signal_and_interference)
 
 
 @dataclass(frozen=True)
@@ -68,47 +72,27 @@ def user_metrics(instance: EpochInstance, serving: np.ndarray,
     and the transmit beams of exactly the satellites that serve someone.
     A malformed serving vector (see ``EpochInstance.served_map``) or
     beams that do not match it raise ``ValueError``."""
+    serving = np.asarray(serving)
     served = instance.served_map(serving)
     if {s: b.gus for s, b in beams.items()} != served:
         raise ValueError(f"beams {sorted(beams)} inconsistent with the users "
                          f"served by satellites {sorted(served)}")
 
-    cross = instance.cross_terms
-    gains = instance.gain_table
-    sat_index = instance.sat_index
-    cols = {s: [instance.gu_index[g] for g in b.gus] for s, b in beams.items()}
+    signal, by_sat = signal_and_interference(instance, serving,
+                                             *beam_powers(instance, beams))
+    interference = by_sat.sum(axis=1)
+    sinr = signal / (interference + 1.0)
     out = []
-    for u, g in enumerate(instance.gu_ids):
-        a = int(serving[u])
+    for g, a, x, i in zip(instance.gu_ids, serving.tolist(), sinr.tolist(),
+                          interference.tolist()):
         if a < 0:
             out.append(UserMetrics(g, 0.0, 0.0, None, 0.0))
             continue
-        signal = 0.0
-        interference = 0.0
-        for s in instance.visible[g]:
-            b = beams.get(s)
-            if b is None:
-                continue
-            i = sat_index[s]
-            # complex amplitudes of every beam of s at g, before the user
-            # antenna gain
-            amplitudes = cross[i, u, cols[s]] @ b.mixer
-            powers = gains[u, a, i] * np.abs(amplitudes) ** 2
-            if i == a:
-                # the other beams summed directly: after ZF nulling,
-                # sum(powers) - signal would be rounding noise
-                j = b.gus.index(g)
-                signal = float(powers[j])
-                interference += float(np.sum(np.delete(powers, j)))
-            else:
-                interference += float(np.sum(powers))
-        sinr = signal / (interference + 1.0)
         serving_sat = instance.sat_ids[a]
-        if not math.isfinite(sinr):
+        if not math.isfinite(x):
             raise NonFiniteSinrError(
-                f"SINR of user {g} served by satellite {serving_sat} is {sinr}")
-        out.append(UserMetrics(g, sinr, math.log2(1.0 + sinr), serving_sat,
-                               interference))
+                f"SINR of user {g} served by satellite {serving_sat} is {x}")
+        out.append(UserMetrics(g, x, math.log2(1.0 + x), serving_sat, i))
     return out
 
 

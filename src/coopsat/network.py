@@ -1,15 +1,13 @@
 """Per-epoch network state shared by the scheduler and the metrics.
 
-``EpochInstance`` freezes everything the link-selection problem needs
-for one time snapshot: visibility, channel vectors, per-link analog
-beams, and the geometry needed to evaluate the user antenna gain for
-any hypothetical serving assignment.  Besides the per-link dicts it
-holds dense per-epoch arrays, built once on first use: the visibility
-mask, the beam-space cross terms and their powers, the user antenna
-gain table and the analog Gram matrices of the hybrid power scaling.
-An assignment is a serving vector over ``gu_ids``: the row in
-``sat_ids`` of each user's serving satellite, or -1 when the user is
-unserved.
+``EpochInstance`` holds one time snapshot as arrays over the sorted
+satellite and user ids: visibility V (U x S), channels H and per-link
+analog beams W (S x U x N), and user-to-satellite directions D
+(U x S x 3), which give the user antenna gain of any serving
+assignment.  It derives the beam-space cross terms, the antenna gain
+table and the analog Gram matrices from them once, on first use.  An
+assignment is a serving vector over ``gu_ids``: the row in ``sat_ids``
+of each user's serving satellite, or -1 when the user is unserved.
 
 Channel vectors here exclude the user antenna gain: it depends on which
 satellite the user antenna tracks, so it is applied as a scalar at
@@ -22,6 +20,10 @@ power equally (AU's final beams), and hybrid beams with a power-scaled
 regularized-ZF precoder (the final SHU and JHU beams, and the beams the
 JHU scheduler scores with).  ``hybrid_from_beamspace`` is the one place
 hybrid beams are designed and scaled.
+
+``beam_powers`` and ``signal_and_interference`` are the one evaluator
+of a served user's signal and interference, for ``metrics`` and the
+greedy scorers alike.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -52,29 +55,33 @@ class SatelliteBeams:
 
 @dataclass(eq=False)
 class EpochInstance:
-    """Immutable snapshot of the cooperative downlink problem."""
+    """Immutable snapshot of the cooperative downlink problem.  Entries
+    of links the user does not see are unused (zero when built by
+    ``harness.build_epoch_instance``)."""
 
     sat_ids: tuple[int, ...]
     gu_ids: tuple[int, ...]
     rf: RfConfig
     n_beams: int
-    visible: dict[int, tuple[int, ...]]                 # gu -> sorted sats
-    base_channels: dict[tuple[int, int], np.ndarray]    # (sat, gu) -> (N,)
-    analog_beams: dict[tuple[int, int], np.ndarray]     # (sat, gu) -> (N,)
-    sat_directions: dict[tuple[int, int], np.ndarray]   # (gu, sat) -> unit (3,)
+    visible_mask: np.ndarray  # V[u, s]: user u sees satellite s (bool)
+    channels: np.ndarray      # H[s, u]: channel of link (s, u), (N,) complex
+    analog: np.ndarray        # W[s, u]: analog beam of link (s, u), (N,) complex
+    directions: np.ndarray    # D[u, s]: unit vector from u toward s, (3,)
 
     def __post_init__(self) -> None:
-        self.sat_ids = tuple(sorted(self.sat_ids))
-        self.gu_ids = tuple(sorted(self.gu_ids))
-        self.visible = {g: tuple(sorted(sats)) for g, sats in self.visible.items()}
-        for g, sats in self.visible.items():
-            for s in sats:
-                if (s, g) not in self.base_channels:
-                    raise ValueError(f"missing channel for link ({s}, {g})")
-                if (s, g) not in self.analog_beams:
-                    raise ValueError(f"missing analog beam for link ({s}, {g})")
-                if (g, s) not in self.sat_directions:
-                    raise ValueError(f"missing direction for pair ({g}, {s})")
+        for name in ("sat_ids", "gu_ids"):
+            if list(getattr(self, name)) != sorted(set(getattr(self, name))):
+                raise ValueError(f"{name} must be strictly increasing")
+        n_s, n_u = len(self.sat_ids), len(self.gu_ids)
+        n = np.shape(self.channels)[-1] if np.ndim(self.channels) == 3 else "N"
+        for name, kind, shape in (("visible_mask", "b", (n_u, n_s)),
+                                  ("channels", "c", (n_s, n_u, n)),
+                                  ("analog", "c", (n_s, n_u, n)),
+                                  ("directions", "f", (n_u, n_s, 3))):
+            a = getattr(self, name)
+            if not isinstance(a, np.ndarray) or a.dtype.kind != kind or a.shape != shape:
+                raise ValueError(f"{name} must be a {shape} array of dtype kind "
+                                 f"{kind!r}, got {np.shape(a)} of {np.asarray(a).dtype}")
 
     @property
     def tx_power_w(self) -> float:
@@ -90,36 +97,22 @@ class EpochInstance:
         """Row of each user in the dense per-epoch arrays."""
         return {g: j for j, g in enumerate(self.gu_ids)}
 
-    @cached_property
-    def visible_mask(self) -> np.ndarray:
-        """V[u, s]: user ``u`` sees satellite ``s`` (U x S, bool)."""
-        out = np.zeros((len(self.gu_ids), len(self.sat_ids)), dtype=bool)
-        for u, g in enumerate(self.gu_ids):
-            for s in self.visible.get(g, ()):
-                out[u, self.sat_index[s]] = True
-        return out
-
-    def _per_satellite(self, block) -> np.ndarray:
-        """S x U x U array holding, for each satellite, ``block(h, w)`` of
-        the n users that see it (channels h: n x N, analog beams w: N x n)
-        on those users' rows and columns, zero elsewhere."""
-        out = np.zeros((len(self.sat_ids), len(self.gu_ids), len(self.gu_ids)),
-                       dtype=complex)
-        for i, s in enumerate(self.sat_ids):
-            gus = [g for g in self.gu_ids if s in self.visible.get(g, ())]
-            if not gus:
-                continue
-            h = np.vstack([self.base_channels[(s, g)] for g in gus])
-            w = np.column_stack([self.analog_beams[(s, g)] for g in gus])
-            rows = [self.gu_index[g] for g in gus]
-            out[i][np.ix_(rows, rows)] = block(h, w)
+    def _visible_products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """S x U x U array holding, for each satellite, ``l^H r`` of the
+        rows ``l``, ``r`` (n x N) of ``left`` and ``right`` of the n users
+        that see it, on those users' rows and columns, zero elsewhere."""
+        n_u = len(self.gu_ids)
+        out = np.zeros((len(self.sat_ids), n_u, n_u), dtype=complex)
+        for i, v in enumerate(self.visible_mask.T):
+            rows = np.flatnonzero(v)
+            out[i][np.ix_(rows, rows)] = left[i, rows].conj() @ right[i, rows].T
         return out
 
     @cached_property
     def cross_terms(self) -> np.ndarray:
         """X[s, u, v] = h_{s,u}^H w^A_{s,v} (S x U x U), zero unless both
         users see the satellite."""
-        return self._per_satellite(lambda h, w: h.conj() @ w)
+        return self._visible_products(self.channels, self.analog)
 
     @cached_property
     def cross_power(self) -> np.ndarray:
@@ -130,7 +123,7 @@ class EpochInstance:
     def analog_gram(self) -> np.ndarray:
         """(A^H A)[s, u, v] = w^A_{s,u}^H w^A_{s,v} (S x U x U); only the
         hybrid power scaling reads it."""
-        return self._per_satellite(lambda h, w: w.conj().T @ w)
+        return self._visible_products(self.analog, self.analog)
 
     @cached_property
     def boresight_gain(self) -> float:
@@ -142,23 +135,17 @@ class EpochInstance:
         while user ``u`` tracks satellite ``a`` (U x S x S), zero unless
         the user sees both.  The off-boresight angle is evaluated with the
         scalar ``math.acos``, not ``np.arccos``, which may differ in the
-        last bit: ``metrics.user_metrics`` reads this table, and the
-        result files pin its values."""
+        last bit: the result files pin its values."""
         n_s = len(self.sat_ids)
         out = np.zeros((len(self.gu_ids), n_s, n_s))
-        for u, g in enumerate(self.gu_ids):
-            sats = self.visible.get(g, ())
+        for u, row in enumerate(self.visible_mask):
+            sats = np.flatnonzero(row)
             for a in sats:
-                for b in sats:
-                    if a == b:
-                        gain = self.boresight_gain
-                    else:
-                        d1 = self.sat_directions[(g, a)]
-                        d2 = self.sat_directions[(g, b)]
-                        angle = math.degrees(
-                            math.acos(float(np.clip(np.dot(d1, d2), -1.0, 1.0))))
-                        gain = vsat_gain_linear(angle, self.rf)
-                    out[u, self.sat_index[a], self.sat_index[b]] = gain
+                out[u, a, a] = self.boresight_gain
+                for b in sats[sats != a]:
+                    cos = np.dot(self.directions[u, a], self.directions[u, b])
+                    angle = math.degrees(math.acos(float(np.clip(cos, -1.0, 1.0))))
+                    out[u, a, b] = vsat_gain_linear(angle, self.rf)
         return out
 
     def served_map(self, serving: np.ndarray) -> dict[int, tuple[int, ...]]:
@@ -187,13 +174,12 @@ class EpochInstance:
 
     def beam_matrix(self, beams: SatelliteBeams) -> np.ndarray:
         """Actual transmit columns (N x n) of one satellite."""
-        analog = np.column_stack([self.analog_beams[(beams.sat_id, g)]
-                                  for g in beams.gus])
-        return analog @ beams.mixer
+        rows = [self.gu_index[g] for g in beams.gus]
+        return self.analog[self.sat_index[beams.sat_id], rows].T @ beams.mixer
 
 
-def power_scaled_analog_beams(instance: EpochInstance,
-                              served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
+def equal_power_beams(instance: EpochInstance,
+                      served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
     """Analog beams sharing the satellite power equally; ``served`` maps
     each satellite to its users, as ``EpochInstance.served_map`` does."""
     out = {}
@@ -235,3 +221,45 @@ def hybrid_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
         mixer = hybrid_from_beamspace(instance, instance.sat_index[s], idx, beta)
         out[s] = SatelliteBeams(s, gus, mixer[0])
     return out
+
+
+def beam_powers(instance: EpochInstance, beams: Mapping[int, SatelliteBeams]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Received powers of the given beams, before the user antenna gain:
+    of each satellite's beams at each user (S x U), and of each served
+    user's own beam and of its satellite's other beams (U each, zero
+    elsewhere).  The other beams are summed directly: after ZF nulling, a
+    difference of the two totals would be rounding noise."""
+    n_u = len(instance.gu_ids)
+    power = np.zeros((len(instance.sat_ids), n_u))
+    own = np.zeros(n_u)
+    intra = np.zeros(n_u)
+    for s, b in beams.items():
+        i = instance.sat_index[s]
+        members = [instance.gu_index[g] for g in b.gus]
+        amp = np.abs(instance.cross_terms[i][:, members] @ b.mixer) ** 2
+        power[i] = amp.sum(axis=1)
+        mine = amp[members]  # row k: user gus[k]; column k: its own beam
+        own[members] = np.diagonal(mine)
+        np.fill_diagonal(mine, 0.0)
+        intra[members] = mine.sum(axis=1)
+    return power, own, intra
+
+
+def signal_and_interference(instance: EpochInstance, serving: np.ndarray,
+                            power: np.ndarray, own: np.ndarray, intra: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Signal (U) and interference from each satellite (U x S) at each
+    served user, zero at unserved users, from the ``beam_powers`` of the
+    serving vector's beams.  Satellites a user does not see are dropped
+    by V, not by their zero gain, which would keep a NaN power."""
+    u = np.flatnonzero(serving >= 0)
+    a = serving[u]
+    g0 = instance.boresight_gain
+    signal = np.zeros(len(serving))
+    signal[u] = g0 * own[u]
+    by_sat = np.zeros((len(serving), len(instance.sat_ids)))
+    by_sat[u] = np.where(instance.visible_mask[u],
+                         instance.gain_table[u, a] * power[:, u].T, 0.0)
+    by_sat[u, a] = g0 * intra[u]
+    return signal, by_sat

@@ -16,8 +16,11 @@ instead retired from the candidate pool.  Three evaluation modes:
   before scoring, so scheduling and digital precoding are designed
   jointly.
 
-Incremental scoring.  Write sigma(u) for the satellite serving user u,
-X_s[u, v] = h_{s,u}^H w_{s,v} for the beam-space cross terms,
+Incremental scoring.  Both scorers read the current beams' signal and
+interference from ``network.beam_powers`` and
+``network.signal_and_interference``, the evaluator ``metrics`` uses, and
+add the candidate terms below.  Write sigma(u) for the satellite
+serving user u, X_s[u, v] = h_{s,u}^H w_{s,v} for the beam-space cross terms,
 G[u, a, b] for u's antenna gain toward b while tracking a (g0 on
 boresight), and S_u / (I_u + 1) for a served user's SINR.  A candidate
 link (s, g) changes the SINR only of g and of served users that see s,
@@ -63,8 +66,9 @@ from enum import Enum
 import numpy as np
 
 from . import metrics
-from .network import (EpochInstance, SatelliteBeams, hybrid_beams,
-                      hybrid_from_beamspace, power_scaled_analog_beams)
+from .network import (EpochInstance, SatelliteBeams, beam_powers,
+                      equal_power_beams, hybrid_beams, hybrid_from_beamspace,
+                      signal_and_interference)
 
 
 class SchemeMode(str, Enum):
@@ -110,7 +114,7 @@ def final_beams(instance: EpochInstance, serving: np.ndarray, mode: SchemeMode,
     """Transmit matrices each scheme actually radiates with."""
     served = instance.served_map(serving)
     if mode is SchemeMode.AU:
-        return power_scaled_analog_beams(instance, served)
+        return equal_power_beams(instance, served)
     return hybrid_beams(instance, served, beta=beta)
 
 
@@ -141,21 +145,19 @@ def _analog_gains(instance: EpochInstance, serving: np.ndarray,
     """Total-SE gain of every (satellite row, user row) link under
     unit-power analog beams (AU and SHU); the module docstring has the
     formula."""
-    n_sats, n_gus = candidates.shape
     p2 = instance.cross_power
     gain = instance.gain_table
     g0 = instance.boresight_gain
+    unit = {s: SatelliteBeams(s, gus, np.eye(len(gus)))
+            for s, gus in instance.served_map(serving).items()}
+    load, own, intra = beam_powers(instance, unit)  # load[t, u] = L_t[u]
+    signal, by_sat = signal_and_interference(instance, serving, load, own, intra)
+
+    # served users: current SINR, and with s's unit beam toward g added
     served = np.flatnonzero(serving >= 0)
-    sat_of = serving[served]
-
-    beams = np.zeros((n_sats, n_gus))
-    beams[sat_of, served] = 1.0
-    load = np.einsum("tuv,tv->tu", p2, beams)  # L_t[u]
-
-    # served users: gain toward each satellite, signal and interference
-    g_served = gain[served, sat_of, :]
-    signal = g0 * p2[sat_of, served, served]
-    interference = np.einsum("us,su->u", g_served, load[:, served]) - signal
+    g_served = gain[served, serving[served], :]
+    signal = signal[served]
+    interference = by_sat[served].sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
     extra = g_served.T[:, :, None] * p2[:, served, :]  # (s, u, g)
     changed = np.log2(1.0 + signal[:, None] / (interference[:, None] + extra + 1.0))
@@ -177,27 +179,15 @@ def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
     g0 = instance.boresight_gain
     served = serving >= 0
 
-    # current beams, before the user antenna gain: power of each
-    # satellite at each user, and each served user's own-beam power and
-    # the power of its satellite's other beams (summed directly: after ZF
-    # nulling a difference of the two would be rounding noise)
-    power = np.zeros((n_sats, n_gus))
-    own = np.zeros(n_gus)
-    intra = np.zeros(n_gus)
-    for t in range(n_sats):
-        members = np.flatnonzero(serving == t)
-        if members.size:
-            mixer = hybrid_from_beamspace(instance, t, members[None, :], beta)[0]
-            amp = np.abs(x[t][:, members] @ mixer) ** 2
-            power[t] = amp.sum(axis=1)
-            rest = amp[members]
-            own[members] = np.diagonal(rest)
-            np.fill_diagonal(rest, 0.0)
-            intra[members] = rest.sum(axis=1)
-    g_serving = gain[np.arange(n_gus), np.maximum(serving, 0), :] * served[:, None]
-    signal = g0 * own
-    by_sat = g_serving * power.T  # interference from each satellite at u
-    by_sat[served, serving[served]] = g0 * intra[served]
+    # the current hybrid beams, designed here rather than by hybrid_beams,
+    # which stands for the final-beam step in traced runs
+    current = {}
+    for s, gus in instance.served_map(serving).items():
+        idx = np.array([[instance.gu_index[g] for g in gus]])
+        current[s] = SatelliteBeams(
+            s, gus, hybrid_from_beamspace(instance, instance.sat_index[s], idx, beta)[0])
+    power, own, intra = beam_powers(instance, current)
+    signal, by_sat = signal_and_interference(instance, serving, power, own, intra)
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
     others = interference[:, None] - by_sat  # from every satellite but s
@@ -223,9 +213,10 @@ def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
         intra_s = np.where(mine, 0.0, amp).sum(axis=2)
 
         tracks_s = serving[affected] == s
+        g_s = gain[affected, serving[affected], s]
         sig = np.where(tracks_s, g0 * own_s[:, :m], signal[affected])
         intf = others[affected, s] + np.where(
-            tracks_s, g0 * intra_s[:, :m], g_serving[affected, s] * amp[:, :m].sum(axis=2))
+            tracks_s, g0 * intra_s[:, :m], g_s * amp[:, :m].sum(axis=2))
         delta = (np.log2(1.0 + sig / (intf + 1.0)) - base[affected]).sum(axis=1)
         new_intf = new_others[s, cand] + g0 * intra_s[:, m]
         gains[s, cand] = np.log2(1.0 + g0 * own_s[:, m] / (new_intf + 1.0)) + delta

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -25,7 +27,8 @@ def rf():
 def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
                   channel_scale=3.0, visible=None):
     """Random synthetic scheduling instance with consistent channels,
-    analog beams and user-to-satellite directions."""
+    analog beams and user-to-satellite directions; ``visible`` maps each
+    user id to the satellites it sees."""
     array = array or ArrayConfig(n_x=4, n_y=4, n_sub_x=2, n_sub_y=1)
     rf_cfg = rf_cfg or RfConfig()
     codebook = build_codebook(array)
@@ -38,17 +41,27 @@ def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
         for g in gu_ids:
             k = int(rng.integers(1, n_sats + 1))
             visible[g] = tuple(sorted(rng.choice(n_sats, size=k, replace=False).tolist()))
-    base, beams, dirs = {}, {}, {}
-    for g in gu_ids:
+    mask = np.zeros((n_gus, n_sats), dtype=bool)
+    channels = np.zeros((n_sats, n_gus, n), dtype=complex)
+    analog = np.zeros((n_sats, n_gus, n), dtype=complex)
+    directions = np.zeros((n_gus, n_sats, 3))
+    for u, g in enumerate(gu_ids):
         for s in visible[g]:
             h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
-            base[(s, g)] = channel_scale * h
-            beams[(s, g)] = analog_beamform(h, codebook, k=min(4, n)).entries
+            mask[u, s] = True
+            channels[s, u] = channel_scale * h
+            analog[s, u] = analog_beamform(h, codebook, k=min(4, n)).entries
             d = rng.standard_normal(3)
-            dirs[(g, s)] = d / np.linalg.norm(d)
+            directions[u, s] = d / np.linalg.norm(d)
     return EpochInstance(sat_ids=sat_ids, gu_ids=gu_ids, rf=rf_cfg,
-                         n_beams=n_beams, visible=visible, base_channels=base,
-                         analog_beams=beams, sat_directions=dirs)
+                         n_beams=n_beams, visible_mask=mask, channels=channels,
+                         analog=analog, directions=directions)
+
+
+def visible_sats(instance, g):
+    """Satellites user ``g`` sees, by id, in increasing order."""
+    row = instance.visible_mask[instance.gu_index[g]]
+    return tuple(instance.sat_ids[i] for i in np.flatnonzero(row))
 
 
 def serving_vector(instance, sats):
@@ -69,15 +82,13 @@ def mirror_first_satellite(inst: EpochInstance) -> EpochInstance:
     """Copy satellite 0's links onto satellite 1 (same channels, beams and
     directions), so their candidates tie exactly while the two serve the
     same users."""
-    base, beams, dirs = (dict(inst.base_channels), dict(inst.analog_beams),
-                         dict(inst.sat_directions))
-    for g, sats in inst.visible.items():
-        if 0 in sats:
-            base[(1, g)] = base[(0, g)]
-            beams[(1, g)] = beams[(0, g)]
-            dirs[(g, 1)] = dirs[(g, 0)]
-    return EpochInstance(inst.sat_ids, inst.gu_ids, inst.rf, inst.n_beams,
-                         inst.visible, base, beams, dirs)
+    both = inst.visible_mask[:, 0] & inst.visible_mask[:, 1]
+    channels, analog, directions = (inst.channels.copy(), inst.analog.copy(),
+                                    inst.directions.copy())
+    channels[1, both] = channels[0, both]
+    analog[1, both] = analog[0, both]
+    directions[both, 1] = directions[both, 0]
+    return replace(inst, channels=channels, analog=analog, directions=directions)
 
 
 @st.composite

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conftest import visible_sats
 from coopsat import metrics
 from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams
 from coopsat.scheduling import (SchemeMode, TraceRecord,
                                 preassign_single_visibility)
 
 
-def unit_analog_beams(instance: EpochInstance,
-                      served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
+def unit_power_beams(instance: EpochInstance,
+                     served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
     """Plain analog beams with unit per-beam power (scheduling-time view)."""
     return {s: SatelliteBeams(s, gus, np.eye(len(gus)))
             for s, gus in served.items() if gus}
@@ -32,7 +33,7 @@ def scoring_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
     analog otherwise."""
     if mode is SchemeMode.JHU:
         return hybrid_beams(instance, served, beta=beta)
-    return unit_analog_beams(instance, served)
+    return unit_power_beams(instance, served)
 
 
 @dataclass
@@ -75,7 +76,7 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
         candidates = sorted(
             (s, g)
             for g in unserved
-            for s in instance.visible.get(g, ())
+            for s in visible_sats(instance, g)
             if s in spare
         )
         if not candidates:

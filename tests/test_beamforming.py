@@ -5,7 +5,7 @@ import pytest
 
 from coopsat.beamforming import analog_beamform, build_codebook, regularized_zf
 from coopsat.channel import ArrayConfig
-from coopsat.network import hybrid_beams, power_scaled_analog_beams
+from coopsat.network import equal_power_beams, hybrid_beams
 
 
 def cn_vector(rng, n):
@@ -175,7 +175,7 @@ class TestHybridAndPowerScaling:
                                 visible={100: (0,)})
         (beams,) = hybrid_beams(inst, {0: (100,)}).values()
         hybrid = inst.beam_matrix(beams)
-        w = inst.analog_beams[(0, 100)][:, None]
+        w = inst.analog[0, 0][:, None]
         assert np.linalg.norm(hybrid) ** 2 == pytest.approx(80.0, rel=1e-12)
         # collinear with the unit-norm analog beam
         assert abs(np.vdot(w, hybrid)) == pytest.approx(np.linalg.norm(hybrid),
@@ -198,14 +198,14 @@ class TestHybridAndPowerScaling:
         with pytest.raises(ValueError, match="identically zero"):
             hybrid_beams(inst, {0: (100,)})
 
-    def test_power_scaled_analog_beams_arithmetic(self, instance_factory):
+    def test_equal_power_beams_arithmetic(self, instance_factory):
         # P / n per beam: 80 W over 1, 4 and 32 beams of one satellite
         for n_beams, per_beam in ((1, 80.0), (4, 20.0), (32, 2.5)):
             gus = tuple(range(100, 100 + n_beams))
             inst = instance_factory(np.random.default_rng(n_beams), n_sats=1,
                                     n_gus=n_beams, n_beams=n_beams,
                                     visible={g: (0,) for g in gus})
-            (beams,) = power_scaled_analog_beams(inst, {0: gus}).values()
+            (beams,) = equal_power_beams(inst, {0: gus}).values()
             w = inst.beam_matrix(beams)
             assert np.sum(np.abs(w) ** 2, axis=0) == pytest.approx(
                 [per_beam] * n_beams, rel=1e-12)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -87,6 +88,17 @@ def test_run_scheme_and_seed_overrides(scenario_file, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["schemes"] == ["jhu"]
     assert summary["provenance"]["seed"] == 42
+
+
+def test_run_scheme_list_drops_duplicates(scenario_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out),
+                 "--schemes", "au,AU, au ,jhu"]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["schemes"] == ["au", "jhu"]
+    with (out / "results.csv").open() as fh:
+        keys = [(r["epoch"], r["scheme"], r["gu_id"]) for r in csv.DictReader(fh)]
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_run_bad_scheme(scenario_file, tmp_path):

@@ -50,12 +50,17 @@ class TestBuildInstance:
         inst = build_epoch_instance(cfg, 0, 0.0)
         assert inst.gu_ids == (0, 1, 2, 3)
         assert inst.n_beams == 32
-        for g, sats in inst.visible.items():
-            for s in sats:
-                assert (s, g) in inst.base_channels
-                h = inst.base_channels[(s, g)]
-                assert h.shape == (cfg.array.n_elements,)
-                assert np.all(np.isfinite(h))
+        n_s = len(inst.sat_ids)
+        assert inst.visible_mask.shape == (4, n_s) and inst.visible_mask.any()
+        assert inst.channels.shape == inst.analog.shape == (
+            n_s, 4, cfg.array.n_elements)
+        seen = inst.visible_mask.T  # [sat, user]
+        for links in (inst.channels, inst.analog):
+            assert np.all(np.isfinite(links))
+            assert np.all(np.abs(links[seen]).sum(axis=1) > 0.0)
+            assert not links[~seen].any()
+        norms = np.linalg.norm(inst.directions[inst.visible_mask], axis=1)
+        assert np.allclose(norms, 1.0)
 
     def test_identical_channels_for_any_scheme_subset(self):
         # channel realizations keyed by (seed, epoch, link): scheme list
@@ -68,9 +73,10 @@ class TestBuildInstance:
                              "schemes": ["jhu"], "seed": 1})
         i1 = build_epoch_instance(cfg_all, 1, cfg_all.epochs.times()[1])
         i2 = build_epoch_instance(cfg_one, 1, cfg_one.epochs.times()[1])
-        assert set(i1.base_channels) == set(i2.base_channels)
-        for key, h in i1.base_channels.items():
-            assert np.array_equal(h, i2.base_channels[key])
+        assert i1.sat_ids == i2.sat_ids
+        assert np.array_equal(i1.visible_mask, i2.visible_mask)
+        assert np.array_equal(i1.channels, i2.channels)
+        assert np.array_equal(i1.analog, i2.analog)
 
 
 class TestRun:

@@ -1,22 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instances, serving_vector
+from conftest import instances, serving_vector, visible_sats
 from coopsat import metrics
 from coopsat.channel import RfConfig
 from coopsat.geometry import GroundUser
 from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams
-from reference_greedy import unit_analog_beams
+from reference_greedy import unit_power_beams
 
 
 def scalar_sinr_oracle(instance, serving, beam_cols):
     """Independent SINR and interference evaluation: plain python loops
-    over beam columns, antenna gain recomputed from the pattern
-    definition.  Returns {user: (sinr, interference power)}."""
+    over beam columns, reading the channels H and directions D link by
+    link, antenna gain recomputed from the pattern definition.  Returns
+    {user: (sinr, interference power)}."""
     rf = instance.rf
     theta3 = 0.5 * math.sqrt(30000.0 / 10.0 ** (rf.vsat_max_gain_dbi / 10.0))
 
@@ -25,25 +27,25 @@ def scalar_sinr_oracle(instance, serving, beam_cols):
         return 10.0 ** ((rf.vsat_max_gain_dbi - rolloff) / 10.0)
 
     out = {}
-    for g in instance.gu_ids:
+    for u, g in enumerate(instance.gu_ids):
         a = serving.get(g)
         if a is None:
             out[g] = (0.0, 0.0)
             continue
         signal = 0.0
         interference = 0.0
-        for s in instance.visible[g]:
+        for s in visible_sats(instance, g):
             if s not in beam_cols:
                 continue
             gus, w = beam_cols[s]
             if s == a:
                 angle = 0.0
             else:
-                d1 = instance.sat_directions[(g, a)]
-                d2 = instance.sat_directions[(g, s)]
+                d1 = instance.directions[u, instance.sat_index[a]]
+                d2 = instance.directions[u, instance.sat_index[s]]
                 angle = math.degrees(math.acos(max(-1.0, min(1.0, float(np.dot(d1, d2))))))
             gain = gain_lin(angle)
-            h = instance.base_channels[(s, g)]
+            h = instance.channels[instance.sat_index[s], u]
             for j, g_other in enumerate(gus):
                 p = gain * abs(np.vdot(h, w[:, j])) ** 2
                 if s == a and g_other == g:
@@ -61,7 +63,7 @@ def served_instances(draw):
     inst = draw(instances())
     serving, load = {}, {}
     for g in inst.gu_ids:
-        spare = [s for s in inst.visible[g] if load.get(s, 0) < inst.n_beams]
+        spare = [s for s in visible_sats(inst, g) if load.get(s, 0) < inst.n_beams]
         s = draw(st.sampled_from([None] + spare))
         if s is not None:
             serving[g] = s
@@ -80,7 +82,7 @@ def assert_matches_oracle(inst, serving, beams):
 
 
 class TestSinrEvaluator:
-    @pytest.mark.parametrize("beams_of", [unit_analog_beams, hybrid_beams],
+    @pytest.mark.parametrize("beams_of", [unit_power_beams, hybrid_beams],
                              ids=["unit", "hybrid"])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=served_instances())
@@ -99,30 +101,24 @@ class TestSinrEvaluator:
         rf = RfConfig()
         theta3 = 0.5 * math.sqrt(30000.0 / 1e4)  # 40 dBi terminal
         s = 1.0 / math.sqrt(array_n)
-        base = {
-            (0, 100): np.array([1.0, 0.0], dtype=complex),
-            (1, 100): np.array([0.1, 0.0], dtype=complex),
-            (1, 101): np.array([0.0, 1.0], dtype=complex),
-            (0, 101): np.array([0.0, 0.1], dtype=complex),
-        }
-        beams_a = {
-            (0, 100): np.array([s, s], dtype=complex),
-            (1, 100): np.array([s, s], dtype=complex),
-            (1, 101): np.array([s, -s], dtype=complex),
-            (0, 101): np.array([s, -s], dtype=complex),
-        }
+        # [satellite, user]: satellite 0 to user 100 and satellite 1 to
+        # user 101 are strong, the cross links 10x weaker
+        channels = np.array([[[1.0, 0.0], [0.0, 0.1]],
+                             [[0.1, 0.0], [0.0, 1.0]]], dtype=complex)
+        analog = np.array([[[s, s], [s, -s]],
+                           [[s, s], [s, -s]]], dtype=complex)
         def unit(angle_deg):
             a = math.radians(angle_deg)
             return np.array([math.cos(a), math.sin(a), 0.0])
-        dirs = {(100, 0): unit(0.0), (100, 1): unit(10.0),
-                (101, 1): unit(0.0), (101, 0): unit(2.0)}
+        # [user, satellite]
+        dirs = np.array([[unit(0.0), unit(10.0)],
+                         [unit(2.0), unit(0.0)]])
         inst = EpochInstance(sat_ids=(0, 1), gu_ids=(100, 101), rf=rf,
-                             n_beams=4, visible={100: (0, 1), 101: (0, 1)},
-                             base_channels=base, analog_beams=beams_a,
-                             sat_directions=dirs)
+                             n_beams=4, visible_mask=np.ones((2, 2), dtype=bool),
+                             channels=channels, analog=analog, directions=dirs)
         links = serving_vector(inst, {100: 0, 101: 1})
         users = metrics.user_metrics(inst, links,
-                                     unit_analog_beams(inst, inst.served_map(links)))
+                                     unit_power_beams(inst, inst.served_map(links)))
 
         g_max = 1e4
         # user 100: signal |[1,0].[s,s]|^2, interferer 10 deg off (floored
@@ -140,10 +136,10 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=1, n_gus=1, n_beams=2,
                                 visible={100: (0,)})
         links = serving_vector(inst, {100: 0})
-        beams = unit_analog_beams(inst, inst.served_map(links))
+        beams = unit_power_beams(inst, inst.served_map(links))
         (u,) = metrics.user_metrics(inst, links, beams)
-        h = inst.base_channels[(0, 100)]
-        w = inst.analog_beams[(0, 100)]
+        h = inst.channels[0, 0]
+        w = inst.analog[0, 0]
         expected = inst.boresight_gain * abs(np.vdot(h, w)) ** 2
         assert u.interference_power == 0.0
         assert u.sinr == pytest.approx(expected, rel=1e-12)
@@ -169,18 +165,14 @@ class TestSinrEvaluator:
     def test_global_phase_invariance(self, instance_factory):
         rng = np.random.default_rng(25)
         inst = instance_factory(rng, n_sats=2, n_gus=3, n_beams=2)
-        serving = {g: inst.visible[g][0] for g in inst.gu_ids}
+        serving = {g: visible_sats(inst, g)[0] for g in inst.gu_ids}
         links = serving_vector(inst, serving)
-        beams = unit_analog_beams(inst, inst.served_map(links))
+        beams = unit_power_beams(inst, inst.served_map(links))
         before = [u.sinr for u in metrics.user_metrics(inst, links, beams)]
         # rotate every channel of one user by a common unit phasor
-        g = inst.gu_ids[1]
-        rotated = dict(inst.base_channels)
-        for s in inst.visible[g]:
-            rotated[(s, g)] = rotated[(s, g)] * np.exp(1j * 0.9)
-        inst2 = EpochInstance(inst.sat_ids, inst.gu_ids, inst.rf, inst.n_beams,
-                              inst.visible, rotated, inst.analog_beams,
-                              inst.sat_directions)
+        rotated = inst.channels.copy()
+        rotated[:, 1] *= np.exp(1j * 0.9)
+        inst2 = replace(inst, channels=rotated)
         after = [u.sinr for u in metrics.user_metrics(inst2, links, beams)]
         assert after == pytest.approx(before, rel=1e-12)
 
@@ -190,19 +182,19 @@ class TestSinrEvaluator:
         serving = {}
         load = {}
         for g in inst.gu_ids:
-            s = inst.visible[g][0]
+            s = visible_sats(inst, g)[0]
             if load.get(s, 0) < inst.n_beams:
                 serving[g] = s
                 load[s] = load.get(s, 0) + 1
         links = serving_vector(inst, serving)
-        beams = unit_analog_beams(inst, inst.served_map(links))
+        beams = unit_power_beams(inst, inst.served_map(links))
         base = {u.gu_id: u.sinr for u in metrics.user_metrics(inst, links, beams)}
         # drop one served user's link, keep every other beam identical
         victim = next(iter(serving))
         reduced = {g: s for g, s in serving.items() if g != victim}
         links2 = serving_vector(inst, reduced)
         beams2 = {}
-        for s, b in unit_analog_beams(inst, inst.served_map(links2)).items():
+        for s, b in unit_power_beams(inst, inst.served_map(links2)).items():
             beams2[s] = b
         for u in metrics.user_metrics(inst, links2, beams2):
             if u.gu_id != victim and u.serving_sat is not None:
@@ -231,7 +223,7 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=2, n_gus=2, n_beams=2)
         links = np.full(len(inst.gu_ids), -1)
         g = inst.gu_ids[0]
-        s = inst.visible[g][0]
+        s = visible_sats(inst, g)[0]
         bogus = {s: SatelliteBeams(s, (g,), np.eye(1))}
         # beams for a satellite that serves nobody
         with pytest.raises(ValueError):

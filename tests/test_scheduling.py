@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import serving_sats
+from conftest import serving_sats, visible_sats
 from coopsat import metrics
-from coopsat.network import EpochInstance
 from coopsat.scheduling import (ExhaustiveSearchError, SchemeMode,
                                 exhaustive_schedule, final_beams,
                                 greedy_schedule, preassign_single_visibility)
@@ -24,9 +24,9 @@ def audit_constraints(instance, serving, maximal=True):
     assert all(n <= instance.n_beams for n in load.values())
     for g, i in zip(instance.gu_ids, serving):
         if i >= 0:
-            assert instance.sat_ids[i] in instance.visible[g]
+            assert instance.sat_ids[i] in visible_sats(instance, g)
         elif maximal:
-            for s in instance.visible.get(g, ()):
+            for s in visible_sats(instance, g):
                 assert load[s] >= instance.n_beams
 
 
@@ -40,8 +40,8 @@ class TestTotalSe:
         inst = instance_factory(np.random.default_rng(1), n_sats=1, n_gus=1,
                                 visible={100: (0,)})
         result = greedy_schedule(inst, SchemeMode.AU)
-        h = inst.base_channels[(0, 100)]
-        w = inst.analog_beams[(0, 100)]
+        h = inst.channels[0, 0]
+        w = inst.analog[0, 0]
         p = inst.tx_power_w
         expected = math.log2(1.0 + inst.boresight_gain * p * abs(np.vdot(h, w)) ** 2)
         assert result.total_se == pytest.approx(expected, rel=1e-12)
@@ -171,11 +171,9 @@ class TestGreedy:
         # would otherwise pick
         inst = instance_factory(np.random.default_rng(17), n_sats=2, n_gus=2,
                                 visible={100: (0, 1), 101: (0, 1)})
-        base = dict(inst.base_channels)
-        base[(1, 101)] = np.full_like(base[(1, 101)], np.nan)
-        inst = EpochInstance(inst.sat_ids, inst.gu_ids, inst.rf, inst.n_beams,
-                             inst.visible, base, inst.analog_beams,
-                             inst.sat_directions)
+        channels = inst.channels.copy()
+        channels[1, 1] = np.nan
+        inst = replace(inst, channels=channels)
         with pytest.raises(metrics.NonFiniteSinrError,
                            match=r"score of link \(\d, 101\) is nan"):
             greedy_schedule(inst, mode)

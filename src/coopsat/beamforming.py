@@ -67,7 +67,10 @@ def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
     if not np.any(h):
         raise ValueError("channel vector is zero")
 
-    scores = np.abs(codebook.matrix.conj().T @ h) ** 2
+    # |D^H h| = |D^T conj(h)|: conjugating h, not the N x N codebook, for
+    # every link.  IEEE rounding is sign-symmetric, so the product is the
+    # exact conjugate and the scores keep their bits.
+    scores = np.abs(codebook.matrix.T @ h.conj()) ** 2
     order = np.argsort(-scores, kind="stable")  # stable: lower index wins ties
     selected = order[:k]
 

@@ -149,20 +149,34 @@ class PathLossBreakdown:
         return self.basic_db + self.gas_db + self.scintillation_db
 
 
-def steering_vector(phi_deg: float, theta_deg: float, array: ArrayConfig) -> np.ndarray:
-    """Unit-norm planar-array steering vector for azimuth ``phi_deg`` and
-    elevation ``theta_deg`` seen from the array.
+def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
+    """Unit-norm planar-array steering vectors (P x N) for the azimuths
+    ``phi_deg`` and elevations ``theta_deg`` (P each) seen from the
+    array.
 
     Element (p, q) maps to index p * n_y + q, matching the Kronecker
-    order of the 2D DFT codebook.
+    order of the 2D DFT codebook.  Each row is the outer product of one
+    exponential per array axis.  The cosines and sines come from
+    ``math`` (libm) one direction at a time: numpy's vectorized trig may
+    round differently from libm, and differently on another CPU, which
+    would move every channel bit.
     """
-    phi = math.radians(phi_deg)
-    theta = math.radians(theta_deg)
-    kx = -2j * math.pi * array.element_spacing * math.cos(theta) * math.cos(phi)
-    ky = -2j * math.pi * array.element_spacing * math.cos(theta) * math.sin(phi)
-    ax = np.exp(kx * np.arange(array.n_x))
-    ay = np.exp(ky * np.arange(array.n_y))
-    return np.kron(ax, ay) / math.sqrt(array.n_elements)
+    phi = [math.radians(a) for a in np.asarray(phi_deg, dtype=float).tolist()]
+    theta = [math.radians(a) for a in np.asarray(theta_deg, dtype=float).tolist()]
+    k = -2j * math.pi * array.element_spacing
+    cos_theta = np.array([math.cos(a) for a in theta])
+    kx = k * cos_theta * np.array([math.cos(a) for a in phi])
+    ky = k * cos_theta * np.array([math.sin(a) for a in phi])
+    ax = np.exp(kx[:, None] * np.arange(array.n_x))
+    ay = np.exp(ky[:, None] * np.arange(array.n_y))
+    out = (ax[:, :, None] * ay[:, None, :]).reshape(len(phi), array.n_elements)
+    out /= math.sqrt(array.n_elements)
+    return out
+
+
+def steering_vector(phi_deg: float, theta_deg: float, array: ArrayConfig) -> np.ndarray:
+    """Steering vector (N) of one direction; see ``steering_vectors``."""
+    return steering_vectors([phi_deg], [theta_deg], array)[0]
 
 
 def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,
@@ -170,17 +184,16 @@ def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,
     """Draw (azimuth, elevation) pairs for every diffuse ray.
 
     Cluster centers and rays within a cluster are both Laplacian around
-    the direct-path direction with scale ``angle_spread_deg``.
+    the direct-path direction with scale ``angle_spread_deg``.  Each
+    cluster draws its center, then all its rays in one call, which
+    consumes the stream as one call per ray would.
     """
-    out = np.empty((cfg.n_clusters * cfg.n_rays, 2))
+    out = np.empty((cfg.n_clusters, cfg.n_rays, 2))
     b = cfg.angle_spread_deg
-    i = 0
-    for _ in range(cfg.n_clusters):
+    for c in range(cfg.n_clusters):
         center = rng.laplace(loc=(phi0_deg, theta0_deg), scale=b, size=2)
-        for _ in range(cfg.n_rays):
-            out[i] = rng.laplace(loc=center, scale=b, size=2)
-            i += 1
-    return out
+        out[c] = rng.laplace(loc=center, scale=b, size=(cfg.n_rays, 2))
+    return out.reshape(-1, 2)
 
 
 def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
@@ -191,11 +204,19 @@ def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
     Direct path: amplitude 10^(A/20), A ~ N(mean_db, std_db^2); diffuse
     rays: Rayleigh amplitudes sharing ``multipath_power`` equally; all
     phases uniform on [0, 2*pi).
+
+    The result is pinned bit for bit (golden digests, and
+    ``tests/reference_channel.py``, the one-ray-at-a-time loop this
+    replaced), which fixes two orders:
+
+    * each path's term is ``coef * steering``, coefficient first: numpy
+      may round the imaginary part of a complex product differently
+      with the operands swapped;
+    * the terms are added one after another in path order (a running
+      ``cumsum``), never by ``sum``, which may add them pairwise.
     """
     amp0_db = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
     m0 = 10.0 ** (amp0_db / 20.0) * np.exp(2j * math.pi * rng.uniform())
-
-    h = m0 * steering_vector(phi0_deg, theta0_deg, array)
 
     n_paths = cfg.n_clusters * cfg.n_rays
     if ray_angles.shape != (n_paths, 2):
@@ -204,8 +225,14 @@ def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
     if per_ray_power > 0.0:
         amps = rng.rayleigh(scale=math.sqrt(per_ray_power / 2.0), size=n_paths)
         phases = rng.uniform(0.0, 2.0 * math.pi, size=n_paths)
-        for (phi, theta), m in zip(ray_angles, amps * np.exp(1j * phases)):
-            h += m * steering_vector(phi, theta, array)
+        coef = np.concatenate(([m0], amps * np.exp(1j * phases)))
+        paths = np.concatenate(([(phi0_deg, theta0_deg)], ray_angles))
+    else:
+        coef = np.array([m0])
+        paths = np.array([(phi0_deg, theta0_deg)])
+    terms = steering_vectors(paths[:, 0], paths[:, 1], array)
+    np.multiply(coef[:, None], terms, out=terms)
+    h = np.cumsum(terms, axis=0, out=terms)[-1]
     return cfg.normalization * h
 
 

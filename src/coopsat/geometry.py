@@ -119,13 +119,28 @@ class LinkGeometry:
     elevation_sat_deg: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilitySets:
-    """Mutual visibility maps. ``per_sat`` holds only satellites seen by
-    at least one user; everything else is outside the active scenario."""
+    """Mutual visibility of the satellites ``sat_ids`` and users
+    ``gu_ids``, in the order ``visibility`` was given them:
+    ``visible[s, u]`` holds when satellite row s is at or above the
+    elevation threshold at user row u.  ``per_gu`` and ``per_sat`` give
+    the same sets by id; ``per_sat`` holds only satellites seen by at
+    least one user, everything else is outside the active scenario."""
 
-    per_gu: dict[int, frozenset[int]]
-    per_sat: dict[int, frozenset[int]]
+    sat_ids: tuple[int, ...]
+    gu_ids: tuple[int, ...]
+    visible: np.ndarray  # (S, U) bool
+
+    @property
+    def per_gu(self) -> dict[int, frozenset[int]]:
+        return {g: frozenset(self.sat_ids[i] for i in np.flatnonzero(col))
+                for g, col in zip(self.gu_ids, self.visible.T)}
+
+    @property
+    def per_sat(self) -> dict[int, frozenset[int]]:
+        return {s: frozenset(self.gu_ids[u] for u in np.flatnonzero(row))
+                for s, row in zip(self.sat_ids, self.visible) if row.any()}
 
     @property
     def active_satellites(self) -> tuple[int, ...]:
@@ -192,11 +207,33 @@ def ground_user_position(gu: GroundUser, t: float) -> np.ndarray:
                          math.sin(lat)])
 
 
-def elevation_deg(sat_position_km: np.ndarray, gu_position_km: np.ndarray) -> float:
-    """Elevation of the satellite above the user's local horizon."""
-    los = _unit(sat_position_km - gu_position_km)
-    zenith = _unit(gu_position_km)
-    return math.degrees(math.asin(float(np.clip(np.dot(los, zenith), -1.0, 1.0))))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis of broadcastable (..., 3) arrays, rounded
+    as ``np.dot`` of two vectors: the stacked 1x3 by 3x1 product calls
+    the same BLAS ddot, where ``einsum`` or ``sum`` round differently."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def elevation_deg(sat_position_km: np.ndarray, gu_position_km: np.ndarray):
+    """Elevation of the satellite above the user's local horizon.
+
+    Positions are (..., 3) arrays that broadcast against each other, so
+    S x 1 x 3 satellites against U x 3 users give an S x U array; two
+    single positions give a float.  The elevation of one link feeds its
+    path loss, whose bits the result files pin, so every step rounds as
+    the one-pair arithmetic: norms and dot products by BLAS ddot, and
+    the arcsine by ``math.asin`` (``np.arcsin`` may differ in the last
+    bit).
+    """
+    gu = np.asarray(gu_position_km, dtype=float)
+    los = np.asarray(sat_position_km, dtype=float) - gu
+    los = los / np.sqrt(_dot(los, los))[..., None]
+    zenith = gu / np.sqrt(_dot(gu, gu))[..., None]
+    sin_el = np.clip(_dot(los, zenith), -1.0, 1.0)
+    if sin_el.ndim == 0:
+        return math.degrees(math.asin(float(sin_el)))
+    return np.degrees([math.asin(x) for x in sin_el.ravel().tolist()]).reshape(sin_el.shape)
 
 
 def link_geometry(sat: SatelliteState, gu: GroundUser,
@@ -217,18 +254,14 @@ def link_geometry(sat: SatelliteState, gu: GroundUser,
 
 def visibility(states: list[SatelliteState], gus: list[GroundUser],
                min_elevation_deg: float = 10.0, t: float = 0.0) -> VisibilitySets:
-    """Visibility sets at elevation threshold ``min_elevation_deg``."""
+    """Visibility sets at elevation threshold ``min_elevation_deg``, from
+    the elevations of every (satellite, user) pair as one array."""
     if not 0.0 <= min_elevation_deg < 90.0:
         raise ValueError("min_elevation_deg must be in [0, 90)")
-    gu_pos = {gu.user_id: ground_user_position(gu, t) for gu in gus}
-    per_gu: dict[int, set[int]] = {gu.user_id: set() for gu in gus}
-    per_sat: dict[int, set[int]] = {}
-    for sat in states:
-        for gu in gus:
-            if elevation_deg(sat.position_km, gu_pos[gu.user_id]) >= min_elevation_deg:
-                per_gu[gu.user_id].add(sat.satellite_id)
-                per_sat.setdefault(sat.satellite_id, set()).add(gu.user_id)
+    sat_pos = np.array([s.position_km for s in states]).reshape(len(states), 1, 3)
+    gu_pos = np.array([ground_user_position(gu, t) for gu in gus]).reshape(len(gus), 3)
     return VisibilitySets(
-        per_gu={g: frozenset(v) for g, v in per_gu.items()},
-        per_sat={s: frozenset(v) for s, v in per_sat.items()},
+        sat_ids=tuple(s.satellite_id for s in states),
+        gu_ids=tuple(gu.user_id for gu in gus),
+        visible=elevation_deg(sat_pos, gu_pos) >= min_elevation_deg,
     )

@@ -47,21 +47,19 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
                          t: float) -> EpochInstance:
     """Propagate, compute visibility, and realize every candidate link's
     channel and analog beam for one snapshot."""
-    states = {s.satellite_id: s
-              for s in propagate(config.constellation, t)}
-    vis = visibility(list(states.values()), list(config.gus),
-                     config.min_elevation_deg, t)
-    codebook = build_codebook(config.array)
     gus = sorted(config.gus, key=lambda g: g.user_id)
-    sat_ids = vis.active_satellites
-    visible = np.array([[g.user_id in vis.per_sat[s] for s in sat_ids] for g in gus],
-                       dtype=bool).reshape(len(gus), len(sat_ids))
+    states = propagate(config.constellation, t)
+    vis = visibility(states, gus, config.min_elevation_deg, t)
+    codebook = build_codebook(config.array)
+    active = np.flatnonzero(vis.visible.any(axis=1))
+    sat_ids = tuple(vis.sat_ids[i] for i in active)
+    visible = np.ascontiguousarray(vis.visible[active].T)
     channels = np.zeros((len(sat_ids), len(gus), config.array.n_elements), dtype=complex)
     analog = np.zeros_like(channels)
     directions = np.zeros((len(gus), len(sat_ids), 3))
 
     for i, u in zip(*np.nonzero(visible.T)):  # by satellite, then user
-        sat, gu = states[sat_ids[i]], gus[u]
+        sat, gu = states[active[i]], gus[u]
         geom = link_geometry(sat, gu, t)
         rng = link_rng(config.seed, epoch_index, sat_ids[i], gu.user_id)
         pl = path_loss(geom, config.rf, config.attenuation, rng)

@@ -235,15 +235,24 @@ def beam_powers(instance: EpochInstance, beams: Mapping[int, SatelliteBeams]
     own = np.zeros(n_u)
     intra = np.zeros(n_u)
     for s, b in beams.items():
-        i = instance.sat_index[s]
         members = [instance.gu_index[g] for g in b.gus]
-        amp = np.abs(instance.cross_terms[i][:, members] @ b.mixer) ** 2
-        power[i] = amp.sum(axis=1)
-        mine = amp[members]  # row k: user gus[k]; column k: its own beam
-        own[members] = np.diagonal(mine)
-        np.fill_diagonal(mine, 0.0)
-        intra[members] = mine.sum(axis=1)
+        set_satellite_powers(instance, instance.sat_index[s], members, b.mixer,
+                             (power, own, intra))
     return power, own, intra
+
+
+def set_satellite_powers(instance: EpochInstance, i: int, members, mixer: np.ndarray,
+                         powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Write, in place, the ``beam_powers`` entries of satellite row i,
+    whose beams (``mixer`` columns) serve user rows ``members``: row i of
+    the S x U powers, and its members' own and intra-satellite powers."""
+    power, own, intra = powers
+    amp = np.abs(instance.cross_terms[i][:, members] @ mixer) ** 2
+    power[i] = amp.sum(axis=1)
+    mine = amp[members]  # row k: user members[k]; column k: its own beam
+    own[members] = np.diagonal(mine)
+    np.fill_diagonal(mine, 0.0)
+    intra[members] = mine.sum(axis=1)
 
 
 def signal_and_interference(instance: EpochInstance, serving: np.ndarray,

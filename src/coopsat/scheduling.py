@@ -34,7 +34,11 @@ so its gain is evaluated over those users alone:
                  + sum_u [log2(1 + S_u / (I_u + G[u, sigma(u), s] |X_s[u, g]|^2 + 1))
                           - log2(1 + S_u / (I_u + 1))],
 
-  one numpy expression over every (s, g).
+  one numpy expression over every (s, g).  The unit-beam powers L, and
+  each served user's own and intra-satellite power, are kept across
+  iterations: a commit to s recomputes only s's row of L and its
+  members' entries, with ``network.set_satellite_powers``, the
+  per-satellite step of ``beam_powers``.
 * JHU: satellite s redesigns its beams on T = served(s) + {g} with
   ``network.hybrid_from_beamspace``, which also builds the final SHU and
   JHU beams: the regularized-ZF precoder F of sqrt(g0) X_s[T, T] is scaled
@@ -68,7 +72,7 @@ import numpy as np
 from . import metrics
 from .network import (EpochInstance, SatelliteBeams, beam_powers,
                       equal_power_beams, hybrid_beams, hybrid_from_beamspace,
-                      signal_and_interference)
+                      set_satellite_powers, signal_and_interference)
 
 
 class SchemeMode(str, Enum):
@@ -140,17 +144,20 @@ def _unserved(instance: EpochInstance, serving: np.ndarray) -> tuple[int, ...]:
     return tuple(instance.gu_ids[u] for u in np.flatnonzero(serving < 0))
 
 
+def _unit_beams(served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
+    """Unit-power analog beams, the beams AU and SHU schedule with."""
+    return {s: SatelliteBeams(s, gus, np.eye(len(gus))) for s, gus in served.items()}
+
+
 def _analog_gains(instance: EpochInstance, serving: np.ndarray,
-                  candidates: np.ndarray, beta: float | None) -> np.ndarray:
+                  powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Total-SE gain of every (satellite row, user row) link under
-    unit-power analog beams (AU and SHU); the module docstring has the
-    formula."""
+    unit-power analog beams (AU and SHU), given the current beams'
+    ``powers`` (L, own, intra); the module docstring has the formula."""
     p2 = instance.cross_power
     gain = instance.gain_table
     g0 = instance.boresight_gain
-    unit = {s: SatelliteBeams(s, gus, np.eye(len(gus)))
-            for s, gus in instance.served_map(serving).items()}
-    load, own, intra = beam_powers(instance, unit)  # load[t, u] = L_t[u]
+    load, own, intra = powers  # load[t, u] = L_t[u]
     signal, by_sat = signal_and_interference(instance, serving, load, own, intra)
 
     # served users: current SINR, and with s's unit beam toward g added
@@ -235,7 +242,9 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     spare = np.ones(len(instance.sat_ids), dtype=bool)
     pending = serving < 0
     pending[dropped] = False
-    score = _hybrid_gains if mode is SchemeMode.JHU else _analog_gains
+    analog = mode is not SchemeMode.JHU
+    if analog:  # kept across iterations: a commit changes one satellite
+        powers = beam_powers(instance, _unit_beams(instance.served_map(serving)))
     records: list[TraceRecord] = []
 
     iteration = 0
@@ -244,8 +253,11 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         n_candidates = int(candidates.sum())
         if not n_candidates:
             break
-        gains = np.where(candidates, score(instance, serving, candidates, beta),
-                         -np.inf)
+        if analog:
+            scores = _analog_gains(instance, serving, powers)
+        else:
+            scores = _hybrid_gains(instance, serving, candidates, beta)
+        gains = np.where(candidates, scores, -np.inf)
         bad = candidates & ~np.isfinite(gains)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -258,6 +270,9 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         if committed:
             serving[j] = i
             pending[j] = False
+            if analog:  # row i of L, and own and intra of i's members
+                members = np.flatnonzero(serving == i)
+                set_satellite_powers(instance, i, members, np.eye(members.size), powers)
         else:
             spare[i] = False
         if trace:

@@ -94,6 +94,19 @@ class TestAnalogBeamform:
             gain_b = abs(np.vdot(h, baseline.entries))
             assert gain_r == pytest.approx(gain_b, rel=1e-12)
 
+    @pytest.mark.parametrize("n_x,n_y", [(8, 8), (1, 7), (5, 3)])
+    def test_ranking_follows_codeword_scores(self, n_x, n_y):
+        # the full ranking is the stable sort of |D^H h|^2, computed here
+        # with the conjugated codebook
+        cb = build_codebook(ArrayConfig(n_x=n_x, n_y=n_y, n_sub_x=1, n_sub_y=1))
+        n = n_x * n_y
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            h = cn_vector(rng, n) * 10.0 ** rng.uniform(-8.0, 3.0)
+            scores = np.abs(cb.matrix.conj().T @ h) ** 2
+            expected = np.argsort(-scores, kind="stable")
+            assert analog_beamform(h, cb, k=n).codeword_indices == tuple(expected)
+
     def test_tie_break_lower_index(self):
         # h = [1, 0] scores exactly 0.5 on both codewords of the real
         # 2-point DFT: the lower index must win the tie

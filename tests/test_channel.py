@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_channel as ref
 from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                              RfConfig, SmallScaleConfig, large_scale_amplitude,
                              path_loss, sample_ray_angles, small_scale,
@@ -34,6 +37,36 @@ class TestSteeringVector:
         a = steering_vector(0.0, 0.0, array)
         expected = 0.5 * np.exp(1j * np.array([0.0, 0.0, -math.pi, -math.pi]))
         assert np.allclose(a, expected, atol=1e-12)
+
+
+class TestReferenceChannel:
+    """The batched draw against the one-ray-at-a-time loop it replaced:
+    ray angles, steering vectors and channels must be equal bit for
+    bit, since the result files pin them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_x=st.integers(1, 9), n_y=st.integers(1, 9),
+           spacing=st.sampled_from([0.5, 0.37, 1.0]),
+           n_clusters=st.integers(1, 4), n_rays=st.integers(1, 12),
+           multipath_db=st.sampled_from([-15.0, -3.0, -math.inf]),
+           phi=st.floats(-180.0, 180.0), theta=st.floats(-90.0, 90.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_draw_equals_reference(self, n_x, n_y, spacing, n_clusters, n_rays,
+                                   multipath_db, phi, theta, seed):
+        array = ArrayConfig(n_x=n_x, n_y=n_y, element_spacing=spacing)
+        cfg = SmallScaleConfig(n_clusters=n_clusters, n_rays=n_rays,
+                               multipath_power_db=multipath_db)
+        new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rays = sample_ray_angles(phi, theta, cfg, new_rng)
+        ref_rays = ref.sample_ray_angles(phi, theta, cfg, ref_rng)
+        assert np.array_equal(rays, ref_rays)
+        h = small_scale(phi, theta, rays, cfg, array, new_rng)
+        ref_h = ref.small_scale(phi, theta, ref_rays, cfg, array, ref_rng)
+        assert np.array_equal(h, ref_h)
+        # both consumed the stream alike
+        assert new_rng.uniform() == ref_rng.uniform()
+        assert np.array_equal(steering_vector(phi, theta, array),
+                              ref.steering_vector(phi, theta, array))
 
 
 class TestSmallScale:

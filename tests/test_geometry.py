@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from coopsat.config import ScenarioConfig
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM, ConstellationConfig,
-                              GroundUser, elevation_deg, ground_user_position,
-                              link_geometry, propagate, visibility)
+                              GroundUser, SatelliteState, elevation_deg,
+                              ground_user_position, link_geometry, propagate,
+                              visibility)
+
+
+def one_pair_elevation(sat_pos, gu_pos):
+    """The one-pair elevation arithmetic the result files were pinned
+    with: numpy norms and dot of 3-vectors, ``math.asin``."""
+    los = (sat_pos - gu_pos) / np.linalg.norm(sat_pos - gu_pos)
+    zenith = gu_pos / np.linalg.norm(gu_pos)
+    return math.degrees(math.asin(float(np.clip(np.dot(los, zenith), -1.0, 1.0))))
 
 
 def test_single_sat_radius():
@@ -115,6 +125,45 @@ def test_visibility_symmetry():
         assert users  # inactive satellites are excluded entirely
         for g in users:
             assert s in vis.per_gu[g]
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_visibility_matches_one_pair_elevation(profile):
+    cfg = (ScenarioConfig.desk_scale(seed=1) if profile == "desk"
+           else ScenarioConfig.full_scale(seed=1))
+    gus = list(cfg.gus)
+    for t in cfg.epochs.times()[::4]:
+        states = propagate(cfg.constellation, t)
+        sat_pos = np.array([s.position_km for s in states])
+        gu_pos = np.array([ground_user_position(g, t) for g in gus])
+        scalar = np.array([[one_pair_elevation(sp, gp) for gp in gu_pos]
+                           for sp in sat_pos])
+        # bit-equal, so the mask agrees even at the threshold
+        assert np.array_equal(elevation_deg(sat_pos[:, None, :], gu_pos), scalar)
+        assert elevation_deg(sat_pos[0], gu_pos[0]) == scalar[0, 0]
+        vis = visibility(states, gus, cfg.min_elevation_deg, t)
+        assert np.array_equal(vis.visible, scalar >= cfg.min_elevation_deg)
+        assert vis.sat_ids == tuple(s.satellite_id for s in states)
+        assert vis.gu_ids == tuple(g.user_id for g in gus)
+
+
+def _parked(position_km):
+    return SatelliteState(0, np.asarray(position_km, dtype=float), np.zeros(3), np.eye(3))
+
+
+def test_visibility_threshold_is_inclusive():
+    gu = GroundUser(0, 0.0, 0.0)  # at (R, 0, 0) at t = 0
+    # on the local horizon: elevation exactly 0
+    horizon = _parked([EARTH_RADIUS_KM, 3000.0, 0.0])
+    assert elevation_deg(horizon.position_km, ground_user_position(gu, 0.0)) == 0.0
+    assert visibility([horizon], [gu], min_elevation_deg=0.0).per_gu[0] == {0}
+    # a threshold equal to a link's elevation keeps the link, one ulp
+    # above drops it
+    sat = _parked([EARTH_RADIUS_KM + 900.0, 1500.0, 400.0])
+    elev = one_pair_elevation(sat.position_km, ground_user_position(gu, 0.0))
+    assert 10.0 < elev < 90.0
+    assert visibility([sat], [gu], min_elevation_deg=elev).visible.all()
+    assert not visibility([sat], [gu], np.nextafter(elev, 90.0)).visible.any()
 
 
 def test_walker_phasing_offset_equatorial():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -61,6 +62,21 @@ class TestBuildInstance:
             assert not links[~seen].any()
         norms = np.linalg.norm(inst.directions[inst.visible_mask], axis=1)
         assert np.allclose(norms, 1.0)
+
+    def test_pinned_link_channel(self):
+        # sha256 of one desk seed-1 link's channel and analog beam: a
+        # change to the channel draw that moves any bit fails here first,
+        # before the result-file digests
+        cfg = ScenarioConfig.desk_scale(seed=1)
+        inst = build_epoch_instance(cfg, 0, cfg.epochs.times()[0])
+        i, u = np.argwhere(inst.visible_mask.T)[0]
+        assert (inst.sat_ids[i], inst.gu_ids[u]) == (2, 0)
+        digests = [hashlib.sha256(a[i, u].tobytes()).hexdigest()
+                   for a in (inst.channels, inst.analog)]
+        assert digests == [
+            "4f4937f9ac6d565804ed78ad5a84d48afeb6022f82554e1719dab263d7fee429",
+            "d82bbb1d5fe0d1e418054a1659acb0018db02b162cfb14f0496e74bb5187a317",
+        ]
 
     def test_identical_channels_for_any_scheme_subset(self):
         # channel realizations keyed by (seed, epoch, link): scheme list

@@ -20,7 +20,7 @@ from .geometry import (ConstellationConfig, GroundUser, LinkGeometry,
 from .harness import RunReport, build_epoch_instance, emit, run
 from .metrics import (DensityClass, ExperimentResult, NonFiniteSinrError,
                       UserMetrics, density_classes, total_se, user_metrics)
-from .network import EpochInstance, SatelliteBeams
+from .network import EpochInstance
 from .scheduling import (ScheduleResult, SchemeMode, exhaustive_schedule,
                          greedy_schedule)
 
@@ -36,7 +36,7 @@ __all__ = [
     # beamforming
     "AnalogBeamVector", "Codebook", "analog_beamform", "build_codebook", "regularized_zf",
     # network / scheduling / metrics
-    "EpochInstance", "SatelliteBeams", "ScheduleResult",
+    "EpochInstance", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",
     "DensityClass", "ExperimentResult", "NonFiniteSinrError", "UserMetrics",
     "density_classes",

@@ -266,9 +266,10 @@ def vsat_gain_linear(off_boresight_deg: float, rf: RfConfig) -> float:
     return 10.0 ** (vsat_gain_dbi(off_boresight_deg, rf) / 10.0)
 
 
-def large_scale_amplitude(pl_total_db: float, rf: RfConfig,
-                          vsat_gain_dbi_value: float) -> float:
-    """Amplitude gain combining both antenna gains, the path loss and the
-    noise normalization (resulting SINR math uses unit noise power)."""
-    g_db = (rf.satellite_antenna_gain_dbi + vsat_gain_dbi_value - pl_total_db)
+def large_scale_amplitude(pl_total_db: float, rf: RfConfig) -> float:
+    """Amplitude gain combining the satellite antenna gain, the path loss
+    and the noise normalization (resulting SINR math uses unit noise
+    power).  The user antenna gain depends on which satellite the user
+    tracks, so it is applied at evaluation, not here."""
+    g_db = rf.satellite_antenna_gain_dbi - pl_total_db
     return math.sqrt(10.0 ** (g_db / 10.0) / rf.noise_power_w)

@@ -124,9 +124,8 @@ class VisibilitySets:
     """Mutual visibility of the satellites ``sat_ids`` and users
     ``gu_ids``, in the order ``visibility`` was given them:
     ``visible[s, u]`` holds when satellite row s is at or above the
-    elevation threshold at user row u.  ``per_gu`` and ``per_sat`` give
-    the same sets by id; ``per_sat`` holds only satellites seen by at
-    least one user, everything else is outside the active scenario."""
+    elevation threshold at user row u.  ``per_gu`` gives the satellites
+    each user sees, by id."""
 
     sat_ids: tuple[int, ...]
     gu_ids: tuple[int, ...]
@@ -136,15 +135,6 @@ class VisibilitySets:
     def per_gu(self) -> dict[int, frozenset[int]]:
         return {g: frozenset(self.sat_ids[i] for i in np.flatnonzero(col))
                 for g, col in zip(self.gu_ids, self.visible.T)}
-
-    @property
-    def per_sat(self) -> dict[int, frozenset[int]]:
-        return {s: frozenset(self.gu_ids[u] for u in np.flatnonzero(row))
-                for s, row in zip(self.sat_ids, self.visible) if row.any()}
-
-    @property
-    def active_satellites(self) -> tuple[int, ...]:
-        return tuple(sorted(self.per_sat))
 
 
 def _rot_z(angle: float) -> np.ndarray:

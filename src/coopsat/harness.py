@@ -67,10 +67,7 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
                                  config.small_scale, rng)
         h_ss = small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg,
                            rays, config.small_scale, config.array, rng)
-        # user antenna gain is serving-dependent: keep it out of the
-        # stored channel and apply it at evaluation time
-        amp = large_scale_amplitude(pl.total_db, config.rf, 0.0)
-        h = amp * h_ss
+        h = large_scale_amplitude(pl.total_db, config.rf) * h_ss
         channels[i, u] = h
         analog[i, u] = analog_beamform(h, codebook, k=config.codewords).entries
         los = sat.position_km - ground_user_position(gu, t)

@@ -8,7 +8,8 @@ antenna's off-boresight roll-off.  Noise power is one by channel
 normalization.  Unserved users count with zero rate.  Signal and
 interference come from the evaluator in ``network``
 (``beam_powers``, ``signal_and_interference``), which the greedy
-scorers share.
+scorers share.  Users and satellites enter as rows of the instance's
+arrays; ids appear only in the ``UserMetrics`` it returns.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .geometry import EARTH_RADIUS_KM, GroundUser
-from .network import (EpochInstance, SatelliteBeams, beam_powers,
-                      signal_and_interference)
+from .network import EpochInstance, beam_powers, signal_and_interference
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,22 @@ class NonFiniteSinrError(ValueError):
 
 
 def user_metrics(instance: EpochInstance, serving: np.ndarray,
-                 beams: Mapping[int, SatelliteBeams]) -> list[UserMetrics]:
+                 beams: Mapping[int, np.ndarray]) -> list[UserMetrics]:
     """Evaluate every user under a serving vector (the serving
     satellite's row in ``instance.sat_ids`` per user, -1 when unserved)
-    and the transmit beams of exactly the satellites that serve someone.
-    A malformed serving vector (see ``EpochInstance.served_map``) or
-    beams that do not match it raise ``ValueError``."""
+    and the mixers ``{satellite row: mixer}`` of exactly the satellites
+    that serve someone, each n x n for its n users.  A malformed serving
+    vector (see ``EpochInstance.served_map``) or beams that do not match
+    it raise ``ValueError``."""
     serving = np.asarray(serving)
     served = instance.served_map(serving)
-    if {s: b.gus for s, b in beams.items()} != served:
-        raise ValueError(f"beams {sorted(beams)} inconsistent with the users "
-                         f"served by satellites {sorted(served)}")
+    shapes = {i: np.shape(b) for i, b in beams.items()}
+    if shapes != {i: (len(m), len(m)) for i, m in served.items()}:
+        raise ValueError(f"mixer shapes {shapes} do not match the user rows "
+                         f"served by each satellite row, {served}")
 
     signal, by_sat = signal_and_interference(instance, serving,
-                                             *beam_powers(instance, beams))
+                                             *beam_powers(instance, served, beams))
     interference = by_sat.sum(axis=1)
     sinr = signal / (interference + 1.0)
     out = []
@@ -97,7 +99,7 @@ def user_metrics(instance: EpochInstance, serving: np.ndarray,
 
 
 def total_se(instance: EpochInstance, serving: np.ndarray,
-             beams: Mapping[int, SatelliteBeams]) -> float:
+             beams: Mapping[int, np.ndarray]) -> float:
     return sum(u.se for u in user_metrics(instance, serving, beams))
 
 

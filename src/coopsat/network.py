@@ -14,9 +14,13 @@ satellite the user antenna tracks, so it is applied as a scalar at
 evaluation time.  Noise power is already normalized to one inside the
 channel amplitudes.
 
-Each satellite transmits in one of two configurations, both expressed
-as a ``mixer`` on its analog beams: analog beams sharing the satellite
-power equally (AU's final beams), and hybrid beams with a power-scaled
+Each satellite transmits its analog beams A through a ``mixer``: the
+n x n matrix that maps its n per-user analog beams, ordered by
+increasing user row, to the transmitted beam columns A @ mixer.  A
+schedule's beams are ``{satellite row: mixer}``, one entry per serving
+satellite; ``EpochInstance.served_map`` gives each one's user rows.
+Two configurations exist: analog beams sharing the satellite power
+equally (AU's final beams), and hybrid beams with a power-scaled
 regularized-ZF precoder (the final SHU and JHU beams, and the beams the
 JHU scheduler scores with).  ``hybrid_from_beamspace`` is the one place
 hybrid beams are designed and scaled.
@@ -37,20 +41,6 @@ import numpy as np
 
 from .beamforming import regularized_zf
 from .channel import RfConfig, vsat_gain_linear
-
-
-@dataclass(frozen=True, eq=False)
-class SatelliteBeams:
-    """Transmit configuration of one satellite.
-
-    ``mixer`` maps the satellite's per-user analog beams (columns for
-    ``gus``, in order) to the transmitted beam columns; identity means
-    plain analog transmission, a scaled digital precoder means hybrid.
-    """
-
-    sat_id: int
-    gus: tuple[int, ...]
-    mixer: np.ndarray  # (n, n)
 
 
 @dataclass(eq=False)
@@ -86,16 +76,6 @@ class EpochInstance:
     @property
     def tx_power_w(self) -> float:
         return self.rf.tx_power_w
-
-    @cached_property
-    def sat_index(self) -> dict[int, int]:
-        """Row of each satellite in the dense per-epoch arrays."""
-        return {s: i for i, s in enumerate(self.sat_ids)}
-
-    @cached_property
-    def gu_index(self) -> dict[int, int]:
-        """Row of each user in the dense per-epoch arrays."""
-        return {g: j for j, g in enumerate(self.gu_ids)}
 
     def _visible_products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """S x U x U array holding, for each satellite, ``l^H r`` of the
@@ -148,11 +128,11 @@ class EpochInstance:
                     out[u, a, b] = vsat_gain_linear(angle, self.rf)
         return out
 
-    def served_map(self, serving: np.ndarray) -> dict[int, tuple[int, ...]]:
-        """Users served by each satellite that serves someone, by id, for
-        a serving vector; rejects a vector of the wrong shape or type, a
-        row outside ``sat_ids`` and a link to a satellite the user does
-        not see."""
+    def served_map(self, serving: np.ndarray) -> dict[int, list[int]]:
+        """Rows of the users served by each satellite row that serves
+        someone, in increasing order, for a serving vector; rejects a
+        vector of the wrong shape or type, a row outside ``sat_ids`` and a
+        link to a satellite the user does not see."""
         serving = np.asarray(serving)
         if serving.shape != (len(self.gu_ids),) or serving.dtype.kind not in "iu":
             raise ValueError(f"serving vector must be {len(self.gu_ids)} integers, "
@@ -169,24 +149,19 @@ class EpochInstance:
             if not self.visible_mask[u, i]:
                 raise ValueError(f"user {self.gu_ids[u]} does not see its serving "
                                  f"satellite {self.sat_ids[i]}")
-            users.setdefault(i, []).append(self.gu_ids[u])
-        return {self.sat_ids[i]: tuple(users[i]) for i in sorted(users)}
-
-    def beam_matrix(self, beams: SatelliteBeams) -> np.ndarray:
-        """Actual transmit columns (N x n) of one satellite."""
-        rows = [self.gu_index[g] for g in beams.gus]
-        return self.analog[self.sat_index[beams.sat_id], rows].T @ beams.mixer
+            users.setdefault(i, []).append(u)
+        return {i: users[i] for i in sorted(users)}
 
 
 def equal_power_beams(instance: EpochInstance,
-                      served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
+                      served: dict[int, list[int]]) -> dict[int, np.ndarray]:
     """Analog beams sharing the satellite power equally; ``served`` maps
-    each satellite to its users, as ``EpochInstance.served_map`` does."""
+    satellite rows to their user rows, as ``EpochInstance.served_map``
+    does."""
     out = {}
-    for s, gus in served.items():
-        n = len(gus)
-        out[s] = SatelliteBeams(s, gus,
-                                np.eye(n) * math.sqrt(instance.tx_power_w / n))
+    for i, members in served.items():
+        n = len(members)
+        out[i] = np.eye(n) * math.sqrt(instance.tx_power_w / n)
     return out
 
 
@@ -212,32 +187,29 @@ def hybrid_from_beamspace(instance: EpochInstance, sat: int, idx: np.ndarray,
     return np.sqrt(instance.tx_power_w / total)[:, None, None] * f
 
 
-def hybrid_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
-                 beta: float | None = None) -> dict[int, SatelliteBeams]:
+def hybrid_beams(instance: EpochInstance, served: dict[int, list[int]],
+                 beta: float | None = None) -> dict[int, np.ndarray]:
     """Hybrid (analog + regularized-ZF) beams at full satellite power."""
-    out = {}
-    for s, gus in served.items():
-        idx = np.array([[instance.gu_index[g] for g in gus]])
-        mixer = hybrid_from_beamspace(instance, instance.sat_index[s], idx, beta)
-        out[s] = SatelliteBeams(s, gus, mixer[0])
-    return out
+    return {i: hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
+            for i, members in served.items()}
 
 
-def beam_powers(instance: EpochInstance, beams: Mapping[int, SatelliteBeams]
+def beam_powers(instance: EpochInstance, served: Mapping[int, list[int]],
+                beams: Mapping[int, np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Received powers of the given beams, before the user antenna gain:
-    of each satellite's beams at each user (S x U), and of each served
-    user's own beam and of its satellite's other beams (U each, zero
-    elsewhere).  The other beams are summed directly: after ZF nulling, a
-    difference of the two totals would be rounding noise."""
+    """Received powers of the given beams (``{satellite row: mixer}``,
+    serving the user rows ``served`` maps each satellite to), before the
+    user antenna gain: of each satellite's beams at each user (S x U),
+    and of each served user's own beam and of its satellite's other
+    beams (U each, zero elsewhere).  The other beams are summed directly:
+    after ZF nulling, a difference of the two totals would be rounding
+    noise."""
     n_u = len(instance.gu_ids)
     power = np.zeros((len(instance.sat_ids), n_u))
     own = np.zeros(n_u)
     intra = np.zeros(n_u)
-    for s, b in beams.items():
-        members = [instance.gu_index[g] for g in b.gus]
-        set_satellite_powers(instance, instance.sat_index[s], members, b.mixer,
-                             (power, own, intra))
+    for i, members in served.items():
+        set_satellite_powers(instance, i, members, beams[i], (power, own, intra))
     return power, own, intra
 
 

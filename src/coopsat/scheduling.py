@@ -2,11 +2,14 @@
 
 A schedule is a serving vector over the instance's users: the row in
 ``sat_ids`` of each user's serving satellite, or -1 when the user is
-unserved.  Users with a single visible satellite are linked up front.
-The greedy loop then scores every remaining candidate link by the total
-spectral efficiency increment it would produce and commits the best
-one; a satellite already at its beam capacity that wins the argmax is
-instead retired from the candidate pool.  Three evaluation modes:
+unserved.  Its beams are ``{satellite row: mixer}`` over the serving
+satellites, as ``network`` defines them; ids appear only in
+``TraceRecord`` and ``ScheduleResult.unserved``.  Users with a single
+visible satellite are linked up front.  The greedy loop then scores
+every remaining candidate link by the total spectral efficiency
+increment it would produce and commits the best one; a satellite
+already at its beam capacity that wins the argmax is instead retired
+from the candidate pool.  Three evaluation modes:
 
 * ``AU``  - scores with fixed unit-power analog beams; final transmit
   matrices are the power-scaled analog beams.
@@ -70,9 +73,9 @@ from enum import Enum
 import numpy as np
 
 from . import metrics
-from .network import (EpochInstance, SatelliteBeams, beam_powers,
-                      equal_power_beams, hybrid_beams, hybrid_from_beamspace,
-                      set_satellite_powers, signal_and_interference)
+from .network import (EpochInstance, beam_powers, equal_power_beams,
+                      hybrid_beams, hybrid_from_beamspace, set_satellite_powers,
+                      signal_and_interference)
 
 
 class SchemeMode(str, Enum):
@@ -107,15 +110,15 @@ class TraceRecord:
 @dataclass(eq=False)
 class ScheduleResult:
     links: np.ndarray  # serving vector: satellite row per user, -1 unserved
-    beams: dict[int, SatelliteBeams]
+    beams: dict[int, np.ndarray]  # mixer per serving satellite row
     total_se: float
     unserved: tuple[int, ...]
     trace: list[TraceRecord] = field(default_factory=list)
 
 
 def final_beams(instance: EpochInstance, serving: np.ndarray, mode: SchemeMode,
-                beta: float | None = None) -> dict[int, SatelliteBeams]:
-    """Transmit matrices each scheme actually radiates with."""
+                beta: float | None = None) -> dict[int, np.ndarray]:
+    """Mixers each scheme actually radiates with, by satellite row."""
     served = instance.served_map(serving)
     if mode is SchemeMode.AU:
         return equal_power_beams(instance, served)
@@ -142,11 +145,6 @@ def preassign_single_visibility(instance: EpochInstance,
 
 def _unserved(instance: EpochInstance, serving: np.ndarray) -> tuple[int, ...]:
     return tuple(instance.gu_ids[u] for u in np.flatnonzero(serving < 0))
-
-
-def _unit_beams(served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
-    """Unit-power analog beams, the beams AU and SHU schedule with."""
-    return {s: SatelliteBeams(s, gus, np.eye(len(gus))) for s, gus in served.items()}
 
 
 def _analog_gains(instance: EpochInstance, serving: np.ndarray,
@@ -188,12 +186,10 @@ def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
 
     # the current hybrid beams, designed here rather than by hybrid_beams,
     # which stands for the final-beam step in traced runs
-    current = {}
-    for s, gus in instance.served_map(serving).items():
-        idx = np.array([[instance.gu_index[g] for g in gus]])
-        current[s] = SatelliteBeams(
-            s, gus, hybrid_from_beamspace(instance, instance.sat_index[s], idx, beta)[0])
-    power, own, intra = beam_powers(instance, current)
+    members_of = instance.served_map(serving)
+    current = {i: hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
+               for i, members in members_of.items()}
+    power, own, intra = beam_powers(instance, members_of, current)
     signal, by_sat = signal_and_interference(instance, serving, power, own, intra)
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
@@ -243,8 +239,12 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     pending = serving < 0
     pending[dropped] = False
     analog = mode is not SchemeMode.JHU
-    if analog:  # kept across iterations: a commit changes one satellite
-        powers = beam_powers(instance, _unit_beams(instance.served_map(serving)))
+    if analog:
+        # powers of the unit-power analog beams AU and SHU score with, kept
+        # across iterations: a commit changes one satellite
+        served = instance.served_map(serving)
+        powers = beam_powers(instance, served,
+                             {i: np.eye(len(m)) for i, m in served.items()})
     records: list[TraceRecord] = []
 
     iteration = 0

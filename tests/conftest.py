@@ -60,7 +60,7 @@ def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
 
 def visible_sats(instance, g):
     """Satellites user ``g`` sees, by id, in increasing order."""
-    row = instance.visible_mask[instance.gu_index[g]]
+    row = instance.visible_mask[instance.gu_ids.index(g)]
     return tuple(instance.sat_ids[i] for i in np.flatnonzero(row))
 
 
@@ -68,7 +68,7 @@ def serving_vector(instance, sats):
     """Serving vector (satellite row per user, -1 unserved) of a
     {user: satellite or None} map; users missing from the map are
     unserved."""
-    return np.array([-1 if sats.get(g) is None else instance.sat_index[sats[g]]
+    return np.array([-1 if sats.get(g) is None else instance.sat_ids.index(sats[g])
                      for g in instance.gu_ids], dtype=int)
 
 
@@ -76,6 +76,13 @@ def serving_sats(instance, serving):
     """{user: satellite or None} map of a serving vector."""
     return {g: None if i < 0 else instance.sat_ids[i]
             for g, i in zip(instance.gu_ids, serving)}
+
+
+def beam_matrix(instance, serving, i, mixer):
+    """Actual transmit columns (N x n) of satellite row ``i``: its analog
+    beams toward its users under ``serving``, in increasing user row,
+    times its mixer."""
+    return instance.analog[i, np.flatnonzero(serving == i)].T @ mixer
 
 
 def mirror_first_satellite(inst: EpochInstance) -> EpochInstance:

@@ -13,22 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conftest import visible_sats
 from coopsat import metrics
-from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams
+from coopsat.network import EpochInstance, hybrid_beams
 from coopsat.scheduling import (SchemeMode, TraceRecord,
                                 preassign_single_visibility)
 
 
 def unit_power_beams(instance: EpochInstance,
-                     served: dict[int, tuple[int, ...]]) -> dict[int, SatelliteBeams]:
+                     served: dict[int, list[int]]) -> dict[int, np.ndarray]:
     """Plain analog beams with unit per-beam power (scheduling-time view)."""
-    return {s: SatelliteBeams(s, gus, np.eye(len(gus)))
-            for s, gus in served.items() if gus}
+    return {i: np.eye(len(members)) for i, members in served.items()}
 
 
-def scoring_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
-                  mode: SchemeMode, beta: float | None) -> dict[int, SatelliteBeams]:
+def scoring_beams(instance: EpochInstance, served: dict[int, list[int]],
+                  mode: SchemeMode, beta: float | None) -> dict[int, np.ndarray]:
     """Beams the greedy loop scores with: hybrid for JHU, unit-power
     analog otherwise."""
     if mode is SchemeMode.JHU:
@@ -40,7 +38,7 @@ def scoring_beams(instance: EpochInstance, served: dict[int, tuple[int, ...]],
 class ReferenceStep:
     """One greedy iteration: every candidate's gain and the decision."""
 
-    candidates: list[tuple[int, int]]
+    candidates: list[tuple[int, int]]  # (satellite id, user id), as in TraceRecord
     gains: list[float]
     record: TraceRecord
 
@@ -58,26 +56,26 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
                      picks: list[tuple[int, int]] | None = None):
     """Run the reference loop.  Returns ``(steps, serving, unserved)``.
 
-    With ``picks`` the loop follows the given (satellite, user) decision
-    at each step instead of its own argmax, so its per-step gains can be
-    compared against another scheduler's decisions even after a near-tie
-    sent the two down different paths.
+    With ``picks`` the loop follows the given (satellite id, user id)
+    decision at each step instead of its own argmax, so its per-step gains
+    can be compared against another scheduler's decisions even after a
+    near-tie sent the two down different paths.
     """
     mode = SchemeMode.parse(mode)
     serving = np.full(len(instance.gu_ids), -1)
-    dropped = {instance.gu_ids[u]
-               for u in preassign_single_visibility(instance, serving)}
-    spare = set(instance.sat_ids)
-    unserved = {g for g, s in zip(instance.gu_ids, serving) if s < 0} - dropped
+    dropped = set(preassign_single_visibility(instance, serving))
+    spare = set(range(len(instance.sat_ids)))
+    unserved = set(np.flatnonzero(serving < 0).tolist()) - dropped
     steps: list[ReferenceStep] = []
 
     iteration = 0
     while unserved:
+        # (satellite row, user row) pairs; sorting rows sorts ids
         candidates = sorted(
-            (s, g)
-            for g in unserved
-            for s in visible_sats(instance, g)
-            if s in spare
+            (i, u)
+            for u in unserved
+            for i in np.flatnonzero(instance.visible_mask[u]).tolist()
+            if i in spare
         )
         if not candidates:
             break
@@ -88,31 +86,32 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
         gains = []
         best_pair = None
         best_gain = -math.inf
-        for s, g in candidates:
-            gus = tuple(sorted(served.get(s, ()) + (g,)))
-            cand = {**base_beams, **scoring_beams(instance, {s: gus}, mode, beta)}
+        for i, u in candidates:
+            members = sorted(served.get(i, []) + [u])
+            cand = {**base_beams, **scoring_beams(instance, {i: members}, mode, beta)}
             trial = serving.copy()
-            trial[instance.gu_index[g]] = instance.sat_index[s]
+            trial[u] = i
             gain = metrics.total_se(instance, trial, cand) - base_se
             gains.append(gain)
             if gain > best_gain:
                 best_gain = gain
-                best_pair = (s, g)
+                best_pair = (i, u)
 
         if picks is not None:
-            best_pair = picks[iteration]
+            s, g = picks[iteration]
+            best_pair = (instance.sat_ids.index(s), instance.gu_ids.index(g))
             best_gain = gains[candidates.index(best_pair)]
-        s_hat, g_hat = best_pair
-        committed = len(served.get(s_hat, ())) < instance.n_beams
+        i_hat, u_hat = best_pair
+        committed = len(served.get(i_hat, ())) < instance.n_beams
         if committed:
-            serving[instance.gu_index[g_hat]] = instance.sat_index[s_hat]
-            unserved.discard(g_hat)
+            serving[u_hat] = i_hat
+            unserved.discard(u_hat)
         else:
-            spare.discard(s_hat)
+            spare.discard(i_hat)
         steps.append(ReferenceStep(
-            candidates, gains,
-            TraceRecord(iteration, len(candidates), s_hat, g_hat, best_gain,
-                        committed)))
+            [(instance.sat_ids[i], instance.gu_ids[u]) for i, u in candidates], gains,
+            TraceRecord(iteration, len(candidates), instance.sat_ids[i_hat],
+                        instance.gu_ids[u_hat], best_gain, committed)))
         iteration += 1
 
-    return steps, serving, tuple(sorted(dropped | unserved))
+    return steps, serving, tuple(instance.gu_ids[u] for u in sorted(dropped | unserved))

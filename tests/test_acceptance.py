@@ -21,7 +21,7 @@ from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM,
 from coopsat.harness import build_epoch_instance, emit, run
 from coopsat.scheduling import SchemeMode, exhaustive_schedule, final_beams, greedy_schedule
 
-from conftest import make_instance, serving_vector
+from conftest import beam_matrix, make_instance, serving_vector
 
 DESK_SEEDS = (1, 2, 3, 4, 5)
 
@@ -134,8 +134,8 @@ def test_criterion_4_power_constraint(desk_reports, desk_instances):
             inst = desk_instances[(seed, r.epoch_index)]
             serving = serving_vector(inst, {u.gu_id: u.serving_sat for u in r.users})
             beams = final_beams(inst, serving, SchemeMode(r.scheme), report.config.beta)
-            for s, b in beams.items():
-                w = inst.beam_matrix(b)
+            for i, mixer in beams.items():
+                w = beam_matrix(inst, serving, i, mixer)
                 total = float(np.sum(np.abs(w) ** 2))
                 worst = max(worst, abs(total - inst.tx_power_w) / inst.tx_power_w)
                 n_audited += 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import beam_matrix
 from coopsat.beamforming import analog_beamform, build_codebook, regularized_zf
 from coopsat.channel import ArrayConfig
 from coopsat.network import equal_power_beams, hybrid_beams
@@ -186,8 +187,8 @@ class TestHybridAndPowerScaling:
     def test_single_user_hybrid_is_scaled_analog(self, instance_factory):
         inst = instance_factory(np.random.default_rng(9), n_sats=1, n_gus=1,
                                 visible={100: (0,)})
-        (beams,) = hybrid_beams(inst, {0: (100,)}).values()
-        hybrid = inst.beam_matrix(beams)
+        (mixer,) = hybrid_beams(inst, {0: [0]}).values()
+        hybrid = beam_matrix(inst, np.zeros(1, dtype=int), 0, mixer)
         w = inst.analog[0, 0][:, None]
         assert np.linalg.norm(hybrid) ** 2 == pytest.approx(80.0, rel=1e-12)
         # collinear with the unit-norm analog beam
@@ -196,12 +197,12 @@ class TestHybridAndPowerScaling:
 
     @pytest.mark.parametrize("n_users", [1, 2, 4])
     def test_total_power_exact(self, n_users, instance_factory):
-        gus = tuple(range(100, 100 + n_users))
         inst = instance_factory(np.random.default_rng(10 + n_users), n_sats=1,
                                 n_gus=n_users, n_beams=n_users,
-                                visible={g: (0,) for g in gus})
-        (beams,) = hybrid_beams(inst, {0: gus}).values()
-        total = float(np.sum(np.abs(inst.beam_matrix(beams)) ** 2))
+                                visible={g: (0,) for g in range(100, 100 + n_users)})
+        (mixer,) = hybrid_beams(inst, {0: list(range(n_users))}).values()
+        w = beam_matrix(inst, np.zeros(n_users, dtype=int), 0, mixer)
+        total = float(np.sum(np.abs(w) ** 2))
         assert total == pytest.approx(80.0, rel=1e-9)
 
     def test_zero_product_rejected(self, instance_factory):
@@ -209,16 +210,15 @@ class TestHybridAndPowerScaling:
         inst = instance_factory(np.random.default_rng(14), n_sats=1, n_gus=1,
                                 visible={100: (0,)}, channel_scale=0.0)
         with pytest.raises(ValueError, match="identically zero"):
-            hybrid_beams(inst, {0: (100,)})
+            hybrid_beams(inst, {0: [0]})
 
     def test_equal_power_beams_arithmetic(self, instance_factory):
         # P / n per beam: 80 W over 1, 4 and 32 beams of one satellite
         for n_beams, per_beam in ((1, 80.0), (4, 20.0), (32, 2.5)):
-            gus = tuple(range(100, 100 + n_beams))
             inst = instance_factory(np.random.default_rng(n_beams), n_sats=1,
                                     n_gus=n_beams, n_beams=n_beams,
-                                    visible={g: (0,) for g in gus})
-            (beams,) = equal_power_beams(inst, {0: gus}).values()
-            w = inst.beam_matrix(beams)
+                                    visible={g: (0,) for g in range(100, 100 + n_beams)})
+            (mixer,) = equal_power_beams(inst, {0: list(range(n_beams))}).values()
+            w = beam_matrix(inst, np.zeros(n_beams, dtype=int), 0, mixer)
             assert np.sum(np.abs(w) ** 2, axis=0) == pytest.approx(
                 [per_beam] * n_beams, rel=1e-12)

@@ -107,24 +107,9 @@ def test_visibility_zenith_and_antipode():
     overhead = GroundUser(0, 0.0, 0.0)
     antipode = GroundUser(1, 0.0, -180.0)
     vis = visibility(states, [overhead, antipode], min_elevation_deg=10.0, t=0.0)
+    assert vis.visible.tolist() == [[True, False]]
     assert vis.per_gu[0] == frozenset({0})
     assert vis.per_gu[1] == frozenset()
-    assert vis.active_satellites == (0,)
-
-
-def test_visibility_symmetry():
-    cfg = ConstellationConfig(planes=3, sats_per_plane=4, inclination_deg=50.0)
-    states = propagate(cfg, 1800.0)
-    gus = [GroundUser(i, lat, lon) for i, (lat, lon) in
-           enumerate([(10.0, 100.0), (35.0, 115.0), (-20.0, -60.0), (48.0, 2.0)])]
-    vis = visibility(states, gus, min_elevation_deg=10.0, t=1800.0)
-    for g, sats in vis.per_gu.items():
-        for s in sats:
-            assert g in vis.per_sat[s]
-    for s, users in vis.per_sat.items():
-        assert users  # inactive satellites are excluded entirely
-        for g in users:
-            assert s in vis.per_gu[g]
 
 
 @pytest.mark.parametrize("profile", ["desk", "full"])

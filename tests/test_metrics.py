@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instances, serving_vector, visible_sats
+from conftest import beam_matrix, instances, serving_vector, visible_sats
 from coopsat import metrics
 from coopsat.channel import RfConfig
 from coopsat.geometry import GroundUser
-from coopsat.network import EpochInstance, SatelliteBeams, hybrid_beams
+from coopsat.network import EpochInstance, hybrid_beams
 from reference_greedy import unit_power_beams
 
 
-def scalar_sinr_oracle(instance, serving, beam_cols):
+def scalar_sinr_oracle(instance, links, beams):
     """Independent SINR and interference evaluation: plain python loops
-    over beam columns, reading the channels H and directions D link by
-    link, antenna gain recomputed from the pattern definition.  Returns
-    {user: (sinr, interference power)}."""
+    over transmit columns, reading the channels H and directions D link
+    by link, antenna gain recomputed from the pattern definition.  Takes
+    a serving vector and its mixers; returns {user: (sinr, interference
+    power)}."""
     rf = instance.rf
     theta3 = 0.5 * math.sqrt(30000.0 / 10.0 ** (rf.vsat_max_gain_dbi / 10.0))
 
@@ -28,27 +29,26 @@ def scalar_sinr_oracle(instance, serving, beam_cols):
 
     out = {}
     for u, g in enumerate(instance.gu_ids):
-        a = serving.get(g)
-        if a is None:
+        a = int(links[u])
+        if a < 0:
             out[g] = (0.0, 0.0)
             continue
         signal = 0.0
         interference = 0.0
-        for s in visible_sats(instance, g):
-            if s not in beam_cols:
+        for s in np.flatnonzero(instance.visible_mask[u]):
+            if s not in beams:
                 continue
-            gus, w = beam_cols[s]
+            w = beam_matrix(instance, links, s, beams[s])
             if s == a:
                 angle = 0.0
             else:
-                d1 = instance.directions[u, instance.sat_index[a]]
-                d2 = instance.directions[u, instance.sat_index[s]]
+                d1, d2 = instance.directions[u, a], instance.directions[u, s]
                 angle = math.degrees(math.acos(max(-1.0, min(1.0, float(np.dot(d1, d2))))))
             gain = gain_lin(angle)
-            h = instance.channels[instance.sat_index[s], u]
-            for j, g_other in enumerate(gus):
+            h = instance.channels[s, u]
+            for j, v in enumerate(np.flatnonzero(links == s)):
                 p = gain * abs(np.vdot(h, w[:, j])) ** 2
-                if s == a and g_other == g:
+                if s == a and v == u:
                     signal = p
                 else:
                     interference += p
@@ -71,10 +71,9 @@ def served_instances(draw):
     return inst, serving
 
 
-def assert_matches_oracle(inst, serving, beams):
-    cols = {s: (b.gus, inst.beam_matrix(b)) for s, b in beams.items()}
-    expected = scalar_sinr_oracle(inst, serving, cols)
-    for u in metrics.user_metrics(inst, serving_vector(inst, serving), beams):
+def assert_matches_oracle(inst, links, beams):
+    expected = scalar_sinr_oracle(inst, links, beams)
+    for u in metrics.user_metrics(inst, links, beams):
         sinr, interference = expected[u.gu_id]
         assert u.sinr == pytest.approx(sinr, rel=1e-10)
         assert u.se == pytest.approx(math.log2(1.0 + sinr), rel=1e-10)
@@ -91,8 +90,8 @@ class TestSinrEvaluator:
         # interference, ~1e-13 of the beam powers: it must be the sum of the
         # other beams, not a difference of nearly equal totals
         inst, serving = case
-        beams = beams_of(inst, inst.served_map(serving_vector(inst, serving)))
-        assert_matches_oracle(inst, serving, beams)
+        links = serving_vector(inst, serving)
+        assert_matches_oracle(inst, links, beams_of(inst, inst.served_map(links)))
 
     def test_hand_built_two_satellite_closed_form(self):
         # fully hand-built 2x2 instance with unit analog beams; expected
@@ -150,15 +149,13 @@ class TestSinrEvaluator:
         rng = np.random.default_rng(24)
         inst = instance_factory(rng, n_sats=1, n_gus=2, n_beams=2,
                                 visible={100: (0,), 101: (0,)})
-        serving = {100: 0, 101: 0}
-        links = serving_vector(inst, serving)
+        links = serving_vector(inst, {100: 0, 101: 0})
         beams = hybrid_beams(inst, inst.served_map(links), beta=0.0)
         users = metrics.user_metrics(inst, links, beams)
         for u in users:
             assert u.interference_power <= 1e-6 * u.sinr
         # against oracle with interference dropped
-        cols = {0: (beams[0].gus, inst.beam_matrix(beams[0]))}
-        expected = scalar_sinr_oracle(inst, serving, cols)
+        expected = scalar_sinr_oracle(inst, links, beams)
         for u in users:
             assert u.sinr == pytest.approx(expected[u.gu_id][0], rel=1e-6)
 
@@ -193,9 +190,7 @@ class TestSinrEvaluator:
         victim = next(iter(serving))
         reduced = {g: s for g, s in serving.items() if g != victim}
         links2 = serving_vector(inst, reduced)
-        beams2 = {}
-        for s, b in unit_power_beams(inst, inst.served_map(links2)).items():
-            beams2[s] = b
+        beams2 = unit_power_beams(inst, inst.served_map(links2))
         for u in metrics.user_metrics(inst, links2, beams2):
             if u.gu_id != victim and u.serving_sat is not None:
                 assert u.sinr >= base[u.gu_id] * (1.0 - 1e-12)
@@ -212,8 +207,7 @@ class TestSinrEvaluator:
         inst = instance_factory(np.random.default_rng(29), n_sats=2, n_gus=2,
                                 visible={100: (0,), 101: (1,)})
         links = serving_vector(inst, {100: 0, 101: 1})
-        beams = {0: SatelliteBeams(0, (100,), np.eye(1)),
-                 1: SatelliteBeams(1, (101,), np.full((1, 1), np.nan))}
+        beams = {0: np.eye(1), 1: np.full((1, 1), np.nan)}
         with pytest.raises(metrics.NonFiniteSinrError,
                            match="user 101 served by satellite 1"):
             metrics.user_metrics(inst, links, beams)
@@ -223,16 +217,15 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=2, n_gus=2, n_beams=2)
         links = np.full(len(inst.gu_ids), -1)
         g = inst.gu_ids[0]
-        s = visible_sats(inst, g)[0]
-        bogus = {s: SatelliteBeams(s, (g,), np.eye(1))}
+        i = inst.sat_ids.index(visible_sats(inst, g)[0])
+        beams = {i: np.eye(1)}
         # beams for a satellite that serves nobody
         with pytest.raises(ValueError):
-            metrics.user_metrics(inst, links, bogus)
+            metrics.user_metrics(inst, links, beams)
         # a serving satellite without beams
-        links = serving_vector(inst, {g: s})
+        links = serving_vector(inst, {g: inst.sat_ids[i]})
         with pytest.raises(ValueError):
             metrics.total_se(inst, links, {})
-        beams = {s: SatelliteBeams(s, (g,), np.eye(1))}
         # serving vectors of the wrong length or type, or with a row
         # outside sat_ids
         for bad in (links[:1], links.astype(float), np.where(links >= 0, 2, -1),
@@ -243,8 +236,18 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=2, n_gus=2, n_beams=2,
                                 visible={100: (0,), 101: (0, 1)})
         with pytest.raises(ValueError, match="does not see"):
-            metrics.user_metrics(inst, np.array([1, -1]),
-                                 {1: SatelliteBeams(1, (100,), np.eye(1))})
+            metrics.user_metrics(inst, np.array([1, -1]), {1: np.eye(1)})
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2)], ids=["2x2", "1x2"])
+    def test_mixer_shape_must_match_member_count(self, instance_factory, shape):
+        # a one-user satellite takes a 1 x 1 mixer; a 1 x 2 one would
+        # otherwise be evaluated as if it had a second beam
+        inst = instance_factory(np.random.default_rng(30), n_sats=2, n_gus=2,
+                                visible={100: (0,), 101: (1,)})
+        links = serving_vector(inst, {100: 0, 101: 1})
+        metrics.user_metrics(inst, links, {0: np.eye(1), 1: np.eye(1)})
+        with pytest.raises(ValueError, match="mixer shapes"):
+            metrics.user_metrics(inst, links, {0: np.eye(1), 1: np.ones(shape)})
 
 
 class TestDensityClasses:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import serving_sats, visible_sats
+from conftest import beam_matrix, serving_sats, visible_sats
 from coopsat import metrics
 from coopsat.scheduling import (ExhaustiveSearchError, SchemeMode,
                                 exhaustive_schedule, final_beams,
@@ -73,7 +73,7 @@ class TestPreassignment:
         inst = instance_factory(np.random.default_rng(4), n_sats=1, n_gus=3,
                                 n_beams=1, visible=vis)
         result = greedy_schedule(inst, SchemeMode.AU)
-        assert inst.served_map(result.links) == {0: (100,)}  # lowest id claims the beam
+        assert inst.served_map(result.links) == {0: [0]}  # lowest id claims the beam
         assert result.unserved == (101, 102)
         audit_constraints(inst, result.links)
 
@@ -159,8 +159,8 @@ class TestGreedy:
                                 n_beams=2)
         for mode in SchemeMode:
             result = greedy_schedule(inst, mode)
-            for s, b in result.beams.items():
-                w = inst.beam_matrix(b)
+            for i, mixer in result.beams.items():
+                w = beam_matrix(inst, result.links, i, mixer)
                 assert float(np.sum(np.abs(w) ** 2)) == pytest.approx(
                     inst.tx_power_w, rel=1e-9)
 
@@ -186,7 +186,7 @@ class TestExhaustive:
         result = exhaustive_schedule(inst, SchemeMode.AU)
         per_sat = {}
         for s in range(3):
-            links = np.array([inst.sat_index[s]])
+            links = np.array([inst.sat_ids.index(s)])
             per_sat[s] = metrics.total_se(inst, links,
                                           final_beams(inst, links, SchemeMode.AU))
         assert serving_sats(inst, result.links)[100] == max(per_sat, key=per_sat.get)
@@ -234,8 +234,9 @@ class TestSchemeMode:
         assert np.array_equal(au.links, shu.links)
         # SHU applies digital beamforming afterwards: beams differ whenever
         # some satellite serves more than one user
-        multi = [s for s, gus in inst.served_map(au.links).items() if len(gus) > 1]
+        multi = [i for i, members in inst.served_map(au.links).items()
+                 if len(members) > 1]
         if multi:
-            s = multi[0]
-            assert not np.allclose(inst.beam_matrix(au.beams[s]),
-                                   inst.beam_matrix(shu.beams[s]))
+            i = multi[0]
+            assert not np.allclose(beam_matrix(inst, au.links, i, au.beams[i]),
+                                   beam_matrix(inst, shu.links, i, shu.beams[i]))

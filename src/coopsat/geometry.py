@@ -124,12 +124,14 @@ class VisibilitySets:
     """Mutual visibility of the satellites ``sat_ids`` and users
     ``gu_ids``, in the order ``visibility`` was given them:
     ``visible[s, u]`` holds when satellite row s is at or above the
-    elevation threshold at user row u.  ``per_gu`` gives the satellites
+    elevation threshold at user row u, whose elevation above that user's
+    horizon is ``elevation_deg[s, u]``.  ``per_gu`` gives the satellites
     each user sees, by id."""
 
     sat_ids: tuple[int, ...]
     gu_ids: tuple[int, ...]
-    visible: np.ndarray  # (S, U) bool
+    visible: np.ndarray        # (S, U) bool
+    elevation_deg: np.ndarray  # (S, U) float
 
     @property
     def per_gu(self) -> dict[int, frozenset[int]]:
@@ -226,19 +228,18 @@ def elevation_deg(sat_position_km: np.ndarray, gu_position_km: np.ndarray):
     return np.degrees([math.asin(x) for x in sin_el.ravel().tolist()]).reshape(sin_el.shape)
 
 
-def link_geometry(sat: SatelliteState, gu: GroundUser,
-                  t: float = 0.0) -> LinkGeometry:
-    """Full geometry of the ``sat``-``gu`` link."""
+def link_geometry(sat: SatelliteState, gu: GroundUser, t: float = 0.0, *,
+                  elevation_deg: float) -> LinkGeometry:
+    """Full geometry of the ``sat``-``gu`` link, whose elevation above
+    the user's horizon (``visibility`` has it for every pair) is given."""
     gu_pos = ground_user_position(gu, t)
     slant = float(np.linalg.norm(sat.position_km - gu_pos))
-
-    elev = elevation_deg(sat.position_km, gu_pos)
 
     # user direction expressed in the satellite body frame
     d_body = sat.to_body(_unit(gu_pos - sat.position_km))
     theta = math.degrees(math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
     phi = math.degrees(math.atan2(d_body[1], d_body[0]))
-    return LinkGeometry(elevation_deg=elev, slant_range_km=slant,
+    return LinkGeometry(elevation_deg=elevation_deg, slant_range_km=slant,
                         azimuth_sat_deg=phi, elevation_sat_deg=theta)
 
 
@@ -250,8 +251,10 @@ def visibility(states: list[SatelliteState], gus: list[GroundUser],
         raise ValueError("min_elevation_deg must be in [0, 90)")
     sat_pos = np.array([s.position_km for s in states]).reshape(len(states), 1, 3)
     gu_pos = np.array([ground_user_position(gu, t) for gu in gus]).reshape(len(gus), 3)
+    elevation = elevation_deg(sat_pos, gu_pos)
     return VisibilitySets(
         sat_ids=tuple(s.satellite_id for s in states),
         gu_ids=tuple(gu.user_id for gu in gus),
-        visible=elevation_deg(sat_pos, gu_pos) >= min_elevation_deg,
+        visible=elevation >= min_elevation_deg,
+        elevation_deg=elevation,
     )

@@ -54,13 +54,14 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     active = np.flatnonzero(vis.visible.any(axis=1))
     sat_ids = tuple(vis.sat_ids[i] for i in active)
     visible = np.ascontiguousarray(vis.visible[active].T)
+    elevation = vis.elevation_deg[active]
     channels = np.zeros((len(sat_ids), len(gus), config.array.n_elements), dtype=complex)
     analog = np.zeros_like(channels)
     directions = np.zeros((len(gus), len(sat_ids), 3))
 
     for i, u in zip(*np.nonzero(visible.T)):  # by satellite, then user
         sat, gu = states[active[i]], gus[u]
-        geom = link_geometry(sat, gu, t)
+        geom = link_geometry(sat, gu, t, elevation_deg=float(elevation[i, u]))
         rng = link_rng(config.seed, epoch_index, sat_ids[i], gu.user_id)
         pl = path_loss(geom, config.rf, config.attenuation, rng)
         rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,

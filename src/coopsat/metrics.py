@@ -65,6 +65,32 @@ class NonFiniteSinrError(ValueError):
     """A SINR or a scheduling score evaluated to NaN or infinity."""
 
 
+def _sinr(instance: EpochInstance, serving: np.ndarray,
+          powers: tuple[np.ndarray, np.ndarray, np.ndarray]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """SINR and total interference of every user of one serving vector,
+    or of a stack of them, from the ``beam_powers`` of their beams (see
+    ``network.signal_and_interference`` for the shapes); both are 0.0 at
+    an unserved user.  Raises ``NonFiniteSinrError`` naming the first
+    served user, in stack and then row order, whose SINR is NaN or
+    infinite."""
+    signal, by_sat = signal_and_interference(instance, serving, *powers)
+    interference = by_sat.sum(axis=-1)
+    sinr = signal / (interference + 1.0)
+    bad = np.argwhere(~np.isfinite(sinr))  # an unserved user's SINR is 0.0
+    if bad.size:
+        where = tuple(bad[0])
+        raise NonFiniteSinrError(
+            f"SINR of user {instance.gu_ids[where[-1]]} served by satellite "
+            f"{instance.sat_ids[serving[where]]} is {sinr[where]}")
+    return sinr, interference
+
+
+def _spectral_efficiency(sinr: list[float]) -> list[float]:
+    """Per-user SE of one serving vector's SINRs, 0.0 at unserved users."""
+    return [math.log2(1.0 + x) for x in sinr]
+
+
 def user_metrics(instance: EpochInstance, serving: np.ndarray,
                  beams: Mapping[int, np.ndarray]) -> list[UserMetrics]:
     """Evaluate every user under a serving vector (the serving
@@ -80,27 +106,27 @@ def user_metrics(instance: EpochInstance, serving: np.ndarray,
         raise ValueError(f"mixer shapes {shapes} do not match the user rows "
                          f"served by each satellite row, {served}")
 
-    signal, by_sat = signal_and_interference(instance, serving,
-                                             *beam_powers(instance, served, beams))
-    interference = by_sat.sum(axis=1)
-    sinr = signal / (interference + 1.0)
-    out = []
-    for g, a, x, i in zip(instance.gu_ids, serving.tolist(), sinr.tolist(),
-                          interference.tolist()):
-        if a < 0:
-            out.append(UserMetrics(g, 0.0, 0.0, None, 0.0))
-            continue
-        serving_sat = instance.sat_ids[a]
-        if not math.isfinite(x):
-            raise NonFiniteSinrError(
-                f"SINR of user {g} served by satellite {serving_sat} is {x}")
-        out.append(UserMetrics(g, x, math.log2(1.0 + x), serving_sat, i))
-    return out
+    sinr, interference = _sinr(instance, serving, beam_powers(instance, served, beams))
+    sinr = sinr.tolist()
+    return [UserMetrics(g, x, se, instance.sat_ids[a] if a >= 0 else None, i)
+            for g, a, x, se, i in zip(instance.gu_ids, serving.tolist(), sinr,
+                                      _spectral_efficiency(sinr), interference.tolist())]
 
 
 def total_se(instance: EpochInstance, serving: np.ndarray,
              beams: Mapping[int, np.ndarray]) -> float:
     return sum(u.se for u in user_metrics(instance, serving, beams))
+
+
+def stacked_total_se(instance: EpochInstance, serving: np.ndarray,
+                     powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[float]:
+    """``total_se`` of each serving vector of a K x U stack, from the
+    ``beam_powers`` of its beams stacked along a leading axis (K x S x U,
+    K x U, K x U), with the same bits: the per-user SEs are summed in row
+    order, as ``total_se`` sums them.  Every served SINR of the stack is
+    checked as ``user_metrics`` checks it."""
+    sinr, _ = _sinr(instance, serving, powers)
+    return [sum(_spectral_efficiency(row)) for row in sinr.tolist()]
 
 
 def great_circle_km(a: GroundUser, b: GroundUser) -> float:

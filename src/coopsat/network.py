@@ -26,8 +26,8 @@ JHU scheduler scores with).  ``hybrid_from_beamspace`` is the one place
 hybrid beams are designed and scaled.
 
 ``beam_powers`` and ``signal_and_interference`` are the one evaluator
-of a served user's signal and interference, for ``metrics`` and the
-greedy scorers alike.
+of a served user's signal and interference, for ``metrics``, the greedy
+scorers and the exhaustive oracle alike.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ class EpochInstance:
                              f"got shape {serving.shape} of {serving.dtype}")
         users: dict[int, list[int]] = {}
         # a Python loop: the exhaustive oracle calls this for every
-        # assignment of a handful of users, where numpy's per-call
-        # overhead dominates
+        # (satellite, member set) of a handful of users it designs, where
+        # numpy's per-call overhead dominates
         for u, i in enumerate(serving.tolist()):
             if not -1 <= i < len(self.sat_ids):
                 raise ValueError(f"serving rows must lie in [-1, {len(self.sat_ids)})")
@@ -233,14 +233,20 @@ def signal_and_interference(instance: EpochInstance, serving: np.ndarray,
     """Signal (U) and interference from each satellite (U x S) at each
     served user, zero at unserved users, from the ``beam_powers`` of the
     serving vector's beams.  Satellites a user does not see are dropped
-    by V, not by their zero gain, which would keep a NaN power."""
-    u = np.flatnonzero(serving >= 0)
-    a = serving[u]
+    by V, not by their zero gain, which would keep a NaN power.
+
+    A stack of assignments evaluates in one call: ``serving``, ``own``
+    and ``intra`` of shape (..., U) and ``power`` of shape (..., S, U)
+    give (..., U) and (..., U, S).  Each entry is the same product as
+    for a single assignment, so a stack rounds as its members one by
+    one."""
+    idx = np.nonzero(serving >= 0)  # leading index and row of each served user
+    u, a = idx[-1], serving[idx]
     g0 = instance.boresight_gain
-    signal = np.zeros(len(serving))
-    signal[u] = g0 * own[u]
-    by_sat = np.zeros((len(serving), len(instance.sat_ids)))
-    by_sat[u] = np.where(instance.visible_mask[u],
-                         instance.gain_table[u, a] * power[:, u].T, 0.0)
-    by_sat[u, a] = g0 * intra[u]
+    signal = np.zeros(serving.shape)
+    signal[idx] = g0 * own[idx]
+    by_sat = np.zeros(serving.shape + (len(instance.sat_ids),))
+    at_user = np.swapaxes(power, -1, -2)[idx]  # every satellite's power at u
+    by_sat[idx] = np.where(instance.visible_mask[u], instance.gain_table[u, a] * at_user, 0.0)
+    by_sat[idx + (a,)] = g0 * intra[idx]
     return signal, by_sat

@@ -60,7 +60,21 @@ Ties go to the smallest (satellite, user) pair: ``np.argmax`` scans the
 gain grid in row-major order over the sorted satellite and user ids.
 
 An exhaustive oracle for desk-scale instances provides the reference
-optimum for testing.
+optimum for testing.  It enumerates every assignment (each user's
+visible satellite rows in increasing order, then unserved) with
+``itertools.product``, after checking the size of that space, in blocks
+of ``_BLOCK``, and drops those over a satellite's beam capacity.  A
+satellite's beams depend only on the users it serves, so each
+(satellite row, member set) pair gets its mixer from ``final_beams`` and
+its ``beam_powers`` entries once per call, and an assignment's powers
+are gathered from that cache.  One ``signal_and_interference`` call
+evaluates a block's stacked powers, and ``metrics.stacked_total_se`` sums
+each assignment's per-user SEs in row order, so every score has the bits
+``metrics.total_se`` gives it alone.  The first strictly greater score in
+enumeration order wins, so exact ties go to the assignment enumerated
+first, and a complete assignment beats an equally good partial one.  The
+winner's beams and total SE are recomputed by ``final_beams`` and
+``metrics.total_se``.
 """
 
 from __future__ import annotations
@@ -286,6 +300,62 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                           unserved=_unserved(instance, serving), trace=records)
 
 
+# Assignments the oracle scores per stacked evaluation: large enough to
+# amortize numpy's per-call cost, small enough that a block's (K, U, S)
+# arrays stay well under a megabyte.
+_BLOCK = 256
+
+
+class _BeamCache:
+    """The oracle's beams by (satellite row, member rows): each pair's
+    mixer comes from ``final_beams`` once, and its ``beam_powers``
+    entries (its row of the S x U powers, its members' own and intra
+    powers) are kept as rows of three tables.  Row 0 of each table is
+    zero: a satellite that serves no one.
+
+    A member set is a bitmask over the users who see some satellite, so
+    a space of 2**m assignments or more has m of them: any space that
+    can be enumerated fits an int64 mask."""
+
+    def __init__(self, instance: EpochInstance, mode: SchemeMode,
+                 beta: float | None) -> None:
+        self.instance, self.mode, self.beta = instance, mode, beta
+        self.users = np.flatnonzero(instance.visible_mask.any(axis=1))
+        self.bits = np.zeros(len(instance.gu_ids), dtype=np.int64)
+        self.bits[self.users] = 1 << np.arange(self.users.size, dtype=np.int64)
+        # per satellite row: member bitmask -> table row
+        self.index: list[dict[int, int]] = [{0: 0} for _ in instance.sat_ids]
+        zero = np.zeros(len(instance.gu_ids))
+        self.tables: tuple[list[np.ndarray], ...] = ([zero], [zero], [zero])
+
+    def powers(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``beam_powers`` of a stack of assignments, given as K x U x S
+        membership (user u served by satellite row s): K x S x U, K x U
+        and K x U.  A user's own and intra powers are nonzero in one
+        satellite's row at most, so summing over the satellites adds only
+        zeros to them."""
+        masks = (member * self.bits[:, None]).sum(axis=1)  # K x S
+        rows = np.empty(masks.shape, dtype=int)
+        for i, (col, index) in enumerate(zip(masks.T.tolist(), self.index)):
+            rows[:, i] = [index[m] if m in index else self._design(i, m) for m in col]
+        power, own, intra = (np.array(table)[rows] for table in self.tables)
+        return power, own.sum(axis=1), intra.sum(axis=1)
+
+    def _design(self, i: int, mask: int) -> int:
+        inst = self.instance
+        members = [u for r, u in enumerate(self.users.tolist()) if mask >> r & 1]
+        serving = np.full(len(inst.gu_ids), -1)
+        serving[members] = i
+        mixer = final_beams(inst, serving, self.mode, self.beta)[i]
+        powers = (np.zeros((len(inst.sat_ids), len(inst.gu_ids))),
+                  np.zeros(len(inst.gu_ids)), np.zeros(len(inst.gu_ids)))
+        set_satellite_powers(inst, i, members, mixer, powers)
+        for table, entry in zip(self.tables, (powers[0][i], powers[1], powers[2])):
+            table.append(entry)
+        self.index[i][mask] = len(self.tables[0]) - 1
+        return self.index[i][mask]
+
+
 def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                         beta: float | None = None,
                         max_space: int = 1_000_000) -> ScheduleResult:
@@ -303,16 +373,24 @@ def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         raise ExhaustiveSearchError(
             f"assignment space {space} exceeds limit {max_space}")
 
-    best: ScheduleResult | None = None
-    for combo in itertools.product(*options):
-        serving = np.array(combo, dtype=int)
-        if np.bincount(serving + 1)[1:].max(initial=0) > instance.n_beams:
+    cache = _BeamCache(instance, mode, beta)
+    n_gus, sats = len(instance.gu_ids), np.arange(len(instance.sat_ids))
+    assignments = itertools.product(*options)
+    best_se, best_links = -math.inf, None
+    while combos := list(itertools.islice(assignments, _BLOCK)):
+        serving = np.array(combos, dtype=int).reshape(len(combos), n_gus)
+        member = serving[:, :, None] == sats  # K x U x S
+        feasible = (member.sum(axis=1) <= instance.n_beams).all(axis=1)
+        if not feasible.any():
             continue
-        beams = final_beams(instance, serving, mode, beta)
-        se = metrics.total_se(instance, serving, beams)
-        if best is None or se > best.total_se:
-            best = ScheduleResult(links=serving, beams=beams, total_se=se,
-                                  unserved=_unserved(instance, serving))
-    if best is None:  # cannot happen: the all-unserved combo is always feasible
+        serving, member = serving[feasible], member[feasible]
+        se = metrics.stacked_total_se(instance, serving, cache.powers(member))
+        k = max(range(len(se)), key=se.__getitem__)  # the first maximum
+        if se[k] > best_se:
+            best_se, best_links = se[k], serving[k]
+    if best_links is None:  # cannot happen: the all-unserved combo is always feasible
         raise RuntimeError("no feasible assignment found")
-    return best
+    beams = final_beams(instance, best_links, mode, beta)
+    return ScheduleResult(links=best_links, beams=beams,
+                          total_se=metrics.total_se(instance, best_links, beams),
+                          unserved=_unserved(instance, best_links))

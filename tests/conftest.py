@@ -99,12 +99,12 @@ def mirror_first_satellite(inst: EpochInstance) -> EpochInstance:
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_gus=7):
     """Random instances: any visibility (users who see one satellite or
     none included), one to three beams per satellite, and optionally
     satellites 0 and 1 as exact copies of each other."""
     n_sats = draw(st.integers(1, 4))
-    n_gus = draw(st.integers(1, 7))
+    n_gus = draw(st.integers(1, max_gus))
     n_beams = draw(st.integers(1, 3))
     mirror = n_sats >= 2 and draw(st.booleans())
     visible = {}

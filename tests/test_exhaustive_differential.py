@@ -1,0 +1,94 @@
+"""Differential tests: the exhaustive oracle, which designs each
+(satellite, member set) once and scores assignments in stacked blocks,
+against the per-assignment loop kept in ``reference_exhaustive``.
+
+Both evaluate every assignment with the same arithmetic, so the links
+must be equal and the total SE equal to the bit, ties included.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from conftest import instances, make_instance, mirror_first_satellite
+from coopsat import metrics
+from coopsat.scheduling import SchemeMode, exhaustive_schedule, final_beams
+from reference_exhaustive import reference_exhaustive
+
+
+def assert_matches_reference(inst, mode):
+    new = exhaustive_schedule(inst, mode)
+    ref = reference_exhaustive(inst, mode)
+    assert np.array_equal(new.links, ref.links)
+    assert new.total_se == ref.total_se
+    assert new.unserved == ref.unserved
+    assert new.beams.keys() == ref.beams.keys()
+    assert all(np.array_equal(new.beams[i], ref.beams[i]) for i in ref.beams)
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(inst=instances(max_gus=5))
+def test_exhaustive_matches_reference_loop(mode, inst):
+    assert_matches_reference(inst, mode)
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode))
+@pytest.mark.parametrize("seed", range(2))
+def test_several_blocks_match_reference_loop(mode, seed):
+    # 4**5 = 1024 assignments: four blocks, with one beam per satellite
+    # binding the capacity in most of them
+    inst = make_instance(np.random.default_rng(40 + seed), n_sats=3, n_gus=5,
+                         n_beams=1 + seed,
+                         visible={g: (0, 1, 2) for g in range(100, 105)})
+    assert_matches_reference(inst, mode)
+
+
+# User 100 sees only the mirrored satellites 0 and 1, which serve it
+# equally well: serving it from 0 or from 1 ties to the bit, and the
+# first enumerated (satellite 0) must win.  With four more users seeing
+# three other satellites, the two tied assignments lie 256 apart, in
+# different blocks.
+TIES = {"within a block": {100: (0, 1), 101: (2,), 102: ()},
+        "across blocks": {100: (0, 1), **{g: (2, 3, 4) for g in range(101, 105)}}}
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode))
+@pytest.mark.parametrize("visible", TIES.values(), ids=TIES.keys())
+def test_exact_tie_goes_to_first_assignment(mode, visible):
+    inst = mirror_first_satellite(make_instance(
+        np.random.default_rng(31), n_sats=5, n_gus=len(visible), n_beams=2,
+        visible=visible))
+    result = exhaustive_schedule(inst, mode)
+    assert result.links[0] == 0
+    swapped = result.links.copy()
+    swapped[0] = 1
+    beams = final_beams(inst, swapped, mode)
+    assert metrics.total_se(inst, swapped, beams) == result.total_se
+    assert_matches_reference(inst, mode)
+
+
+@pytest.mark.parametrize("search", [exhaustive_schedule, reference_exhaustive])
+def test_non_finite_sinr_names_user_and_satellite(search):
+    inst = make_instance(np.random.default_rng(17), n_sats=2, n_gus=2,
+                         visible={100: (0, 1), 101: (0, 1)})
+    channels = inst.channels.copy()
+    channels[1, 1] = np.nan
+    with pytest.raises(metrics.NonFiniteSinrError,
+                       match=r"SINR of user 101 served by satellite 1 is nan"):
+        search(replace(inst, channels=channels), SchemeMode.AU)
+
+
+@pytest.mark.parametrize("search", [exhaustive_schedule, reference_exhaustive])
+def test_non_finite_sinr_in_a_later_block(search):
+    # user 100's beam from satellite 2 is NaN: the first assignment that
+    # radiates it is the 513th, in the third block of 256
+    inst = make_instance(np.random.default_rng(18), n_sats=3, n_gus=5, n_beams=5,
+                         visible={g: (0, 1, 2) for g in range(100, 105)})
+    analog = inst.analog.copy()
+    analog[2, 0] = np.nan
+    with pytest.raises(metrics.NonFiniteSinrError,
+                       match=r"SINR of user 100 served by satellite 2 is nan"):
+        search(replace(inst, analog=analog), SchemeMode.AU)

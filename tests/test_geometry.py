@@ -75,8 +75,10 @@ def test_zenith_link():
                               altitude_km=1200.0)
     (sat,) = propagate(cfg, 0.0)
     gu = GroundUser(0, 0.0, 0.0)
-    geom = link_geometry(sat, gu, t=0.0)
-    assert geom.elevation_deg == pytest.approx(90.0)
+    elev = elevation_deg(sat.position_km, ground_user_position(gu, 0.0))
+    assert elev == pytest.approx(90.0)
+    geom = link_geometry(sat, gu, t=0.0, elevation_deg=elev)
+    assert geom.elevation_deg == elev
     assert geom.slant_range_km == pytest.approx(1200.0)
     # user straight below the satellite: body-frame elevation is 90 degrees
     assert geom.elevation_sat_deg == pytest.approx(90.0)
@@ -96,7 +98,8 @@ def test_slant_range_spherical_law_of_cosines():
                     / (np.linalg.norm(gu_pos) * np.linalg.norm(sat.position_km)))
     r_gu, r_sat = np.linalg.norm(gu_pos), cfg.radius_km
     expected = math.sqrt(r_gu**2 + r_sat**2 - 2.0 * r_gu * r_sat * math.cos(psi))
-    geom = link_geometry(sat, gu, t=t)
+    geom = link_geometry(sat, gu, t=t,
+                         elevation_deg=elevation_deg(sat.position_km, gu_pos))
     assert geom.slant_range_km == pytest.approx(expected, rel=1e-12)
     assert psi == pytest.approx(math.radians(7.5), abs=1e-9)
 
@@ -128,6 +131,7 @@ def test_visibility_matches_one_pair_elevation(profile):
         assert elevation_deg(sat_pos[0], gu_pos[0]) == scalar[0, 0]
         vis = visibility(states, gus, cfg.min_elevation_deg, t)
         assert np.array_equal(vis.visible, scalar >= cfg.min_elevation_deg)
+        assert np.array_equal(vis.elevation_deg, scalar)  # link_geometry's input
         assert vis.sat_ids == tuple(s.satellite_id for s in states)
         assert vis.gu_ids == tuple(g.user_id for g in gus)
 

@@ -216,6 +216,11 @@ class TestExhaustive:
         inst = instance_factory(np.random.default_rng(15), n_sats=4, n_gus=5)
         with pytest.raises(ExhaustiveSearchError):
             exhaustive_schedule(inst, SchemeMode.AU, max_space=2)
+        # 5**20 assignments: the guard must reject them before enumerating
+        huge = instance_factory(np.random.default_rng(15), n_sats=4, n_gus=20,
+                                visible={g: (0, 1, 2, 3) for g in range(100, 120)})
+        with pytest.raises(ExhaustiveSearchError, match=f"space {5**20} exceeds"):
+            exhaustive_schedule(huge, SchemeMode.AU)
 
 
 class TestSchemeMode:

@@ -77,6 +77,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_space < 1:
+        raise ConfigError(["--max-space: must be >= 1"])
     config = _resolve_config(args.config)
     ratios = []
     for epoch_index, t in enumerate(config.epochs.times()):

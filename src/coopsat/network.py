@@ -115,17 +115,21 @@ class EpochInstance:
         while user ``u`` tracks satellite ``a`` (U x S x S), zero unless
         the user sees both.  The off-boresight angle is evaluated with the
         scalar ``math.acos``, not ``np.arccos``, which may differ in the
-        last bit: the result files pin its values."""
+        last bit: the result files pin its values.  The table is symmetric
+        in (a, b), and so is ``np.dot``'s rounding, so each unordered pair
+        is evaluated once."""
         n_s = len(self.sat_ids)
         out = np.zeros((len(self.gu_ids), n_s, n_s))
-        for u, row in enumerate(self.visible_mask):
-            sats = np.flatnonzero(row)
-            for a in sats:
-                out[u, a, a] = self.boresight_gain
-                for b in sats[sats != a]:
-                    cos = np.dot(self.directions[u, a], self.directions[u, b])
-                    angle = math.degrees(math.acos(float(np.clip(cos, -1.0, 1.0))))
-                    out[u, a, b] = vsat_gain_linear(angle, self.rf)
+        users, sats = np.nonzero(self.visible_mask)
+        out[users, sats, sats] = self.boresight_gain
+        for u in np.flatnonzero(self.visible_mask.sum(axis=1) > 1):
+            seen = np.flatnonzero(self.visible_mask[u]).tolist()
+            dirs = list(self.directions[u, seen])
+            for k, a in enumerate(seen):
+                for d, b in zip(dirs[k + 1:], seen[k + 1:]):
+                    cos = min(max(float(np.dot(dirs[k], d)), -1.0), 1.0)  # NaN stays
+                    out[u, a, b] = out[u, b, a] = vsat_gain_linear(
+                        math.degrees(math.acos(cos)), self.rf)
         return out
 
     def served_map(self, serving: np.ndarray) -> dict[int, list[int]]:

@@ -49,7 +49,16 @@ so its gain is evaluated over those users alone:
   Served users that see s, and g, are re-evaluated with s's new beam
   powers and the other satellites' unchanged interference.  Every
   candidate of one satellite has |T| = n_s + 1, so their ZF systems are
-  solved in one batched call.
+  solved in one batched call.  The kept state is AU/SHU's with hybrid
+  mixers for unit beams: a commit to s designs s's one new mixer.  s's
+  candidate designs (the batched mixers, and their own, intra and total
+  powers at every user that sees s) are built when s first has
+  candidates after its last commit and dropped at its next one.  In
+  between, s's candidates only leave the pool, as pending users and
+  spare satellites only leave theirs, and served users who see s only
+  join, so each iteration indexes the cached rows, with the bits a fresh
+  design gives them.  Base SINRs and interference are recomputed each
+  iteration from the kept powers.
 
 The scores are exact, not approximations: each is the difference of the
 total SE with and without the link, minus terms that cancel.  They
@@ -188,22 +197,20 @@ def _analog_gains(instance: EpochInstance, serving: np.ndarray,
     return np.log2(1.0 + new_signal / (new_interference + 1.0)) + delta
 
 
-def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
-                  candidates: np.ndarray, beta: float | None) -> np.ndarray:
+def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
+                 powers: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 designs: dict[int, tuple[np.ndarray, ...]],
+                 beta: float | None) -> np.ndarray:
     """Total-SE gain of every candidate link when the satellite redesigns
-    its hybrid beams (JHU); -inf off the candidates."""
+    its hybrid beams (JHU), given the current hybrid beams' ``powers``
+    (L, own, intra); -inf off the candidates.  ``designs`` holds each
+    satellite's candidate designs until its next commit."""
     n_sats, n_gus = candidates.shape
     x = instance.cross_terms
     gain = instance.gain_table
     g0 = instance.boresight_gain
     served = serving >= 0
-
-    # the current hybrid beams, designed here rather than by hybrid_beams,
-    # which stands for the final-beam step in traced runs
-    members_of = instance.served_map(serving)
-    current = {i: hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
-               for i, members in members_of.items()}
-    power, own, intra = beam_powers(instance, members_of, current)
+    power, own, intra = powers
     signal, by_sat = signal_and_interference(instance, serving, power, own, intra)
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
@@ -217,26 +224,30 @@ def _hybrid_gains(instance: EpochInstance, serving: np.ndarray,
         cand = np.flatnonzero(candidates[s])
         if not cand.size:
             continue
-        members = np.flatnonzero(serving == s)
-        idx = np.sort(np.column_stack(
-            [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
-        mixer = hybrid_from_beamspace(instance, s, idx, beta)
+        if s not in designs:  # every candidate's mixer, powers at users seeing s
+            members = np.flatnonzero(serving == s)
+            idx = np.sort(np.column_stack(
+                [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
+            mixer = hybrid_from_beamspace(instance, s, idx, beta)
+            seen = np.flatnonzero(instance.visible_mask[:, s])
+            amp = np.abs(x[s][seen[:, None], idx[:, None, :]] @ mixer) ** 2
+            mine = seen[:, None] == idx[:, None, :]  # each row's own beam
+            designs[s] = (cand, seen, np.where(mine, amp, 0.0).sum(axis=2),
+                          np.where(mine, 0.0, amp).sum(axis=2), amp.sum(axis=2))
+        first, seen, own_s, intra_s, total_s = designs[s]
+        k = np.searchsorted(first, cand)
+        new = np.searchsorted(seen, cand)
         affected = np.flatnonzero(served & instance.visible_mask[:, s])
-        m = affected.size
-        rows = np.column_stack([np.broadcast_to(affected, (cand.size, m)), cand])
-        amp = np.abs(x[s][rows[:, :, None], idx[:, None, :]] @ mixer) ** 2
-        mine = rows[:, :, None] == idx[:, None, :]  # each row's own beam
-        own_s = np.where(mine, amp, 0.0).sum(axis=2)
-        intra_s = np.where(mine, 0.0, amp).sum(axis=2)
+        rows = k[:, None], np.searchsorted(seen, affected)
 
         tracks_s = serving[affected] == s
         g_s = gain[affected, serving[affected], s]
-        sig = np.where(tracks_s, g0 * own_s[:, :m], signal[affected])
+        sig = np.where(tracks_s, g0 * own_s[rows], signal[affected])
         intf = others[affected, s] + np.where(
-            tracks_s, g0 * intra_s[:, :m], g_s * amp[:, :m].sum(axis=2))
+            tracks_s, g0 * intra_s[rows], g_s * total_s[rows])
         delta = (np.log2(1.0 + sig / (intf + 1.0)) - base[affected]).sum(axis=1)
-        new_intf = new_others[s, cand] + g0 * intra_s[:, m]
-        gains[s, cand] = np.log2(1.0 + g0 * own_s[:, m] / (new_intf + 1.0)) + delta
+        new_intf = new_others[s, cand] + g0 * intra_s[k, new]
+        gains[s, cand] = np.log2(1.0 + g0 * own_s[k, new] / (new_intf + 1.0)) + delta
     return gains
 
 
@@ -253,12 +264,19 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     pending = serving < 0
     pending[dropped] = False
     analog = mode is not SchemeMode.JHU
-    if analog:
-        # powers of the unit-power analog beams AU and SHU score with, kept
-        # across iterations: a commit changes one satellite
-        served = instance.served_map(serving)
-        powers = beam_powers(instance, served,
-                             {i: np.eye(len(m)) for i, m in served.items()})
+
+    def scoring_mixer(i: int, members) -> np.ndarray:
+        # not hybrid_beams, which traced runs count as the final-beam step
+        if analog:
+            return np.eye(len(members))
+        return hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
+
+    # powers of the beams each mode scores with, kept across iterations: a
+    # commit changes one satellite
+    served = instance.served_map(serving)
+    powers = beam_powers(instance, served,
+                         {i: scoring_mixer(i, m) for i, m in served.items()})
+    designs: dict[int, tuple[np.ndarray, ...]] = {}
     records: list[TraceRecord] = []
 
     iteration = 0
@@ -270,7 +288,7 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         if analog:
             scores = _analog_gains(instance, serving, powers)
         else:
-            scores = _hybrid_gains(instance, serving, candidates, beta)
+            scores = _joint_gains(instance, serving, candidates, powers, designs, beta)
         gains = np.where(candidates, scores, -np.inf)
         bad = candidates & ~np.isfinite(gains)
         if bad.any():
@@ -281,12 +299,12 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         i, j = np.unravel_index(np.argmax(gains), gains.shape)
         s_hat, g_hat = instance.sat_ids[i], instance.gu_ids[j]
         committed = bool(np.count_nonzero(serving == i) < instance.n_beams)
-        if committed:
+        if committed:  # row i of L, and own and intra of i's members
             serving[j] = i
             pending[j] = False
-            if analog:  # row i of L, and own and intra of i's members
-                members = np.flatnonzero(serving == i)
-                set_satellite_powers(instance, i, members, np.eye(members.size), powers)
+            members = np.flatnonzero(serving == i)
+            set_satellite_powers(instance, i, members, scoring_mixer(i, members), powers)
+            designs.pop(i, None)
         else:
             spare[i] = False
         if trace:

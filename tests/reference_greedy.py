@@ -4,6 +4,11 @@ The per-candidate loop the incremental scorer in ``coopsat.scheduling``
 replaced: every candidate link is scored by re-evaluating the whole
 network's total SE with and without it.  O(users^3 * visibility) in
 Python, so it serves only as the oracle of the differential tests.
+
+``hybrid_gains`` is the JHU scorer before it kept state across
+iterations: it designs every satellite's current and candidate beams
+again from the serving vector alone, with the same arithmetic, so the
+kept scorer's scores must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from coopsat import metrics
-from coopsat.network import EpochInstance, hybrid_beams
+from coopsat.network import (EpochInstance, beam_powers, hybrid_beams,
+                             hybrid_from_beamspace, signal_and_interference)
 from coopsat.scheduling import (SchemeMode, TraceRecord,
                                 preassign_single_visibility)
 
@@ -32,6 +38,58 @@ def scoring_beams(instance: EpochInstance, served: dict[int, list[int]],
     if mode is SchemeMode.JHU:
         return hybrid_beams(instance, served, beta=beta)
     return unit_power_beams(instance, served)
+
+
+def hybrid_gains(instance: EpochInstance, serving: np.ndarray,
+                 candidates: np.ndarray, beta: float | None) -> np.ndarray:
+    """Total-SE gain of every candidate link when the satellite redesigns
+    its hybrid beams (JHU); -inf off the candidates."""
+    n_sats, n_gus = candidates.shape
+    x = instance.cross_terms
+    gain = instance.gain_table
+    g0 = instance.boresight_gain
+    served = serving >= 0
+
+    # the current hybrid beams, designed here rather than by hybrid_beams,
+    # which stands for the final-beam step in traced runs
+    members_of = instance.served_map(serving)
+    current = {i: hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
+               for i, members in members_of.items()}
+    power, own, intra = beam_powers(instance, members_of, current)
+    signal, by_sat = signal_and_interference(instance, serving, power, own, intra)
+    interference = by_sat.sum(axis=1)
+    base = np.log2(1.0 + signal / (interference + 1.0))
+    others = interference[:, None] - by_sat  # from every satellite but s
+    # a new user tracking s sees the other satellites' current beams
+    off = gain * (1.0 - np.eye(n_sats))
+    new_others = np.einsum("gst,tg->sg", off, power)
+
+    gains = np.full((n_sats, n_gus), -np.inf)
+    for s in range(n_sats):
+        cand = np.flatnonzero(candidates[s])
+        if not cand.size:
+            continue
+        members = np.flatnonzero(serving == s)
+        idx = np.sort(np.column_stack(
+            [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
+        mixer = hybrid_from_beamspace(instance, s, idx, beta)
+        affected = np.flatnonzero(served & instance.visible_mask[:, s])
+        m = affected.size
+        rows = np.column_stack([np.broadcast_to(affected, (cand.size, m)), cand])
+        amp = np.abs(x[s][rows[:, :, None], idx[:, None, :]] @ mixer) ** 2
+        mine = rows[:, :, None] == idx[:, None, :]  # each row's own beam
+        own_s = np.where(mine, amp, 0.0).sum(axis=2)
+        intra_s = np.where(mine, 0.0, amp).sum(axis=2)
+
+        tracks_s = serving[affected] == s
+        g_s = gain[affected, serving[affected], s]
+        sig = np.where(tracks_s, g0 * own_s[:, :m], signal[affected])
+        intf = others[affected, s] + np.where(
+            tracks_s, g0 * intra_s[:, :m], g_s * amp[:, :m].sum(axis=2))
+        delta = (np.log2(1.0 + sig / (intf + 1.0)) - base[affected]).sum(axis=1)
+        new_intf = new_others[s, cand] + g0 * intra_s[:, m]
+        gains[s, cand] = np.log2(1.0 + g0 * own_s[:, m] / (new_intf + 1.0)) + delta
+    return gains
 
 
 @dataclass

@@ -123,3 +123,9 @@ def test_oracle_space_guard(scenario_file, capsys):
     code = main(["oracle", str(scenario_file), "--max-space", "1"])
     assert code == 1
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_oracle_rejects_nonpositive_space(scenario_file, capsys, value):
+    assert main(["oracle", str(scenario_file), "--max-space", value]) == EXIT_CONFIG
+    assert "--max-space" in capsys.readouterr().err

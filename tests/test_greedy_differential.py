@@ -3,19 +3,23 @@ whole-network re-evaluation loop kept in ``reference_greedy``.
 
 The reference is replayed along the new scheduler's decisions, so every
 step is compared from the same state even after a near-tie sent the two
-down different paths.
+down different paths.  The JHU scorer, which keeps its beams and
+candidate designs across iterations, is also checked bit for bit against
+``reference_greedy.hybrid_gains``, which designs them again each time.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import instances, make_instance, mirror_first_satellite
+from coopsat import scheduling
 from coopsat.network import EpochInstance
 from coopsat.scheduling import SchemeMode, greedy_schedule
-from reference_greedy import reference_greedy
+from reference_greedy import hybrid_gains, reference_greedy
 
 # Reference gains closer than this (relative) are a near-tie, which the
 # two scorers may break differently: their rounding differs.
@@ -73,11 +77,7 @@ def test_greedy_matches_reference_loop(mode, inst):
 
 @pytest.mark.parametrize("mode", list(SchemeMode))
 def test_exact_tie_goes_to_smallest_pair(mode):
-    # users 100 and 101 see the mirrored satellites 0 and 1: the first
-    # step's best gain is shared by (0, g) and (1, g)
-    inst = mirror_first_satellite(make_instance(
-        np.random.default_rng(31), n_sats=3, n_gus=4, n_beams=1,
-        visible={100: (0, 1), 101: (0, 1, 2), 102: (2,), 103: ()}))
+    inst = tie_instance()
     steps, _, _ = reference_greedy(inst, mode)
     (s, g), best = steps[0].best
     assert s == 0
@@ -85,3 +85,59 @@ def test_exact_tie_goes_to_smallest_pair(mode):
     new = greedy_schedule(inst, mode, trace=True)
     assert (new.trace[0].sat_id, new.trace[0].gu_id) == (0, g)
     assert_matches_reference(inst, mode)
+
+
+def tie_instance() -> EpochInstance:
+    # users 100 and 101 see the mirrored satellites 0 and 1: the first
+    # step's best gain is shared by (0, g) and (1, g)
+    return mirror_first_satellite(make_instance(
+        np.random.default_rng(31), n_sats=3, n_gus=4, n_beams=1,
+        visible={100: (0, 1), 101: (0, 1, 2), 102: (2,), 103: ()}))
+
+
+def crowded_instance() -> EpochInstance:
+    # one beam per satellite for five contending users: satellites are
+    # retired at capacity between commits; user 103 sees no satellite
+    return mirror_first_satellite(make_instance(
+        np.random.default_rng(42), n_sats=3, n_gus=6, n_beams=1,
+        visible={100: (0, 1), 101: (0, 1, 2), 102: (0, 1, 2), 103: (),
+                 104: (1, 2), 105: (0, 2)}))
+
+
+def checked_jhu_schedule(inst: EpochInstance):
+    """Run the JHU greedy, asserting at every iteration that the kept
+    scorer's candidate scores equal the stateless recompute's bits.
+    Returns the result."""
+    scorer = scheduling._joint_gains
+    calls = []
+
+    def checking(instance, serving, candidates, powers, designs, beta):
+        scores = scorer(instance, serving, candidates, powers, designs, beta)
+        expected = hybrid_gains(instance, serving, candidates, beta)
+        assert np.array_equal(scores[candidates], expected[candidates])
+        calls.append(None)
+        return scores
+
+    with mock.patch.object(scheduling, "_joint_gains", checking):
+        result = greedy_schedule(inst, SchemeMode.JHU, trace=True)
+    assert len(calls) == len(result.trace)
+    return result
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+@example(inst=tie_instance())
+@example(inst=crowded_instance())
+def test_jhu_scores_equal_stateless_recompute(inst):
+    checked_jhu_schedule(inst)
+
+
+@pytest.mark.parametrize("make", [tie_instance, crowded_instance])
+def test_bit_exact_examples_cover_their_cases(make):
+    # test_exact_tie_goes_to_smallest_pair shows tie_instance's exact tie
+    inst = make()
+    result = checked_jhu_schedule(inst)
+    committed = [r.committed for r in result.trace]
+    # a capacity retirement followed by a commit
+    assert any(not a and b for a, b in zip(committed, committed[1:]))
+    assert 103 in result.unserved and not inst.visible_mask[3].any()

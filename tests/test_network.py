@@ -1,9 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_instance
+from conftest import instances, make_instance
+from coopsat.channel import vsat_gain_linear
+from coopsat.config import ScenarioConfig
+from coopsat.harness import build_epoch_instance
 
 
 @pytest.fixture
@@ -45,3 +50,33 @@ class TestEpochInstanceInputs:
             replace(inst, gu_ids=(102, 101, 100))
         with pytest.raises(ValueError, match="sat_ids"):
             replace(inst, sat_ids=(0, 0))
+
+
+def loop_gain_table(inst):
+    """The per-(u, a, b) loop ``EpochInstance.gain_table`` replaced: each
+    ordered pair's angle evaluated on its own."""
+    n_s = len(inst.sat_ids)
+    out = np.zeros((len(inst.gu_ids), n_s, n_s))
+    for u, row in enumerate(inst.visible_mask):
+        sats = np.flatnonzero(row)
+        for a in sats:
+            out[u, a, a] = inst.boresight_gain
+            for b in sats[sats != a]:
+                cos = np.dot(inst.directions[u, a], inst.directions[u, b])
+                angle = math.degrees(math.acos(float(np.clip(cos, -1.0, 1.0))))
+                out[u, a, b] = vsat_gain_linear(angle, inst.rf)
+    return out
+
+
+class TestGainTable:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inst=instances())
+    def test_equals_the_loop(self, inst):
+        assert np.array_equal(inst.gain_table, loop_gain_table(inst))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_equals_the_loop_on_desk(self, seed):
+        cfg = ScenarioConfig.desk_scale(seed=seed)
+        for epoch, t in enumerate(cfg.epochs.times()):
+            inst = build_epoch_instance(cfg, epoch, t)
+            assert np.array_equal(inst.gain_table, loop_gain_table(inst))

@@ -7,11 +7,11 @@ users cooperatively on a shared band.
 
 __version__ = "0.1.0"
 
-from .beamforming import (AnalogBeamVector, Codebook, analog_beamform,
-                          build_codebook, regularized_zf)
+from .beamforming import (AnalogBeamVector, analog_beamform, build_codebook,
+                          regularized_zf)
 from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                       PathLossBreakdown, RfConfig, SmallScaleConfig, path_loss,
-                      small_scale, steering_vector, vsat_gain_dbi)
+                      small_scale, vsat_gain_dbi)
 from .config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
                      config_digest, load_config)
 from .geometry import (ConstellationConfig, GroundUser, LinkGeometry,
@@ -32,9 +32,9 @@ __all__ = [
     # channel
     "ArrayConfig", "AttenuationConfig", "LinkInvalidError",
     "PathLossBreakdown", "RfConfig", "SmallScaleConfig",
-    "path_loss", "small_scale", "steering_vector", "vsat_gain_dbi",
+    "path_loss", "small_scale", "vsat_gain_dbi",
     # beamforming
-    "AnalogBeamVector", "Codebook", "analog_beamform", "build_codebook", "regularized_zf",
+    "AnalogBeamVector", "analog_beamform", "build_codebook", "regularized_zf",
     # network / scheduling / metrics
     "EpochInstance", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",

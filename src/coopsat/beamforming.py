@@ -22,15 +22,6 @@ from .channel import ArrayConfig
 
 
 @dataclass(frozen=True, eq=False)
-class Codebook:
-    """Unitary 2D DFT codebook, one codeword per column."""
-
-    matrix: np.ndarray  # (N, N)
-    n_x: int
-    n_y: int
-
-
-@dataclass(frozen=True, eq=False)
 class AnalogBeamVector:
     """Constant-modulus analog beam plus the codewords it came from."""
 
@@ -44,14 +35,15 @@ def _dft_unitary(n: int) -> np.ndarray:
     return np.exp(-2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
 
 
-def build_codebook(array: ArrayConfig) -> Codebook:
-    """Kronecker product of the 1D DFT codebooks of the two array axes."""
-    d = np.kron(_dft_unitary(array.n_x), _dft_unitary(array.n_y))
-    return Codebook(matrix=d, n_x=array.n_x, n_y=array.n_y)
+def build_codebook(array: ArrayConfig) -> np.ndarray:
+    """Unitary 2D DFT codebook (N x N), one codeword per column: the
+    Kronecker product of the 1D DFT codebooks of the two array axes."""
+    return np.kron(_dft_unitary(array.n_x), _dft_unitary(array.n_y))
 
 
-def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
-    """Codebook-based analog beam for channel ``h``.
+def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> AnalogBeamVector:
+    """Analog beam for channel ``h`` from the codewords (columns) of
+    ``codebook``.
 
     Steps: rank codewords by |h^H d|^2 and keep the top ``k`` (ties go to
     the lower index), least-squares combine them, then force every entry
@@ -59,7 +51,7 @@ def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
     to exactly zero get phase zero.
     """
     h = np.asarray(h)
-    n = codebook.matrix.shape[0]
+    n = codebook.shape[0]
     if h.shape != (n,):
         raise ValueError(f"channel length {h.shape} does not match codebook size {n}")
     if not 1 <= k <= n:
@@ -70,11 +62,11 @@ def analog_beamform(h, codebook: Codebook, k: int = 4) -> AnalogBeamVector:
     # |D^H h| = |D^T conj(h)|: conjugating h, not the N x N codebook, for
     # every link.  IEEE rounding is sign-symmetric, so the product is the
     # exact conjugate and the scores keep their bits.
-    scores = np.abs(codebook.matrix.T @ h.conj()) ** 2
+    scores = np.abs(codebook.T @ h.conj()) ** 2
     order = np.argsort(-scores, kind="stable")  # stable: lower index wins ties
     selected = order[:k]
 
-    d_k = codebook.matrix[:, selected]
+    d_k = codebook[:, selected]
     coeff = d_k.conj().T @ h          # least squares; columns are orthonormal
     combined = d_k @ coeff
 

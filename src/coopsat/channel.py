@@ -47,10 +47,6 @@ class RfConfig:
                 raise ValueError(f"{name} must be > 0")
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT_M_S / self.carrier_frequency_hz
-
-    @property
     def noise_power_w(self) -> float:
         """k * T * B with the noise temperature given in dBK."""
         t_kelvin = 10.0 ** (self.noise_temperature_dbk / 10.0)
@@ -172,11 +168,6 @@ def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
     out = (ax[:, :, None] * ay[:, None, :]).reshape(len(phi), array.n_elements)
     out /= math.sqrt(array.n_elements)
     return out
-
-
-def steering_vector(phi_deg: float, theta_deg: float, array: ArrayConfig) -> np.ndarray:
-    """Steering vector (N) of one direction; see ``steering_vectors``."""
-    return steering_vectors([phi_deg], [theta_deg], array)[0]
 
 
 def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,

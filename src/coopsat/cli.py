@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from importlib import resources
-from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, load_config
 from .harness import build_epoch_instance, emit, run
 from .scheduling import SchemeMode, exhaustive_schedule, greedy_schedule
 
@@ -23,23 +21,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-_PROFILES = ("desk", "full")
-
-
-def _resolve_config(arg: str) -> ScenarioConfig:
-    path = Path(arg)
-    if path.exists():
-        return load_config(path)
-    if arg in _PROFILES:
-        with resources.as_file(
-                resources.files("coopsat.data").joinpath(f"{arg}.yaml")) as p:
-            return load_config(p)
-    raise ConfigError([f"{arg}: no such file or bundled profile "
-                       f"(profiles: {', '.join(_PROFILES)})"])
-
-
 def _cmd_run(args) -> int:
-    config = _resolve_config(args.config)
+    config = load_config(args.config)
     if args.schemes:
         try:
             modes = tuple(dict.fromkeys(
@@ -71,7 +54,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _resolve_config(args.config)
+    load_config(args.config)
     print("OK")
     return EXIT_OK
 
@@ -79,7 +62,7 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.max_space < 1:
         raise ConfigError(["--max-space: must be >= 1"])
-    config = _resolve_config(args.config)
+    config = load_config(args.config)
     ratios = []
     for epoch_index, t in enumerate(config.epochs.times()):
         instance = build_epoch_instance(config, epoch_index, t)

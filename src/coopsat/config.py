@@ -2,9 +2,10 @@
 
 A scenario file is a YAML mapping; every field has a default, so a
 minimal config is a handful of lines.  Validation collects every
-problem with its field path before failing.  The built-in ``desk`` and
-``full`` profiles cover a quick laptop run (20 users, 10 epochs) and
-the full-size experiment (80 users, 24 epochs).
+problem with its field path before failing.  The bundled profiles are
+scenario files too (``data/<name>.yaml``): ``desk`` is a quick laptop
+run (20 users, 10 epochs) and ``full`` the full-size experiment (80
+users, 24 epochs).
 """
 
 from __future__ import annotations
@@ -61,21 +62,6 @@ class ScenarioConfig:
     codewords: int = 4
     beta: float | None = None  # None selects the large-system optimum
     tracked_labels: tuple[str, ...] = ()
-
-    @classmethod
-    def desk_scale(cls, seed: int = 1) -> "ScenarioConfig":
-        """Laptop-sized profile: the first 20 bundled cities (a contended
-        eastern cluster), 10 epochs."""
-        return cls(gus=bundled_cities(20), seed=seed,
-                   epochs=EpochGrid(count=10),
-                   tracked_labels=("Beijing", "Shanghai", "Wuhan"))
-
-    @classmethod
-    def full_scale(cls, seed: int = 1) -> "ScenarioConfig":
-        """Full-size profile: all 80 bundled cities, 24 epochs."""
-        return cls(gus=bundled_cities(), seed=seed,
-                   epochs=EpochGrid(count=24),
-                   tracked_labels=("Beijing", "Shanghai", "Wuhan", "Kashi", "Nansha"))
 
 
 def bundled_cities(count: int | None = None) -> tuple[GroundUser, ...]:
@@ -136,6 +122,9 @@ def _build_section(cls, data: dict, path: str, errors: list[str]):
 
 def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
     if isinstance(data, dict) and "inline" not in data:
+        for key in data:
+            if key not in ("dataset", "count"):
+                errors.append(f"gus.{key}: unknown field")
         dataset = data.get("dataset", CITY_DATASET)
         if dataset != CITY_DATASET:
             errors.append(f"gus.dataset: unknown dataset {dataset!r}")
@@ -149,23 +138,38 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
         except (TypeError, ValueError) as exc:
             errors.append(f"gus.count: {exc}")
             return ()
-    entries = data["inline"] if isinstance(data, dict) else data
-    if not isinstance(entries, list):
+    if isinstance(data, dict):
+        for key in data:
+            if key != "inline":
+                errors.append(f"gus.{key}: not allowed with gus.inline")
+        data = data["inline"]
+    if not isinstance(data, list):
         errors.append("gus: expected a list or a dataset reference")
         return ()
     out = []
-    for i, row in enumerate(entries):
+    for i, row in enumerate(data):
+        if not isinstance(row, dict):
+            errors.append(f"gus[{i}]: expected a mapping")
+            continue
+        n_errors = len(errors)
+        row = {"lat": None, "lon": None, "alt_km": 0.0, "label": f"gu{i}", **row}
+        for key, value in row.items():
+            if key not in ("lat", "lon", "alt_km", "label"):
+                errors.append(f"gus[{i}].{key}: unknown field")
+            elif key != "label" and not _is_finite(value):
+                errors.append(f"gus[{i}].{key}: must be a finite number")
+        if len(errors) > n_errors:
+            continue
         try:
-            lon = float(row["lon"])
             out.append(GroundUser(
                 user_id=i,
                 latitude_deg=float(row["lat"]),
                 # 180 E is 180 W; GroundUser keeps longitudes in [-180, 180)
-                longitude_deg=-180.0 if lon == 180.0 else lon,
-                altitude_km=float(row.get("alt_km", 0.0)),
-                label=str(row.get("label", f"gu{i}")),
+                longitude_deg=-180.0 if row["lon"] == 180.0 else float(row["lon"]),
+                altitude_km=float(row["alt_km"]),
+                label=str(row["label"]),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             errors.append(f"gus[{i}]: {exc}")
     return tuple(out)
 
@@ -222,19 +226,14 @@ def from_dict(data: dict) -> ScenarioConfig:
 
     def _number(key, default, low=None, high=None, low_open=False):
         value = data.get(key, default)
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            errors.append(f"{key}: must be a number")
-            return default
-        if not math.isfinite(value):
-            errors.append(f"{key}: must be finite")
+        if not _is_finite(value):
+            errors.append(f"{key}: must be a finite number")
             return default
         if low is not None and (value <= low if low_open else value < low):
             errors.append(f"{key}: must be {'>' if low_open else '>='} {low}")
         if high is not None and value >= high:
             errors.append(f"{key}: must be < {high}")
-        return value
+        return float(value)
 
     seed = data.get("seed", 1)
     if not _is_int(seed) or seed < 0:
@@ -247,14 +246,16 @@ def from_dict(data: dict) -> ScenarioConfig:
         errors.append("codewords: must be a positive integer")
     elif codewords > array.n_elements:
         errors.append(f"codewords: must be <= array elements ({array.n_elements})")
-    beta = data.get("beta")
-    if beta is not None:
-        beta = _number("beta", None, low=0.0)
+    beta = None if data.get("beta") is None else _number("beta", None, low=0.0)
     tracked = data.get("tracked_labels", ())
     if not (isinstance(tracked, (list, tuple))
             and all(isinstance(x, str) for x in tracked)):
         errors.append("tracked_labels: must be a list of strings")
         tracked = ()
+    labels = {g.label for g in gus}
+    for label in tracked:
+        if gus and label not in labels:
+            errors.append(f"tracked_labels: no ground user is labelled {label!r}")
 
     if errors:
         raise ConfigError(errors)
@@ -262,22 +263,31 @@ def from_dict(data: dict) -> ScenarioConfig:
         constellation=constellation, gus=gus, rf=rf, array=array,
         small_scale=small_scale, attenuation=attenuation,
         schemes=tuple(dict.fromkeys(schemes)), epochs=epochs, seed=seed,
-        min_elevation_deg=float(min_el), density_threshold_km=float(threshold),
-        codewords=codewords, beta=None if beta is None else float(beta),
+        min_elevation_deg=min_el, density_threshold_km=threshold,
+        codewords=codewords, beta=beta,
         tracked_labels=tuple(tracked),
     )
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Load and validate a YAML scenario file."""
-    path = Path(path)
+def load_config(source: str | Path) -> ScenarioConfig:
+    """Load and validate a YAML scenario: a file, or else the name of a
+    bundled profile (``data/<name>.yaml``, e.g. ``desk``)."""
+    path = Path(source)
+    if path.exists():
+        text = path.read_text()
+    else:
+        profiles = {p.name.removesuffix(".yaml"): p
+                    for p in resources.files("coopsat.data").iterdir()
+                    if p.name.endswith(".yaml")}
+        if str(source) not in profiles:
+            raise ConfigError([f"{source}: no such file or bundled profile "
+                               f"(profiles: {', '.join(sorted(profiles))})"])
+        text = profiles[str(source)].read_text()
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError([f"{path}: YAML parse error: {exc}"])
-    if raw is None:
-        raw = {}
-    return from_dict(raw)
+        raise ConfigError([f"{source}: YAML parse error: {exc}"])
+    return from_dict({} if raw is None else raw)
 
 
 def to_dict(config: ScenarioConfig) -> dict:

@@ -72,22 +72,6 @@ class SatelliteState:
     velocity_km_s: np.ndarray
     body_axes: np.ndarray  # (3, 3), rows = x, y, z
 
-    @property
-    def body_x(self) -> np.ndarray:
-        return self.body_axes[0]
-
-    @property
-    def body_y(self) -> np.ndarray:
-        return self.body_axes[1]
-
-    @property
-    def body_z(self) -> np.ndarray:
-        return self.body_axes[2]
-
-    def to_body(self, vec: np.ndarray) -> np.ndarray:
-        """Express an inertial-frame vector in body coordinates."""
-        return self.body_axes @ vec
-
 
 @dataclass(frozen=True)
 class GroundUser:
@@ -104,19 +88,22 @@ class GroundUser:
             raise ValueError(f"longitude_deg out of range: {self.longitude_deg}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkGeometry:
     """Geometry of one satellite-user link.
 
     ``azimuth_sat_deg`` / ``elevation_sat_deg`` locate the user as seen
     from the satellite body frame (elevation measured from the body x-y
     plane toward nadir, so a user straight below sits at 90 degrees).
+    ``direction`` is the inertial unit vector from the user toward the
+    satellite.
     """
 
     elevation_deg: float
     slant_range_km: float
     azimuth_sat_deg: float
     elevation_sat_deg: float
+    direction: np.ndarray  # (3,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,24 +194,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def elevation_deg(sat_position_km: np.ndarray, gu_position_km: np.ndarray):
+def elevation_deg(sat_position_km: np.ndarray,
+                  gu_position_km: np.ndarray) -> np.ndarray:
     """Elevation of the satellite above the user's local horizon.
 
     Positions are (..., 3) arrays that broadcast against each other, so
-    S x 1 x 3 satellites against U x 3 users give an S x U array; two
-    single positions give a float.  The elevation of one link feeds its
-    path loss, whose bits the result files pin, so every step rounds as
-    the one-pair arithmetic: norms and dot products by BLAS ddot, and
-    the arcsine by ``math.asin`` (``np.arcsin`` may differ in the last
-    bit).
+    S x 1 x 3 satellites against U x 3 users give an S x U array.  The
+    elevation of one link feeds its path loss, whose bits the result
+    files pin, so every step rounds as the one-pair arithmetic: norms
+    and dot products by BLAS ddot, and the arcsine by ``math.asin``
+    (``np.arcsin`` may differ in the last bit).
     """
     gu = np.asarray(gu_position_km, dtype=float)
     los = np.asarray(sat_position_km, dtype=float) - gu
     los = los / np.sqrt(_dot(los, los))[..., None]
     zenith = gu / np.sqrt(_dot(gu, gu))[..., None]
     sin_el = np.clip(_dot(los, zenith), -1.0, 1.0)
-    if sin_el.ndim == 0:
-        return math.degrees(math.asin(float(sin_el)))
     return np.degrees([math.asin(x) for x in sin_el.ravel().tolist()]).reshape(sin_el.shape)
 
 
@@ -232,15 +217,18 @@ def link_geometry(sat: SatelliteState, gu: GroundUser, t: float = 0.0, *,
                   elevation_deg: float) -> LinkGeometry:
     """Full geometry of the ``sat``-``gu`` link, whose elevation above
     the user's horizon (``visibility`` has it for every pair) is given."""
-    gu_pos = ground_user_position(gu, t)
-    slant = float(np.linalg.norm(sat.position_km - gu_pos))
+    los = sat.position_km - ground_user_position(gu, t)
+    slant = np.linalg.norm(los)
+    direction = los / slant
 
-    # user direction expressed in the satellite body frame
-    d_body = sat.to_body(_unit(gu_pos - sat.position_km))
+    # user direction expressed in the satellite body frame (negation is
+    # exact, so these are the bits of the normalized user - satellite)
+    d_body = sat.body_axes @ -direction
     theta = math.degrees(math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
     phi = math.degrees(math.atan2(d_body[1], d_body[0]))
-    return LinkGeometry(elevation_deg=elevation_deg, slant_range_km=slant,
-                        azimuth_sat_deg=phi, elevation_sat_deg=theta)
+    return LinkGeometry(elevation_deg=elevation_deg, slant_range_km=float(slant),
+                        azimuth_sat_deg=phi, elevation_sat_deg=theta,
+                        direction=direction)
 
 
 def visibility(states: list[SatelliteState], gus: list[GroundUser],

@@ -22,7 +22,7 @@ from . import __version__
 from .beamforming import analog_beamform, build_codebook
 from .channel import large_scale_amplitude, path_loss, sample_ray_angles, small_scale
 from .config import ScenarioConfig, config_digest, to_dict
-from .geometry import ground_user_position, link_geometry, propagate, visibility
+from .geometry import link_geometry, propagate, visibility
 from .metrics import (ExperimentResult, density_classes, density_statistics,
                       mean_total_se, pairwise_gains, user_metrics)
 from .network import EpochInstance
@@ -71,8 +71,7 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
         h = large_scale_amplitude(pl.total_db, config.rf) * h_ss
         channels[i, u] = h
         analog[i, u] = analog_beamform(h, codebook, k=config.codewords).entries
-        los = sat.position_km - ground_user_position(gu, t)
-        directions[u, i] = los / np.linalg.norm(los)
+        directions[u, i] = geom.direction
 
     return EpochInstance(sat_ids, tuple(g.user_id for g in gus), config.rf,
                          config.array.n_beams, visible_mask=visible,
@@ -197,8 +196,10 @@ def emit(report: RunReport, out_dir: str | Path, fmt: str = "csv") -> list[Path]
         _write_json(out / "series.json", series)
         written += [out / "results.json", out / "series.json"]
 
+    # the in-memory summary may carry the ``--trace`` decisions; the
+    # file is the same with or without them
     summary_payload = {
-        "summary": report.summary,
+        "summary": {k: v for k, v in report.summary.items() if k != "trace"},
         "provenance": report.provenance,
         "config": to_dict(report.config),
     }

@@ -37,7 +37,6 @@ class UserMetrics:
 class DensityClass:
     gu_id: int
     dense: bool
-    threshold_km: float
 
     @property
     def label(self) -> str:
@@ -148,7 +147,7 @@ def density_classes(gus: Sequence[GroundUser],
     for a in gus:
         dense = any(great_circle_km(a, b) <= threshold_km
                     for b in gus if b.user_id != a.user_id)
-        out.append(DensityClass(a.user_id, dense, threshold_km))
+        out.append(DensityClass(a.user_id, dense))
     return out
 
 
@@ -176,12 +175,11 @@ def density_statistics(results: Iterable[ExperimentResult],
                        classes: Sequence[DensityClass]) -> dict[str, dict[str, dict[str, float]]]:
     """Mean and population variance of per-user SE by scheme and density
     class, pooled over epochs and users."""
-    is_dense = {c.gu_id: c.dense for c in classes}
+    labels = {c.gu_id: c.label for c in classes}
     samples: dict[tuple[str, str], list[float]] = {}
     for r in results:
         for u in r.users:
-            label = "dense" if is_dense[u.gu_id] else "sparse"
-            samples.setdefault((r.scheme, label), []).append(u.se)
+            samples.setdefault((r.scheme, labels[u.gu_id]), []).append(u.se)
     out: dict[str, dict[str, dict[str, float]]] = {}
     for (scheme, label), vals in sorted(samples.items()):
         arr = np.asarray(vals)

@@ -9,32 +9,33 @@ import reference_channel as ref
 from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                              RfConfig, SmallScaleConfig, large_scale_amplitude,
                              path_loss, sample_ray_angles, small_scale,
-                             steering_vector, vsat_gain_dbi)
+                             steering_vectors, vsat_gain_dbi)
 from coopsat.geometry import LinkGeometry
 
 
 def geom(elevation=90.0, slant=1200.0, az=0.0, el_sat=90.0):
     return LinkGeometry(elevation_deg=elevation, slant_range_km=slant,
-                        azimuth_sat_deg=az, elevation_sat_deg=el_sat)
+                        azimuth_sat_deg=az, elevation_sat_deg=el_sat,
+                        direction=np.array([0.0, 0.0, 1.0]))
 
 
 class TestSteeringVector:
     def test_theta_90_gives_uniform_vector(self, default_array):
-        a = steering_vector(37.0, 90.0, default_array)
+        a = steering_vectors([37.0], [90.0], default_array)[0]
         n = default_array.n_elements
         assert np.allclose(a, np.ones(n) / math.sqrt(n), atol=1e-12)
 
     @pytest.mark.parametrize("phi,theta", [(0.0, 0.0), (45.0, 30.0),
                                            (-120.0, 75.0), (179.0, -10.0)])
     def test_unit_norm(self, phi, theta, default_array):
-        a = steering_vector(phi, theta, default_array)
+        a = steering_vectors([phi], [theta], default_array)[0]
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_2x2_hand_evaluated_phases(self):
         # phi=0, theta=0, half-wavelength spacing: phase -pi*p, element
         # order (p, q) = (0,0), (0,1), (1,0), (1,1)
         array = ArrayConfig(n_x=2, n_y=2, n_sub_x=1, n_sub_y=1)
-        a = steering_vector(0.0, 0.0, array)
+        a = steering_vectors([0.0], [0.0], array)[0]
         expected = 0.5 * np.exp(1j * np.array([0.0, 0.0, -math.pi, -math.pi]))
         assert np.allclose(a, expected, atol=1e-12)
 
@@ -65,7 +66,7 @@ class TestReferenceChannel:
         assert np.array_equal(h, ref_h)
         # both consumed the stream alike
         assert new_rng.uniform() == ref_rng.uniform()
-        assert np.array_equal(steering_vector(phi, theta, array),
+        assert np.array_equal(steering_vectors([phi], [theta], array)[0],
                               ref.steering_vector(phi, theta, array))
 
 
@@ -79,7 +80,7 @@ class TestSmallScale:
         h = small_scale(10.0, 40.0, rays, cfg, default_array, rng)
         assert np.linalg.norm(h) == pytest.approx(1.0, rel=1e-12)
         # collinear with the direct-path steering vector
-        a = steering_vector(10.0, 40.0, default_array)
+        a = steering_vectors([10.0], [40.0], default_array)[0]
         assert abs(np.vdot(a, h)) == pytest.approx(np.linalg.norm(h), rel=1e-12)
 
     def test_mean_energy_is_one(self, default_array):

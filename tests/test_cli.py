@@ -47,6 +47,12 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
 @pytest.mark.parametrize("text,field", [
     ("rf: {tx_power_w: .inf}\n", "rf.tx_power_w"),
     ("tracked_labels: 5\n", "tracked_labels"),
+    ("tracked_labels: [Beijng]\n", "tracked_labels"),
+    ("gus: {dataset: cities_cn, cuont: 5}\n", "gus.cuont"),
+    ("gus: [{lat: 30, lon: 116, alt: 2}]\n", "gus[0].alt"),
+    ("gus: {inline: [{lat: 30, lon: 116}], count: 3}\n", "gus.count"),
+    ("min_elevation_deg: true\n", "min_elevation_deg"),
+    ("beta: '0.5'\n", "beta"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from coopsat.config import (ConfigError, ScenarioConfig, bundled_cities,
+from coopsat.config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
                             config_digest, from_dict, load_config, to_dict)
 from coopsat.scheduling import SchemeMode
 
@@ -98,11 +101,15 @@ class TestFromDict:
         assert any(e.startswith("epochs.step_s") for e in err.value.errors)
 
     @pytest.mark.parametrize("key,value", [("beta", "1e400"),
-                                           ("min_elevation_deg", float("nan"))])
+                                           ("min_elevation_deg", float("nan")),
+                                           ("min_elevation_deg", True),
+                                           ("beta", "0.5"),
+                                           ("density_threshold_km", "400")])
     def test_non_finite_number_rejected(self, key, value):
+        # top-level numbers follow the section rule: no bools, no strings
         with pytest.raises(ConfigError) as err:
             from_dict({key: value})
-        assert any(e.startswith(key) for e in err.value.errors)
+        assert f"{key}: must be a finite number" in err.value.errors
 
     @pytest.mark.parametrize("section,key,value", [
         ("rf", "tx_power_w", float("inf")),
@@ -143,6 +150,23 @@ class TestFromDict:
             from_dict({"tracked_labels": value})
         assert "tracked_labels: must be a list of strings" in err.value.errors
 
+    @pytest.mark.parametrize("data,message", [
+        ({"gus": {"dataset": "cities_cn", "cuont": 5}}, "gus.cuont: unknown field"),
+        ({"gus": [{"lat": 30, "lon": 116, "alt": 2}]}, "gus[0].alt: unknown field"),
+        ({"gus": {"inline": [{"lat": 30, "lon": 116}], "count": 3}},
+         "gus.count: not allowed with gus.inline"),
+        ({"gus": [3]}, "gus[0]: expected a mapping"),
+        ({"gus": [{"lat": True, "lon": 116}]}, "gus[0].lat: must be a finite number"),
+        ({"gus": [{"lat": 30, "lon": "116"}]}, "gus[0].lon: must be a finite number"),
+        ({"gus": [{"lon": 116}]}, "gus[0].lat: must be a finite number"),
+        ({"tracked_labels": ["Beijng"]},
+         "tracked_labels: no ground user is labelled 'Beijng'"),
+    ])
+    def test_bad_user_entry_rejected(self, data, message):
+        with pytest.raises(ConfigError) as err:
+            from_dict(data)
+        assert message in err.value.errors
+
     def test_longitude_180_accepted(self):
         cfg = from_dict({"gus": [{"lat": 10.0, "lon": 180.0}]})
         assert cfg.gus[0].longitude_deg == -180.0  # the same meridian
@@ -155,20 +179,39 @@ class TestYamlLoading:
         path = tmp_path / "desk.yaml"
         path.write_text(text)
         cfg = load_config(path)
-        assert cfg == ScenarioConfig.desk_scale()
+        assert cfg == load_config("desk")
+        assert cfg == ScenarioConfig(gus=bundled_cities(20),
+                                     epochs=EpochGrid(count=10),
+                                     tracked_labels=("Beijing", "Shanghai", "Wuhan"))
 
-    def test_full_profile_matches_classmethod(self, tmp_path):
-        from importlib import resources
-        text = resources.files("coopsat.data").joinpath("full.yaml").read_text()
-        path = tmp_path / "full.yaml"
-        path.write_text(text)
-        assert load_config(path) == ScenarioConfig.full_scale()
+    def test_full_profile_contents(self):
+        assert load_config("full") == ScenarioConfig(
+            gus=bundled_cities(), epochs=EpochGrid(count=24),
+            tracked_labels=("Beijing", "Shanghai", "Wuhan", "Kashi", "Nansha"))
+
+    def test_existing_file_wins_over_profile(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "desk").write_text("seed: 7\n")
+        assert load_config("desk").seed == 7
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            load_config("desktop")
+        assert err.value.errors == [
+            "desktop: no such file or bundled profile (profiles: desk, full)"]
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("constellation: [unclosed")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_readme_scenario_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        assert load_config(path) == from_dict({})
 
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "mini.yaml"
@@ -180,12 +223,12 @@ class TestYamlLoading:
 
 class TestDigest:
     def test_digest_stability_and_sensitivity(self):
-        a = ScenarioConfig.desk_scale(seed=1)
-        b = ScenarioConfig.desk_scale(seed=1)
-        c = ScenarioConfig.desk_scale(seed=2)
+        a = load_config("desk")
+        b = load_config("desk")
+        c = replace(a, seed=2)
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
 
     def test_to_dict_json_friendly(self):
         import json
-        json.dumps(to_dict(ScenarioConfig.desk_scale()))
+        json.dumps(to_dict(load_config("desk")))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coopsat.config import ScenarioConfig
+from coopsat.config import load_config
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM, ConstellationConfig,
                               GroundUser, SatelliteState, elevation_deg,
                               ground_user_position, link_geometry, propagate,
@@ -64,10 +64,11 @@ def test_body_axes_orthonormal_and_aligned():
     for st in propagate(cfg, 777.0):
         axes = st.body_axes
         assert np.allclose(axes @ axes.T, np.eye(3), atol=1e-12)
-        assert np.allclose(st.body_z, -st.position_km / np.linalg.norm(st.position_km))
+        x, y, z = axes
+        assert np.allclose(z, -st.position_km / np.linalg.norm(st.position_km))
         v_hat = st.velocity_km_s / np.linalg.norm(st.velocity_km_s)
-        assert np.dot(st.body_x, v_hat) == pytest.approx(1.0)
-        assert np.allclose(np.cross(st.body_x, st.body_y), st.body_z, atol=1e-12)
+        assert np.dot(x, v_hat) == pytest.approx(1.0)
+        assert np.allclose(np.cross(x, y), z, atol=1e-12)
 
 
 def test_zenith_link():
@@ -75,11 +76,12 @@ def test_zenith_link():
                               altitude_km=1200.0)
     (sat,) = propagate(cfg, 0.0)
     gu = GroundUser(0, 0.0, 0.0)
-    elev = elevation_deg(sat.position_km, ground_user_position(gu, 0.0))
+    elev = visibility([sat], [gu]).elevation_deg[0, 0]
     assert elev == pytest.approx(90.0)
     geom = link_geometry(sat, gu, t=0.0, elevation_deg=elev)
     assert geom.elevation_deg == elev
     assert geom.slant_range_km == pytest.approx(1200.0)
+    assert np.allclose(geom.direction, [1.0, 0.0, 0.0])
     # user straight below the satellite: body-frame elevation is 90 degrees
     assert geom.elevation_sat_deg == pytest.approx(90.0)
 
@@ -99,9 +101,31 @@ def test_slant_range_spherical_law_of_cosines():
     r_gu, r_sat = np.linalg.norm(gu_pos), cfg.radius_km
     expected = math.sqrt(r_gu**2 + r_sat**2 - 2.0 * r_gu * r_sat * math.cos(psi))
     geom = link_geometry(sat, gu, t=t,
-                         elevation_deg=elevation_deg(sat.position_km, gu_pos))
+                         elevation_deg=visibility([sat], [gu], 0.0, t).elevation_deg[0, 0])
     assert geom.slant_range_km == pytest.approx(expected, rel=1e-12)
     assert psi == pytest.approx(math.radians(7.5), abs=1e-9)
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_link_geometry_keeps_the_two_position_bits(profile):
+    # one line of sight per link gives the bits that separate
+    # satellite-to-user and user-to-satellite vectors gave, which the
+    # result files pin
+    cfg = load_config(profile)
+    t = cfg.epochs.times()[1]
+    states, gus = propagate(cfg.constellation, t), list(cfg.gus)
+    vis = visibility(states, gus, cfg.min_elevation_deg, t)
+    for s, u in zip(*np.nonzero(vis.visible)):
+        sat, gu = states[s], gus[u]
+        geom = link_geometry(sat, gu, t, elevation_deg=float(vis.elevation_deg[s, u]))
+        los = sat.position_km - ground_user_position(gu, t)
+        to_user = ground_user_position(gu, t) - sat.position_km
+        d_body = sat.body_axes @ (to_user / np.linalg.norm(to_user))
+        assert geom.slant_range_km == float(np.linalg.norm(los))
+        assert np.array_equal(geom.direction, los / np.linalg.norm(los))
+        assert geom.elevation_sat_deg == math.degrees(
+            math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
+        assert geom.azimuth_sat_deg == math.degrees(math.atan2(d_body[1], d_body[0]))
 
 
 def test_visibility_zenith_and_antipode():
@@ -117,8 +141,7 @@ def test_visibility_zenith_and_antipode():
 
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_visibility_matches_one_pair_elevation(profile):
-    cfg = (ScenarioConfig.desk_scale(seed=1) if profile == "desk"
-           else ScenarioConfig.full_scale(seed=1))
+    cfg = load_config(profile)
     gus = list(cfg.gus)
     for t in cfg.epochs.times()[::4]:
         states = propagate(cfg.constellation, t)
@@ -128,7 +151,6 @@ def test_visibility_matches_one_pair_elevation(profile):
                            for sp in sat_pos])
         # bit-equal, so the mask agrees even at the threshold
         assert np.array_equal(elevation_deg(sat_pos[:, None, :], gu_pos), scalar)
-        assert elevation_deg(sat_pos[0], gu_pos[0]) == scalar[0, 0]
         vis = visibility(states, gus, cfg.min_elevation_deg, t)
         assert np.array_equal(vis.visible, scalar >= cfg.min_elevation_deg)
         assert np.array_equal(vis.elevation_deg, scalar)  # link_geometry's input

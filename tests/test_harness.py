@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from coopsat.config import EpochGrid, ScenarioConfig, from_dict
+from coopsat.config import EpochGrid, ScenarioConfig, from_dict, load_config
 from coopsat.geometry import ConstellationConfig, GroundUser
 from coopsat.harness import build_epoch_instance, emit, link_rng, run
 
@@ -67,7 +67,7 @@ class TestBuildInstance:
         # sha256 of one desk seed-1 link's channel and analog beam: a
         # change to the channel draw that moves any bit fails here first,
         # before the result-file digests
-        cfg = ScenarioConfig.desk_scale(seed=1)
+        cfg = load_config("desk")
         inst = build_epoch_instance(cfg, 0, cfg.epochs.times()[0])
         i, u = np.argwhere(inst.visible_mask.T)[0]
         assert (inst.sat_ids[i], inst.gu_ids[u]) == (2, 0)
@@ -154,6 +154,14 @@ class TestEmit:
             report = run(tiny_config(seed=4))
             files = emit(report, tmp_path / sub, "csv")
             blobs.append(b"".join(p.read_bytes() for p in sorted(files)))
+        assert blobs[0] == blobs[1]
+
+    def test_trace_leaves_files_unchanged(self, tmp_path):
+        # the decisions stay in the in-memory summary only
+        traced = run(tiny_config(), trace=True)
+        assert traced.summary["trace"]
+        blobs = [{p.name: p.read_bytes() for p in emit(report, tmp_path / sub, "csv")}
+                 for sub, report in (("plain", run(tiny_config())), ("traced", traced))]
         assert blobs[0] == blobs[1]
 
     def test_series_includes_tracked_users(self, tmp_path):

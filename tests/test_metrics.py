@@ -305,8 +305,8 @@ class TestAggregation:
 
     def test_constant_series_zero_variance(self):
         results = [_result("au", k, [1.5, 1.5]) for k in range(4)]
-        classes = [metrics.DensityClass(0, True, 400.0),
-                   metrics.DensityClass(1, True, 400.0)]
+        classes = [metrics.DensityClass(0, True),
+                   metrics.DensityClass(1, True)]
         stats = metrics.density_statistics(results, classes)
         assert stats["au"]["dense"]["var_se"] == pytest.approx(0.0)
         assert stats["au"]["dense"]["mean_se"] == pytest.approx(1.5)
@@ -314,7 +314,7 @@ class TestAggregation:
     def test_population_variance_convention(self):
         # series {1, 2, 3}: mean 2, population variance 2/3
         results = [_result("au", k, [float(k + 1)]) for k in range(3)]
-        classes = [metrics.DensityClass(0, False, 400.0)]
+        classes = [metrics.DensityClass(0, False)]
         stats = metrics.density_statistics(results, classes)
         assert stats["au"]["sparse"]["mean_se"] == pytest.approx(2.0)
         assert stats["au"]["sparse"]["var_se"] == pytest.approx(2.0 / 3.0)

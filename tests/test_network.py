@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import instances, make_instance
 from coopsat.channel import vsat_gain_linear
-from coopsat.config import ScenarioConfig
+from coopsat.config import load_config
 from coopsat.harness import build_epoch_instance
 
 
@@ -76,7 +76,7 @@ class TestGainTable:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_equals_the_loop_on_desk(self, seed):
-        cfg = ScenarioConfig.desk_scale(seed=seed)
+        cfg = replace(load_config("desk"), seed=seed)
         for epoch, t in enumerate(cfg.epochs.times()):
             inst = build_epoch_instance(cfg, epoch, t)
             assert np.array_equal(inst.gain_table, loop_gain_table(inst))

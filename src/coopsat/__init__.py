@@ -7,8 +7,7 @@ users cooperatively on a shared band.
 
 __version__ = "0.1.0"
 
-from .beamforming import (AnalogBeamVector, analog_beamform, build_codebook,
-                          regularized_zf)
+from .beamforming import analog_beamform, build_codebook, regularized_zf
 from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                       PathLossBreakdown, RfConfig, SmallScaleConfig, path_loss,
                       small_scale, vsat_gain_dbi)
@@ -34,7 +33,7 @@ __all__ = [
     "PathLossBreakdown", "RfConfig", "SmallScaleConfig",
     "path_loss", "small_scale", "vsat_gain_dbi",
     # beamforming
-    "AnalogBeamVector", "analog_beamform", "build_codebook", "regularized_zf",
+    "analog_beamform", "build_codebook", "regularized_zf",
     # network / scheduling / metrics
     "EpochInstance", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",

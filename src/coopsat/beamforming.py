@@ -13,21 +13,11 @@ power P, is applied by ``network.hybrid_from_beamspace``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .channel import ArrayConfig
-
-
-@dataclass(frozen=True, eq=False)
-class AnalogBeamVector:
-    """Constant-modulus analog beam plus the codewords it came from."""
-
-    entries: np.ndarray            # (N,), every entry has modulus 1/sqrt(N)
-    codeword_indices: tuple[int, ...]
-    coefficients: np.ndarray       # (K,) least-squares combination weights
 
 
 def _dft_unitary(n: int) -> np.ndarray:
@@ -41,9 +31,9 @@ def build_codebook(array: ArrayConfig) -> np.ndarray:
     return np.kron(_dft_unitary(array.n_x), _dft_unitary(array.n_y))
 
 
-def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> AnalogBeamVector:
-    """Analog beam for channel ``h`` from the codewords (columns) of
-    ``codebook``.
+def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> np.ndarray:
+    """Constant-modulus analog beam (N entries of modulus 1/sqrt(N)) for
+    channel ``h`` from the codewords (columns) of ``codebook``.
 
     Steps: rank codewords by |h^H d|^2 and keep the top ``k`` (ties go to
     the lower index), least-squares combine them, then force every entry
@@ -72,10 +62,7 @@ def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> AnalogBeamVector:
 
     mod = np.abs(combined)
     phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
-    entries = phases / math.sqrt(n)
-    return AnalogBeamVector(entries=entries,
-                            codeword_indices=tuple(int(i) for i in selected),
-                            coefficients=coeff)
+    return phases / math.sqrt(n)
 
 
 def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,

@@ -24,6 +24,8 @@ BOLTZMANN_J_K = 1.380649e-23
 # with theta in degrees.
 _APERTURE_GAIN_CONST = 30000.0
 
+_RADIANS_PER_DEGREE = math.pi / 180.0
+
 
 class LinkInvalidError(ValueError):
     """Raised when a link cannot physically exist (satellite below horizon)."""
@@ -155,18 +157,23 @@ def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
     exponential per array axis.  The cosines and sines come from
     ``math`` (libm) one direction at a time: numpy's vectorized trig may
     round differently from libm, and differently on another CPU, which
-    would move every channel bit.
+    would move every channel bit.  The conversion to radians may be
+    vectorized: ``math.radians`` is one multiplication by ``pi / 180``.
+    The rows are scaled by multiplying the real and imaginary parts with
+    ``1 / sqrt(N)``: numpy divides a complex array by a real scalar
+    exactly so, while dividing the parts by ``sqrt(N)`` rounds
+    differently.
     """
-    phi = [math.radians(a) for a in np.asarray(phi_deg, dtype=float).tolist()]
-    theta = [math.radians(a) for a in np.asarray(theta_deg, dtype=float).tolist()]
+    phi = (np.asarray(phi_deg, dtype=float) * _RADIANS_PER_DEGREE).tolist()
+    theta = (np.asarray(theta_deg, dtype=float) * _RADIANS_PER_DEGREE).tolist()
     k = -2j * math.pi * array.element_spacing
-    cos_theta = np.array([math.cos(a) for a in theta])
-    kx = k * cos_theta * np.array([math.cos(a) for a in phi])
-    ky = k * cos_theta * np.array([math.sin(a) for a in phi])
+    cos_theta = np.fromiter(map(math.cos, theta), float, len(theta))
+    kx = k * cos_theta * np.fromiter(map(math.cos, phi), float, len(phi))
+    ky = k * cos_theta * np.fromiter(map(math.sin, phi), float, len(phi))
     ax = np.exp(kx[:, None] * np.arange(array.n_x))
     ay = np.exp(ky[:, None] * np.arange(array.n_y))
     out = (ax[:, :, None] * ay[:, None, :]).reshape(len(phi), array.n_elements)
-    out /= math.sqrt(array.n_elements)
+    out.view(float)[...] *= 1.0 / math.sqrt(array.n_elements)
     return out
 
 
@@ -174,17 +181,18 @@ def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw (azimuth, elevation) pairs for every diffuse ray.
 
-    Cluster centers and rays within a cluster are both Laplacian around
-    the direct-path direction with scale ``angle_spread_deg``.  Each
-    cluster draws its center, then all its rays in one call, which
-    consumes the stream as one call per ray would.
+    Cluster centers are Laplacian around the direct-path direction, and
+    the rays of a cluster Laplacian around its center, both with scale
+    ``angle_spread_deg``.  One zero-mean call draws every cluster's
+    center offset followed by its ray offsets, which consumes the stream
+    as one call per cluster center and per ray would.  Adding the mean
+    afterwards keeps the bits: ``laplace`` returns ``loc +/- x``, and
+    ``0 +/- x`` is exact.
     """
-    out = np.empty((cfg.n_clusters, cfg.n_rays, 2))
-    b = cfg.angle_spread_deg
-    for c in range(cfg.n_clusters):
-        center = rng.laplace(loc=(phi0_deg, theta0_deg), scale=b, size=2)
-        out[c] = rng.laplace(loc=center, scale=b, size=(cfg.n_rays, 2))
-    return out.reshape(-1, 2)
+    draws = rng.laplace(scale=cfg.angle_spread_deg,
+                        size=(cfg.n_clusters, cfg.n_rays + 1, 2))
+    centers = draws[:, :1] + (phi0_deg, theta0_deg)
+    return (draws[:, 1:] + centers).reshape(-1, 2)
 
 
 def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
@@ -203,8 +211,8 @@ def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
     * each path's term is ``coef * steering``, coefficient first: numpy
       may round the imaginary part of a complex product differently
       with the operands swapped;
-    * the terms are added one after another in path order (a running
-      ``cumsum``), never by ``sum``, which may add them pairwise.
+    * the terms are added one row after another in path order, never
+      by ``sum`` or ``np.add.reduce``, which may add them pairwise.
     """
     amp0_db = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
     m0 = 10.0 ** (amp0_db / 20.0) * np.exp(2j * math.pi * rng.uniform())
@@ -223,7 +231,9 @@ def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
         paths = np.array([(phi0_deg, theta0_deg)])
     terms = steering_vectors(paths[:, 0], paths[:, 1], array)
     np.multiply(coef[:, None], terms, out=terms)
-    h = np.cumsum(terms, axis=0, out=terms)[-1]
+    h = terms[0].copy()
+    for term in terms[1:]:
+        h += term
     return cfg.normalization * h
 
 

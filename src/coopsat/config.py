@@ -18,8 +18,6 @@ from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .channel import ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig
 from .geometry import ConstellationConfig, GroundUser
 from .scheduling import SchemeMode
@@ -147,6 +145,7 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
         errors.append("gus: expected a list or a dataset reference")
         return ()
     out = []
+    labelled: dict[str, int] = {}  # label -> index of its first user
     for i, row in enumerate(data):
         if not isinstance(row, dict):
             errors.append(f"gus[{i}]: expected a mapping")
@@ -158,6 +157,11 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
                 errors.append(f"gus[{i}].{key}: unknown field")
             elif key != "label" and not _is_finite(value):
                 errors.append(f"gus[{i}].{key}: must be a finite number")
+        label = str(row["label"])
+        if label in labelled:
+            errors.append(f"gus[{i}].label: {label!r} is already the label "
+                          f"of gus[{labelled[label]}]")
+        labelled.setdefault(label, i)
         if len(errors) > n_errors:
             continue
         try:
@@ -167,7 +171,7 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
                 # 180 E is 180 W; GroundUser keeps longitudes in [-180, 180)
                 longitude_deg=-180.0 if row["lon"] == 180.0 else float(row["lon"]),
                 altitude_km=float(row["alt_km"]),
-                label=str(row["label"]),
+                label=label,
             ))
         except ValueError as exc:
             errors.append(f"gus[{i}]: {exc}")
@@ -283,6 +287,8 @@ def load_config(source: str | Path) -> ScenarioConfig:
             raise ConfigError([f"{source}: no such file or bundled profile "
                                f"(profiles: {', '.join(sorted(profiles))})"])
         text = profiles[str(source)].read_text()
+    import yaml  # here, not at the top: from_dict callers never load PyYAML
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

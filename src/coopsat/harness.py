@@ -70,7 +70,7 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
                            rays, config.small_scale, config.array, rng)
         h = large_scale_amplitude(pl.total_db, config.rf) * h_ss
         channels[i, u] = h
-        analog[i, u] = analog_beamform(h, codebook, k=config.codewords).entries
+        analog[i, u] = analog_beamform(h, codebook, k=config.codewords)
         directions[u, i] = geom.direction
 
     return EpochInstance(sat_ids, tuple(g.user_id for g in gus), config.rf,

@@ -50,7 +50,7 @@ def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
             h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
             mask[u, s] = True
             channels[s, u] = channel_scale * h
-            analog[s, u] = analog_beamform(h, codebook, k=min(4, n)).entries
+            analog[s, u] = analog_beamform(h, codebook, k=min(4, n))
             d = rng.standard_normal(3)
             directions[u, s] = d / np.linalg.norm(d)
     return EpochInstance(sat_ids=sat_ids, gu_ids=gu_ids, rf=rf_cfg,

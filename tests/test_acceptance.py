@@ -161,8 +161,8 @@ def test_criterion_5_codebook_and_analog_properties():
         h = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2)
         beam = analog_beamform(h, cb, k=4)
         worst_modulus = max(worst_modulus,
-                            float(np.max(np.abs(np.abs(beam.entries) - amp))))
-        combined = abs(np.vdot(h, beam.entries)) ** 2
+                            float(np.max(np.abs(np.abs(beam) - amp))))
+        combined = abs(np.vdot(h, beam)) ** 2
         single = float(np.max(np.abs(cb.conj().T @ h) ** 2))
         wins += combined >= single
     share = wins / trials

@@ -30,15 +30,33 @@ class TestCodebook:
         assert np.max(np.abs(cb.conj().T @ cb - np.eye(n))) <= 1e-10
 
 
+def phase_projection(combined):
+    """Unit-modulus phases of ``combined`` scaled to 1/sqrt(N); entries
+    that are exactly zero get phase zero."""
+    mod = np.abs(combined)
+    phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
+    return phases / math.sqrt(len(combined))
+
+
+def documented_beam(h, cb, k):
+    """The construction ``analog_beamform`` documents, one step at a time:
+    the top-k codewords by |D^H h|^2 (stable sort, so the lower index wins
+    a tie), their least-squares combination, then the phase projection."""
+    scores = np.abs(cb.conj().T @ h) ** 2
+    d_k = cb[:, np.argsort(-scores, kind="stable")[:k]]
+    return phase_projection(d_k @ (d_k.conj().T @ h))
+
+
 class TestAnalogBeamform:
     def test_channel_equal_to_codeword(self, default_array):
         cb = build_codebook(default_array)
         for col in (0, 7, 33):
             h = cb[:, col]
             beam = analog_beamform(h, cb, k=4)
-            assert col in beam.codeword_indices
-            assert beam.codeword_indices[0] == col  # highest score first
-            gain = abs(np.vdot(h, beam.entries)) ** 2
+            # the combination is the codeword itself, whose entries
+            # already have modulus 1/sqrt(N)
+            assert np.allclose(beam, h, atol=1e-12)
+            gain = abs(np.vdot(h, beam)) ** 2
             assert gain == pytest.approx(1.0, abs=1e-10)
 
     def test_full_codebook_reconstructs_channel(self, default_array):
@@ -47,9 +65,8 @@ class TestAnalogBeamform:
         n = default_array.n_elements
         h = cn_vector(rng, n)
         beam = analog_beamform(h, cb, k=n)
-        d_k = cb[:, list(beam.codeword_indices)]
-        combined = d_k @ beam.coefficients
-        assert np.allclose(combined, h, atol=1e-10)  # complete basis
+        # a complete basis combines back to h: the beam is h's phases
+        assert np.allclose(beam, h / np.abs(h) / math.sqrt(n), atol=1e-10)
 
     def test_equal_amplitude_entries(self, default_array):
         cb = build_codebook(default_array)
@@ -57,17 +74,21 @@ class TestAnalogBeamform:
         n = default_array.n_elements
         for _ in range(20):
             beam = analog_beamform(cn_vector(rng, n), cb, k=4)
-            assert np.allclose(np.abs(beam.entries), 1.0 / math.sqrt(n), atol=1e-12)
-            assert np.linalg.norm(beam.entries) == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(np.abs(beam), 1.0 / math.sqrt(n), atol=1e-12)
+            assert np.linalg.norm(beam) == pytest.approx(1.0, abs=1e-12)
 
     def test_least_squares_residual_orthogonality(self, default_array):
+        # the beam projects the least-squares fit of h by the top-4
+        # codewords, solved here without using their orthonormality
         cb = build_codebook(default_array)
         rng = np.random.default_rng(3)
         h = cn_vector(rng, default_array.n_elements)
-        beam = analog_beamform(h, cb, k=4)
-        d_k = cb[:, list(beam.codeword_indices)]
-        residual = h - d_k @ beam.coefficients
-        assert np.max(np.abs(d_k.conj().T @ residual)) <= 1e-10
+        top = np.argsort(-np.abs(cb.conj().T @ h) ** 2, kind="stable")[:4]
+        d_k = cb[:, top]
+        combined = d_k @ np.linalg.lstsq(d_k, h, rcond=None)[0]
+        assert np.max(np.abs(d_k.conj().T @ (h - combined))) <= 1e-10
+        assert np.allclose(analog_beamform(h, cb, k=4), phase_projection(combined),
+                           atol=1e-10)
 
     def test_gain_beats_best_single_codeword(self, default_array):
         cb = build_codebook(default_array)
@@ -78,7 +99,7 @@ class TestAnalogBeamform:
         for _ in range(trials):
             h = cn_vector(rng, n)
             beam = analog_beamform(h, cb, k=4)
-            combined = abs(np.vdot(h, beam.entries)) ** 2
+            combined = abs(np.vdot(h, beam)) ** 2
             single = float(np.max(np.abs(cb.conj().T @ h) ** 2))
             wins += combined >= single
         assert wins / trials >= 0.95
@@ -87,26 +108,27 @@ class TestAnalogBeamform:
         cb = build_codebook(default_array)
         rng = np.random.default_rng(5)
         h = cn_vector(rng, default_array.n_elements)
+        baseline = analog_beamform(h, cb, k=4)
         for alpha in (0.3, 1.7, 4.0):
+            # same codewords, so the beam turns with the channel
             rotated = analog_beamform(h * np.exp(1j * alpha), cb, k=4)
-            baseline = analog_beamform(h, cb, k=4)
-            assert rotated.codeword_indices == baseline.codeword_indices
-            gain_r = abs(np.vdot(h * np.exp(1j * alpha), rotated.entries))
-            gain_b = abs(np.vdot(h, baseline.entries))
+            assert np.allclose(rotated, baseline * np.exp(1j * alpha), atol=1e-12)
+            gain_r = abs(np.vdot(h * np.exp(1j * alpha), rotated))
+            gain_b = abs(np.vdot(h, baseline))
             assert gain_r == pytest.approx(gain_b, rel=1e-12)
 
     @pytest.mark.parametrize("n_x,n_y", [(8, 8), (1, 7), (5, 3)])
     def test_ranking_follows_codeword_scores(self, n_x, n_y):
-        # the full ranking is the stable sort of |D^H h|^2, computed here
-        # with the conjugated codebook
+        # every prefix of the ranking (the stable sort of |D^H h|^2,
+        # computed here with the conjugated codebook) picks the beam
         cb = build_codebook(ArrayConfig(n_x=n_x, n_y=n_y, n_sub_x=1, n_sub_y=1))
         n = n_x * n_y
         rng = np.random.default_rng(12)
         for _ in range(50):
             h = cn_vector(rng, n) * 10.0 ** rng.uniform(-8.0, 3.0)
-            scores = np.abs(cb.conj().T @ h) ** 2
-            expected = np.argsort(-scores, kind="stable")
-            assert analog_beamform(h, cb, k=n).codeword_indices == tuple(expected)
+            for k in range(1, n + 1):
+                assert np.array_equal(analog_beamform(h, cb, k=k),
+                                      documented_beam(h, cb, k))
 
     def test_tie_break_lower_index(self):
         # h = [1, 0] scores exactly 0.5 on both codewords of the real
@@ -117,14 +139,14 @@ class TestAnalogBeamform:
         scores = np.abs(cb.conj().T @ h) ** 2
         assert scores[0] == scores[1]  # exact tie
         beam = analog_beamform(h, cb, k=1)
-        assert beam.codeword_indices == (0,)
+        assert np.allclose(beam, cb[:, 0], atol=1e-15)  # codeword 0, not 1
 
     def test_degenerate_entry_gets_phase_zero(self):
         # orthonormal identity codebook reproduces h = [1, 0] exactly,
         # leaving the second entry at modulus zero
         beam = analog_beamform(np.array([1.0, 0.0]), np.eye(2, dtype=complex), k=2)
-        assert np.allclose(np.abs(beam.entries), 1.0 / math.sqrt(2.0))
-        assert beam.entries[1] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert np.allclose(np.abs(beam), 1.0 / math.sqrt(2.0))
+        assert beam[1] == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_rejects_bad_inputs(self, default_array):
         cb = build_codebook(default_array)

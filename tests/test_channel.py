@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_channel as ref
@@ -52,6 +52,16 @@ class TestReferenceChannel:
            multipath_db=st.sampled_from([-15.0, -3.0, -math.inf]),
            phi=st.floats(-180.0, 180.0), theta=st.floats(-90.0, 90.0),
            seed=st.integers(0, 2**32 - 1))
+    # the benchmark's shapes, which the strategy does not reach: 16x16
+    # elements with 4 x 25 rays (wide-array) and 8x8 with 2 x 10 rays
+    # (the desk and full profiles); and a single element with 4 x 3
+    # rays, where np.add.reduce would add the 13 paths pairwise
+    @example(n_x=16, n_y=16, spacing=0.5, n_clusters=4, n_rays=25,
+             multipath_db=-15.0, phi=-37.25, theta=71.5, seed=3)
+    @example(n_x=8, n_y=8, spacing=0.5, n_clusters=2, n_rays=10,
+             multipath_db=-15.0, phi=123.0, theta=48.75, seed=11)
+    @example(n_x=1, n_y=1, spacing=0.5, n_clusters=4, n_rays=3,
+             multipath_db=-15.0, phi=5.0, theta=80.0, seed=0)
     def test_draw_equals_reference(self, n_x, n_y, spacing, n_clusters, n_rays,
                                    multipath_db, phi, theta, seed):
         array = ArrayConfig(n_x=n_x, n_y=n_y, element_spacing=spacing)

@@ -53,6 +53,8 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     ("gus: {inline: [{lat: 30, lon: 116}], count: 3}\n", "gus.count"),
     ("min_elevation_deg: true\n", "min_elevation_deg"),
     ("beta: '0.5'\n", "beta"),
+    ("gus: [{lat: 30, lon: 116, label: A}, {lat: 31, lon: 121, label: A}]\n",
+     "gus[1].label"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):

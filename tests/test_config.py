@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import coopsat
 from coopsat.config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
                             config_digest, from_dict, load_config, to_dict)
 from coopsat.scheduling import SchemeMode
@@ -161,6 +165,11 @@ class TestFromDict:
         ({"gus": [{"lon": 116}]}, "gus[0].lat: must be a finite number"),
         ({"tracked_labels": ["Beijng"]},
          "tracked_labels: no ground user is labelled 'Beijng'"),
+        ({"gus": [{"lat": 30, "lon": 116, "label": "A"},
+                  {"lat": 31, "lon": 121, "label": "A"}]},
+         "gus[1].label: 'A' is already the label of gus[0]"),
+        ({"gus": [{"lat": 30, "lon": 116}, {"lat": 31, "lon": 121, "label": "gu0"}]},
+         "gus[1].label: 'gu0' is already the label of gus[0]"),
     ])
     def test_bad_user_entry_rejected(self, data, message):
         with pytest.raises(ConfigError) as err:
@@ -219,6 +228,18 @@ class TestYamlLoading:
         cfg = load_config(path)
         assert cfg.seed == 7
         assert cfg.epochs.count == 2
+
+    def test_yaml_loaded_only_by_load_config(self):
+        # a fresh interpreter: this one has loaded PyYAML already
+        code = ("import sys, coopsat\n"
+                "coopsat.config.from_dict({})\n"
+                "print('yaml' in sys.modules)\n"
+                "coopsat.load_config('desk')\n"
+                "print('yaml' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(coopsat.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestDigest:

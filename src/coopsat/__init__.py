@@ -8,9 +8,8 @@ users cooperatively on a shared band.
 __version__ = "0.1.0"
 
 from .beamforming import analog_beamform, build_codebook, regularized_zf
-from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
-                      PathLossBreakdown, RfConfig, SmallScaleConfig, path_loss,
-                      small_scale, vsat_gain_dbi)
+from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError, RfConfig,
+                      SmallScaleConfig, path_loss, small_scale, vsat_gain_dbi)
 from .config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
                      config_digest, load_config)
 from .geometry import (ConstellationConfig, GroundUser, LinkGeometry,
@@ -18,7 +17,7 @@ from .geometry import (ConstellationConfig, GroundUser, LinkGeometry,
                        propagate, visibility)
 from .harness import RunReport, build_epoch_instance, emit, run
 from .metrics import (DensityClass, ExperimentResult, NonFiniteSinrError,
-                      UserMetrics, density_classes, total_se, user_metrics)
+                      UserMetrics, density_classes, user_metrics)
 from .network import EpochInstance
 from .scheduling import (ScheduleResult, SchemeMode, exhaustive_schedule,
                          greedy_schedule)
@@ -30,7 +29,7 @@ __all__ = [
     "VisibilitySets", "propagate", "link_geometry", "visibility",
     # channel
     "ArrayConfig", "AttenuationConfig", "LinkInvalidError",
-    "PathLossBreakdown", "RfConfig", "SmallScaleConfig",
+    "RfConfig", "SmallScaleConfig",
     "path_loss", "small_scale", "vsat_gain_dbi",
     # beamforming
     "analog_beamform", "build_codebook", "regularized_zf",
@@ -38,8 +37,7 @@ __all__ = [
     "EpochInstance", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",
     "DensityClass", "ExperimentResult", "NonFiniteSinrError", "UserMetrics",
-    "density_classes",
-    "total_se", "user_metrics",
+    "density_classes", "user_metrics",
     # harness / config
     "ConfigError", "EpochGrid", "ScenarioConfig", "RunReport",
     "bundled_cities", "config_digest", "load_config",

@@ -136,17 +136,6 @@ class AttenuationConfig:
             raise ValueError("attenuation terms must be >= 0")
 
 
-@dataclass(frozen=True)
-class PathLossBreakdown:
-    basic_db: float
-    gas_db: float
-    scintillation_db: float
-
-    @property
-    def total_db(self) -> float:
-        return self.basic_db + self.gas_db + self.scintillation_db
-
-
 def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
     """Unit-norm planar-array steering vectors (P x N) for the azimuths
     ``phi_deg`` and elevations ``theta_deg`` (P each) seen from the
@@ -238,8 +227,8 @@ def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
 
 
 def path_loss(geom, rf: RfConfig, atten: AttenuationConfig,
-              rng: np.random.Generator) -> PathLossBreakdown:
-    """Large-scale path loss of a link: free-space plus a shadow-fading
+              rng: np.random.Generator) -> float:
+    """Large-scale path loss of a link in dB: free-space plus a shadow-fading
     draw, cosecant-scaled gaseous absorption, and scintillation."""
     if geom.elevation_deg <= 0.0:
         raise LinkInvalidError(
@@ -249,8 +238,7 @@ def path_loss(geom, rf: RfConfig, atten: AttenuationConfig,
                              / SPEED_OF_LIGHT_M_S)
     shadow = float(rng.normal(0.0, atten.shadow_sigma_db))
     gas = atten.zenith_gas_db / math.sin(math.radians(geom.elevation_deg))
-    return PathLossBreakdown(basic_db=fspl + shadow, gas_db=gas,
-                             scintillation_db=atten.scintillation_db)
+    return fspl + shadow + gas + atten.scintillation_db
 
 
 def vsat_gain_dbi(off_boresight_deg: float, rf: RfConfig) -> float:

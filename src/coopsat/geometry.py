@@ -166,12 +166,14 @@ def propagate(config: ConstellationConfig, t: float) -> list[SatelliteState]:
             vel = frame @ np.array([-a * n * su, a * n * cu, 0.0])
             z_b = -pos / a
             x_b = _unit(vel - np.dot(vel, z_b) * z_b)
-            y_b = np.cross(z_b, x_b)
+            # z_b x x_b, component by component as np.cross rounds it
+            (z0, z1, z2), (x0, x1, x2) = z_b.tolist(), x_b.tolist()
+            y_b = (z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0)
             states.append(SatelliteState(
                 satellite_id=p * config.sats_per_plane + k,
                 position_km=pos,
                 velocity_km_s=vel,
-                body_axes=np.vstack([x_b, y_b, z_b]),
+                body_axes=np.array([(x0, x1, x2), y_b, (z0, z1, z2)]),
             ))
     return states
 

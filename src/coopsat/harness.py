@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +63,12 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
         sat, gu = states[active[i]], gus[u]
         geom = link_geometry(sat, gu, t, elevation_deg=float(elevation[i, u]))
         rng = link_rng(config.seed, epoch_index, sat_ids[i], gu.user_id)
-        pl = path_loss(geom, config.rf, config.attenuation, rng)
+        loss_db = path_loss(geom, config.rf, config.attenuation, rng)
         rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,
                                  config.small_scale, rng)
         h_ss = small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg,
                            rays, config.small_scale, config.array, rng)
-        h = large_scale_amplitude(pl.total_db, config.rf) * h_ss
+        h = large_scale_amplitude(loss_db, config.rf) * h_ss
         channels[i, u] = h
         analog[i, u] = analog_beamform(h, codebook, k=config.codewords)
         directions[u, i] = geom.direction
@@ -79,18 +79,18 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
 
 
 def run(config: ScenarioConfig, trace: bool = False) -> RunReport:
-    """Execute the full experiment grid (epochs x schemes)."""
+    """Execute the full experiment grid (epochs x schemes).  Schemes that
+    schedule alike share one greedy run per epoch (``SchemeMode.scoring``)."""
     results: list[ExperimentResult] = []
     traces: dict[tuple[int, str], list[TraceRecord]] = {}
     for epoch_index, t in enumerate(config.epochs.times()):
         instance = build_epoch_instance(config, epoch_index, t)
+        greedy = {rule: greedy_schedule(instance, rule, beta=config.beta, trace=trace)
+                  for rule in dict.fromkeys(m.scoring for m in config.schemes)}
         for mode in config.schemes:
-            sched = greedy_schedule(instance, mode, beta=config.beta, trace=trace)
+            sched = replace(greedy[mode.scoring], mode=mode)
             users = user_metrics(instance, sched.links, sched.beams)
-            results.append(ExperimentResult(
-                epoch_index=epoch_index, epoch_s=t, scheme=mode.value,
-                users=tuple(users), unserved=sched.unserved,
-                total_se=sched.total_se))
+            results.append(ExperimentResult(epoch_index, t, mode.value, tuple(users)))
             if trace:
                 traces[(epoch_index, mode.value)] = sched.trace
 

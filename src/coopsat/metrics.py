@@ -51,13 +51,15 @@ class ExperimentResult:
     epoch_s: float
     scheme: str
     users: tuple[UserMetrics, ...]
-    unserved: tuple[int, ...]
-    total_se: float
 
-    def __post_init__(self) -> None:
-        total = sum(u.se for u in self.users)
-        if not math.isclose(total, self.total_se, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("total_se does not match the per-user sum")
+    @property
+    def total_se(self) -> float:
+        """The per-user SEs summed in row order, as ``total_se`` sums them."""
+        return sum(u.se for u in self.users)
+
+    @property
+    def unserved(self) -> tuple[int, ...]:
+        return tuple(u.gu_id for u in self.users if u.serving_sat is None)
 
 
 class NonFiniteSinrError(ValueError):

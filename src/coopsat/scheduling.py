@@ -2,9 +2,10 @@
 
 A schedule is a serving vector over the instance's users: the row in
 ``sat_ids`` of each user's serving satellite, or -1 when the user is
-unserved.  Its beams are ``{satellite row: mixer}`` over the serving
-satellites, as ``network`` defines them; ids appear only in
-``TraceRecord`` and ``ScheduleResult.unserved``.  Users with a single
+unserved.  ``ScheduleResult`` derives its beams, ``{satellite row:
+mixer}`` over the serving satellites as ``network`` defines them, and
+its total SE on first use; ids appear only in ``TraceRecord`` and
+``ScheduleResult.unserved``.  Users with a single
 visible satellite are linked up front.  The greedy loop then scores
 every remaining candidate link by the total spectral efficiency
 increment it would produce and commits the best one; a satellite
@@ -13,8 +14,8 @@ from the candidate pool.  Three evaluation modes:
 
 * ``AU``  - scores with fixed unit-power analog beams; final transmit
   matrices are the power-scaled analog beams.
-* ``SHU`` - scores like AU; digital beamforming is applied once on the
-  completed links.
+* ``SHU`` - scores like AU (``SchemeMode.scoring``); digital
+  beamforming is applied once on the completed links.
 * ``JHU`` - rebuilds the hybrid beamforming for each hypothetical link
   before scoring, so scheduling and digital precoding are designed
   jointly.
@@ -82,12 +83,12 @@ each assignment's per-user SEs in row order, so every score has the bits
 ``metrics.total_se`` gives it alone.  The first strictly greater score in
 enumeration order wins, so exact ties go to the assignment enumerated
 first, and a complete assignment beats an equally good partial one.  The
-winner's beams and total SE are recomputed by ``final_beams`` and
-``metrics.total_se``.
+winner's beams come from ``final_beams`` on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -115,6 +116,11 @@ class SchemeMode(str, Enum):
         except ValueError:
             raise ValueError(f"unknown scheme {value!r}; expected au, shu or jhu")
 
+    @property
+    def scoring(self) -> "SchemeMode":
+        """The mode whose greedy schedules this one's links."""
+        return SchemeMode.JHU if self is SchemeMode.JHU else SchemeMode.AU
+
 
 class ExhaustiveSearchError(ValueError):
     """Assignment space too large for the exhaustive oracle."""
@@ -130,13 +136,25 @@ class TraceRecord:
     committed: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScheduleResult:
+    instance: EpochInstance
+    mode: SchemeMode
+    beta: float | None
     links: np.ndarray  # serving vector: satellite row per user, -1 unserved
-    beams: dict[int, np.ndarray]  # mixer per serving satellite row
-    total_se: float
-    unserved: tuple[int, ...]
     trace: list[TraceRecord] = field(default_factory=list)
+
+    @functools.cached_property
+    def beams(self) -> dict[int, np.ndarray]:  # serving satellite row: mixer
+        return final_beams(self.instance, self.links, self.mode, self.beta)
+
+    @functools.cached_property
+    def total_se(self) -> float:
+        return metrics.total_se(self.instance, self.links, self.beams)
+
+    @property
+    def unserved(self) -> tuple[int, ...]:
+        return tuple(self.instance.gu_ids[u] for u in np.flatnonzero(self.links < 0))
 
 
 def final_beams(instance: EpochInstance, serving: np.ndarray, mode: SchemeMode,
@@ -164,10 +182,6 @@ def preassign_single_visibility(instance: EpochInstance,
         elif sats.size <= 1:
             dropped.append(int(u))
     return dropped
-
-
-def _unserved(instance: EpochInstance, serving: np.ndarray) -> tuple[int, ...]:
-    return tuple(instance.gu_ids[u] for u in np.flatnonzero(serving < 0))
 
 
 def _analog_gains(instance: EpochInstance, serving: np.ndarray,
@@ -254,16 +268,14 @@ def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.nd
 def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                     beta: float | None = None,
                     trace: bool = False) -> ScheduleResult:
-    """Run the greedy link construction and return the serving vector,
-    final beams and the resulting total SE.  Deterministic: argmax ties
-    go to the lexicographically smallest (satellite, user) pair."""
+    """The greedy link construction's schedule of ``instance``."""
     mode = SchemeMode.parse(mode)
     serving = np.full(len(instance.gu_ids), -1)
     dropped = preassign_single_visibility(instance, serving)
     spare = np.ones(len(instance.sat_ids), dtype=bool)
     pending = serving < 0
     pending[dropped] = False
-    analog = mode is not SchemeMode.JHU
+    analog = mode.scoring is SchemeMode.AU
 
     def scoring_mixer(i: int, members) -> np.ndarray:
         # not hybrid_beams, which traced runs count as the final-beam step
@@ -312,10 +324,7 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                                        float(gains[i, j]), committed))
         iteration += 1
 
-    beams = final_beams(instance, serving, mode, beta)
-    se = metrics.total_se(instance, serving, beams)
-    return ScheduleResult(links=serving, beams=beams, total_se=se,
-                          unserved=_unserved(instance, serving), trace=records)
+    return ScheduleResult(instance, mode, beta, serving, records)
 
 
 # Assignments the oracle scores per stacked evaluation: large enough to
@@ -408,7 +417,4 @@ def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
             best_se, best_links = se[k], serving[k]
     if best_links is None:  # cannot happen: the all-unserved combo is always feasible
         raise RuntimeError("no feasible assignment found")
-    beams = final_beams(instance, best_links, mode, beta)
-    return ScheduleResult(links=best_links, beams=beams,
-                          total_se=metrics.total_se(instance, best_links, beams),
-                          unserved=_unserved(instance, best_links))
+    return ScheduleResult(instance, mode, beta, best_links)

@@ -5,28 +5,38 @@ replaced: every feasible assignment gets its final beams from
 ``final_beams`` and its total SE from ``metrics.total_se``, one
 assignment at a time.  It redesigns the same (satellite, member set)
 beams over and over, so it serves only as the oracle of the
-differential tests.
+differential tests.  It returns the best total SE the loop itself
+computed, not one derived again from the winner.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from coopsat import metrics
 from coopsat.network import EpochInstance
-from coopsat.scheduling import ScheduleResult, SchemeMode, final_beams
+from coopsat.scheduling import SchemeMode, final_beams
+
+
+@dataclass(eq=False)
+class ReferenceResult:
+    links: np.ndarray
+    beams: dict[int, np.ndarray]
+    total_se: float
+    unserved: tuple[int, ...]
 
 
 def reference_exhaustive(instance: EpochInstance, mode: "SchemeMode | str",
-                         beta: float | None = None) -> ScheduleResult:
+                         beta: float | None = None) -> ReferenceResult:
     """Best feasible assignment, each user's options being its visible
     satellite rows in increasing order and then unserved; the first
     strictly greater total SE in ``itertools.product`` order wins."""
     mode = SchemeMode.parse(mode)
     options = [np.flatnonzero(row).tolist() + [-1] for row in instance.visible_mask]
-    best: ScheduleResult | None = None
+    best: ReferenceResult | None = None
     for combo in itertools.product(*options):
         serving = np.array(combo, dtype=int)
         if np.bincount(serving + 1)[1:].max(initial=0) > instance.n_beams:
@@ -35,7 +45,6 @@ def reference_exhaustive(instance: EpochInstance, mode: "SchemeMode | str",
         se = metrics.total_se(instance, serving, beams)
         if best is None or se > best.total_se:
             unserved = tuple(instance.gu_ids[u] for u in np.flatnonzero(serving < 0))
-            best = ScheduleResult(links=serving, beams=beams, total_se=se,
-                                  unserved=unserved)
+            best = ReferenceResult(serving, beams, se, unserved)
     assert best is not None  # the all-unserved assignment is always feasible
     return best

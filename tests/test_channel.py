@@ -127,28 +127,30 @@ class TestPathLoss:
                                   shadow_sigma_db=0.0)
         pl = path_loss(geom(slant=1200.0), rf, atten, np.random.default_rng(0))
         expected = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
-        assert pl.basic_db == pytest.approx(expected, abs=1e-9)
+        assert pl == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(180.05, abs=0.01)
-        assert pl.total_db == pl.basic_db
+        assert pl == expected  # the zero shadow, gas and scintillation add nothing
 
     def test_doubling_range_adds_6db(self, rf):
         atten = AttenuationConfig(shadow_sigma_db=0.0)
         p1 = path_loss(geom(slant=800.0), rf, atten, np.random.default_rng(0))
         p2 = path_loss(geom(slant=1600.0), rf, atten, np.random.default_rng(0))
-        assert p2.basic_db - p1.basic_db == pytest.approx(20.0 * math.log10(2.0),
-                                                          abs=1e-9)
+        assert p2 - p1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
     def test_cosecant_gas_scaling(self, rf):
+        # same range, so only the gas term differs: csc 30 deg = 2 csc 90 deg
         atten = AttenuationConfig(shadow_sigma_db=0.0)
         g90 = path_loss(geom(elevation=90.0), rf, atten, np.random.default_rng(0))
         g30 = path_loss(geom(elevation=30.0), rf, atten, np.random.default_rng(0))
-        assert g30.gas_db == pytest.approx(2.0 * g90.gas_db, rel=1e-12)
+        assert g30 - g90 == pytest.approx(atten.zenith_gas_db, rel=1e-12)
 
     def test_total_is_additive(self, rf):
         atten = AttenuationConfig()
         pl = path_loss(geom(elevation=45.0), rf, atten, np.random.default_rng(3))
-        assert pl.total_db == pytest.approx(
-            pl.basic_db + pl.gas_db + pl.scintillation_db)
+        fspl = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
+        shadow = np.random.default_rng(3).normal(0.0, atten.shadow_sigma_db)
+        gas = atten.zenith_gas_db / math.sin(math.radians(45.0))
+        assert pl == pytest.approx(fspl + shadow + gas + atten.scintillation_db)
 
     def test_below_horizon_rejected(self, rf):
         with pytest.raises(LinkInvalidError):

@@ -71,6 +71,14 @@ def test_body_axes_orthonormal_and_aligned():
         assert np.allclose(np.cross(x, y), z, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, 123.0, 4567.0, 20000.0, 86400.0])
+def test_body_y_axis_has_the_bits_of_np_cross(t):
+    cfg = ConstellationConfig(planes=6, sats_per_plane=8, inclination_deg=40.0)
+    for st in propagate(cfg, t):
+        x, y, z = st.body_axes
+        assert np.array_equal(y, np.cross(z, x))
+
+
 def test_zenith_link():
     cfg = ConstellationConfig(planes=1, sats_per_plane=1, inclination_deg=0.0,
                               altitude_km=1200.0)

@@ -2,13 +2,16 @@ import csv
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from coopsat import harness
 from coopsat.config import EpochGrid, ScenarioConfig, from_dict, load_config
 from coopsat.geometry import ConstellationConfig, GroundUser
 from coopsat.harness import build_epoch_instance, emit, link_rng, run
+from coopsat.scheduling import SchemeMode
 
 
 def single_link_config(**overrides):
@@ -34,6 +37,19 @@ def tiny_config(seed=1, epochs=2):
         epochs=EpochGrid(count=epochs),
         seed=seed,
     )
+
+
+def contended_config(schemes=("au", "shu", "jhu")):
+    """Eight nearby users on two-beam satellites and one polar user who
+    sees none: every epoch leaves users unserved, and JHU's schedule
+    differs from AU's."""
+    cities = [("A", 30.0, 116.0), ("B", 31.0, 117.0), ("C", 32.0, 115.0),
+              ("D", 30.5, 118.0), ("E", 29.0, 116.5), ("G", 33.0, 119.0),
+              ("H", 28.0, 114.0), ("F", 80.0, 0.0)]
+    return from_dict({
+        "gus": {"inline": [{"label": l, "lat": a, "lon": o} for l, a, o in cities]},
+        "array": {"n_x": 2, "n_y": 2, "n_sub_x": 1, "n_sub_y": 2},
+        "epochs": {"count": 3}, "schemes": list(schemes), "seed": 4})
 
 
 class TestLinkRng:
@@ -193,6 +209,35 @@ class TestEmit:
 
 
 class TestPairedEvaluation:
+    @pytest.mark.parametrize("schemes", [["shu"], ["shu", "au"], ["jhu", "shu", "au"]],
+                             ids=",".join)
+    def test_scheme_subsets_match_the_all_schemes_run(self, schemes):
+        every = run(contended_config(), trace=True)
+        subset = run(contended_config(schemes), trace=True)
+        by_key = {(r.epoch_index, r.scheme): r for r in every.results}
+        assert len(subset.results) == 3 * len(schemes)
+        for r in subset.results:
+            ref = by_key[(r.epoch_index, r.scheme)]
+            assert r.total_se == ref.total_se
+            assert r.users == ref.users
+        for part in ("trace", "unserved"):
+            assert subset.summary[part] == {
+                k: v for k, v in every.summary[part].items()
+                if k.split("/")[1] in schemes}
+        assert subset.summary["unserved"]
+        assert every.summary["unserved"]["2/jhu"] != every.summary["unserved"]["2/au"]
+
+    def test_au_and_shu_share_one_greedy_run_and_each_scheme_one_evaluation(self):
+        cfg = contended_config()
+        with mock.patch.object(harness, "greedy_schedule",
+                               wraps=harness.greedy_schedule) as greedy, \
+             mock.patch.object(harness, "user_metrics",
+                               wraps=harness.user_metrics) as evaluate:
+            run(cfg)
+        modes = [SchemeMode.parse(c.args[1]) for c in greedy.call_args_list]
+        assert sorted(modes) == [SchemeMode.AU] * 3 + [SchemeMode.JHU] * 3
+        assert evaluate.call_count == 3 * 3
+
     def test_schemes_share_channel_realizations(self):
         # run jhu alone and all three: jhu numbers must match exactly
         cfg_all = tiny_config(seed=6)

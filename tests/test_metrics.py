@@ -294,8 +294,7 @@ def _result(scheme, epoch, ses, epoch_s=0.0):
     users = tuple(metrics.UserMetrics(g, 2.0**se - 1.0, se, 0, 0.0)
                   for g, se in enumerate(ses))
     return metrics.ExperimentResult(epoch_index=epoch, epoch_s=epoch_s,
-                                    scheme=scheme, users=users, unserved=(),
-                                    total_se=float(sum(ses)))
+                                    scheme=scheme, users=users)
 
 
 class TestAggregation:
@@ -324,10 +323,13 @@ class TestAggregation:
         assert gains["jhu_vs_au_pct"] == pytest.approx(50.0)
         assert gains["au_vs_jhu_pct"] == pytest.approx(-100.0 / 3.0)
 
-    def test_total_se_invariant_enforced(self):
-        users = (metrics.UserMetrics(0, 1.0, 1.0, 0, 0.0),)
-        with pytest.raises(ValueError):
-            metrics.ExperimentResult(0, 0.0, "au", users, (), total_se=5.0)
+    def test_total_and_unserved_derive_from_users(self):
+        users = (metrics.UserMetrics(0, 1.0, 1.0, 7, 0.0),
+                 metrics.UserMetrics(1, 0.0, 0.0, None, 0.0),
+                 metrics.UserMetrics(2, 3.0, 2.0, 7, 0.5))
+        result = metrics.ExperimentResult(0, 0.0, "au", users)
+        assert result.total_se == 3.0
+        assert result.unserved == (1,)
 
     def test_empty_aggregate_rejected(self):
         with pytest.raises(ValueError):

@@ -66,8 +66,11 @@ def _cmd_oracle(args) -> int:
     ratios = []
     for epoch_index, t in enumerate(config.epochs.times()):
         instance = build_epoch_instance(config, epoch_index, t)
+        # schemes that schedule alike share one greedy run, as in harness.run
+        shared = {rule: greedy_schedule(instance, rule, beta=config.beta)
+                  for rule in dict.fromkeys(m.scoring for m in config.schemes)}
         for mode in config.schemes:
-            greedy = greedy_schedule(instance, mode, beta=config.beta)
+            greedy = replace(shared[mode.scoring], mode=mode)
             optimum = exhaustive_schedule(instance, mode, beta=config.beta,
                                           max_space=args.max_space)
             ratio = (greedy.total_se / optimum.total_se

@@ -48,18 +48,19 @@ so its gain is evaluated over those users alone:
   JHU beams: the regularized-ZF precoder F of sqrt(g0) X_s[T, T] is scaled
   by eta = P / tr(F^H (A^H A) F), where A^H A is the analog Gram on T.
   Served users that see s, and g, are re-evaluated with s's new beam
-  powers and the other satellites' unchanged interference.  Every
-  candidate of one satellite has |T| = n_s + 1, so their ZF systems are
-  solved in one batched call.  The kept state is AU/SHU's with hybrid
-  mixers for unit beams: a commit to s designs s's one new mixer.  s's
-  candidate designs (the batched mixers, and their own, intra and total
-  powers at every user that sees s) are built when s first has
-  candidates after its last commit and dropped at its next one.  In
-  between, s's candidates only leave the pool, as pending users and
-  spare satellites only leave theirs, and served users who see s only
-  join, so each iteration indexes the cached rows, with the bits a fresh
-  design gives them.  Base SINRs and interference are recomputed each
-  iteration from the kept powers.
+  powers and the other satellites' unchanged interference.  The kept
+  state is AU/SHU's with hybrid mixers.  Candidate designs are S x U x U
+  arrays of the own, intra and total power at user u if g joins s; when
+  s has candidates and its flag is clear, one batched ZF solve fills its
+  rows at every user that sees s and sets the flag.  Until s's next
+  commit, which copies g's rows into the kept state and clears the flag,
+  s's candidates only leave the pool and served users who see s only
+  join, so the rows keep a fresh design's bits.  Each iteration scores
+  all candidates with one set of numpy calls over the flat (candidate,
+  affected user) entries, in ``np.nonzero``'s row-major order, and sums
+  each satellite's block as a contiguous (candidates, users) array along
+  its rows: the bits depend on the row length, so ``np.add.reduceat``
+  or zero padding would change them.
 
 The scores are exact, not approximations: each is the difference of the
 total SE with and without the link, minus terms that cancel.  They
@@ -74,16 +75,14 @@ optimum for testing.  It enumerates every assignment (each user's
 visible satellite rows in increasing order, then unserved) with
 ``itertools.product``, after checking the size of that space, in blocks
 of ``_BLOCK``, and drops those over a satellite's beam capacity.  A
-satellite's beams depend only on the users it serves, so each
-(satellite row, member set) pair gets its mixer from ``final_beams`` and
-its ``beam_powers`` entries once per call, and an assignment's powers
-are gathered from that cache.  One ``signal_and_interference`` call
+satellite's beams depend only on the users it serves, so ``_BeamCache``
+designs each (satellite row, member set) pair once per call.  One
+``signal_and_interference`` call
 evaluates a block's stacked powers, and ``metrics.stacked_total_se`` sums
 each assignment's per-user SEs in row order, so every score has the bits
 ``metrics.total_se`` gives it alone.  The first strictly greater score in
 enumeration order wins, so exact ties go to the assignment enumerated
-first, and a complete assignment beats an equally good partial one.  The
-winner's beams come from ``final_beams`` on first use.
+first, and a complete assignment beats an equally good partial one.
 """
 
 from __future__ import annotations
@@ -213,55 +212,55 @@ def _analog_gains(instance: EpochInstance, serving: np.ndarray,
 
 def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
                  powers: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 designs: dict[int, tuple[np.ndarray, ...]],
-                 beta: float | None) -> np.ndarray:
-    """Total-SE gain of every candidate link when the satellite redesigns
-    its hybrid beams (JHU), given the current hybrid beams' ``powers``
-    (L, own, intra); -inf off the candidates.  ``designs`` holds each
-    satellite's candidate designs until its next commit."""
-    n_sats, n_gus = candidates.shape
-    x = instance.cross_terms
+                 designs: tuple[np.ndarray, ...], beta: float | None) -> np.ndarray:
+    """JHU's total-SE gain of every candidate link, given the kept
+    ``powers`` (L, own, intra) and candidate ``designs`` (own, intra,
+    total, designed); -inf off the candidates."""
     gain = instance.gain_table
     g0 = instance.boresight_gain
-    served = serving >= 0
-    power, own, intra = powers
-    signal, by_sat = signal_and_interference(instance, serving, power, own, intra)
+    signal, by_sat = signal_and_interference(instance, serving, *powers)
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
     others = interference[:, None] - by_sat  # from every satellite but s
     # a new user tracking s sees the other satellites' current beams
-    off = gain * (1.0 - np.eye(n_sats))
-    new_others = np.einsum("gst,tg->sg", off, power)
+    off = gain * (1.0 - np.eye(len(candidates)))
+    new_others = np.einsum("gst,tg->sg", off, powers[0])
 
-    gains = np.full((n_sats, n_gus), -np.inf)
-    for s in range(n_sats):
+    own, intra, total, designed = designs
+    for s in np.flatnonzero(candidates.any(axis=1) & ~designed):
         cand = np.flatnonzero(candidates[s])
-        if not cand.size:
-            continue
-        if s not in designs:  # every candidate's mixer, powers at users seeing s
-            members = np.flatnonzero(serving == s)
-            idx = np.sort(np.column_stack(
-                [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
-            mixer = hybrid_from_beamspace(instance, s, idx, beta)
-            seen = np.flatnonzero(instance.visible_mask[:, s])
-            amp = np.abs(x[s][seen[:, None], idx[:, None, :]] @ mixer) ** 2
-            mine = seen[:, None] == idx[:, None, :]  # each row's own beam
-            designs[s] = (cand, seen, np.where(mine, amp, 0.0).sum(axis=2),
-                          np.where(mine, 0.0, amp).sum(axis=2), amp.sum(axis=2))
-        first, seen, own_s, intra_s, total_s = designs[s]
-        k = np.searchsorted(first, cand)
-        new = np.searchsorted(seen, cand)
-        affected = np.flatnonzero(served & instance.visible_mask[:, s])
-        rows = k[:, None], np.searchsorted(seen, affected)
+        members = np.flatnonzero(serving == s)
+        idx = np.sort(np.column_stack(
+            [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
+        mixer = hybrid_from_beamspace(instance, s, idx, beta)
+        seen = np.flatnonzero(instance.visible_mask[:, s])
+        amp = np.abs(instance.cross_terms[s][seen[:, None], idx[:, None, :]] @ mixer) ** 2
+        mine = seen[:, None] == idx[:, None, :]  # each row's own beam
+        rows = s, cand[:, None], seen
+        own[rows] = np.where(mine, amp, 0.0).sum(axis=2)
+        intra[rows] = np.where(mine, 0.0, amp).sum(axis=2)
+        total[rows] = amp.sum(axis=2)
+        designed[s] = True
 
-        tracks_s = serving[affected] == s
-        g_s = gain[affected, serving[affected], s]
-        sig = np.where(tracks_s, g0 * own_s[rows], signal[affected])
-        intf = others[affected, s] + np.where(
-            tracks_s, g0 * intra_s[rows], g_s * total_s[rows])
-        delta = (np.log2(1.0 + sig / (intf + 1.0)) - base[affected]).sum(axis=1)
-        new_intf = new_others[s, cand] + g0 * intra_s[k, new]
-        gains[s, cand] = np.log2(1.0 + g0 * own_s[k, new] / (new_intf + 1.0)) + delta
+    # every (candidate, served user seeing its satellite) entry at once
+    sats, gus = np.nonzero(candidates)
+    affected = instance.visible_mask.T & (serving >= 0)
+    pair, u = np.nonzero(affected[sats])
+    s, g, a = sats[pair], gus[pair], serving[u]
+    tracks = a == s
+    sig = np.where(tracks, g0 * own[s, g, u], signal[u])
+    intf = others[u, s] + np.where(
+        tracks, g0 * intra[s, g, u], gain[u, a, s] * total[s, g, u])
+    terms = np.log2(1.0 + sig / (intf + 1.0)) - base[u]
+    # each satellite's (candidates, users) block summed along its rows
+    delta, end = [], 0
+    for c, m in zip(candidates.sum(axis=1).tolist(), affected.sum(axis=1).tolist()):
+        delta.append(terms[end:end + c * m].reshape(c, m).sum(axis=1))
+        end += c * m
+    new_intf = new_others[sats, gus] + g0 * intra[sats, gus, gus]
+    gains = np.full(candidates.shape, -np.inf)
+    gains[sats, gus] = (np.log2(1.0 + g0 * own[sats, gus, gus] / (new_intf + 1.0))
+                        + np.concatenate(delta))
     return gains
 
 
@@ -277,18 +276,14 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     pending[dropped] = False
     analog = mode.scoring is SchemeMode.AU
 
-    def scoring_mixer(i: int, members) -> np.ndarray:
-        # not hybrid_beams, which traced runs count as the final-beam step
-        if analog:
-            return np.eye(len(members))
-        return hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
-
-    # powers of the beams each mode scores with, kept across iterations: a
-    # commit changes one satellite
+    # powers of the beams each mode scores with, kept across iterations
+    # (not hybrid_beams, which traced runs count as the final-beam step)
     served = instance.served_map(serving)
-    powers = beam_powers(instance, served,
-                         {i: scoring_mixer(i, m) for i, m in served.items()})
-    designs: dict[int, tuple[np.ndarray, ...]] = {}
+    powers = beam_powers(instance, served, {
+        i: np.eye(len(m)) if analog else
+        hybrid_from_beamspace(instance, i, np.array([m]), beta)[0]
+        for i, m in served.items()})
+    designs = (*np.zeros((3, spare.size, *2 * serving.shape)), np.zeros_like(spare))
     records: list[TraceRecord] = []
 
     iteration = 0
@@ -309,19 +304,24 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                 f"score of link ({instance.sat_ids[i]}, {instance.gu_ids[j]}) "
                 f"is {gains[i, j]}")
         i, j = np.unravel_index(np.argmax(gains), gains.shape)
-        s_hat, g_hat = instance.sat_ids[i], instance.gu_ids[j]
         committed = bool(np.count_nonzero(serving == i) < instance.n_beams)
-        if committed:  # row i of L, and own and intra of i's members
+        if committed:
             serving[j] = i
             pending[j] = False
             members = np.flatnonzero(serving == i)
-            set_satellite_powers(instance, i, members, scoring_mixer(i, members), powers)
-            designs.pop(i, None)
+            if analog:
+                set_satellite_powers(instance, i, members, np.eye(members.size), powers)
+            else:  # the winner's design has the committed beams' powers
+                own, intra, total, designed = designs
+                powers[0][i] = total[i, j]
+                powers[1][members] = own[i, j, members]
+                powers[2][members] = intra[i, j, members]
+                designed[i] = False
         else:
             spare[i] = False
         if trace:
-            records.append(TraceRecord(iteration, n_candidates, s_hat, g_hat,
-                                       float(gains[i, j]), committed))
+            records.append(TraceRecord(iteration, n_candidates, instance.sat_ids[i],
+                                       instance.gu_ids[j], float(gains[i, j]), committed))
         iteration += 1
 
     return ScheduleResult(instance, mode, beta, serving, records)

@@ -1,9 +1,12 @@
 import csv
 import json
+from unittest import mock
 
 import pytest
 
+from coopsat import cli
 from coopsat.cli import EXIT_CONFIG, EXIT_OK, main
+from coopsat.scheduling import SchemeMode
 
 MINI_SCENARIO = """\
 constellation: {planes: 2, sats_per_plane: 4, inclination_deg: 40.0}
@@ -125,6 +128,17 @@ def test_oracle_reports_ratios(scenario_file, capsys):
     assert main(["oracle", str(scenario_file)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ratio" in out and "min ratio" in out
+
+
+def test_oracle_runs_the_analog_greedy_once_per_epoch(scenario_file, capsys):
+    with mock.patch.object(cli, "greedy_schedule",
+                           wraps=cli.greedy_schedule) as greedy:
+        assert main(["oracle", str(scenario_file)]) == EXIT_OK
+    modes = [SchemeMode.parse(c.args[1]) for c in greedy.call_args_list]
+    assert sorted(modes) == [SchemeMode.AU] * 2 + [SchemeMode.JHU] * 2
+    heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert heads == [f"epoch {e} [{m}]" for e in range(2)
+                     for m in ("au", "shu", "jhu")] + ["min ratio"]
 
 
 def test_oracle_space_guard(scenario_file, capsys):

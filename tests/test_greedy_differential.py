@@ -5,7 +5,8 @@ The reference is replayed along the new scheduler's decisions, so every
 step is compared from the same state even after a near-tie sent the two
 down different paths.  The JHU scorer, which keeps its beams and
 candidate designs across iterations, is also checked bit for bit against
-``reference_greedy.hybrid_gains``, which designs them again each time.
+``reference_greedy.hybrid_gains``, which designs them again each time,
+and its kept powers against beams designed afresh after every commit.
 """
 
 import math
@@ -17,8 +18,8 @@ from hypothesis import example, given, settings
 
 from conftest import instances, make_instance, mirror_first_satellite
 from coopsat import scheduling
-from coopsat.network import EpochInstance
-from coopsat.scheduling import SchemeMode, greedy_schedule
+from coopsat.network import EpochInstance, beam_powers, hybrid_from_beamspace
+from coopsat.scheduling import SchemeMode, greedy_schedule, preassign_single_visibility
 from reference_greedy import hybrid_gains, reference_greedy
 
 # Reference gains closer than this (relative) are a near-tie, which the
@@ -104,7 +105,7 @@ def crowded_instance() -> EpochInstance:
                  104: (1, 2), 105: (0, 2)}))
 
 
-def checked_jhu_schedule(inst: EpochInstance):
+def checked_jhu_schedule(inst: EpochInstance, beta: float | None = None):
     """Run the JHU greedy, asserting at every iteration that the kept
     scorer's candidate scores equal the stateless recompute's bits.
     Returns the result."""
@@ -119,7 +120,7 @@ def checked_jhu_schedule(inst: EpochInstance):
         return scores
 
     with mock.patch.object(scheduling, "_joint_gains", checking):
-        result = greedy_schedule(inst, SchemeMode.JHU, trace=True)
+        result = greedy_schedule(inst, SchemeMode.JHU, beta=beta, trace=True)
     assert len(calls) == len(result.trace)
     return result
 
@@ -130,6 +131,75 @@ def checked_jhu_schedule(inst: EpochInstance):
 @example(inst=crowded_instance())
 def test_jhu_scores_equal_stateless_recompute(inst):
     checked_jhu_schedule(inst)
+
+
+# beta = 0 is plain channel inversion (the pseudo-inverse); beta = None
+# is n / P, which the test above covers
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+@example(inst=tie_instance())
+@example(inst=crowded_instance())
+def test_jhu_scores_equal_stateless_recompute_at_explicit_beta(beta, inst):
+    checked_jhu_schedule(inst, beta)
+
+
+def assert_fresh_powers(powers, inst: EpochInstance, serving: np.ndarray,
+                        beta: float | None) -> None:
+    """``powers`` (L, own, intra) equal the ``beam_powers`` of the hybrid
+    beams of ``serving``, each satellite's mixer designed alone."""
+    served = inst.served_map(serving)
+    fresh = beam_powers(inst, served, {
+        i: hybrid_from_beamspace(inst, i, np.array([members]), beta)[0]
+        for i, members in served.items()})
+    for got, want in zip(powers, fresh):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("beta", [None, 0.0, 0.5])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+@example(inst=crowded_instance())
+def test_kept_jhu_powers_equal_fresh_designs_after_every_commit(beta, inst):
+    # a commit copies the winner's candidate design into the kept powers;
+    # each commit is followed by a scoring call or by the end of the run
+    scorer = scheduling._joint_gains
+    kept = []
+
+    def checking(instance, serving, candidates, powers, designs, beta):
+        kept[:] = [powers]
+        assert_fresh_powers(powers, instance, serving, beta)
+        return scorer(instance, serving, candidates, powers, designs, beta)
+
+    with mock.patch.object(scheduling, "_joint_gains", checking):
+        result = greedy_schedule(inst, SchemeMode.JHU, beta=beta)
+    if kept:  # no scoring call, no commit
+        assert_fresh_powers(kept[0], inst, result.links, beta)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+@example(inst=tie_instance())
+@example(inst=crowded_instance())
+def test_jhu_commit_designs_nothing(inst):
+    # one design per satellite served before the first iteration, and one
+    # batched build per (satellite, members) scored with candidates; a
+    # commit copies the winner's cached design
+    before = np.full(len(inst.gu_ids), -1)
+    preassign_single_visibility(inst, before)
+    builds = set()
+    scorer = scheduling._joint_gains
+
+    def recording(instance, serving, candidates, *rest):
+        for s in np.flatnonzero(candidates.any(axis=1)):
+            builds.add((s, tuple(np.flatnonzero(serving == s))))
+        return scorer(instance, serving, candidates, *rest)
+
+    with mock.patch.object(scheduling, "_joint_gains", recording), \
+         mock.patch.object(scheduling, "hybrid_from_beamspace",
+                           wraps=scheduling.hybrid_from_beamspace) as design:
+        greedy_schedule(inst, SchemeMode.JHU)
+    assert design.call_count == len(inst.served_map(before)) + len(builds)
 
 
 @pytest.mark.parametrize("make", [tie_instance, crowded_instance])

@@ -13,6 +13,7 @@ downstream SINR math uses unit noise power.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ BOLTZMANN_J_K = 1.380649e-23
 _APERTURE_GAIN_CONST = 30000.0
 
 _RADIANS_PER_DEGREE = math.pi / 180.0
+
+# The largest dB value whose linear ratio 10^(x/10) is a finite float.
+_MAX_DB = 10.0 * math.log10(sys.float_info.max)
 
 
 class LinkInvalidError(ValueError):
@@ -46,7 +50,14 @@ class RfConfig:
     def __post_init__(self) -> None:
         for name in ("carrier_frequency_hz", "bandwidth_hz", "tx_power_w"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+                raise ValueError(f"{name}: must be > 0")
+        # past +-_MAX_DB the linear value overflows, or is 0 and divides
+        for name in ("noise_temperature_dbk", "satellite_antenna_gain_dbi",
+                     "vsat_max_gain_dbi"):
+            if not abs(getattr(self, name)) <= _MAX_DB:
+                raise ValueError(f"{name}: must be within +-{_MAX_DB:.1f}")
+        if self.vsat_floor_suppression_db < 0.0:
+            raise ValueError("vsat_floor_suppression_db: must be >= 0")
 
     @property
     def noise_power_w(self) -> float:
@@ -74,10 +85,11 @@ class ArrayConfig:
     element_spacing: float = 0.5  # in wavelengths
 
     def __post_init__(self) -> None:
-        if self.n_x < 1 or self.n_y < 1 or self.n_sub_x < 1 or self.n_sub_y < 1:
-            raise ValueError("array dimensions must be >= 1")
+        for name in ("n_sub_x", "n_sub_y", "n_x", "n_y"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
         if self.element_spacing <= 0.0:
-            raise ValueError("element_spacing must be > 0")
+            raise ValueError("element_spacing: must be > 0")
 
     @property
     def n_elements(self) -> int:
@@ -103,8 +115,20 @@ class SmallScaleConfig:
     angle_spread_deg: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1 or self.n_rays < 1:
-            raise ValueError("cluster/ray counts must be >= 1")
+        for name in ("n_clusters", "n_rays"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
+        # the linear mean powers must be finite: E|m0|^2 in dB is
+        # mean_db + ln(10)/20 * std_db^2 (see ``direct_mean_square``)
+        max_std_db = math.sqrt(20.0 / math.log(10.0) * _MAX_DB)
+        if not 0.0 <= self.direct_amp_std_db <= max_std_db:
+            raise ValueError(f"direct_amp_std_db: must be in [0, {max_std_db:.1f}]")
+        spread_db = math.log(10.0) / 20.0 * self.direct_amp_std_db ** 2
+        if self.direct_amp_mean_db > _MAX_DB - spread_db:
+            raise ValueError("direct_amp_mean_db: must be <= "
+                             f"{_MAX_DB - spread_db:.1f} at this direct_amp_std_db")
+        if self.multipath_power_db > _MAX_DB:
+            raise ValueError(f"multipath_power_db: must be <= {_MAX_DB:.1f}")
 
     @property
     def direct_mean_square(self) -> float:
@@ -132,8 +156,9 @@ class AttenuationConfig:
     shadow_sigma_db: float = 1.2
 
     def __post_init__(self) -> None:
-        if self.zenith_gas_db < 0 or self.scintillation_db < 0 or self.shadow_sigma_db < 0:
-            raise ValueError("attenuation terms must be >= 0")
+        for name in ("zenith_gas_db", "scintillation_db", "shadow_sigma_db"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name}: must be >= 0")
 
 
 def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:

@@ -13,28 +13,20 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, load_config
+from .config import ConfigError, from_dict, load_config, to_dict
 from .harness import build_epoch_instance, emit, run
-from .scheduling import SchemeMode, exhaustive_schedule, greedy_schedule
+from .scheduling import exhaustive_schedule, greedy_schedule
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.schemes:
-        try:
-            modes = tuple(dict.fromkeys(
-                SchemeMode.parse(s) for s in args.schemes.split(",")))
-        except ValueError as exc:
-            raise ConfigError([f"--schemes: {exc}"])
-        config = replace(config, schemes=modes)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(["--seed: must be >= 0"])
-        config = replace(config, seed=args.seed)
 
+def _cmd_run(args) -> int:
+    # --schemes and --seed set file fields, so from_dict checks them as such
+    overrides = {"schemes": args.schemes, "seed": args.seed}
+    config = from_dict({**to_dict(load_config(args.config)),
+                        **{k: v for k, v in overrides.items() if v is not None}})
     report = run(config, trace=args.trace)
     if args.trace:
         for key, records in report.summary.get("trace", {}).items():
@@ -94,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="scenario YAML file or profile name")
     p_run.add_argument("--out", default="results", help="output directory")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--schemes", help="comma-separated subset, e.g. au,jhu")
+    p_run.add_argument("--schemes", type=lambda text: text.split(","),
+                       help="comma-separated subset, e.g. au,jhu")
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.add_argument("--trace", action="store_true",
                        help="print per-iteration scheduling decisions")

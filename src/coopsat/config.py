@@ -1,8 +1,10 @@
 """Scenario configuration: schema, validation, YAML loading, profiles.
 
 A scenario file is a YAML mapping; every field has a default, so a
-minimal config is a handful of lines.  Validation collects every
-problem with its field path before failing.  The bundled profiles are
+minimal config is a handful of lines.  The config dataclasses state
+each field's default and range, and check themselves when built;
+loading maps the YAML onto them and collects every problem with its
+field path before failing.  The bundled profiles are
 scenario files too (``data/<name>.yaml``): ``desk`` is a quick laptop
 run (20 users, 10 epochs) and ``full`` the full-size experiment (80
 users, 24 epochs).
@@ -14,9 +16,11 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from .channel import ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig
 from .geometry import ConstellationConfig, GroundUser
@@ -40,14 +44,29 @@ class EpochGrid:
     step_s: float = 1200.0
     count: int = 10
 
+    def __post_init__(self) -> None:
+        errors = []
+        if self.count < 1:
+            errors.append("count: must be a positive integer")
+        if self.step_s <= 0.0:
+            errors.append("step_s: must be > 0")
+        if self.start_s < 0.0:
+            errors.append("start_s: must be >= 0")
+        if errors:
+            raise ConfigError(errors)
+
     def times(self) -> list[float]:
         return [self.start_s + k * self.step_s for k in range(self.count)]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario.  ``schemes`` may be given as names (repeats are
+    dropped) and the float fields as integers; the stored values are
+    ``SchemeMode``s and floats."""
+
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
-    gus: tuple[GroundUser, ...] = ()
+    gus: tuple[GroundUser, ...] = field(default_factory=lambda: bundled_cities(20))
     rf: RfConfig = field(default_factory=RfConfig)
     array: ArrayConfig = field(default_factory=ArrayConfig)
     small_scale: SmallScaleConfig = field(default_factory=SmallScaleConfig)
@@ -60,6 +79,50 @@ class ScenarioConfig:
     codewords: int = 4
     beta: float | None = None  # None selects the large-system optimum
     tracked_labels: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        errors = []
+        put = partial(object.__setattr__, self)  # the fields are frozen
+        if not self.gus:
+            errors.append("gus: at least one ground user is required")
+        if isinstance(self.schemes, (list, tuple)) and self.schemes:
+            schemes = []
+            for s in self.schemes:
+                try:
+                    schemes.append(SchemeMode.parse(s))
+                except ValueError as exc:
+                    errors.append(f"schemes: {exc}")
+            put("schemes", tuple(dict.fromkeys(schemes)))
+        else:
+            errors.append("schemes: expected a non-empty list")
+        if self.seed < 0:
+            errors.append("seed: must be a non-negative integer")
+        if not 0.0 <= self.min_elevation_deg < 90.0:
+            errors.append("min_elevation_deg: must be in [0, 90)")
+        if self.density_threshold_km <= 0.0:
+            errors.append("density_threshold_km: must be > 0")
+        if self.codewords < 1:
+            errors.append("codewords: must be a positive integer")
+        elif self.codewords > self.array.n_elements:
+            errors.append(f"codewords: must be <= array elements "
+                          f"({self.array.n_elements})")
+        if self.beta is not None and self.beta < 0.0:
+            errors.append("beta: must be >= 0")
+        tracked = self.tracked_labels
+        if isinstance(tracked, (list, tuple)) and all(isinstance(x, str)
+                                                      for x in tracked):
+            labels = {g.label for g in self.gus}
+            errors += [f"tracked_labels: no ground user is labelled {x!r}"
+                       for x in tracked if x not in labels]
+            put("tracked_labels", tuple(tracked))
+        else:
+            errors.append("tracked_labels: must be a list of strings")
+        if errors:
+            raise ConfigError(errors)
+        put("min_elevation_deg", float(self.min_elevation_deg))
+        put("density_threshold_km", float(self.density_threshold_km))
+        if self.beta is not None:
+            put("beta", float(self.beta))
 
 
 def bundled_cities(count: int | None = None) -> tuple[GroundUser, ...]:
@@ -87,34 +150,58 @@ def _is_finite(value) -> bool:
             and math.isfinite(value))
 
 
-def _section(data: dict, key: str, errors: list[str]) -> dict:
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        errors.append(f"{key}: expected a mapping")
-        return {}
-    return value
+# A scalar field's annotation -> (accepts a value, the problem if not)
+_SCALARS = {
+    int: (_is_int, "must be an integer"),
+    float: (_is_finite, "must be a finite number"),
+    float | None: (lambda v: v is None or _is_finite(v), "must be a finite number"),
+}
+
+# The YAML ``channel`` section holds the fields of both of these.
+_CHANNEL = ("small_scale", "attenuation")
+
+# Field name -> type of a config dataclass.  The annotations are strings,
+# and evaluating them took half of a ``from_dict`` call.
+_field_types = cache(get_type_hints)
 
 
-def _build_section(cls, data: dict, path: str, errors: list[str]):
-    """Build a config dataclass from a section.  Fields declared ``int``
-    must be integers and fields declared ``float`` finite numbers; a field
-    that is not keeps its default while the error is collected."""
-    known = {f.name: f.type for f in fields(cls)}
+def _mapping(value, where: str, errors: list[str]) -> dict:
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{where}: expected a mapping")
+    return {}
+
+
+def _build_section(cls, data: dict, prefix: str, errors: list[str]):
+    """Build config dataclass ``cls`` from a mapping of its fields.  Each
+    value maps as the field's annotation says: a config dataclass from a
+    mapping, ``int`` from an integer, ``float`` from a finite number,
+    ground users from ``gus`` rows; other values pass as given.  A value
+    that does not map keeps its default.  Errors, the dataclass's own
+    included, are collected with their field paths (``prefix`` + name)."""
+    kinds = _field_types(cls)
     kwargs = {}
     for key, value in data.items():
-        kind = known.get(key)
+        kind = kinds.get(key)
+        where = prefix + ("channel" if key in _CHANNEL else key)
+        n_errors = len(errors)
         if kind is None:
-            errors.append(f"{path}.{key}: unknown field")
-        elif kind == "int" and not _is_int(value):
-            errors.append(f"{path}.{key}: must be an integer")
-        elif kind == "float" and not _is_finite(value):
-            errors.append(f"{path}.{key}: must be a finite number")
-        else:
+            errors.append(f"{where}: unknown field")
+        elif kind in _SCALARS:
+            accepts, problem = _SCALARS[kind]
+            if not accepts(value):
+                errors.append(f"{where}: {problem}")
+        elif is_dataclass(kind):
+            value = _build_section(kind, _mapping(value, where, errors),
+                                   where + ".", errors)
+        elif kind == tuple[GroundUser, ...]:
+            value = _parse_gus(value, errors)
+        if len(errors) == n_errors:
             kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{path}: {exc}")
+    except ValueError as exc:
+        errors.extend(prefix + e for e in getattr(exc, "errors", [str(exc)]))
         return cls()
 
 
@@ -179,98 +266,22 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
 
 
 def from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a scenario from a plain mapping."""
+    """Build and validate a scenario from a plain mapping: the fields of
+    ``ScenarioConfig``, except that one ``channel`` section holds those
+    of ``small_scale`` and ``attenuation``."""
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
-    errors: list[str] = []
-    known_top = {"constellation", "gus", "rf", "array", "channel", "schemes",
-                 "epochs", "seed", "min_elevation_deg", "density_threshold_km",
-                 "codewords", "beta", "tracked_labels"}
-    for key in data:
-        if key not in known_top:
-            errors.append(f"{key}: unknown field")
-
-    constellation = _build_section(ConstellationConfig,
-                                   _section(data, "constellation", errors),
-                                   "constellation", errors)
-    rf = _build_section(RfConfig, _section(data, "rf", errors), "rf", errors)
-    array = _build_section(ArrayConfig, _section(data, "array", errors),
-                           "array", errors)
-
-    channel_data = dict(_section(data, "channel", errors))
-    atten_keys = {f.name for f in fields(AttenuationConfig)}
-    atten_data = {k: channel_data.pop(k) for k in list(channel_data)
-                  if k in atten_keys}
-    small_scale = _build_section(SmallScaleConfig, channel_data, "channel", errors)
-    attenuation = _build_section(AttenuationConfig, atten_data, "channel", errors)
-
-    gus = _parse_gus(data.get("gus", {"dataset": CITY_DATASET, "count": 20}), errors)
-    if not gus and not any(e.startswith("gus") for e in errors):
-        errors.append("gus: at least one ground user is required")
-
-    schemes: list[SchemeMode] = []
-    raw_schemes = data.get("schemes", ["au", "shu", "jhu"])
-    if not isinstance(raw_schemes, (list, tuple)) or not raw_schemes:
-        errors.append("schemes: expected a non-empty list")
-    else:
-        for s in raw_schemes:
-            try:
-                schemes.append(SchemeMode.parse(s))
-            except ValueError as exc:
-                errors.append(f"schemes: {exc}")
-
-    epochs = _build_section(EpochGrid, _section(data, "epochs", errors),
-                            "epochs", errors)
-    if epochs.count < 1:
-        errors.append("epochs.count: must be a positive integer")
-    if epochs.step_s <= 0.0:
-        errors.append("epochs.step_s: must be > 0")
-    if epochs.start_s < 0.0:
-        errors.append("epochs.start_s: must be >= 0")
-
-    def _number(key, default, low=None, high=None, low_open=False):
-        value = data.get(key, default)
-        if not _is_finite(value):
-            errors.append(f"{key}: must be a finite number")
-            return default
-        if low is not None and (value <= low if low_open else value < low):
-            errors.append(f"{key}: must be {'>' if low_open else '>='} {low}")
-        if high is not None and value >= high:
-            errors.append(f"{key}: must be < {high}")
-        return float(value)
-
-    seed = data.get("seed", 1)
-    if not _is_int(seed) or seed < 0:
-        errors.append("seed: must be a non-negative integer")
-        seed = 1
-    min_el = _number("min_elevation_deg", 10.0, low=0.0, high=90.0)
-    threshold = _number("density_threshold_km", 400.0, low=0.0, low_open=True)
-    codewords = data.get("codewords", 4)
-    if not _is_int(codewords) or codewords < 1:
-        errors.append("codewords: must be a positive integer")
-    elif codewords > array.n_elements:
-        errors.append(f"codewords: must be <= array elements ({array.n_elements})")
-    beta = None if data.get("beta") is None else _number("beta", None, low=0.0)
-    tracked = data.get("tracked_labels", ())
-    if not (isinstance(tracked, (list, tuple))
-            and all(isinstance(x, str) for x in tracked)):
-        errors.append("tracked_labels: must be a list of strings")
-        tracked = ()
-    labels = {g.label for g in gus}
-    for label in tracked:
-        if gus and label not in labels:
-            errors.append(f"tracked_labels: no ground user is labelled {label!r}")
-
+    errors = [f"{key}: unknown field" for key in _CHANNEL if key in data]
+    top = {k: v for k, v in data.items() if k not in _CHANNEL}
+    if "channel" in top:
+        channel = _mapping(top.pop("channel"), "channel", errors)
+        atten = {f.name for f in fields(AttenuationConfig)}
+        top["small_scale"] = {k: v for k, v in channel.items() if k not in atten}
+        top["attenuation"] = {k: v for k, v in channel.items() if k in atten}
+    config = _build_section(ScenarioConfig, top, "", errors)
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        constellation=constellation, gus=gus, rf=rf, array=array,
-        small_scale=small_scale, attenuation=attenuation,
-        schemes=tuple(dict.fromkeys(schemes)), epochs=epochs, seed=seed,
-        min_elevation_deg=min_el, density_threshold_km=threshold,
-        codewords=codewords, beta=beta,
-        tracked_labels=tuple(tracked),
-    )
+    return config
 
 
 def load_config(source: str | Path) -> ScenarioConfig:
@@ -297,23 +308,14 @@ def load_config(source: str | Path) -> ScenarioConfig:
 
 
 def to_dict(config: ScenarioConfig) -> dict:
-    """Plain-data form of a scenario (canonical for hashing)."""
-    return {
-        "constellation": asdict(config.constellation),
-        "gus": [{"label": g.label, "lat": g.latitude_deg, "lon": g.longitude_deg,
-                 "alt_km": g.altitude_km} for g in config.gus],
-        "rf": asdict(config.rf),
-        "array": asdict(config.array),
-        "channel": {**asdict(config.small_scale), **asdict(config.attenuation)},
-        "schemes": [s.value for s in config.schemes],
-        "epochs": asdict(config.epochs),
-        "seed": config.seed,
-        "min_elevation_deg": config.min_elevation_deg,
-        "density_threshold_km": config.density_threshold_km,
-        "codewords": config.codewords,
-        "beta": config.beta,
-        "tracked_labels": list(config.tracked_labels),
-    }
+    """Plain-data form of a scenario, which ``from_dict`` maps back
+    (canonical for hashing)."""
+    data = asdict(config)
+    data["gus"] = [{"label": g.label, "lat": g.latitude_deg, "lon": g.longitude_deg,
+                    "alt_km": g.altitude_km} for g in config.gus]
+    data["channel"] = {**data.pop("small_scale"), **data.pop("attenuation")}
+    data["schemes"] = [s.value for s in config.schemes]
+    return data
 
 
 def config_digest(config: ScenarioConfig) -> str:

@@ -37,13 +37,13 @@ class ConstellationConfig:
 
     def __post_init__(self) -> None:
         if self.planes < 1:
-            raise ValueError("planes must be >= 1")
+            raise ValueError("planes: must be >= 1")
         if self.sats_per_plane < 1:
-            raise ValueError("sats_per_plane must be >= 1")
+            raise ValueError("sats_per_plane: must be >= 1")
         if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ValueError("inclination_deg must be in [0, 180]")
+            raise ValueError("inclination_deg: must be in [0, 180]")
         if self.altitude_km <= 0.0:
-            raise ValueError("altitude_km must be > 0")
+            raise ValueError("altitude_km: must be > 0")
 
     @property
     def total_sats(self) -> int:

@@ -112,8 +112,9 @@ class SchemeMode(str, Enum):
             return value
         try:
             return cls(value.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown scheme {value!r}; expected au, shu or jhu")
+        except (AttributeError, ValueError):  # AttributeError: not a string
+            raise ValueError(
+                f"unknown scheme {value!r}; expected au, shu or jhu") from None
 
     @property
     def scoring(self) -> "SchemeMode":

@@ -58,6 +58,20 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     ("beta: '0.5'\n", "beta"),
     ("gus: [{lat: 30, lon: 116, label: A}, {lat: 31, lon: 121, label: A}]\n",
      "gus[1].label"),
+    ("schemes: [1]\n", "schemes: unknown scheme 1"),
+    ("schemes: [null]\n", "schemes: unknown scheme None"),
+    ("schemes: [{}]\n", "schemes: unknown scheme {}"),
+    # dB fields whose linear value overflows
+    ("rf: {noise_temperature_dbk: 4000}\n", "rf.noise_temperature_dbk"),
+    ("rf: {vsat_max_gain_dbi: 4000}\n", "rf.vsat_max_gain_dbi"),
+    ("rf: {satellite_antenna_gain_dbi: 4000}\n", "rf.satellite_antenna_gain_dbi"),
+    ("channel: {multipath_power_db: 4000}\n", "channel.multipath_power_db"),
+    ("channel: {direct_amp_mean_db: 8000}\n", "channel.direct_amp_mean_db"),
+    ("channel: {direct_amp_std_db: 1000}\n", "channel.direct_amp_std_db"),
+    # a divisor whose linear value is 0; a negative suppression or spread
+    ("rf: {noise_temperature_dbk: -4000}\n", "rf.noise_temperature_dbk"),
+    ("rf: {vsat_floor_suppression_db: -1}\n", "rf.vsat_floor_suppression_db"),
+    ("channel: {direct_amp_std_db: -1}\n", "channel.direct_amp_std_db"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):
@@ -115,6 +129,33 @@ def test_run_scheme_list_drops_duplicates(scenario_file, tmp_path):
 def test_run_bad_scheme(scenario_file, tmp_path):
     assert main(["run", str(scenario_file), "--out", str(tmp_path),
                  "--schemes", "zf"]) == EXIT_CONFIG
+
+
+def test_run_overrides_equal_the_file_fields(scenario_file, tmp_path):
+    flags, fields = tmp_path / "flags", tmp_path / "fields"
+    assert main(["run", str(scenario_file), "--out", str(flags),
+                 "--seed", "5", "--schemes", "au,jhu"]) == EXIT_OK
+    path = tmp_path / "fields.yaml"
+    path.write_text(MINI_SCENARIO.replace("seed: 11\n",
+                                          "seed: 5\nschemes: [au, jhu]\n"))
+    assert main(["run", str(path), "--out", str(fields)]) == EXIT_OK
+    for name in ("results.csv", "series.csv", "summary.json"):
+        assert (flags / name).read_bytes() == (fields / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-1", "seed: must be a non-negative integer"),
+    ("--schemes", "zf", "schemes: unknown scheme 'zf'"),
+    ("--schemes", "", "schemes: unknown scheme ''"),
+    ("--schemes", "au,,jhu", "schemes: unknown scheme ''"),
+])
+def test_run_bad_override_exits_2(scenario_file, tmp_path, capsys, flag, value,
+                                  message):
+    out = tmp_path / "o"
+    assert main(["run", str(scenario_file), "--out", str(out),
+                 flag, value]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_trace_prints_decisions(scenario_file, tmp_path, capsys):

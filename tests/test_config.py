@@ -78,6 +78,50 @@ class TestFromDict:
         with pytest.raises(ConfigError):
             from_dict({"schemes": ["zf"]})
 
+    @pytest.mark.parametrize("scheme", [1, None, {}])
+    def test_non_string_scheme_rejected(self, scheme):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"schemes": ["au", scheme]})
+        assert err.value.errors == [
+            f"schemes: unknown scheme {scheme!r}; expected au, shu or jhu"]
+        with pytest.raises(ValueError):
+            SchemeMode.parse(scheme)
+
+    def test_defaults_live_on_the_dataclass(self):
+        assert from_dict({}) == ScenarioConfig()
+        assert ScenarioConfig().gus == bundled_cities(20)
+
+    def test_dataclasses_check_themselves(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(seed=-1, codewords=0, tracked_labels=("Nowhere",))
+        assert err.value.errors == [
+            "seed: must be a non-negative integer",
+            "codewords: must be a positive integer",
+            "tracked_labels: no ground user is labelled 'Nowhere'"]
+        with pytest.raises(ConfigError) as err:
+            EpochGrid(start_s=-1.0, step_s=0.0, count=0)
+        assert err.value.errors == ["count: must be a positive integer",
+                                    "step_s: must be > 0", "start_s: must be >= 0"]
+
+    def test_top_level_floats_stored_as_floats_section_numbers_as_given(self):
+        cfg = from_dict({"min_elevation_deg": 10, "beta": 1,
+                         "constellation": {"altitude_km": 1200}})
+        data = to_dict(cfg)
+        assert type(data["min_elevation_deg"]) is float
+        assert type(data["beta"]) is float
+        # an int written for a section float stays an int: the digests of
+        # existing files keep their value
+        assert type(data["constellation"]["altitude_km"]) is int
+
+    @pytest.mark.parametrize("section,key", [
+        ("rf", "noise_temperature_dbk"), ("rf", "vsat_max_gain_dbi"),
+        ("rf", "satellite_antenna_gain_dbi"), ("channel", "multipath_power_db"),
+        ("channel", "direct_amp_mean_db"), ("channel", "direct_amp_std_db")])
+    def test_large_db_field_with_a_finite_linear_value_accepted(self, section, key):
+        value = 100.0 if key == "direct_amp_std_db" else 3000.0
+        cfg = from_dict({section: {key: value}})
+        assert getattr(cfg.rf if section == "rf" else cfg.small_scale, key) == value
+
     def test_codewords_bounded_by_array(self):
         with pytest.raises(ConfigError) as err:
             from_dict({"array": {"n_x": 2, "n_y": 2}, "codewords": 5})
@@ -253,3 +297,18 @@ class TestDigest:
     def test_to_dict_json_friendly(self):
         import json
         json.dumps(to_dict(load_config("desk")))
+
+    @pytest.mark.parametrize("source", ["desk", "full", "inline"])
+    def test_from_dict_inverts_to_dict(self, source):
+        if source == "inline":
+            cfg = from_dict({
+                "gus": [{"label": "dateline", "lat": 10.0, "lon": 180},
+                        {"lat": -5.5, "lon": 30.0, "alt_km": 1.5}],
+                "constellation": {"altitude_km": 1100},
+                "channel": {"n_rays": 5, "shadow_sigma_db": 2.0},
+                "schemes": ["jhu", "AU"], "beta": 0.5, "seed": 9,
+                "tracked_labels": ["dateline"]})
+        else:
+            cfg = load_config(source)
+        assert from_dict(to_dict(cfg)) == cfg
+        assert config_digest(from_dict(to_dict(cfg))) == config_digest(cfg)

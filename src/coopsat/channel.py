@@ -8,6 +8,16 @@ plus Rayleigh diffuse rays (Loo model).
 
 The noise power is folded into the large-scale amplitude, so all
 downstream SINR math uses unit noise power.
+
+An epoch's channels are drawn in two parts.  Each link's random draws
+come from its own substream, one link at a time (``path_loss``,
+``sample_ray_angles``, ``path_coefficients``).  ``small_scale`` then
+synthesizes every link of the epoch at once, path-major: for each path
+in turn it builds that path's steering term of every link and adds it
+to the running sum.  Each element sees the same operations in the same
+order as a one-link-at-a-time loop, so the bits do not depend on how
+many links are batched.  Working memory stays O(links x elements):
+no links x paths x elements stack is built.
 """
 
 from __future__ import annotations
@@ -142,6 +152,13 @@ class SmallScaleConfig:
         return 10.0 ** (self.multipath_power_db / 10.0)
 
     @property
+    def n_paths(self) -> int:
+        """Paths per link: the direct path, then every diffuse ray unless
+        the power per ray is 0 (``multipath_power_db: -inf``)."""
+        n_rays = self.n_clusters * self.n_rays
+        return 1 + n_rays if self.multipath_power / n_rays > 0.0 else 1
+
+    @property
     def normalization(self) -> float:
         """Scale factor making the mean small-scale energy exactly one."""
         return 1.0 / math.sqrt(self.direct_mean_square + self.multipath_power)
@@ -157,14 +174,15 @@ class AttenuationConfig:
 
     def __post_init__(self) -> None:
         for name in ("zenith_gas_db", "scintillation_db", "shadow_sigma_db"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name}: must be >= 0")
+            if not 0.0 <= getattr(self, name) <= _MAX_DB:
+                raise ValueError(f"{name}: must be in [0, {_MAX_DB:.1f}]")
 
 
-def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
+def steering_vectors(phi_deg, theta_deg, array: ArrayConfig,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Unit-norm planar-array steering vectors (P x N) for the azimuths
     ``phi_deg`` and elevations ``theta_deg`` (P each) seen from the
-    array.
+    array; written to ``out`` (C-contiguous, complex) when one is given.
 
     Element (p, q) maps to index p * n_y + q, matching the Kronecker
     order of the 2D DFT codebook.  Each row is the outer product of one
@@ -186,7 +204,10 @@ def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
     ky = k * cos_theta * np.fromiter(map(math.sin, phi), float, len(phi))
     ax = np.exp(kx[:, None] * np.arange(array.n_x))
     ay = np.exp(ky[:, None] * np.arange(array.n_y))
-    out = (ax[:, :, None] * ay[:, None, :]).reshape(len(phi), array.n_elements)
+    if out is None:
+        out = np.empty((len(phi), array.n_elements), dtype=complex)
+    np.multiply(ax[:, :, None], ay[:, None, :],
+                out=out.reshape(len(phi), array.n_x, array.n_y))
     out.view(float)[...] *= 1.0 / math.sqrt(array.n_elements)
     return out
 
@@ -209,46 +230,65 @@ def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,
     return (draws[:, 1:] + centers).reshape(-1, 2)
 
 
-def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
-                cfg: SmallScaleConfig, array: ArrayConfig,
-                rng: np.random.Generator) -> np.ndarray:
-    """Small-scale fading vector with mean energy one.
+def path_coefficients(cfg: SmallScaleConfig, rng: np.random.Generator) -> np.ndarray:
+    """Complex gains of one link's ``cfg.n_paths`` paths, direct path
+    first.
 
     Direct path: amplitude 10^(A/20), A ~ N(mean_db, std_db^2); diffuse
     rays: Rayleigh amplitudes sharing ``multipath_power`` equally; all
-    phases uniform on [0, 2*pi).
+    phases uniform on [0, 2*pi).  Drawn after the link's path loss and
+    ray angles, in this order: direct amplitude and phase, then the ray
+    amplitudes and phases.
+    """
+    amp0_db = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
+    m0 = 10.0 ** (amp0_db / 20.0) * np.exp(2j * math.pi * rng.uniform())
+    n_rays = cfg.n_paths - 1
+    if not n_rays:
+        return np.array([m0])
+    per_ray_power = cfg.multipath_power / n_rays
+    amps = rng.rayleigh(scale=math.sqrt(per_ray_power / 2.0), size=n_rays)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_rays)
+    return np.concatenate(([m0], amps * np.exp(1j * phases)))
+
+
+def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
+                array: ArrayConfig) -> np.ndarray:
+    """Small-scale fading vectors (L x N), with mean energy one, of L
+    links whose paths arrive from ``angles`` (L x P x 2, azimuth and
+    elevation in degrees) with gains ``coefs`` (L x P, from
+    ``path_coefficients``).
 
     The result is pinned bit for bit (golden digests, and
     ``tests/reference_channel.py``, the one-ray-at-a-time loop this
-    replaced), which fixes two orders:
+    replaced), which fixes the order of the arithmetic:
 
     * each path's term is ``coef * steering``, coefficient first: numpy
       may round the imaginary part of a complex product differently
       with the operands swapped;
-    * the terms are added one row after another in path order, never
-      by ``sum`` or ``np.add.reduce``, which may add them pairwise.
-    """
-    amp0_db = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
-    m0 = 10.0 ** (amp0_db / 20.0) * np.exp(2j * math.pi * rng.uniform())
+    * the terms are added path after path, never by ``sum`` or
+      ``np.add.reduce``, which may add them pairwise.
 
-    n_paths = cfg.n_clusters * cfg.n_rays
-    if ray_angles.shape != (n_paths, 2):
-        raise ValueError(f"expected {n_paths} ray angle pairs, got {ray_angles.shape}")
-    per_ray_power = cfg.multipath_power / n_paths
-    if per_ray_power > 0.0:
-        amps = rng.rayleigh(scale=math.sqrt(per_ray_power / 2.0), size=n_paths)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_paths)
-        coef = np.concatenate(([m0], amps * np.exp(1j * phases)))
-        paths = np.concatenate(([(phi0_deg, theta0_deg)], ray_angles))
-    else:
-        coef = np.array([m0])
-        paths = np.array([(phi0_deg, theta0_deg)])
-    terms = steering_vectors(paths[:, 0], paths[:, 1], array)
-    np.multiply(coef[:, None], terms, out=terms)
-    h = terms[0].copy()
-    for term in terms[1:]:
-        h += term
-    return cfg.normalization * h
+    The loop runs over paths, each step on every link at once, so one
+    path's steering terms are held at a time: memory is O(L x N), never
+    an L x P x N stack.
+    """
+    n_links, n_paths = coefs.shape
+    if angles.shape != (n_links, n_paths, 2) or not n_paths:
+        raise ValueError(f"expected path angles of shape {(n_links, n_paths, 2)} "
+                         f"with at least one path, got {angles.shape}")
+
+    def path_term(p: int, out: np.ndarray) -> np.ndarray:
+        steering_vectors(angles[:, p, 0], angles[:, p, 1], array, out=out)
+        return np.multiply(coefs[:, p, None], out, out=out)
+
+    # one term buffer for every path: a fresh L x N array per path can
+    # cost more in page faults than its arithmetic
+    h = path_term(0, np.empty((n_links, array.n_elements), dtype=complex))
+    term = np.empty_like(h)
+    for p in range(1, n_paths):
+        h += path_term(p, term)
+    np.multiply(cfg.normalization, h, out=h)
+    return h
 
 
 def path_loss(geom, rf: RfConfig, atten: AttenuationConfig,
@@ -284,6 +324,13 @@ def large_scale_amplitude(pl_total_db: float, rf: RfConfig) -> float:
     """Amplitude gain combining the satellite antenna gain, the path loss
     and the noise normalization (resulting SINR math uses unit noise
     power).  The user antenna gain depends on which satellite the user
-    tracks, so it is applied at evaluation, not here."""
+    tracks, so it is applied at evaluation, not here.  A gain past the
+    float range is a ``ValueError``."""
     g_db = rf.satellite_antenna_gain_dbi - pl_total_db
-    return math.sqrt(10.0 ** (g_db / 10.0) / rf.noise_power_w)
+    try:
+        gain = 10.0 ** (g_db / 10.0) / rf.noise_power_w
+    except OverflowError:
+        gain = math.inf
+    if gain == math.inf:
+        raise ValueError(f"link gain of {g_db:.1f} dB overflows")
+    return math.sqrt(gain)

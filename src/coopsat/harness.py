@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .beamforming import analog_beamform, build_codebook
-from .channel import large_scale_amplitude, path_loss, sample_ray_angles, small_scale
+from .channel import (large_scale_amplitude, path_coefficients, path_loss,
+                      sample_ray_angles, small_scale)
 from .config import ScenarioConfig, config_digest, to_dict
 from .geometry import link_geometry, propagate, visibility
 from .metrics import (ExperimentResult, density_classes, density_statistics,
@@ -59,19 +60,30 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     analog = np.zeros_like(channels)
     directions = np.zeros((len(gus), len(sat_ids), 3))
 
-    for i, u in zip(*np.nonzero(visible.T)):  # by satellite, then user
+    # each link's draws from its own substream, then one synthesis
+    links = np.argwhere(visible.T).tolist()  # by satellite, then user
+    n_paths = config.small_scale.n_paths
+    amp = np.empty(len(links))
+    angles = np.empty((len(links), n_paths, 2))
+    coefs = np.empty((len(links), n_paths), dtype=complex)
+    for link, (i, u) in enumerate(links):
         sat, gu = states[active[i]], gus[u]
         geom = link_geometry(sat, gu, t, elevation_deg=float(elevation[i, u]))
         rng = link_rng(config.seed, epoch_index, sat_ids[i], gu.user_id)
         loss_db = path_loss(geom, config.rf, config.attenuation, rng)
+        amp[link] = large_scale_amplitude(loss_db, config.rf)
         rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,
                                  config.small_scale, rng)
-        h_ss = small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg,
-                           rays, config.small_scale, config.array, rng)
-        h = large_scale_amplitude(loss_db, config.rf) * h_ss
-        channels[i, u] = h
-        analog[i, u] = analog_beamform(h, codebook, k=config.codewords)
+        angles[link, 0] = geom.azimuth_sat_deg, geom.elevation_sat_deg
+        angles[link, 1:] = rays[:n_paths - 1]  # none if the rays carry no power
+        coefs[link] = path_coefficients(config.small_scale, rng)
         directions[u, i] = geom.direction
+
+    h = small_scale(angles, coefs, config.small_scale, config.array)
+    np.multiply(amp[:, None], h, out=h)
+    for (i, u), h_link in zip(links, h):
+        channels[i, u] = h_link
+        analog[i, u] = analog_beamform(h_link, codebook, k=config.codewords)
 
     return EpochInstance(sat_ids, tuple(g.user_id for g in gus), config.rf,
                          config.array.n_beams, visible_mask=visible,

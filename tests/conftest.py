@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from coopsat.beamforming import analog_beamform, build_codebook
-from coopsat.channel import ArrayConfig, RfConfig
+from coopsat.channel import ArrayConfig, RfConfig, path_coefficients, sample_ray_angles
 from coopsat.network import EpochInstance
 
 
@@ -22,6 +22,28 @@ def default_array():
 @pytest.fixture
 def rf():
     return RfConfig()
+
+
+def draw_paths(directions, cfg, rng):
+    """Path angles (L x P x 2) and gains (L x P) of links whose direct
+    paths arrive from ``directions`` [(azimuth, elevation), ...], drawn
+    from ``rng`` one link after another as ``build_epoch_instance`` draws
+    each link after its path loss."""
+    n_paths = cfg.n_paths
+    angles = np.empty((len(directions), n_paths, 2))
+    coefs = np.empty((len(directions), n_paths), dtype=complex)
+    for link, (phi, theta) in enumerate(directions):
+        rays = sample_ray_angles(phi, theta, cfg, rng)
+        angles[link, 0] = phi, theta
+        angles[link, 1:] = rays[:n_paths - 1]
+        coefs[link] = path_coefficients(cfg, rng)
+    return angles, coefs
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits: unlike ``np.array_equal``, tells
+    -0.0 from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,

@@ -15,14 +15,14 @@ import pytest
 
 from coopsat import metrics
 from coopsat.beamforming import analog_beamform, build_codebook, regularized_zf
-from coopsat.channel import SmallScaleConfig, sample_ray_angles, small_scale
+from coopsat.channel import SmallScaleConfig, small_scale
 from coopsat.config import load_config
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM,
                               ConstellationConfig, propagate, visibility)
 from coopsat.harness import build_epoch_instance, emit, run
 from coopsat.scheduling import SchemeMode, exhaustive_schedule, final_beams, greedy_schedule
 
-from conftest import beam_matrix, make_instance, serving_vector
+from conftest import beam_matrix, draw_paths, make_instance, serving_vector
 
 DESK_SEEDS = (1, 2, 3, 4, 5)
 
@@ -179,13 +179,12 @@ def test_criterion_6_channel_normalization():
     from coopsat.channel import ArrayConfig
     array = ArrayConfig()
     cfg = SmallScaleConfig()
-    rng = np.random.default_rng(66)
-    acc = 0.0
     draws = 10_000
-    for _ in range(draws):
-        rays = sample_ray_angles(20.0, 50.0, cfg, rng)
-        h = small_scale(20.0, 50.0, rays, cfg, array, rng)
-        acc += float(np.sum(np.abs(h) ** 2))
+    angles, coefs = draw_paths([(20.0, 50.0)] * draws, cfg, np.random.default_rng(66))
+    h = small_scale(angles, coefs, cfg, array)
+    acc = 0.0
+    for energy in np.sum(np.abs(h) ** 2, axis=1).tolist():  # in draw order
+        acc += energy
     mean = acc / draws
     passed = 0.95 <= mean <= 1.05
     report_line(6, "channel normalization", passed, f"mean energy={mean:.4f}")

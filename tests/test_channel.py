@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_channel as ref
+from conftest import draw_paths, same_bits
 from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                              RfConfig, SmallScaleConfig, large_scale_amplitude,
-                             path_loss, sample_ray_angles, small_scale,
-                             steering_vectors, vsat_gain_dbi)
+                             path_coefficients, path_loss, sample_ray_angles,
+                             small_scale, steering_vectors, vsat_gain_dbi)
 from coopsat.geometry import LinkGeometry
 
 
@@ -51,33 +52,39 @@ class TestReferenceChannel:
            n_clusters=st.integers(1, 4), n_rays=st.integers(1, 12),
            multipath_db=st.sampled_from([-15.0, -3.0, -math.inf]),
            phi=st.floats(-180.0, 180.0), theta=st.floats(-90.0, 90.0),
-           seed=st.integers(0, 2**32 - 1))
+           n_links=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     # the benchmark's shapes, which the strategy does not reach: 16x16
     # elements with 4 x 25 rays (wide-array) and 8x8 with 2 x 10 rays
     # (the desk and full profiles); and a single element with 4 x 3
     # rays, where np.add.reduce would add the 13 paths pairwise
     @example(n_x=16, n_y=16, spacing=0.5, n_clusters=4, n_rays=25,
-             multipath_db=-15.0, phi=-37.25, theta=71.5, seed=3)
+             multipath_db=-15.0, phi=-37.25, theta=71.5, n_links=3, seed=3)
     @example(n_x=8, n_y=8, spacing=0.5, n_clusters=2, n_rays=10,
-             multipath_db=-15.0, phi=123.0, theta=48.75, seed=11)
+             multipath_db=-15.0, phi=123.0, theta=48.75, n_links=1, seed=11)
     @example(n_x=1, n_y=1, spacing=0.5, n_clusters=4, n_rays=3,
-             multipath_db=-15.0, phi=5.0, theta=80.0, seed=0)
+             multipath_db=-15.0, phi=5.0, theta=80.0, n_links=2, seed=0)
     def test_draw_equals_reference(self, n_x, n_y, spacing, n_clusters, n_rays,
-                                   multipath_db, phi, theta, seed):
+                                   multipath_db, phi, theta, n_links, seed):
         array = ArrayConfig(n_x=n_x, n_y=n_y, element_spacing=spacing)
         cfg = SmallScaleConfig(n_clusters=n_clusters, n_rays=n_rays,
                                multipath_power_db=multipath_db)
+        directions = [(phi - 7.0 * link, theta * (1.0 - 0.25 * link))
+                      for link in range(n_links)]
         new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rays = sample_ray_angles(phi, theta, cfg, new_rng)
-        ref_rays = ref.sample_ray_angles(phi, theta, cfg, ref_rng)
-        assert np.array_equal(rays, ref_rays)
-        h = small_scale(phi, theta, rays, cfg, array, new_rng)
-        ref_h = ref.small_scale(phi, theta, ref_rays, cfg, array, ref_rng)
-        assert np.array_equal(h, ref_h)
+        angles, coefs, ref_h = [], [], []
+        for d in directions:
+            rays = sample_ray_angles(*d, cfg, new_rng)
+            ref_rays = ref.sample_ray_angles(*d, cfg, ref_rng)
+            assert same_bits(rays, ref_rays)
+            angles.append(np.vstack((d, rays))[:cfg.n_paths])
+            coefs.append(path_coefficients(cfg, new_rng))
+            ref_h.append(ref.small_scale(*d, ref_rays, cfg, array, ref_rng))
+        h = small_scale(np.array(angles), np.array(coefs), cfg, array)
+        assert same_bits(h, np.array(ref_h))
         # both consumed the stream alike
         assert new_rng.uniform() == ref_rng.uniform()
-        assert np.array_equal(steering_vectors([phi], [theta], array)[0],
-                              ref.steering_vector(phi, theta, array))
+        assert same_bits(steering_vectors([phi], [theta], array)[0],
+                         ref.steering_vector(phi, theta, array))
 
 
 class TestSmallScale:
@@ -85,9 +92,9 @@ class TestSmallScale:
         cfg = SmallScaleConfig(direct_amp_mean_db=0.0, direct_amp_std_db=0.0,
                                multipath_power_db=-math.inf)
         assert cfg.normalization == pytest.approx(1.0)
-        rng = np.random.default_rng(0)
-        rays = sample_ray_angles(10.0, 40.0, cfg, rng)
-        h = small_scale(10.0, 40.0, rays, cfg, default_array, rng)
+        assert cfg.n_paths == 1
+        angles, coefs = draw_paths([(10.0, 40.0)], cfg, np.random.default_rng(0))
+        h = small_scale(angles, coefs, cfg, default_array)[0]
         assert np.linalg.norm(h) == pytest.approx(1.0, rel=1e-12)
         # collinear with the direct-path steering vector
         a = steering_vectors([10.0], [40.0], default_array)[0]
@@ -95,29 +102,36 @@ class TestSmallScale:
 
     def test_mean_energy_is_one(self, default_array):
         cfg = SmallScaleConfig()
-        rng = np.random.default_rng(42)
-        acc = 0.0
         n_draws = 10_000
-        for _ in range(n_draws):
-            rays = sample_ray_angles(0.0, 60.0, cfg, rng)
-            h = small_scale(0.0, 60.0, rays, cfg, default_array, rng)
-            acc += float(np.sum(np.abs(h) ** 2))
+        angles, coefs = draw_paths([(0.0, 60.0)] * n_draws, cfg,
+                                   np.random.default_rng(42))
+        h = small_scale(angles, coefs, cfg, default_array)
+        acc = 0.0
+        for energy in np.sum(np.abs(h) ** 2, axis=1).tolist():  # in draw order
+            acc += energy
         assert 0.95 <= acc / n_draws <= 1.05
 
     def test_same_seed_same_vector(self, default_array):
         cfg = SmallScaleConfig()
-        draws = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            rays = sample_ray_angles(5.0, 45.0, cfg, rng)
-            draws.append(small_scale(5.0, 45.0, rays, cfg, default_array, rng))
-        assert np.array_equal(draws[0], draws[1])
+        draws = [small_scale(*draw_paths([(5.0, 45.0)], cfg, np.random.default_rng(123)),
+                             cfg, default_array) for _ in range(2)]
+        assert same_bits(draws[0], draws[1])
 
     def test_ray_angle_shape_checked(self, default_array):
-        cfg = SmallScaleConfig(n_clusters=2, n_rays=3)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            small_scale(0.0, 0.0, np.zeros((4, 2)), cfg, default_array, rng)
+        # angles must be links x paths x 2 for links x paths gains, with
+        # at least one path
+        for angles_shape, coefs_shape in [((1, 4, 2), (1, 7)), ((2, 7, 2), (1, 7)),
+                                          ((1, 7), (1, 7)), ((7, 2), (7,)),
+                                          ((1, 0, 2), (1, 0))]:
+            with pytest.raises(ValueError):
+                small_scale(np.zeros(angles_shape), np.ones(coefs_shape, dtype=complex),
+                            SmallScaleConfig(), default_array)
+
+    def test_empty_epoch(self, default_array):
+        cfg = SmallScaleConfig()
+        h = small_scale(np.zeros((0, cfg.n_paths, 2)),
+                        np.zeros((0, cfg.n_paths), dtype=complex), cfg, default_array)
+        assert h.shape == (0, default_array.n_elements)
 
 
 class TestPathLoss:
@@ -184,6 +198,13 @@ class TestChannelVector:
         a2 = large_scale_amplitude(190.0, rf)
         assert a2 / a1 == pytest.approx(10.0 ** -0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("pl_db", [-4000.0, -3000.0])
+    def test_overflowing_gain_is_value_error(self, rf, pl_db):
+        # -4000 dB overflows the power ratio; -3000 dB overflows only
+        # once divided by the noise power
+        with pytest.raises(ValueError, match="overflows"):
+            large_scale_amplitude(pl_db, rf)
+
     def test_link_budget_oracle(self, rf, default_array):
         # hand-computed link budget for a 1200 km zenith link
         fspl = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
@@ -211,3 +232,6 @@ def test_config_validation():
         SmallScaleConfig(n_clusters=0)
     with pytest.raises(ValueError):
         AttenuationConfig(zenith_gas_db=-1.0)
+    for name in ("zenith_gas_db", "scintillation_db", "shadow_sigma_db"):
+        with pytest.raises(ValueError, match=f"^{name}: must be in"):
+            AttenuationConfig(**{name: 4000.0})

@@ -68,6 +68,9 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     ("channel: {multipath_power_db: 4000}\n", "channel.multipath_power_db"),
     ("channel: {direct_amp_mean_db: 8000}\n", "channel.direct_amp_mean_db"),
     ("channel: {direct_amp_std_db: 1000}\n", "channel.direct_amp_std_db"),
+    ("channel: {zenith_gas_db: 4000}\n", "channel.zenith_gas_db"),
+    ("channel: {scintillation_db: 4000}\n", "channel.scintillation_db"),
+    ("channel: {shadow_sigma_db: 4000}\n", "channel.shadow_sigma_db"),
     # a divisor whose linear value is 0; a negative suppression or spread
     ("rf: {noise_temperature_dbk: -4000}\n", "rf.noise_temperature_dbk"),
     ("rf: {vsat_floor_suppression_db: -1}\n", "rf.vsat_floor_suppression_db"),
@@ -82,6 +85,17 @@ def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):
     assert main(args) == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_shadow_draw_exits_1(tmp_path, capsys):
+    # a valid spread whose draw overflows a link's gain at seed 4: an
+    # error line, no traceback
+    path = tmp_path / "shadow.yaml"
+    path.write_text(MINI_SCENARIO.replace("seed: 11", "seed: 4")
+                    + "channel: {shadow_sigma_db: 3000}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: link gain of ") and "overflows" in err
 
 
 def test_validate_missing_file(capsys):

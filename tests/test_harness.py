@@ -2,14 +2,20 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import reference_channel as ref
+from conftest import same_bits
 from coopsat import harness
-from coopsat.config import EpochGrid, ScenarioConfig, from_dict, load_config
-from coopsat.geometry import ConstellationConfig, GroundUser
+from coopsat.beamforming import analog_beamform, build_codebook
+from coopsat.channel import ArrayConfig, large_scale_amplitude, path_loss
+from coopsat.config import EpochGrid, ScenarioConfig, bundled_cities, from_dict, load_config
+from coopsat.geometry import (ConstellationConfig, GroundUser, link_geometry, propagate,
+                              visibility)
 from coopsat.harness import build_epoch_instance, emit, link_rng, run
 from coopsat.scheduling import SchemeMode
 
@@ -109,6 +115,66 @@ class TestBuildInstance:
         assert np.array_equal(i1.visible_mask, i2.visible_mask)
         assert np.array_equal(i1.channels, i2.channels)
         assert np.array_equal(i1.analog, i2.analog)
+
+
+def reference_build(config, epoch_index, t):
+    """The instance build one link at a time: the reference channel draw
+    on each link's substream, scaled by its large-scale amplitude, and
+    that link's analog beam."""
+    gus = sorted(config.gus, key=lambda g: g.user_id)
+    states = propagate(config.constellation, t)
+    vis = visibility(states, gus, config.min_elevation_deg, t)
+    codebook = build_codebook(config.array)
+    active = np.flatnonzero(vis.visible.any(axis=1))
+    channels = np.zeros((len(active), len(gus), config.array.n_elements), dtype=complex)
+    analog = np.zeros_like(channels)
+    directions = np.zeros((len(gus), len(active), 3))
+    for i, s in enumerate(active):
+        for u, gu in enumerate(gus):
+            if not vis.visible[s, u]:
+                continue
+            geom = link_geometry(states[s], gu, t,
+                                 elevation_deg=float(vis.elevation_deg[s, u]))
+            rng = link_rng(config.seed, epoch_index, vis.sat_ids[s], gu.user_id)
+            loss_db = path_loss(geom, config.rf, config.attenuation, rng)
+            rays = ref.sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,
+                                         config.small_scale, rng)
+            h_ss = ref.small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg, rays,
+                                   config.small_scale, config.array, rng)
+            channels[i, u] = large_scale_amplitude(loss_db, config.rf) * h_ss
+            analog[i, u] = analog_beamform(channels[i, u], codebook, k=config.codewords)
+            directions[u, i] = geom.direction
+    return tuple(vis.sat_ids[s] for s in active), channels, analog, directions
+
+
+def _desk():
+    return load_config("desk")
+
+
+BUILD_SHAPES = {
+    "desk": _desk,
+    "full-40-cities": lambda: replace(load_config("full"), gus=bundled_cities(40)),
+    "wide-array": lambda: replace(
+        _desk(), array=ArrayConfig(n_x=16, n_y=16),
+        small_scale=replace(_desk().small_scale, n_clusters=4, n_rays=25)),
+    "no-diffuse-rays": lambda: replace(
+        _desk(), small_scale=replace(_desk().small_scale, multipath_power_db=-math.inf)),
+    "one-element": lambda: replace(_desk(), array=ArrayConfig(n_x=1, n_y=1), codewords=1),
+}
+
+
+@pytest.mark.parametrize("shape", BUILD_SHAPES)
+def test_build_equals_per_link_reference(shape):
+    # every channel, analog beam and direction bit of the batched build
+    # equals the one-link-at-a-time loop on the same substreams
+    config = BUILD_SHAPES[shape]()
+    for epoch_index, t in list(enumerate(config.epochs.times()))[:2]:
+        inst = build_epoch_instance(config, epoch_index, t)
+        sat_ids, channels, analog, directions = reference_build(config, epoch_index, t)
+        assert inst.sat_ids == sat_ids and inst.visible_mask.any()
+        assert same_bits(inst.channels, channels)
+        assert same_bits(inst.analog, analog)
+        assert same_bits(inst.directions, directions)
 
 
 class TestRun:

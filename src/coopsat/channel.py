@@ -114,8 +114,8 @@ class ArrayConfig:
 class SmallScaleConfig:
     """Loo fading: direct-path amplitude log-normal (parameters in dB),
     diffuse rays Rayleigh with total mean power ``multipath_power_db``
-    relative to an unfaded direct path.  Use ``-inf`` to disable the
-    diffuse part."""
+    relative to an unfaded direct path.  Use ``-inf`` (``-.inf`` in a
+    scenario file) to disable the diffuse part."""
 
     n_clusters: int = 2
     n_rays: int = 10
@@ -176,6 +176,12 @@ class AttenuationConfig:
         for name in ("zenith_gas_db", "scintillation_db", "shadow_sigma_db"):
             if not 0.0 <= getattr(self, name) <= _MAX_DB:
                 raise ValueError(f"{name}: must be in [0, {_MAX_DB:.1f}]")
+
+
+def max_zenith_gas_db(min_elevation_deg: float) -> float:
+    """The largest ``zenith_gas_db`` whose gas term, zenith_gas_db /
+    sin(elevation), stays within +-_MAX_DB from ``min_elevation_deg`` up."""
+    return _MAX_DB * math.sin(math.radians(min_elevation_deg))
 
 
 def steering_vectors(phi_deg, theta_deg, array: ArrayConfig,

@@ -22,7 +22,8 @@ from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
-from .channel import ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig
+from .channel import (ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig,
+                      max_zenith_gas_db)
 from .geometry import ConstellationConfig, GroundUser
 from .scheduling import SchemeMode
 
@@ -63,7 +64,10 @@ class EpochGrid:
 class ScenarioConfig:
     """A scenario.  ``schemes`` may be given as names (repeats are
     dropped) and the float fields as integers; the stored values are
-    ``SchemeMode``s and floats."""
+    ``SchemeMode``s and floats.  ``zenith_gas_db`` is also bounded at
+    ``min_elevation_deg`` (``channel.max_zenith_gas_db``), except at 0,
+    where the cosecant has no bound: a link at the horizon can then take
+    the gas term out of the float range, and ``run`` stops with an error."""
 
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
     gus: tuple[GroundUser, ...] = field(default_factory=lambda: bundled_cities(20))
@@ -99,6 +103,12 @@ class ScenarioConfig:
             errors.append("seed: must be a non-negative integer")
         if not 0.0 <= self.min_elevation_deg < 90.0:
             errors.append("min_elevation_deg: must be in [0, 90)")
+        elif self.min_elevation_deg > 0.0:
+            limit = max_zenith_gas_db(self.min_elevation_deg)
+            if self.attenuation.zenith_gas_db > limit:
+                errors.append(f"channel.zenith_gas_db: must be <= {limit:.1f} at "
+                              f"min_elevation_deg {self.min_elevation_deg:g} (the gas "
+                              "term is zenith_gas_db / sin(elevation))")
         if self.density_threshold_km <= 0.0:
             errors.append("density_threshold_km: must be > 0")
         if self.codewords < 1:
@@ -175,10 +185,11 @@ def _mapping(value, where: str, errors: list[str]) -> dict:
 def _build_section(cls, data: dict, prefix: str, errors: list[str]):
     """Build config dataclass ``cls`` from a mapping of its fields.  Each
     value maps as the field's annotation says: a config dataclass from a
-    mapping, ``int`` from an integer, ``float`` from a finite number,
-    ground users from ``gus`` rows; other values pass as given.  A value
-    that does not map keeps its default.  Errors, the dataclass's own
-    included, are collected with their field paths (``prefix`` + name)."""
+    mapping, ``int`` from an integer, ``float`` from a finite number (or
+    -inf for ``multipath_power_db``), ground users from ``gus`` rows;
+    other values pass as given.  A value that does not map keeps its
+    default.  Errors, the dataclass's own included, are collected with
+    their field paths (``prefix`` + name)."""
     kinds = _field_types(cls)
     kwargs = {}
     for key, value in data.items():
@@ -189,7 +200,8 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
             errors.append(f"{where}: unknown field")
         elif kind in _SCALARS:
             accepts, problem = _SCALARS[kind]
-            if not accepts(value):
+            # -inf, a linear value of 0, is the switch that turns the rays off
+            if not (accepts(value) or key == "multipath_power_db" and value == -math.inf):
                 errors.append(f"{where}: {problem}")
         elif is_dataclass(kind):
             value = _build_section(kind, _mapping(value, where, errors),

@@ -8,7 +8,7 @@ antenna's off-boresight roll-off.  Noise power is one by channel
 normalization.  Unserved users count with zero rate.  Signal and
 interference come from the evaluator in ``network``
 (``beam_powers``, ``signal_and_interference``), which the greedy
-scorers share.  Users and satellites enter as rows of the instance's
+scorer shares.  Users and satellites enter as rows of the instance's
 arrays; ids appear only in the ``UserMetrics`` it returns.
 """
 

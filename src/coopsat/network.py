@@ -27,7 +27,7 @@ hybrid beams are designed and scaled.
 
 ``beam_powers`` and ``signal_and_interference`` are the one evaluator
 of a served user's signal and interference, for ``metrics``, the greedy
-scorers and the exhaustive oracle alike.
+scorer and the exhaustive oracle alike.
 """
 
 from __future__ import annotations

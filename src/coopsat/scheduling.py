@@ -20,47 +20,47 @@ from the candidate pool.  Three evaluation modes:
   before scoring, so scheduling and digital precoding are designed
   jointly.
 
-Incremental scoring.  Both scorers read the current beams' signal and
-interference from ``network.beam_powers`` and
-``network.signal_and_interference``, the evaluator ``metrics`` uses, and
-add the candidate terms below.  Write sigma(u) for the satellite
-serving user u, X_s[u, v] = h_{s,u}^H w_{s,v} for the beam-space cross terms,
-G[u, a, b] for u's antenna gain toward b while tracking a (g0 on
-boresight), and S_u / (I_u + 1) for a served user's SINR.  A candidate
-link (s, g) changes the SINR only of g and of served users that see s,
-so its gain is evaluated over those users alone:
+Incremental scoring.  Every mode scores alike; only the beams a
+satellite would radiate with a candidate added differ.  Write sigma(u)
+for the satellite serving user u, X_s[u, v] = h_{s,u}^H w_{s,v} for the
+beam-space cross terms, G[u, a, b] for u's antenna gain toward b while
+tracking a (g0 on boresight), S_u / (I_u + 1) for a served user's SINR
+from ``network.signal_and_interference`` (the evaluator ``metrics``
+uses), I_u(t) for its part from satellite t, and L_t[u] for the power of
+t's beams at u.  If g joins s, s's candidate design puts the powers
+own'(u), intra'(u) and total'(u) at u: of u's own beam, of s's other
+beams, of all of s's beams.  Only g and the served users that see s
+change their SINR, so
 
-* AU/SHU (unit-power analog beams): the existing beams stay as they
-  are and one beam is added.  With L_t[u] = sum_{v: sigma(v)=t}
-  |X_t[u, v]|^2 the power of satellite t's beams at u,
+    gain(s, g) = log2(1 + g0 own'(g) / (sum_{t != s} G[g, s, t] L_t[g]
+                                         + g0 intra'(g) + 1))
+               + sum_u [log2(1 + S'_u / (I_u - I_u(s) + I'_u(s) + 1))
+                        - log2(1 + S_u / (I_u + 1))],
 
-      gain(s, g) = log2(1 + g0 |X_s[g, g]|^2 / (sum_t G[g, s, t] L_t[g] + 1))
-                 + sum_u [log2(1 + S_u / (I_u + G[u, sigma(u), s] |X_s[u, g]|^2 + 1))
-                          - log2(1 + S_u / (I_u + 1))],
+where S'_u and I'_u(s) are g0 own'(u) and g0 intra'(u) if u tracks s,
+else S_u and G[u, sigma(u), s] total'(u).  Designs have two sources:
 
-  one numpy expression over every (s, g).  The unit-beam powers L, and
-  each served user's own and intra-satellite power, are kept across
-  iterations: a commit to s recomputes only s's row of L and its
-  members' entries, with ``network.set_satellite_powers``, the
-  per-satellite step of ``beam_powers``.
-* JHU: satellite s redesigns its beams on T = served(s) + {g} with
+* AU/SHU, unit-power analog beams: g's beam joins s's unchanged ones, a
+  closed form: total' = L_s + |X_s[:, g]|^2, intra'(u) = intra(u) +
+  |X_s[u, g]|^2, intra'(g) = L_s[g], own'(u) = own(u) and own'(g) =
+  |X_s[g, g]|^2.
+* JHU: s redesigns its beams on T = served(s) + {g} with
   ``network.hybrid_from_beamspace``, which also builds the final SHU and
-  JHU beams: the regularized-ZF precoder F of sqrt(g0) X_s[T, T] is scaled
-  by eta = P / tr(F^H (A^H A) F), where A^H A is the analog Gram on T.
-  Served users that see s, and g, are re-evaluated with s's new beam
-  powers and the other satellites' unchanged interference.  The kept
-  state is AU/SHU's with hybrid mixers.  Candidate designs are S x U x U
-  arrays of the own, intra and total power at user u if g joins s; when
-  s has candidates and its flag is clear, one batched ZF solve fills its
-  rows at every user that sees s and sets the flag.  Until s's next
-  commit, which copies g's rows into the kept state and clears the flag,
-  s's candidates only leave the pool and served users who see s only
-  join, so the rows keep a fresh design's bits.  Each iteration scores
-  all candidates with one set of numpy calls over the flat (candidate,
-  affected user) entries, in ``np.nonzero``'s row-major order, and sums
-  each satellite's block as a contiguous (candidates, users) array along
-  its rows: the bits depend on the row length, so ``np.add.reduceat``
-  or zero padding would change them.
+  JHU beams: the regularized-ZF precoder F of sqrt(g0) X_s[T, T] scaled
+  by eta = P / tr(F^H (A^H A) F), A^H A the analog Gram on T.
+
+The designs are kept as S x U x U arrays over (s, g, u).  A satellite
+with candidates and a clear flag has its rows filled (for JHU by one
+batched ZF solve) and its flag set; a commit to s copies the winner's
+rows into the kept powers and clears it.  Until then s's candidates
+only leave the pool and the served users who see s only join, so the
+rows stay exact (AU's kept L sums beams in commit order, not user
+order: the same to rounding).  Each iteration scores every candidate in
+one set of numpy calls over the flat (candidate, affected user) entries,
+in ``np.nonzero``'s row-major order, and sums each satellite's block as
+a contiguous (candidates, users) array along its rows: the bits depend
+on the row length, so ``np.add.reduceat`` or zero padding would change
+them.
 
 The scores are exact, not approximations: each is the difference of the
 total SE with and without the link, minus terms that cancel.  They
@@ -184,80 +184,75 @@ def preassign_single_visibility(instance: EpochInstance,
     return dropped
 
 
-def _analog_gains(instance: EpochInstance, serving: np.ndarray,
-                  powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Total-SE gain of every (satellite row, user row) link under
-    unit-power analog beams (AU and SHU), given the current beams'
-    ``powers`` (L, own, intra); the module docstring has the formula."""
-    p2 = instance.cross_power
-    gain = instance.gain_table
-    g0 = instance.boresight_gain
-    load, own, intra = powers  # load[t, u] = L_t[u]
-    signal, by_sat = signal_and_interference(instance, serving, load, own, intra)
-
-    # served users: current SINR, and with s's unit beam toward g added
-    served = np.flatnonzero(serving >= 0)
-    g_served = gain[served, serving[served], :]
-    signal = signal[served]
-    interference = by_sat[served].sum(axis=1)
-    base = np.log2(1.0 + signal / (interference + 1.0))
-    extra = g_served.T[:, :, None] * p2[:, served, :]  # (s, u, g)
-    changed = np.log2(1.0 + signal[:, None] / (interference[:, None] + extra + 1.0))
-    delta = (changed - base[:, None]).sum(axis=1)
-
-    # the new user, tracking s, sees every satellite's current beams
-    new_interference = np.einsum("gst,tg->sg", gain, load)
-    new_signal = g0 * np.einsum("sgg->sg", p2)
-    return np.log2(1.0 + new_signal / (new_interference + 1.0)) + delta
+def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
+                  powers: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  designs: tuple[np.ndarray, ...], beta: float | None, unit: bool) -> None:
+    """Fill the design rows of each satellite with candidates and a clear
+    flag, and set the flag: g's unit beam added to the kept unit beams if
+    ``unit``, else the hybrid beams redesigned on the members and g."""
+    own, intra, total, designed = designs
+    for s in np.flatnonzero(candidates.any(axis=1) & ~designed):
+        if unit:  # a closed form at every (g, u): no beam is redesigned
+            load, kept_own, kept_intra = powers
+            added = instance.cross_power[s].T  # added[g, u] = |X_s[u, g]|^2
+            np.add(load[s], added, out=total[s])
+            np.add(kept_intra, added, out=intra[s])
+            own[s] = kept_own
+            np.fill_diagonal(intra[s], load[s])
+            np.fill_diagonal(own[s], added.diagonal())
+        else:
+            cand = np.flatnonzero(candidates[s])
+            members = np.flatnonzero(serving == s)
+            idx = np.sort(np.column_stack(
+                [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
+            mixer = hybrid_from_beamspace(instance, s, idx, beta)
+            seen = np.flatnonzero(instance.visible_mask[:, s])
+            amp = np.abs(instance.cross_terms[s][seen[:, None], idx[:, None, :]] @ mixer) ** 2
+            mine = seen[:, None] == idx[:, None, :]  # each row's own beam
+            rows = s, cand[:, None], seen
+            own[rows] = np.where(mine, amp, 0.0).sum(axis=2)
+            intra[rows] = np.where(mine, 0.0, amp).sum(axis=2)
+            total[rows] = amp.sum(axis=2)
+        designed[s] = True
 
 
 def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
                  powers: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 designs: tuple[np.ndarray, ...], beta: float | None) -> np.ndarray:
-    """JHU's total-SE gain of every candidate link, given the kept
-    ``powers`` (L, own, intra) and candidate ``designs`` (own, intra,
+                 designs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Total-SE gain of every candidate link, given the kept ``powers``
+    (L, own, intra) and the filled candidate ``designs`` (own, intra,
     total, designed); -inf off the candidates."""
-    gain = instance.gain_table
     g0 = instance.boresight_gain
     signal, by_sat = signal_and_interference(instance, serving, *powers)
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
     others = interference[:, None] - by_sat  # from every satellite but s
     # a new user tracking s sees the other satellites' current beams
-    off = gain * (1.0 - np.eye(len(candidates)))
+    off = instance.gain_table * (1.0 - np.eye(len(candidates)))
     new_others = np.einsum("gst,tg->sg", off, powers[0])
 
-    own, intra, total, designed = designs
-    for s in np.flatnonzero(candidates.any(axis=1) & ~designed):
-        cand = np.flatnonzero(candidates[s])
-        members = np.flatnonzero(serving == s)
-        idx = np.sort(np.column_stack(
-            [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
-        mixer = hybrid_from_beamspace(instance, s, idx, beta)
-        seen = np.flatnonzero(instance.visible_mask[:, s])
-        amp = np.abs(instance.cross_terms[s][seen[:, None], idx[:, None, :]] @ mixer) ** 2
-        mine = seen[:, None] == idx[:, None, :]  # each row's own beam
-        rows = s, cand[:, None], seen
-        own[rows] = np.where(mine, amp, 0.0).sum(axis=2)
-        intra[rows] = np.where(mine, 0.0, amp).sum(axis=2)
-        total[rows] = amp.sum(axis=2)
-        designed[s] = True
-
-    # every (candidate, served user seeing its satellite) entry at once
+    # every (candidate, served user seeing its satellite) entry at once,
+    # gathered by flat index
+    n_sats, n_gus = candidates.shape
+    own, intra, total, _ = designs
     sats, gus = np.nonzero(candidates)
     affected = instance.visible_mask.T & (serving >= 0)
-    pair, u = np.nonzero(affected[sats])
-    s, g, a = sats[pair], gus[pair], serving[u]
-    tracks = a == s
-    sig = np.where(tracks, g0 * own[s, g, u], signal[u])
-    intf = others[u, s] + np.where(
-        tracks, g0 * intra[s, g, u], gain[u, a, s] * total[s, g, u])
+    pair, u = np.divmod(np.flatnonzero(affected[sats]), n_gus)
+    s, a = sats[pair], serving[u]
+    at = (sats * n_gus + gus)[pair] * n_gus + u  # (s, g, u)
+    tracks = np.flatnonzero(a == s)
+    sig = signal[u]
+    sig[tracks] = g0 * own.take(at[tracks])
+    intf = instance.gain_table.take((u * n_sats + a) * n_sats + s) * total.take(at)
+    intf[tracks] = g0 * intra.take(at[tracks])
+    intf = others.take(u * n_sats + s) + intf
     terms = np.log2(1.0 + sig / (intf + 1.0)) - base[u]
     # each satellite's (candidates, users) block summed along its rows
     delta, end = [], 0
     for c, m in zip(candidates.sum(axis=1).tolist(), affected.sum(axis=1).tolist()):
-        delta.append(terms[end:end + c * m].reshape(c, m).sum(axis=1))
-        end += c * m
+        if c:
+            delta.append(terms[end:end + c * m].reshape(c, m).sum(axis=1))
+            end += c * m
     new_intf = new_others[sats, gus] + g0 * intra[sats, gus, gus]
     gains = np.full(candidates.shape, -np.inf)
     gains[sats, gus] = (np.log2(1.0 + g0 * own[sats, gus, gus] / (new_intf + 1.0))
@@ -275,16 +270,17 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     spare = np.ones(len(instance.sat_ids), dtype=bool)
     pending = serving < 0
     pending[dropped] = False
-    analog = mode.scoring is SchemeMode.AU
+    unit = mode.scoring is SchemeMode.AU
 
     # powers of the beams each mode scores with, kept across iterations
     # (not hybrid_beams, which traced runs count as the final-beam step)
     served = instance.served_map(serving)
     powers = beam_powers(instance, served, {
-        i: np.eye(len(m)) if analog else
+        i: np.eye(len(m)) if unit else
         hybrid_from_beamspace(instance, i, np.array([m]), beta)[0]
         for i, m in served.items()})
     designs = (*np.zeros((3, spare.size, *2 * serving.shape)), np.zeros_like(spare))
+    own, intra, total, designed = designs
     records: list[TraceRecord] = []
 
     iteration = 0
@@ -293,11 +289,8 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         n_candidates = int(candidates.sum())
         if not n_candidates:
             break
-        if analog:
-            scores = _analog_gains(instance, serving, powers)
-        else:
-            scores = _joint_gains(instance, serving, candidates, powers, designs, beta)
-        gains = np.where(candidates, scores, -np.inf)
+        _fill_designs(instance, serving, candidates, powers, designs, beta, unit)
+        gains = _joint_gains(instance, serving, candidates, powers, designs)
         bad = candidates & ~np.isfinite(gains)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -306,18 +299,14 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
                 f"is {gains[i, j]}")
         i, j = np.unravel_index(np.argmax(gains), gains.shape)
         committed = bool(np.count_nonzero(serving == i) < instance.n_beams)
-        if committed:
+        if committed:  # the winner's design has the committed beams' powers
             serving[j] = i
             pending[j] = False
             members = np.flatnonzero(serving == i)
-            if analog:
-                set_satellite_powers(instance, i, members, np.eye(members.size), powers)
-            else:  # the winner's design has the committed beams' powers
-                own, intra, total, designed = designs
-                powers[0][i] = total[i, j]
-                powers[1][members] = own[i, j, members]
-                powers[2][members] = intra[i, j, members]
-                designed[i] = False
+            powers[0][i] = total[i, j]
+            powers[1][members] = own[i, j, members]
+            powers[2][members] = intra[i, j, members]
+            designed[i] = False
         else:
             spare[i] = False
         if trace:

@@ -6,6 +6,7 @@ import pytest
 
 from coopsat import cli
 from coopsat.cli import EXIT_CONFIG, EXIT_OK, main
+from coopsat.config import from_dict, load_config
 from coopsat.scheduling import SchemeMode
 
 MINI_SCENARIO = """\
@@ -69,6 +70,8 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     ("channel: {direct_amp_mean_db: 8000}\n", "channel.direct_amp_mean_db"),
     ("channel: {direct_amp_std_db: 1000}\n", "channel.direct_amp_std_db"),
     ("channel: {zenith_gas_db: 4000}\n", "channel.zenith_gas_db"),
+    # in range at the zenith, but not at the lowest elevation
+    ("channel: {zenith_gas_db: 3000}\n", "channel.zenith_gas_db"),
     ("channel: {scintillation_db: 4000}\n", "channel.scintillation_db"),
     ("channel: {shadow_sigma_db: 4000}\n", "channel.shadow_sigma_db"),
     # a divisor whose linear value is 0; a negative suppression or spread
@@ -85,6 +88,18 @@ def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):
     assert main(args) == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("channel", ["{multipath_power_db: -.inf}",
+                                     "{zenith_gas_db: 500}"])
+def test_extreme_channel_field_validates_and_runs(tmp_path, channel):
+    # no diffuse rays; a gas term near the end of its range at 10 degrees
+    path = tmp_path / "extreme.yaml"
+    path.write_text(MINI_SCENARIO + f"channel: {channel}\n")
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert from_dict(summary["config"]) == load_config(path)
 
 
 def test_overflowing_shadow_draw_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -165,6 +166,9 @@ class TestFromDict:
         ("constellation", "altitude_km", float("inf")),
         ("channel", "angle_spread_deg", float("nan")),
         ("channel", "zenith_gas_db", float("inf")),
+        # -inf switches the diffuse rays off, and is no other field's value
+        ("channel", "multipath_power_db", float("inf")),
+        ("channel", "direct_amp_mean_db", float("-inf")),
     ])
     def test_non_finite_section_field_rejected(self, section, key, value):
         with pytest.raises(ConfigError) as err:
@@ -223,6 +227,30 @@ class TestFromDict:
     def test_longitude_180_accepted(self):
         cfg = from_dict({"gus": [{"lat": 10.0, "lon": 180.0}]})
         assert cfg.gus[0].longitude_deg == -180.0  # the same meridian
+
+    def test_minus_inf_multipath_power_turns_the_rays_off(self):
+        # the documented switch, from a mapping as a scenario file gives it
+        cfg = from_dict({"channel": {"multipath_power_db": -math.inf}})
+        assert cfg.small_scale.multipath_power_db == -math.inf
+        assert cfg.small_scale.n_paths == 1
+        assert from_dict(to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("min_elevation,gas,ok", [
+        (10.0, 535.0, True), (10.0, 536.0, False), (10.0, 3000.0, False),
+        (45.0, 2000.0, True), (45.0, 2200.0, False),
+        # at 0 the cosecant has no bound: only the zenith range holds
+        (0.0, 3000.0, True)])
+    def test_zenith_gas_bounded_at_the_lowest_elevation(self, min_elevation, gas, ok):
+        data = {"min_elevation_deg": min_elevation, "channel": {"zenith_gas_db": gas}}
+        if ok:
+            assert from_dict(data).attenuation.zenith_gas_db == gas
+            return
+        with pytest.raises(ConfigError) as err:
+            from_dict(data)
+        limit = 3082.547 * math.sin(math.radians(min_elevation))
+        assert err.value.errors == [
+            f"channel.zenith_gas_db: must be <= {limit:.1f} at min_elevation_deg "
+            f"{min_elevation:g} (the gas term is zenith_gas_db / sin(elevation))"]
 
 
 class TestYamlLoading:

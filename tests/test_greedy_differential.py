@@ -3,10 +3,11 @@ whole-network re-evaluation loop kept in ``reference_greedy``.
 
 The reference is replayed along the new scheduler's decisions, so every
 step is compared from the same state even after a near-tie sent the two
-down different paths.  The JHU scorer, which keeps its beams and
-candidate designs across iterations, is also checked bit for bit against
+down different paths.  The scorer keeps its beams and candidate designs
+across iterations; JHU's scores are also checked bit for bit against
 ``reference_greedy.hybrid_gains``, which designs them again each time,
-and its kept powers against beams designed afresh after every commit.
+and every mode's kept powers against beams designed afresh after every
+commit.
 """
 
 import math
@@ -112,8 +113,8 @@ def checked_jhu_schedule(inst: EpochInstance, beta: float | None = None):
     scorer = scheduling._joint_gains
     calls = []
 
-    def checking(instance, serving, candidates, powers, designs, beta):
-        scores = scorer(instance, serving, candidates, powers, designs, beta)
+    def checking(instance, serving, candidates, powers, designs):
+        scores = scorer(instance, serving, candidates, powers, designs)
         expected = hybrid_gains(instance, serving, candidates, beta)
         assert np.array_equal(scores[candidates], expected[candidates])
         calls.append(None)
@@ -166,15 +167,47 @@ def test_kept_jhu_powers_equal_fresh_designs_after_every_commit(beta, inst):
     scorer = scheduling._joint_gains
     kept = []
 
-    def checking(instance, serving, candidates, powers, designs, beta):
+    def checking(instance, serving, candidates, powers, designs):
         kept[:] = [powers]
         assert_fresh_powers(powers, instance, serving, beta)
-        return scorer(instance, serving, candidates, powers, designs, beta)
+        return scorer(instance, serving, candidates, powers, designs)
 
     with mock.patch.object(scheduling, "_joint_gains", checking):
         result = greedy_schedule(inst, SchemeMode.JHU, beta=beta)
     if kept:  # no scoring call, no commit
         assert_fresh_powers(kept[0], inst, result.links, beta)
+
+
+# A commit adds the winner's unit beam to the kept powers, so L sums a
+# satellite's beams in commit order where beam_powers sums them in user
+# order: the two agree to rounding, ~1e-16 relative.
+UNIT_POWER_TOL = 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+@example(inst=tie_instance())
+@example(inst=crowded_instance())
+def test_kept_au_powers_equal_fresh_unit_beams_after_every_commit(inst):
+    # AU's (and SHU's) kept powers against beam_powers of unit beams
+    scorer = scheduling._joint_gains
+    kept = []
+
+    def assert_unit_powers(powers, serving):
+        served = inst.served_map(serving)
+        fresh = beam_powers(inst, served, {i: np.eye(len(m)) for i, m in served.items()})
+        for got, want in zip(powers, fresh):
+            np.testing.assert_allclose(got, want, rtol=UNIT_POWER_TOL, atol=0.0)
+
+    def checking(instance, serving, candidates, powers, designs):
+        kept[:] = [powers]
+        assert_unit_powers(powers, serving)
+        return scorer(instance, serving, candidates, powers, designs)
+
+    with mock.patch.object(scheduling, "_joint_gains", checking):
+        result = greedy_schedule(inst, SchemeMode.AU)
+    if kept:
+        assert_unit_powers(kept[0], result.links)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -114,8 +114,8 @@ class ArrayConfig:
 class SmallScaleConfig:
     """Loo fading: direct-path amplitude log-normal (parameters in dB),
     diffuse rays Rayleigh with total mean power ``multipath_power_db``
-    relative to an unfaded direct path.  Use ``-inf`` (``-.inf`` in a
-    scenario file) to disable the diffuse part."""
+    relative to an unfaded direct path.  Use ``-inf`` (``-.inf`` or
+    ``"-inf"`` in a scenario file) to disable the diffuse part."""
 
     n_clusters: int = 2
     n_rays: int = 10

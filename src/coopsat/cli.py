@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from .config import ConfigError, from_dict, load_config, to_dict
 from .harness import build_epoch_instance, emit, run
-from .scheduling import exhaustive_schedule, greedy_schedule
+from .scheduling import SchemeMode, exhaustive_schedule, greedy_schedule
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -58,13 +58,18 @@ def _cmd_oracle(args) -> int:
     ratios = []
     for epoch_index, t in enumerate(config.epochs.times()):
         instance = build_epoch_instance(config, epoch_index, t)
-        # schemes that schedule alike share one greedy run, as in harness.run
+        # schemes that schedule alike share one greedy run, as in harness.run,
+        # and schemes that radiate alike (SHU and JHU: hybrid beams) one search
         shared = {rule: greedy_schedule(instance, rule, beta=config.beta)
                   for rule in dict.fromkeys(m.scoring for m in config.schemes)}
+        radiates = {m: SchemeMode.AU if m is SchemeMode.AU else SchemeMode.SHU
+                    for m in config.schemes}
+        optima = {rule: exhaustive_schedule(instance, rule, beta=config.beta,
+                                            max_space=args.max_space)
+                  for rule in dict.fromkeys(radiates.values())}
         for mode in config.schemes:
             greedy = replace(shared[mode.scoring], mode=mode)
-            optimum = exhaustive_schedule(instance, mode, beta=config.beta,
-                                          max_space=args.max_space)
+            optimum = replace(optima[radiates[mode]], mode=mode)
             ratio = (greedy.total_se / optimum.total_se
                      if optimum.total_se > 0.0 else 1.0)
             ratios.append(ratio)

@@ -28,6 +28,9 @@ from .geometry import ConstellationConfig, GroundUser
 from .scheduling import SchemeMode
 
 CITY_DATASET = "cities_cn"
+# ``multipath_power_db`` = -inf (no diffuse rays) as plain data: JSON has
+# no infinity, so ``to_dict`` writes this and ``from_dict`` reads it back.
+NO_RAYS = "-inf"
 
 
 class ConfigError(ValueError):
@@ -186,10 +189,10 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
     """Build config dataclass ``cls`` from a mapping of its fields.  Each
     value maps as the field's annotation says: a config dataclass from a
     mapping, ``int`` from an integer, ``float`` from a finite number (or
-    -inf for ``multipath_power_db``), ground users from ``gus`` rows;
-    other values pass as given.  A value that does not map keeps its
-    default.  Errors, the dataclass's own included, are collected with
-    their field paths (``prefix`` + name)."""
+    -inf or ``NO_RAYS`` for ``multipath_power_db``), ground users from
+    ``gus`` rows; other values pass as given.  A value that does not map
+    keeps its default.  Errors, the dataclass's own included, are
+    collected with their field paths (``prefix`` + name)."""
     kinds = _field_types(cls)
     kwargs = {}
     for key, value in data.items():
@@ -201,7 +204,9 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
         elif kind in _SCALARS:
             accepts, problem = _SCALARS[kind]
             # -inf, a linear value of 0, is the switch that turns the rays off
-            if not (accepts(value) or key == "multipath_power_db" and value == -math.inf):
+            if key == "multipath_power_db" and value in (-math.inf, NO_RAYS):
+                value = -math.inf
+            elif not accepts(value):
                 errors.append(f"{where}: {problem}")
         elif is_dataclass(kind):
             value = _build_section(kind, _mapping(value, where, errors),
@@ -321,11 +326,14 @@ def load_config(source: str | Path) -> ScenarioConfig:
 
 def to_dict(config: ScenarioConfig) -> dict:
     """Plain-data form of a scenario, which ``from_dict`` maps back
-    (canonical for hashing)."""
+    (canonical for hashing).  It is strict JSON: the one infinite value
+    a scenario can hold, ``multipath_power_db`` = -inf, is ``NO_RAYS``."""
     data = asdict(config)
     data["gus"] = [{"label": g.label, "lat": g.latitude_deg, "lon": g.longitude_deg,
                     "alt_km": g.altitude_km} for g in config.gus]
     data["channel"] = {**data.pop("small_scale"), **data.pop("attenuation")}
+    if data["channel"]["multipath_power_db"] == -math.inf:
+        data["channel"]["multipath_power_db"] = NO_RAYS
     data["schemes"] = [s.value for s in config.schemes]
     return data
 

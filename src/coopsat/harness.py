@@ -180,7 +180,9 @@ def _write_csv(path: Path, records: list[dict], columns: list[str]) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # strict JSON: a NaN or infinity raises ValueError instead of being
+    # written as a token that strict parsers reject
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def emit(report: RunReport, out_dir: str | Path, fmt: str = "csv") -> list[Path]:

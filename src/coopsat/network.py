@@ -27,7 +27,10 @@ hybrid beams are designed and scaled.
 
 ``beam_powers`` and ``signal_and_interference`` are the one evaluator
 of a served user's signal and interference, for ``metrics``, the greedy
-scorer and the exhaustive oracle alike.
+scorer and the exhaustive oracle alike.  ``design_powers`` gives a
+satellite's powers for a stack of member sets in one call: for
+``beam_powers`` one set per satellite, for the JHU greedy one per
+candidate, for the oracle every set it may meet.
 """
 
 from __future__ import annotations
@@ -142,9 +145,6 @@ class EpochInstance:
             raise ValueError(f"serving vector must be {len(self.gu_ids)} integers, "
                              f"got shape {serving.shape} of {serving.dtype}")
         users: dict[int, list[int]] = {}
-        # a Python loop: the exhaustive oracle calls this for every
-        # (satellite, member set) of a handful of users it designs, where
-        # numpy's per-call overhead dominates
         for u, i in enumerate(serving.tolist()):
             if not -1 <= i < len(self.sat_ids):
                 raise ValueError(f"serving rows must lie in [-1, {len(self.sat_ids)})")
@@ -157,16 +157,18 @@ class EpochInstance:
         return {i: users[i] for i in sorted(users)}
 
 
+def equal_power_mixer(instance: EpochInstance, n: int) -> np.ndarray:
+    """Mixer of n analog beams sharing the satellite power equally."""
+    return np.eye(n) * math.sqrt(instance.tx_power_w / n)
+
+
 def equal_power_beams(instance: EpochInstance,
                       served: dict[int, list[int]]) -> dict[int, np.ndarray]:
     """Analog beams sharing the satellite power equally; ``served`` maps
     satellite rows to their user rows, as ``EpochInstance.served_map``
     does."""
-    out = {}
-    for i, members in served.items():
-        n = len(members)
-        out[i] = np.eye(n) * math.sqrt(instance.tx_power_w / n)
-    return out
+    return {i: equal_power_mixer(instance, len(members))
+            for i, members in served.items()}
 
 
 def hybrid_from_beamspace(instance: EpochInstance, sat: int, idx: np.ndarray,
@@ -205,30 +207,37 @@ def beam_powers(instance: EpochInstance, served: Mapping[int, list[int]],
     serving the user rows ``served`` maps each satellite to), before the
     user antenna gain: of each satellite's beams at each user (S x U),
     and of each served user's own beam and of its satellite's other
-    beams (U each, zero elsewhere).  The other beams are summed directly:
-    after ZF nulling, a difference of the two totals would be rounding
-    noise."""
+    beams (U each, zero elsewhere).  A user is a member of one satellite
+    at most, so the satellites' own and intra powers add only zeros to
+    each other."""
     n_u = len(instance.gu_ids)
     power = np.zeros((len(instance.sat_ids), n_u))
     own = np.zeros(n_u)
     intra = np.zeros(n_u)
     for i, members in served.items():
-        set_satellite_powers(instance, i, members, beams[i], (power, own, intra))
+        (power[i],), (own_i,), (intra_i,) = design_powers(
+            instance, i, np.array([members]), beams[i], np.arange(n_u))
+        own += own_i
+        intra += intra_i
     return power, own, intra
 
 
-def set_satellite_powers(instance: EpochInstance, i: int, members, mixer: np.ndarray,
-                         powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    """Write, in place, the ``beam_powers`` entries of satellite row i,
-    whose beams (``mixer`` columns) serve user rows ``members``: row i of
-    the S x U powers, and its members' own and intra-satellite powers."""
-    power, own, intra = powers
-    amp = np.abs(instance.cross_terms[i][:, members] @ mixer) ** 2
-    power[i] = amp.sum(axis=1)
-    mine = amp[members]  # row k: user members[k]; column k: its own beam
-    own[members] = np.diagonal(mine)
-    np.fill_diagonal(mine, 0.0)
-    intra[members] = mine.sum(axis=1)
+def design_powers(instance: EpochInstance, sat: int, idx: np.ndarray, mixer: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Powers at user rows ``rows`` of the beams of satellite row ``sat``
+    serving each row of user rows ``idx`` (K x n) through ``mixer``
+    (K x n x n, or one n x n for every row): of all its beams, and at
+    its members of the own beam and of the other beams, zero elsewhere;
+    K x len(rows) each.  The other beams are summed directly: after ZF
+    nulling, a difference of the two totals would be rounding noise.
+    Each row of the stack rounds as a design on its own does."""
+    amp = np.abs(instance.cross_terms[sat][rows[:, None], idx[:, None, :]] @ mixer) ** 2
+    mine = rows[:, None] == idx[:, None, :]  # user rows[r] is beam k's member
+    # members by scatter: an any() along the short beam axis costs more
+    member = np.zeros((len(idx), len(instance.gu_ids)), dtype=bool)
+    member[np.arange(len(idx))[:, None], idx] = True
+    intra = np.where(member[:, rows], np.where(mine, 0.0, amp).sum(axis=2), 0.0)
+    return amp.sum(axis=2), np.where(mine, amp, 0.0).sum(axis=2), intra
 
 
 def signal_and_interference(instance: EpochInstance, serving: np.ndarray,

@@ -71,13 +71,13 @@ Ties go to the smallest (satellite, user) pair: ``np.argmax`` scans the
 gain grid in row-major order over the sorted satellite and user ids.
 
 An exhaustive oracle for desk-scale instances provides the reference
-optimum for testing.  It enumerates every assignment (each user's
-visible satellite rows in increasing order, then unserved) with
-``itertools.product``, after checking the size of that space, in blocks
-of ``_BLOCK``, and drops those over a satellite's beam capacity.  A
-satellite's beams depend only on the users it serves, so ``_BeamCache``
-designs each (satellite row, member set) pair once per call.  One
-``signal_and_interference`` call
+optimum for testing.  After checking the size of the assignment space,
+``_BeamCache`` designs every (satellite row, member set) within the beam
+capacity, batched per (satellite, member count): a satellite's beams
+depend only on the users it serves.  Assignments (each user's visible
+satellite rows in increasing order, then unserved) are enumerated with
+``itertools.product`` in blocks of ``_BLOCK``, and those over a
+satellite's capacity dropped.  One ``signal_and_interference`` call
 evaluates a block's stacked powers, and ``metrics.stacked_total_se`` sums
 each assignment's per-user SEs in row order, so every score has the bits
 ``metrics.total_se`` gives it alone.  The first strictly greater score in
@@ -96,8 +96,8 @@ from enum import Enum
 import numpy as np
 
 from . import metrics
-from .network import (EpochInstance, beam_powers, equal_power_beams,
-                      hybrid_beams, hybrid_from_beamspace, set_satellite_powers,
+from .network import (EpochInstance, beam_powers, design_powers, equal_power_beams,
+                      equal_power_mixer, hybrid_beams, hybrid_from_beamspace,
                       signal_and_interference)
 
 
@@ -205,14 +205,10 @@ def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.n
             members = np.flatnonzero(serving == s)
             idx = np.sort(np.column_stack(
                 [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
-            mixer = hybrid_from_beamspace(instance, s, idx, beta)
             seen = np.flatnonzero(instance.visible_mask[:, s])
-            amp = np.abs(instance.cross_terms[s][seen[:, None], idx[:, None, :]] @ mixer) ** 2
-            mine = seen[:, None] == idx[:, None, :]  # each row's own beam
             rows = s, cand[:, None], seen
-            own[rows] = np.where(mine, amp, 0.0).sum(axis=2)
-            intra[rows] = np.where(mine, 0.0, amp).sum(axis=2)
-            total[rows] = amp.sum(axis=2)
+            total[rows], own[rows], intra[rows] = design_powers(
+                instance, s, idx, hybrid_from_beamspace(instance, s, idx, beta), seen)
         designed[s] = True
 
 
@@ -321,29 +317,44 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
 # amortize numpy's per-call cost, small enough that a block's (K, U, S)
 # arrays stay well under a megabyte.
 _BLOCK = 256
+# Member sets the oracle designs per batched call: working memory grows
+# as chunk x users x beams.
+_CHUNK = 256
 
 
 class _BeamCache:
-    """The oracle's beams by (satellite row, member rows): each pair's
-    mixer comes from ``final_beams`` once, and its ``beam_powers``
-    entries (its row of the S x U powers, its members' own and intra
-    powers) are kept as rows of three tables.  Row 0 of each table is
-    zero: a satellite that serves no one.
-
-    A member set is a bitmask over the users who see some satellite, so
-    a space of 2**m assignments or more has m of them: any space that
-    can be enumerated fits an int64 mask."""
+    """``beam_powers`` entries (row of the S x U powers, members' own and
+    intra powers) of every set of at most ``n_beams`` users who see a
+    satellite; serving one set alone is feasible, so none is wasted.
+    ``_CHUNK`` sets of one (satellite row, size) at a time get their
+    mixers (SHU's and JHU's are alike) and powers in one call each, with
+    the bits each set gets alone.  A member set is a bitmask over the
+    users who see some satellite: a space of 2**m assignments or more has
+    m of them, so an enumerable space fits an int64 mask.  Each
+    satellite's masks are sorted for ``np.searchsorted``; mask 0 (no one)
+    has zero powers."""
 
     def __init__(self, instance: EpochInstance, mode: SchemeMode,
                  beta: float | None) -> None:
-        self.instance, self.mode, self.beta = instance, mode, beta
-        self.users = np.flatnonzero(instance.visible_mask.any(axis=1))
+        users = np.flatnonzero(instance.visible_mask.any(axis=1))
         self.bits = np.zeros(len(instance.gu_ids), dtype=np.int64)
-        self.bits[self.users] = 1 << np.arange(self.users.size, dtype=np.int64)
-        # per satellite row: member bitmask -> table row
-        self.index: list[dict[int, int]] = [{0: 0} for _ in instance.sat_ids]
-        zero = np.zeros(len(instance.gu_ids))
-        self.tables: tuple[list[np.ndarray], ...] = ([zero], [zero], [zero])
+        self.bits[users] = 1 << np.arange(users.size, dtype=np.int64)
+        rows = np.arange(len(instance.gu_ids))
+        self.tables = []  # per satellite row: (sorted masks, 3 x masks x U)
+        for s, seen in enumerate(instance.visible_mask.T):
+            seen = np.flatnonzero(seen).tolist()
+            masks, parts = [np.zeros(1, dtype=np.int64)], [np.zeros((3, 1, rows.size))]
+            for m in range(1, min(instance.n_beams, len(seen)) + 1):
+                subsets = itertools.combinations(seen, m)
+                while chunk := list(itertools.islice(subsets, _CHUNK)):
+                    idx = np.array(chunk)
+                    mixer = (equal_power_mixer(instance, m) if mode is SchemeMode.AU
+                             else hybrid_from_beamspace(instance, s, idx, beta))
+                    parts.append(np.stack(design_powers(instance, s, idx, mixer, rows)))
+                    masks.append(self.bits[idx].sum(axis=1))
+            masks = np.concatenate(masks)
+            order = np.argsort(masks)
+            self.tables.append((masks[order], np.concatenate(parts, axis=1)[:, order]))
 
     def powers(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``beam_powers`` of a stack of assignments, given as K x U x S
@@ -352,25 +363,10 @@ class _BeamCache:
         satellite's row at most, so summing over the satellites adds only
         zeros to them."""
         masks = (member * self.bits[:, None]).sum(axis=1)  # K x S
-        rows = np.empty(masks.shape, dtype=int)
-        for i, (col, index) in enumerate(zip(masks.T.tolist(), self.index)):
-            rows[:, i] = [index[m] if m in index else self._design(i, m) for m in col]
-        power, own, intra = (np.array(table)[rows] for table in self.tables)
-        return power, own.sum(axis=1), intra.sum(axis=1)
-
-    def _design(self, i: int, mask: int) -> int:
-        inst = self.instance
-        members = [u for r, u in enumerate(self.users.tolist()) if mask >> r & 1]
-        serving = np.full(len(inst.gu_ids), -1)
-        serving[members] = i
-        mixer = final_beams(inst, serving, self.mode, self.beta)[i]
-        powers = (np.zeros((len(inst.sat_ids), len(inst.gu_ids))),
-                  np.zeros(len(inst.gu_ids)), np.zeros(len(inst.gu_ids)))
-        set_satellite_powers(inst, i, members, mixer, powers)
-        for table, entry in zip(self.tables, (powers[0][i], powers[1], powers[2])):
-            table.append(entry)
-        self.index[i][mask] = len(self.tables[0]) - 1
-        return self.index[i][mask]
+        found = np.empty((3, *masks.shape, self.bits.size))  # 3 x K x S x U
+        for s, (keys, table) in enumerate(self.tables):
+            found[:, :, s] = table[:, np.searchsorted(keys, masks[:, s])]
+        return found[0], found[1].sum(axis=1), found[2].sum(axis=1)
 
 
 def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",

@@ -211,6 +211,21 @@ def test_oracle_runs_the_analog_greedy_once_per_epoch(scenario_file, capsys):
                      for m in ("au", "shu", "jhu")] + ["min ratio"]
 
 
+def test_oracle_searches_once_per_beam_design_per_epoch(scenario_file, capsys):
+    # SHU and JHU radiate the same hybrid beams, so they share an optimum
+    with mock.patch.object(cli, "exhaustive_schedule",
+                           wraps=cli.exhaustive_schedule) as search:
+        assert main(["oracle", str(scenario_file)]) == EXIT_OK
+    modes = [SchemeMode.parse(c.args[1]) for c in search.call_args_list]
+    assert modes == [SchemeMode.AU, SchemeMode.SHU] * 2
+    optimum = {}
+    for line in capsys.readouterr().out.splitlines()[:-1]:
+        head, rest = line.split(": ")
+        optimum[head] = rest.split()[1]
+    for e in range(2):
+        assert optimum[f"epoch {e} [shu]"] == optimum[f"epoch {e} [jhu]"]
+
+
 def test_oracle_space_guard(scenario_file, capsys):
     code = main(["oracle", str(scenario_file), "--max-space", "1"])
     assert code == 1

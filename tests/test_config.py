@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import coopsat
-from coopsat.config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
-                            config_digest, from_dict, load_config, to_dict)
+from coopsat.config import (NO_RAYS, ConfigError, EpochGrid, ScenarioConfig,
+                            bundled_cities, config_digest, from_dict, load_config,
+                            to_dict)
 from coopsat.scheduling import SchemeMode
 
 
@@ -234,6 +236,20 @@ class TestFromDict:
         assert cfg.small_scale.multipath_power_db == -math.inf
         assert cfg.small_scale.n_paths == 1
         assert from_dict(to_dict(cfg)) == cfg
+
+    def test_minus_inf_multipath_power_is_json_safe_plain_data(self):
+        cfg = from_dict({"channel": {"multipath_power_db": -math.inf}})
+        data = to_dict(cfg)
+        assert data["channel"]["multipath_power_db"] == NO_RAYS
+        assert from_dict(json.loads(json.dumps(data, allow_nan=False))) == cfg
+        assert config_digest(from_dict({"channel": {"multipath_power_db": NO_RAYS}})) \
+            == config_digest(cfg)
+
+    @pytest.mark.parametrize("key", ["direct_amp_mean_db", "angle_spread_deg"])
+    def test_no_rays_spelling_is_multipath_power_only(self, key):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"channel": {key: NO_RAYS}})
+        assert f"channel.{key}: must be a finite number" in err.value.errors
 
     @pytest.mark.parametrize("min_elevation,gas,ok", [
         (10.0, 535.0, True), (10.0, 536.0, False), (10.0, 3000.0, False),

@@ -1,19 +1,23 @@
-"""Differential tests: the exhaustive oracle, which designs each
-(satellite, member set) once and scores assignments in stacked blocks,
-against the per-assignment loop kept in ``reference_exhaustive``.
+"""Differential tests: the exhaustive oracle, which designs every
+(satellite, member set) up front in batches and scores assignments in
+stacked blocks, against the per-assignment loop kept in
+``reference_exhaustive``.
 
 Both evaluate every assignment with the same arithmetic, so the links
-must be equal and the total SE equal to the bit, ties included.
+must be equal and the total SE equal to the bit, ties included, however
+the designs are split into batches.
 """
 
+import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import instances, make_instance, mirror_first_satellite
-from coopsat import metrics
+from coopsat import metrics, scheduling
 from coopsat.scheduling import SchemeMode, exhaustive_schedule, final_beams
 from reference_exhaustive import reference_exhaustive
 
@@ -44,6 +48,50 @@ def test_several_blocks_match_reference_loop(mode, seed):
                          n_beams=1 + seed,
                          visible={g: (0, 1, 2) for g in range(100, 105)})
     assert_matches_reference(inst, mode)
+
+
+# Batches of one and of three designs: with three, a batch boundary falls
+# inside one (satellite, member count), e.g. among the 10 pairs of 5 users.
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("mode", list(SchemeMode))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(inst=instances(max_gus=5))
+def test_design_batches_match_reference_loop(chunk, mode, inst):
+    with mock.patch.object(scheduling, "_CHUNK", chunk):
+        assert_matches_reference(inst, mode)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("mode", list(SchemeMode))
+def test_design_batches_match_reference_loop_at_capacity(chunk, mode):
+    inst = make_instance(np.random.default_rng(41), n_sats=3, n_gus=5, n_beams=2,
+                         visible={g: (0, 1, 2) for g in range(100, 105)})
+    with mock.patch.object(scheduling, "_CHUNK", chunk):
+        assert_matches_reference(inst, mode)
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode))
+def test_each_member_set_is_designed_once(mode):
+    inst = make_instance(np.random.default_rng(42), n_sats=3, n_gus=5, n_beams=3,
+                         visible={100: (0, 1), 101: (0, 1, 2), 102: (1,),
+                                  103: (0, 2), 104: (0, 1, 2)})
+    expected = sorted(
+        (s, subset) for s in range(3)
+        for m in range(1, inst.n_beams + 1)
+        for subset in itertools.combinations(
+            np.flatnonzero(inst.visible_mask[:, s]).tolist(), m))
+    with mock.patch.object(scheduling, "_CHUNK", 3), \
+         mock.patch.object(scheduling, "design_powers",
+                           wraps=scheduling.design_powers) as powers, \
+         mock.patch.object(scheduling, "hybrid_from_beamspace",
+                           wraps=scheduling.hybrid_from_beamspace) as zf:
+        exhaustive_schedule(inst, mode)
+    for spy in (powers,) if mode is SchemeMode.AU else (powers, zf):
+        designed = sorted((c.args[1], tuple(row)) for c in spy.call_args_list
+                          for row in c.args[2].tolist())
+        assert designed == expected  # every set, none twice
+    if mode is SchemeMode.AU:
+        assert not zf.called
 
 
 # User 100 sees only the mirrored satellites 0 and 1, which serve it

@@ -273,6 +273,24 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(report, tmp_path, "xml")
 
+    def test_no_ray_summary_is_strict_json(self, tmp_path):
+        # multipath_power_db = -inf is the one infinite value a config holds
+        config = replace(single_link_config(), small_scale=replace(
+            single_link_config().small_scale, multipath_power_db=-math.inf))
+        emit(run(config), tmp_path, "csv")
+
+        def reject(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert from_dict(summary["config"]) == config
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_writer_rejects_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            harness._write_json(tmp_path / "x.json", {"value": value})
+
 
 class TestPairedEvaluation:
     @pytest.mark.parametrize("schemes", [["shu"], ["shu", "au"], ["jhu", "shu", "au"]],

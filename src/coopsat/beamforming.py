@@ -14,10 +14,15 @@ power P, is applied by ``network.hybrid_from_beamspace``.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
 from .channel import ArrayConfig
+
+# Channels per block of the analog stage (see ``analog_beamform``): at
+# 16 x 16 elements, larger blocks are no faster and raise peak memory.
+_BLOCK = 8
 
 
 def _dft_unitary(n: int) -> np.ndarray:
@@ -25,44 +30,63 @@ def _dft_unitary(n: int) -> np.ndarray:
     return np.exp(-2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
 
 
+@cache
 def build_codebook(array: ArrayConfig) -> np.ndarray:
     """Unitary 2D DFT codebook (N x N), one codeword per column: the
-    Kronecker product of the 1D DFT codebooks of the two array axes."""
-    return np.kron(_dft_unitary(array.n_x), _dft_unitary(array.n_y))
+    Kronecker product of the 1D DFT codebooks of the two array axes.
+    Built once per array layout and shared, so it is read-only."""
+    codebook = np.kron(_dft_unitary(array.n_x), _dft_unitary(array.n_y))
+    codebook.flags.writeable = False
+    return codebook
 
 
 def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> np.ndarray:
-    """Constant-modulus analog beam (N entries of modulus 1/sqrt(N)) for
-    channel ``h`` from the codewords (columns) of ``codebook``.
+    """Constant-modulus analog beams (N entries of modulus 1/sqrt(N)) for
+    the channels ``h`` (..., N), one per channel, from the codewords
+    (columns) of ``codebook``.  One channel (N,) is the one-row case.
 
-    Steps: rank codewords by |h^H d|^2 and keep the top ``k`` (ties go to
-    the lower index), least-squares combine them, then force every entry
-    to modulus 1/sqrt(N) keeping only the phases.  Entries that combine
-    to exactly zero get phase zero.
+    Steps, per channel: rank codewords by |h^H d|^2 and keep the top
+    ``k`` (ties go to the lower index), least-squares combine them, then
+    force every entry to modulus 1/sqrt(N) keeping only the phases.
+    Entries that combine to exactly zero get phase zero.
+
+    The channels go through in blocks of ``_BLOCK``, so working memory is
+    O(block x N x k), never channels x N x N.  Each product is a stacked
+    matrix-vector product, which calls the BLAS gemv of the one-channel
+    product with the same memory layout, so a beam has the same bits
+    alone as in any stack; a stack-by-matrix product (``H.conj() @
+    codebook``) would call gemm and round differently.
     """
     h = np.asarray(h)
     n = codebook.shape[0]
-    if h.shape != (n,):
+    if h.shape[-1:] != (n,):
         raise ValueError(f"channel length {h.shape} does not match codebook size {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
-    if not np.any(h):
-        raise ValueError("channel vector is zero")
+    zero = ~h.any(axis=-1)
+    if zero.any():
+        raise ValueError("channel vector is zero" if h.ndim == 1 else
+                         f"channel vector at {tuple(np.argwhere(zero)[0].tolist())} is zero")
 
-    # |D^H h| = |D^T conj(h)|: conjugating h, not the N x N codebook, for
-    # every link.  IEEE rounding is sign-symmetric, so the product is the
-    # exact conjugate and the scores keep their bits.
-    scores = np.abs(codebook.T @ h.conj()) ** 2
-    order = np.argsort(-scores, kind="stable")  # stable: lower index wins ties
-    selected = order[:k]
+    flat = h.reshape(-1, n)
+    beams = np.empty(flat.shape, dtype=complex)
+    for start in range(0, len(flat), _BLOCK):
+        block = flat[start:start + _BLOCK]
+        # |D^H h| = |D^T conj(h)|: conjugating h, not the N x N codebook.
+        # IEEE rounding is sign-symmetric, so the product is the exact
+        # conjugate and the scores keep their bits.
+        scores = np.abs(codebook.T @ block.conj()[:, :, None])[:, :, 0] ** 2
+        order = np.argsort(-scores, axis=1, kind="stable")  # lower index wins ties
+        # the selected codewords of each channel as an N x k matrix whose
+        # rows are contiguous, as ``codebook[:, selected]`` of one channel
+        d_k = codebook[:, order[:, :k]].transpose(1, 0, 2)
+        coeff = d_k.conj().swapaxes(1, 2) @ block[:, :, None]  # least squares
+        combined = (d_k @ coeff)[:, :, 0]
 
-    d_k = codebook[:, selected]
-    coeff = d_k.conj().T @ h          # least squares; columns are orthonormal
-    combined = d_k @ coeff
-
-    mod = np.abs(combined)
-    phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
-    return phases / math.sqrt(n)
+        mod = np.abs(combined)
+        phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
+        beams[start:start + _BLOCK] = phases / math.sqrt(n)
+    return beams.reshape(h.shape)
 
 
 def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,

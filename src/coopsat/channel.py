@@ -11,7 +11,8 @@ downstream SINR math uses unit noise power.
 
 An epoch's channels are drawn in two parts.  Each link's random draws
 come from its own substream, one link at a time (``path_loss``,
-``sample_ray_angles``, ``path_coefficients``).  ``small_scale`` then
+``sample_ray_angles``, ``path_coefficients``).  ``large_scale_amplitude``
+then converts every link's path loss at once, and ``small_scale``
 synthesizes every link of the epoch at once, path-major: for each path
 in turn it builds that path's steering term of every link and adds it
 to the running sum.  Each element sees the same operations in the same
@@ -297,19 +298,35 @@ def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
     return h
 
 
-def path_loss(geom, rf: RfConfig, atten: AttenuationConfig,
-              rng: np.random.Generator) -> float:
-    """Large-scale path loss of a link in dB: free-space plus a shadow-fading
-    draw, cosecant-scaled gaseous absorption, and scintillation."""
-    if geom.elevation_deg <= 0.0:
+def _clear_sky_loss_db(elevation_deg: float, slant_range_km: float, rf: RfConfig,
+                       atten: AttenuationConfig) -> tuple[float, float]:
+    """Free-space loss and cosecant-scaled gaseous absorption (dB) of a
+    link at ``elevation_deg`` above the user's horizon."""
+    if elevation_deg <= 0.0:
         raise LinkInvalidError(
-            f"satellite below horizon (elevation {geom.elevation_deg:.2f} deg)")
-    d_m = geom.slant_range_km * 1e3
+            f"satellite below horizon (elevation {elevation_deg:.2f} deg)")
+    d_m = slant_range_km * 1e3
     fspl = 20.0 * math.log10(4.0 * math.pi * d_m * rf.carrier_frequency_hz
                              / SPEED_OF_LIGHT_M_S)
+    return fspl, atten.zenith_gas_db / math.sin(math.radians(elevation_deg))
+
+
+def path_loss(elevation_deg: float, slant_range_km: float, rf: RfConfig,
+              atten: AttenuationConfig, rng: np.random.Generator) -> float:
+    """Large-scale path loss of a link in dB: free-space plus a shadow-fading
+    draw, cosecant-scaled gaseous absorption, and scintillation."""
+    fspl, gas = _clear_sky_loss_db(elevation_deg, slant_range_km, rf, atten)
     shadow = float(rng.normal(0.0, atten.shadow_sigma_db))
-    gas = atten.zenith_gas_db / math.sin(math.radians(geom.elevation_deg))
     return fspl + shadow + gas + atten.scintillation_db
+
+
+def median_amplitude(elevation_deg: float, slant_range_km: float, rf: RfConfig,
+                     atten: AttenuationConfig) -> float:
+    """``large_scale_amplitude`` of a link at this geometry before its
+    shadow-fading draw, a dB term of median 0: when this gain is out of
+    the float range, so is the link's gain at half of its draws."""
+    fspl, gas = _clear_sky_loss_db(elevation_deg, slant_range_km, rf, atten)
+    return float(large_scale_amplitude(fspl + gas + atten.scintillation_db, rf))
 
 
 def vsat_gain_dbi(off_boresight_deg: float, rf: RfConfig) -> float:
@@ -326,17 +343,28 @@ def vsat_gain_linear(off_boresight_deg: float, rf: RfConfig) -> float:
     return 10.0 ** (vsat_gain_dbi(off_boresight_deg, rf) / 10.0)
 
 
-def large_scale_amplitude(pl_total_db: float, rf: RfConfig) -> float:
-    """Amplitude gain combining the satellite antenna gain, the path loss
-    and the noise normalization (resulting SINR math uses unit noise
-    power).  The user antenna gain depends on which satellite the user
-    tracks, so it is applied at evaluation, not here.  A gain past the
-    float range is a ``ValueError``."""
-    g_db = rf.satellite_antenna_gain_dbi - pl_total_db
+def _power_of_ten(x: float) -> float:
     try:
-        gain = 10.0 ** (g_db / 10.0) / rf.noise_power_w
+        return 10.0 ** x
     except OverflowError:
-        gain = math.inf
-    if gain == math.inf:
-        raise ValueError(f"link gain of {g_db:.1f} dB overflows")
-    return math.sqrt(gain)
+        return math.inf
+
+
+def large_scale_amplitude(pl_total_db, rf: RfConfig) -> np.ndarray:
+    """Amplitude gain of each path loss in ``pl_total_db`` (dB, any
+    shape), combining the satellite antenna gain, the path loss and the
+    noise normalization (resulting SINR math uses unit noise power).
+    The user antenna gain depends on which satellite the user tracks, so
+    it is applied at evaluation, not here.  A gain past the float range,
+    or else one that underflows to 0, is a ``ValueError`` naming the
+    first such gain.  The powers of ten are Python's (libm ``pow``), one
+    at a time: numpy's vectorized power may round differently."""
+    g_db = rf.satellite_antenna_gain_dbi - np.asarray(pl_total_db, dtype=float)
+    ratio = np.fromiter(map(_power_of_ten, (g_db / 10.0).ravel().tolist()),
+                        float, g_db.size).reshape(g_db.shape)
+    with np.errstate(over="ignore"):
+        gain = ratio / rf.noise_power_w
+    for bad, problem in ((gain == math.inf, "overflows"), (gain == 0.0, "underflows")):
+        if bad.any():
+            raise ValueError(f"link gain of {g_db[bad].flat[0]:.1f} dB {problem}")
+    return np.sqrt(gain)

@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, from_dict, load_config, to_dict
+from .config import ConfigError, check_links, from_dict, load_config, to_dict
 from .harness import build_epoch_instance, emit, run
 from .scheduling import SchemeMode, exhaustive_schedule, greedy_schedule
 
@@ -27,6 +27,7 @@ def _cmd_run(args) -> int:
     overrides = {"schemes": args.schemes, "seed": args.seed}
     config = from_dict({**to_dict(load_config(args.config)),
                         **{k: v for k, v in overrides.items() if v is not None}})
+    check_links(config)
     report = run(config, trace=args.trace)
     if args.trace:
         for key, records in report.summary.get("trace", {}).items():
@@ -46,7 +47,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    load_config(args.config)
+    check_links(load_config(args.config))
     print("OK")
     return EXIT_OK
 
@@ -55,6 +56,7 @@ def _cmd_oracle(args) -> int:
     if args.max_space < 1:
         raise ConfigError(["--max-space: must be >= 1"])
     config = load_config(args.config)
+    check_links(config)
     ratios = []
     for epoch_index, t in enumerate(config.epochs.times()):
         instance = build_epoch_instance(config, epoch_index, t)

@@ -22,9 +22,12 @@ from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from .channel import (ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig,
-                      max_zenith_gas_db)
-from .geometry import ConstellationConfig, GroundUser
+                      max_zenith_gas_db, median_amplitude)
+from .geometry import (ConstellationConfig, GroundUser, ground_user_positions,
+                       link_geometry, propagate, visibility)
 from .scheduling import SchemeMode
 
 CITY_DATASET = "cities_cn"
@@ -336,6 +339,42 @@ def to_dict(config: ScenarioConfig) -> dict:
         data["channel"]["multipath_power_db"] = NO_RAYS
     data["schemes"] = [s.value for s in config.schemes]
     return data
+
+
+def check_links(config: ScenarioConfig) -> None:
+    """Raise ``ConfigError`` naming the first link of the scenario whose
+    gain is out of the float range before its shadow-fading draw
+    (``channel.median_amplitude``): ``run`` would stop on that link at
+    half of the seeds or more.  The links are found by propagating the
+    constellation over the epoch grid, so this is not one of
+    ``ScenarioConfig``'s own checks; the command line runs it on every
+    scenario.  The epochs are searched only when the longest link the
+    constellation allows (a sea-level user at ``min_elevation_deg``)
+    fails: a scenario's own links may never come that close."""
+    el = config.min_elevation_deg
+    if el == 0.0:  # the gas term has no bound at the horizon
+        return
+    try:
+        median_amplitude(el, config.constellation.slant_range_km(el), config.rf,
+                         config.attenuation)
+        return
+    except ValueError:
+        pass
+    gus = list(config.gus)
+    for epoch, t in enumerate(config.epochs.times()):
+        states = propagate(config.constellation, t)
+        vis = visibility(states, gus, el, t)
+        rows, users = np.nonzero(vis.visible)
+        slant = link_geometry(states[rows], ground_user_positions(gus, t)[users])
+        for s, u, d in zip(rows.tolist(), users.tolist(), slant.slant_range_km.tolist()):
+            try:
+                median_amplitude(float(vis.elevation_deg[s, u]), d, config.rf,
+                                 config.attenuation)
+            except ValueError as exc:
+                raise ConfigError([
+                    f"channel: before shadow fading, the {exc} on the link from "
+                    f"satellite {vis.sat_ids[s]} to user {vis.gu_ids[u]} at epoch "
+                    f"{epoch} ({vis.elevation_deg[s, u]:.2f} deg, {d:.0f} km)"])
 
 
 def config_digest(config: ScenarioConfig) -> str:

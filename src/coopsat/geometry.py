@@ -4,6 +4,11 @@ Model: spherical Earth, circular two-body orbits in a non-rotating
 Earth-centered frame.  Ground users sit on the rotating Earth (sidereal
 rate), so the time-varying network topology emerges from the relative
 motion without a full ephemeris stack.
+
+Satellites and links are computed as arrays, one row each, with the
+bits of the one-satellite and one-link arithmetic: products and norms
+of 3-vectors by the same BLAS calls (``_dot``, ``_matvec``), cosines,
+sines and arcs by libm (``_libm``).  The result files pin these bits.
 """
 
 from __future__ import annotations
@@ -57,20 +62,37 @@ class ConstellationConfig:
     def mean_motion_rad_s(self) -> float:
         return math.sqrt(EARTH_MU_KM3_S2 / self.radius_km**3)
 
+    def slant_range_km(self, elevation_deg: float) -> float:
+        """Distance from a sea-level user to a satellite it sees at
+        ``elevation_deg`` above its horizon."""
+        el = math.radians(elevation_deg)
+        r = EARTH_RADIUS_KM
+        return math.sqrt(self.radius_km**2 - (r * math.cos(el))**2) - r * math.sin(el)
+
 
 @dataclass(frozen=True, eq=False)
 class SatelliteState:
-    """Satellite position/velocity plus its body frame.
+    """Positions, velocities and body frames of satellites, one row each.
 
-    ``body_axes`` rows are the unit x/y/z axes in the inertial frame:
-    x along the velocity (projected orthogonal to nadir), z nadir
-    pointing, y completing the right-handed triad.
+    ``body_axes[i]`` rows are satellite i's unit x/y/z axes in the
+    inertial frame: x along the velocity (projected orthogonal to
+    nadir), z nadir pointing, y completing the right-handed triad.
+    Indexing selects satellites as numpy indexes the first axis of every
+    field, so ``states[i]`` is one satellite, with a (3,) position and
+    (3, 3) axes.
     """
 
-    satellite_id: int
-    position_km: np.ndarray
-    velocity_km_s: np.ndarray
-    body_axes: np.ndarray  # (3, 3), rows = x, y, z
+    satellite_id: np.ndarray   # (S,) int
+    position_km: np.ndarray    # (S, 3)
+    velocity_km_s: np.ndarray  # (S, 3)
+    body_axes: np.ndarray      # (S, 3, 3), rows = x, y, z
+
+    def __len__(self) -> int:
+        return len(self.satellite_id)
+
+    def __getitem__(self, index) -> SatelliteState:
+        return SatelliteState(self.satellite_id[index], self.position_km[index],
+                              self.velocity_km_s[index], self.body_axes[index])
 
 
 @dataclass(frozen=True)
@@ -90,20 +112,19 @@ class GroundUser:
 
 @dataclass(frozen=True, eq=False)
 class LinkGeometry:
-    """Geometry of one satellite-user link.
+    """Geometry of satellite-user links, one entry per link.
 
     ``azimuth_sat_deg`` / ``elevation_sat_deg`` locate the user as seen
     from the satellite body frame (elevation measured from the body x-y
     plane toward nadir, so a user straight below sits at 90 degrees).
-    ``direction`` is the inertial unit vector from the user toward the
-    satellite.
+    ``direction`` holds the inertial unit vectors from the users toward
+    the satellites.
     """
 
-    elevation_deg: float
-    slant_range_km: float
-    azimuth_sat_deg: float
-    elevation_sat_deg: float
-    direction: np.ndarray  # (3,)
+    slant_range_km: np.ndarray     # (L,)
+    azimuth_sat_deg: np.ndarray    # (L,)
+    elevation_sat_deg: np.ndarray  # (L,)
+    direction: np.ndarray          # (L, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +157,35 @@ def _rot_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function, applied element by element to
+    same-shape arrays: numpy's vectorized trigonometry may round
+    differently from libm, and differently on another CPU."""
+    shape = np.shape(args[0])
+    values = map(fn, *(np.ravel(a).tolist() for a in args))
+    return np.fromiter(values, float, math.prod(shape)).reshape(shape)
 
 
-def propagate(config: ConstellationConfig, t: float) -> list[SatelliteState]:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis of broadcastable (..., 3) arrays, rounded
+    as ``np.dot`` of two vectors: the stacked 1x3 by 3x1 product calls
+    the same BLAS ddot, where ``einsum`` or ``sum`` round differently."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrices @ vectors over (..., 3, 3) and (..., 3) stacks, rounded
+    as one 3 x 3 matrix times one 3-vector: the stacked product calls
+    the same BLAS gemv for each pair."""
+    return np.matmul(matrices, vectors[..., None])[..., 0]
+
+
+def propagate(config: ConstellationConfig, t: float) -> SatelliteState:
     """Propagate every satellite of the constellation to time ``t`` (s).
 
-    Satellite ids run plane-major: id = plane * sats_per_plane + slot.
+    Satellite ids run plane-major: id = plane * sats_per_plane + slot,
+    and the rows of the result follow them.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -153,29 +195,24 @@ def propagate(config: ConstellationConfig, t: float) -> list[SatelliteState]:
     total = config.total_sats
     dt = t - config.epoch_s
 
-    states = []
-    for p in range(config.planes):
-        raan = _TWO_PI * p / config.planes
-        frame = _rot_z(raan) @ _rot_x(inc)
-        for k in range(config.sats_per_plane):
-            u0 = _TWO_PI * (k / config.sats_per_plane
-                            + config.phasing_factor * p / total)
-            u = u0 + n * dt
-            cu, su = math.cos(u), math.sin(u)
-            pos = frame @ np.array([a * cu, a * su, 0.0])
-            vel = frame @ np.array([-a * n * su, a * n * cu, 0.0])
-            z_b = -pos / a
-            x_b = _unit(vel - np.dot(vel, z_b) * z_b)
-            # z_b x x_b, component by component as np.cross rounds it
-            (z0, z1, z2), (x0, x1, x2) = z_b.tolist(), x_b.tolist()
-            y_b = (z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0)
-            states.append(SatelliteState(
-                satellite_id=p * config.sats_per_plane + k,
-                position_km=pos,
-                velocity_km_s=vel,
-                body_axes=np.array([(x0, x1, x2), y_b, (z0, z1, z2)]),
-            ))
-    return states
+    plane, slot = np.divmod(np.arange(total), config.sats_per_plane)
+    frames = np.array([_rot_z(_TWO_PI * p / config.planes) @ _rot_x(inc)
+                       for p in range(config.planes)])[plane]
+    u = _TWO_PI * (slot / config.sats_per_plane
+                   + config.phasing_factor * plane / total) + n * dt
+    cu, su = _libm(math.cos, u), _libm(math.sin, u)
+    zero = np.zeros(total)
+    pos = _matvec(frames, np.stack([a * cu, a * su, zero], axis=1))
+    vel = _matvec(frames, np.stack([-a * n * su, a * n * cu, zero], axis=1))
+    z_b = -pos / a
+    x_b = vel - _dot(vel, z_b)[:, None] * z_b
+    x_b /= np.sqrt(_dot(x_b, x_b))[:, None]
+    # z_b x x_b, component by component as np.cross rounds it
+    (z0, z1, z2), (x0, x1, x2) = z_b.T, x_b.T
+    y_b = np.stack([z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0], axis=1)
+    return SatelliteState(satellite_id=np.arange(total), position_km=pos,
+                          velocity_km_s=vel,
+                          body_axes=np.stack([x_b, y_b, z_b], axis=1))
 
 
 def ground_user_position(gu: GroundUser, t: float) -> np.ndarray:
@@ -188,12 +225,9 @@ def ground_user_position(gu: GroundUser, t: float) -> np.ndarray:
                          math.sin(lat)])
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis of broadcastable (..., 3) arrays, rounded
-    as ``np.dot`` of two vectors: the stacked 1x3 by 3x1 product calls
-    the same BLAS ddot, where ``einsum`` or ``sum`` round differently."""
-    a, b = np.broadcast_arrays(a, b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+def ground_user_positions(gus: list[GroundUser], t: float) -> np.ndarray:
+    """Inertial positions (U x 3, km) of ground users at time ``t``."""
+    return np.array([ground_user_position(gu, t) for gu in gus]).reshape(len(gus), 3)
 
 
 def elevation_deg(sat_position_km: np.ndarray,
@@ -212,38 +246,40 @@ def elevation_deg(sat_position_km: np.ndarray,
     los = los / np.sqrt(_dot(los, los))[..., None]
     zenith = gu / np.sqrt(_dot(gu, gu))[..., None]
     sin_el = np.clip(_dot(los, zenith), -1.0, 1.0)
-    return np.degrees([math.asin(x) for x in sin_el.ravel().tolist()]).reshape(sin_el.shape)
+    return np.degrees(_libm(math.asin, sin_el))
 
 
-def link_geometry(sat: SatelliteState, gu: GroundUser, t: float = 0.0, *,
-                  elevation_deg: float) -> LinkGeometry:
-    """Full geometry of the ``sat``-``gu`` link, whose elevation above
-    the user's horizon (``visibility`` has it for every pair) is given."""
-    los = sat.position_km - ground_user_position(gu, t)
-    slant = np.linalg.norm(los)
-    direction = los / slant
+def link_geometry(sats: SatelliteState, gu_position_km: np.ndarray) -> LinkGeometry:
+    """Geometry of the links from the satellites ``sats`` to the users at
+    ``gu_position_km`` (inertial, km), row for row: L satellites and an
+    L x 3 array give L links; one satellite (``states[i]``) and one
+    3-vector give one link, with fields that have no link axis.  Each
+    link rounds as the one-link arithmetic: the norm of its line of
+    sight as ``np.linalg.norm`` (``_dot``), its body-frame coordinates
+    as ``body_axes @ v`` (``_matvec``), its angles by libm."""
+    los = sats.position_km - np.asarray(gu_position_km, dtype=float)
+    slant = np.sqrt(_dot(los, los))
+    direction = los / slant[..., None]
 
     # user direction expressed in the satellite body frame (negation is
     # exact, so these are the bits of the normalized user - satellite)
-    d_body = sat.body_axes @ -direction
-    theta = math.degrees(math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
-    phi = math.degrees(math.atan2(d_body[1], d_body[0]))
-    return LinkGeometry(elevation_deg=elevation_deg, slant_range_km=float(slant),
-                        azimuth_sat_deg=phi, elevation_sat_deg=theta,
-                        direction=direction)
+    d_body = _matvec(sats.body_axes, -direction)
+    theta = np.degrees(_libm(math.asin, np.clip(d_body[..., 2], -1.0, 1.0)))
+    phi = np.degrees(_libm(math.atan2, d_body[..., 1], d_body[..., 0]))
+    return LinkGeometry(slant_range_km=slant, azimuth_sat_deg=phi,
+                        elevation_sat_deg=theta, direction=direction)
 
 
-def visibility(states: list[SatelliteState], gus: list[GroundUser],
+def visibility(states: SatelliteState, gus: list[GroundUser],
                min_elevation_deg: float = 10.0, t: float = 0.0) -> VisibilitySets:
     """Visibility sets at elevation threshold ``min_elevation_deg``, from
     the elevations of every (satellite, user) pair as one array."""
     if not 0.0 <= min_elevation_deg < 90.0:
         raise ValueError("min_elevation_deg must be in [0, 90)")
-    sat_pos = np.array([s.position_km for s in states]).reshape(len(states), 1, 3)
-    gu_pos = np.array([ground_user_position(gu, t) for gu in gus]).reshape(len(gus), 3)
-    elevation = elevation_deg(sat_pos, gu_pos)
+    elevation = elevation_deg(states.position_km[:, None, :],
+                              ground_user_positions(gus, t))
     return VisibilitySets(
-        sat_ids=tuple(s.satellite_id for s in states),
+        sat_ids=tuple(states.satellite_id.tolist()),
         gu_ids=tuple(gu.user_id for gu in gus),
         visible=elevation >= min_elevation_deg,
         elevation_deg=elevation,

@@ -23,7 +23,7 @@ from .beamforming import analog_beamform, build_codebook
 from .channel import (large_scale_amplitude, path_coefficients, path_loss,
                       sample_ray_angles, small_scale)
 from .config import ScenarioConfig, config_digest, to_dict
-from .geometry import link_geometry, propagate, visibility
+from .geometry import ground_user_positions, link_geometry, propagate, visibility
 from .metrics import (ExperimentResult, density_classes, density_statistics,
                       mean_total_se, pairwise_gains, user_metrics)
 from .network import EpochInstance
@@ -47,47 +47,54 @@ def link_rng(seed: int, epoch_index: int, sat_id: int, gu_id: int) -> np.random.
 def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
                          t: float) -> EpochInstance:
     """Propagate, compute visibility, and realize every candidate link's
-    channel and analog beam for one snapshot."""
+    channel and analog beam for one snapshot.  Each stage runs once over
+    all of the epoch's links, except the random draws: each link draws
+    from its own substream, one link after another."""
     gus = sorted(config.gus, key=lambda g: g.user_id)
+    gu_ids = tuple(g.user_id for g in gus)
     states = propagate(config.constellation, t)
     vis = visibility(states, gus, config.min_elevation_deg, t)
-    codebook = build_codebook(config.array)
     active = np.flatnonzero(vis.visible.any(axis=1))
     sat_ids = tuple(vis.sat_ids[i] for i in active)
     visible = np.ascontiguousarray(vis.visible[active].T)
-    elevation = vis.elevation_deg[active]
+
+    rows, users = np.nonzero(visible.T)  # links by satellite, then user
+    sats = active[rows]
+    geom = link_geometry(states[sats], ground_user_positions(gus, t)[users])
+    n_paths = config.small_scale.n_paths
+    loss_db = np.empty(len(rows))
+    angles = np.empty((len(rows), n_paths, 2))
+    angles[:, 0, 0] = geom.azimuth_sat_deg
+    angles[:, 0, 1] = geom.elevation_sat_deg
+    coefs = np.empty((len(rows), n_paths), dtype=complex)
+    per_link = zip(states.satellite_id[sats].tolist(), np.array(gu_ids)[users].tolist(),
+                   vis.elevation_deg[sats, users].tolist(), geom.slant_range_km.tolist(),
+                   angles[:, 0].tolist())
+    for link, (sat_id, gu_id, elevation, slant, (phi, theta)) in enumerate(per_link):
+        rng = link_rng(config.seed, epoch_index, sat_id, gu_id)
+        loss_db[link] = path_loss(elevation, slant, config.rf, config.attenuation, rng)
+        # none of the rays if they carry no power
+        angles[link, 1:] = sample_ray_angles(phi, theta, config.small_scale,
+                                             rng)[:n_paths - 1]
+        coefs[link] = path_coefficients(config.small_scale, rng)
+
+    h = small_scale(angles, coefs, config.small_scale, config.array)
+    np.multiply(large_scale_amplitude(loss_db, config.rf)[:, None], h, out=h)
+    zero = np.flatnonzero(~h.any(axis=1))
+    if zero.size:
+        link = zero[0]
+        raise ValueError(f"channel vector of satellite {sat_ids[rows[link]]} "
+                         f"to user {gu_ids[users[link]]} is zero")
     channels = np.zeros((len(sat_ids), len(gus), config.array.n_elements), dtype=complex)
     analog = np.zeros_like(channels)
     directions = np.zeros((len(gus), len(sat_ids), 3))
-
-    # each link's draws from its own substream, then one synthesis
-    links = np.argwhere(visible.T).tolist()  # by satellite, then user
-    n_paths = config.small_scale.n_paths
-    amp = np.empty(len(links))
-    angles = np.empty((len(links), n_paths, 2))
-    coefs = np.empty((len(links), n_paths), dtype=complex)
-    for link, (i, u) in enumerate(links):
-        sat, gu = states[active[i]], gus[u]
-        geom = link_geometry(sat, gu, t, elevation_deg=float(elevation[i, u]))
-        rng = link_rng(config.seed, epoch_index, sat_ids[i], gu.user_id)
-        loss_db = path_loss(geom, config.rf, config.attenuation, rng)
-        amp[link] = large_scale_amplitude(loss_db, config.rf)
-        rays = sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,
-                                 config.small_scale, rng)
-        angles[link, 0] = geom.azimuth_sat_deg, geom.elevation_sat_deg
-        angles[link, 1:] = rays[:n_paths - 1]  # none if the rays carry no power
-        coefs[link] = path_coefficients(config.small_scale, rng)
-        directions[u, i] = geom.direction
-
-    h = small_scale(angles, coefs, config.small_scale, config.array)
-    np.multiply(amp[:, None], h, out=h)
-    for (i, u), h_link in zip(links, h):
-        channels[i, u] = h_link
-        analog[i, u] = analog_beamform(h_link, codebook, k=config.codewords)
-
-    return EpochInstance(sat_ids, tuple(g.user_id for g in gus), config.rf,
-                         config.array.n_beams, visible_mask=visible,
-                         channels=channels, analog=analog, directions=directions)
+    channels[rows, users] = h
+    analog[rows, users] = analog_beamform(h, build_codebook(config.array),
+                                          k=config.codewords)
+    directions[users, rows] = geom.direction
+    return EpochInstance(sat_ids, gu_ids, config.rf, config.array.n_beams,
+                         visible_mask=visible, channels=channels, analog=analog,
+                         directions=directions)
 
 
 def run(config: ScenarioConfig, trace: bool = False) -> RunReport:

@@ -124,10 +124,14 @@ def stacked_total_se(instance: EpochInstance, serving: np.ndarray,
     """``total_se`` of each serving vector of a K x U stack, from the
     ``beam_powers`` of its beams stacked along a leading axis (K x S x U,
     K x U, K x U), with the same bits: the per-user SEs are summed in row
-    order, as ``total_se`` sums them.  Every served SINR of the stack is
-    checked as ``user_metrics`` checks it."""
+    order by Python's ``sum``, as ``total_se`` sums them (``np.cumsum``
+    would round differently from the compensated ``sum`` of Python 3.12
+    on).  Every served SINR of the stack is checked as ``user_metrics``
+    checks it."""
     sinr, _ = _sinr(instance, serving, powers)
-    return [sum(_spectral_efficiency(row)) for row in sinr.tolist()]
+    se = list(map(math.log2, (1.0 + sinr).ravel().tolist()))
+    n = sinr.shape[-1]
+    return [sum(se[i * n:(i + 1) * n]) for i in range(len(sinr))]
 
 
 def great_circle_km(a: GroundUser, b: GroundUser) -> float:

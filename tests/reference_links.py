@@ -1,0 +1,79 @@
+"""Test-only reference geometry and analog stage, one item at a time.
+
+The loops the stacked ``coopsat.geometry.propagate``,
+``coopsat.geometry.link_geometry`` and ``coopsat.beamforming.
+analog_beamform`` replaced: one satellite, one link, one channel per
+call, on 3-vectors and single matrices.  The stacked code must
+reproduce these arrays bit for bit, so the differential tests compare
+them with ``same_bits``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from coopsat.geometry import ConstellationConfig
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _rot_z(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rot_x(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def propagate(config: ConstellationConfig, t: float) -> list[tuple]:
+    """(satellite id, position, velocity, body axes) of every satellite,
+    one satellite at a time."""
+    a = config.radius_km
+    n = config.mean_motion_rad_s
+    inc = math.radians(config.inclination_deg)
+    total = config.total_sats
+    dt = t - config.epoch_s
+    states = []
+    for p in range(config.planes):
+        frame = _rot_z(_TWO_PI * p / config.planes) @ _rot_x(inc)
+        for k in range(config.sats_per_plane):
+            u = _TWO_PI * (k / config.sats_per_plane
+                           + config.phasing_factor * p / total) + n * dt
+            cu, su = math.cos(u), math.sin(u)
+            pos = frame @ np.array([a * cu, a * su, 0.0])
+            vel = frame @ np.array([-a * n * su, a * n * cu, 0.0])
+            z_b = -pos / a
+            x_b = vel - np.dot(vel, z_b) * z_b
+            x_b = x_b / np.linalg.norm(x_b)
+            states.append((p * config.sats_per_plane + k, pos, vel,
+                           np.array([x_b, np.cross(z_b, x_b), z_b])))
+    return states
+
+
+def link_geometry(sat_position_km: np.ndarray, body_axes: np.ndarray,
+                  gu_position_km: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """(slant range, azimuth, elevation in the satellite body frame,
+    direction from the user toward the satellite) of one link."""
+    los = sat_position_km - gu_position_km
+    slant = np.linalg.norm(los)
+    direction = los / slant
+    d_body = body_axes @ -direction
+    theta = math.degrees(math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
+    phi = math.degrees(math.atan2(d_body[1], d_body[0]))
+    return float(slant), phi, theta, direction
+
+
+def analog_beamform(h: np.ndarray, codebook: np.ndarray, k: int) -> np.ndarray:
+    """Analog beam of one channel: the top-k codewords by |D^T conj(h)|^2
+    (stable sort), their least-squares combination, the phase projection."""
+    n = codebook.shape[0]
+    scores = np.abs(codebook.T @ h.conj()) ** 2
+    d_k = codebook[:, np.argsort(-scores, kind="stable")[:k]]
+    combined = d_k @ (d_k.conj().T @ h)
+    mod = np.abs(combined)
+    phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
+    return phases / math.sqrt(n)

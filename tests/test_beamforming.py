@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import beam_matrix
+import reference_links as ref_links
+from conftest import beam_matrix, same_bits
+from coopsat import beamforming
 from coopsat.beamforming import analog_beamform, build_codebook, regularized_zf
 from coopsat.channel import ArrayConfig
 from coopsat.network import equal_power_beams, hybrid_beams
@@ -156,6 +161,80 @@ class TestAnalogBeamform:
             analog_beamform(np.ones(64), cb, k=0)
         with pytest.raises(ValueError):
             analog_beamform(np.ones(63), cb, k=4)
+
+
+def mixed_channels(codebook, n_links, seed):
+    """Channels of four kinds, drawn at random: complex Gaussian at scales
+    from 1e-8 to 1e3; a scaled standard basis vector, whose codeword
+    scores tie exactly (every one of them for the first vector); a scaled
+    codeword; a repeat of the channel before."""
+    rng = np.random.default_rng(seed)
+    n = codebook.shape[0]
+    rows = []
+    for _ in range(n_links):
+        kind = int(rng.integers(4))
+        scale = cn_vector(rng, 1)[0] * 10.0 ** rng.uniform(-8.0, 3.0)
+        if kind == 1:
+            h = np.zeros(n, dtype=complex)
+            h[int(rng.integers(n)) if rng.integers(2) else 0] = scale
+        elif kind == 2:
+            h = scale * codebook[:, int(rng.integers(n))]
+        elif kind == 3 and rows:
+            h = rows[-1]
+        else:
+            h = scale * cn_vector(rng, n)
+        rows.append(h)
+    return np.array(rows, dtype=complex).reshape(n_links, n)
+
+
+class TestStackedAnalogBeamform:
+    """Every channel's beam from the stacked, blocked analog stage has the
+    bits of the one-channel loop it replaced, which the result files pin:
+    whatever the block size, the position in a block, or the stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_x=st.integers(1, 6), n_y=st.integers(1, 6), k_share=st.floats(0.0, 1.0),
+           n_links=st.integers(0, 40), block=st.sampled_from([1, 3, 8, 16]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_x=1, n_y=1, k_share=0.0, n_links=5, block=3, seed=0)  # one element
+    @example(n_x=8, n_y=8, k_share=0.0, n_links=0, block=16, seed=1)  # no channel
+    @example(n_x=8, n_y=8, k_share=0.0, n_links=1, block=16, seed=2)  # k = 1
+    @example(n_x=8, n_y=8, k_share=1.0, n_links=17, block=16, seed=3)  # k = N
+    @example(n_x=16, n_y=16, k_share=0.012, n_links=20, block=16, seed=4)  # wide-array
+    def test_equals_per_channel_reference(self, n_x, n_y, k_share, n_links, block, seed):
+        cb = build_codebook(ArrayConfig(n_x=n_x, n_y=n_y))
+        n = n_x * n_y
+        k = 1 + round(k_share * (n - 1))
+        h = mixed_channels(cb, n_links, seed)
+        with mock.patch.object(beamforming, "_BLOCK", block):
+            beams = analog_beamform(h, cb, k=k)
+        expected = [ref_links.analog_beamform(row, cb, k) for row in h]
+        assert same_bits(beams, np.array(expected, dtype=complex).reshape(h.shape))
+        for row, beam in zip(h, beams):  # one channel is the one-row case
+            assert same_bits(analog_beamform(row, cb, k=k), beam)
+
+    def test_basis_channel_ties_every_codeword(self):
+        # the tie the strategy relies on: e_0 scores every codeword alike
+        cb = build_codebook(ArrayConfig(n_x=4, n_y=2))
+        scores = np.abs(cb.T @ np.eye(8)[0]) ** 2
+        assert np.all(scores == scores[0])
+
+    def test_stack_shape_and_zero_channel(self, default_array):
+        cb = build_codebook(default_array)
+        h = mixed_channels(cb, 6, 9).reshape(2, 3, -1)
+        beams = analog_beamform(h, cb, k=4)
+        assert beams.shape == h.shape
+        assert same_bits(beams[1, 2], analog_beamform(h[1, 2], cb, k=4))
+        h[1, 2] = 0.0
+        with pytest.raises(ValueError, match=r"channel vector at \(1, 2\) is zero"):
+            analog_beamform(h, cb, k=4)
+
+    def test_codebook_is_built_once_and_read_only(self):
+        array = ArrayConfig(n_x=3, n_y=2)
+        cb = build_codebook(array)
+        assert build_codebook(ArrayConfig(n_x=3, n_y=2)) is cb
+        with pytest.raises(ValueError, match="read-only"):
+            cb[0, 0] = 0.0
 
 
 class TestRegularizedZf:

@@ -11,13 +11,6 @@ from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                              RfConfig, SmallScaleConfig, large_scale_amplitude,
                              path_coefficients, path_loss, sample_ray_angles,
                              small_scale, steering_vectors, vsat_gain_dbi)
-from coopsat.geometry import LinkGeometry
-
-
-def geom(elevation=90.0, slant=1200.0, az=0.0, el_sat=90.0):
-    return LinkGeometry(elevation_deg=elevation, slant_range_km=slant,
-                        azimuth_sat_deg=az, elevation_sat_deg=el_sat,
-                        direction=np.array([0.0, 0.0, 1.0]))
 
 
 class TestSteeringVector:
@@ -139,7 +132,7 @@ class TestPathLoss:
         # independent closed-form free-space loss
         atten = AttenuationConfig(zenith_gas_db=0.0, scintillation_db=0.0,
                                   shadow_sigma_db=0.0)
-        pl = path_loss(geom(slant=1200.0), rf, atten, np.random.default_rng(0))
+        pl = path_loss(90.0, 1200.0, rf, atten, np.random.default_rng(0))
         expected = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
         assert pl == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(180.05, abs=0.01)
@@ -147,20 +140,20 @@ class TestPathLoss:
 
     def test_doubling_range_adds_6db(self, rf):
         atten = AttenuationConfig(shadow_sigma_db=0.0)
-        p1 = path_loss(geom(slant=800.0), rf, atten, np.random.default_rng(0))
-        p2 = path_loss(geom(slant=1600.0), rf, atten, np.random.default_rng(0))
+        p1 = path_loss(90.0, 800.0, rf, atten, np.random.default_rng(0))
+        p2 = path_loss(90.0, 1600.0, rf, atten, np.random.default_rng(0))
         assert p2 - p1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
     def test_cosecant_gas_scaling(self, rf):
         # same range, so only the gas term differs: csc 30 deg = 2 csc 90 deg
         atten = AttenuationConfig(shadow_sigma_db=0.0)
-        g90 = path_loss(geom(elevation=90.0), rf, atten, np.random.default_rng(0))
-        g30 = path_loss(geom(elevation=30.0), rf, atten, np.random.default_rng(0))
+        g90 = path_loss(90.0, 1200.0, rf, atten, np.random.default_rng(0))
+        g30 = path_loss(30.0, 1200.0, rf, atten, np.random.default_rng(0))
         assert g30 - g90 == pytest.approx(atten.zenith_gas_db, rel=1e-12)
 
     def test_total_is_additive(self, rf):
         atten = AttenuationConfig()
-        pl = path_loss(geom(elevation=45.0), rf, atten, np.random.default_rng(3))
+        pl = path_loss(45.0, 1200.0, rf, atten, np.random.default_rng(3))
         fspl = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
         shadow = np.random.default_rng(3).normal(0.0, atten.shadow_sigma_db)
         gas = atten.zenith_gas_db / math.sin(math.radians(45.0))
@@ -168,7 +161,7 @@ class TestPathLoss:
 
     def test_below_horizon_rejected(self, rf):
         with pytest.raises(LinkInvalidError):
-            path_loss(geom(elevation=-1.0), rf, AttenuationConfig(),
+            path_loss(-1.0, 1200.0, rf, AttenuationConfig(),
                       np.random.default_rng(0))
 
 

@@ -74,6 +74,10 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     ("channel: {zenith_gas_db: 3000}\n", "channel.zenith_gas_db"),
     ("channel: {scintillation_db: 4000}\n", "channel.scintillation_db"),
     ("channel: {shadow_sigma_db: 4000}\n", "channel.shadow_sigma_db"),
+    # every term in range, but their sum underflows the gain of the
+    # longest link before any draw
+    ("gus: {count: 80}\nepochs: {count: 4}\nchannel: {zenith_gas_db: 535}\n",
+     "channel: before shadow fading, the link gain of"),
     # a divisor whose linear value is 0; a negative suppression or spread
     ("rf: {noise_temperature_dbk: -4000}\n", "rf.noise_temperature_dbk"),
     ("rf: {vsat_floor_suppression_db: -1}\n", "rf.vsat_floor_suppression_db"),
@@ -111,6 +115,34 @@ def test_overflowing_shadow_draw_exits_1(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: link gain of ") and "overflows" in err
+
+
+def test_underflowing_shadow_draw_exits_1(tmp_path, capsys):
+    # a draw that takes a link's gain below the float range at seed 7:
+    # the error names the underflow, not the zero channel it leaves
+    path = tmp_path / "shadow.yaml"
+    path.write_text(MINI_SCENARIO.replace("seed: 11", "seed: 7")
+                    + "channel: {shadow_sigma_db: 3000}\n")
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: link gain of ") and "underflows" in err
+
+
+def test_run_with_no_visible_link(tmp_path):
+    # no satellite reaches 89.5 degrees at either user in either epoch:
+    # the run completes and every user is unserved
+    path = tmp_path / "overhead.yaml"
+    path.write_text(MINI_SCENARIO.replace("    - {label: C, lat: 35.0, lon: 114.0}\n", "")
+                    + "min_elevation_deg: 89.5\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+    with (out / "results.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 3 * 2  # epochs x schemes x users
+    assert all(r["serving_sat"] == "" and float(r["se"]) == 0.0 for r in rows)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["summary"]["mean_total_se"] == {"au": 0.0, "jhu": 0.0, "shu": 0.0}
 
 
 def test_validate_missing_file(capsys):

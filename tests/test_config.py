@@ -6,12 +6,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 
 import coopsat
+from coopsat import config as config_module
+from coopsat.channel import median_amplitude
 from coopsat.config import (NO_RAYS, ConfigError, EpochGrid, ScenarioConfig,
-                            bundled_cities, config_digest, from_dict, load_config,
-                            to_dict)
+                            bundled_cities, check_links, config_digest, from_dict,
+                            load_config, to_dict)
 from coopsat.scheduling import SchemeMode
 
 
@@ -328,6 +332,42 @@ class TestYamlLoading:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.split() == ["False", "True"]
+
+
+class TestCheckLinks:
+    # every field in range, but the gas term near 10 degrees plus the
+    # free-space loss underflows the gain of some link before any draw
+    UNDERFLOWING = {"gus": {"count": 80}, "epochs": {"count": 4},
+                    "channel": {"zenith_gas_db": 535}}
+
+    def test_names_a_link_that_underflows_before_any_draw(self):
+        config = from_dict(self.UNDERFLOWING)
+        with pytest.raises(ConfigError) as err:
+            check_links(config)
+        (message,) = err.value.errors
+        assert message.startswith("channel: before shadow fading, the link gain of ")
+        assert "dB underflows on the link from satellite " in message
+
+    @pytest.mark.parametrize("profile", ["desk", "full"])
+    def test_epochs_are_searched_only_when_the_longest_link_fails(self, profile):
+        # the bundled profiles pass on the constellation's longest link alone
+        with mock.patch.object(config_module, "propagate") as propagate:
+            check_links(load_config(profile))
+        propagate.assert_not_called()
+
+    def test_passes_when_no_link_of_the_scenario_comes_close(self):
+        # the longest link allowed underflows, but three users over two
+        # epochs see no satellite that low
+        data = {"constellation": {"planes": 2, "sats_per_plane": 4},
+                "gus": [{"lat": 30.0, "lon": 116.0}, {"lat": 32.0, "lon": 118.0},
+                        {"lat": 35.0, "lon": 114.0}],
+                "epochs": {"count": 2}, "seed": 11, "channel": {"zenith_gas_db": 535}}
+        config = from_dict(data)
+        with pytest.raises(ValueError, match="underflows"):
+            median_amplitude(
+                10.0, config.constellation.slant_range_km(10.0), config.rf,
+                config.attenuation)
+        check_links(config)
 
 
 class TestDigest:

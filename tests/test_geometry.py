@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import reference_links as ref_links
+from conftest import same_bits
 from coopsat.config import load_config
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM, ConstellationConfig,
                               GroundUser, SatelliteState, elevation_deg,
-                              ground_user_position, link_geometry, propagate,
-                              visibility)
+                              ground_user_position, ground_user_positions, link_geometry,
+                              propagate, visibility)
 
 
 def one_pair_elevation(sat_pos, gu_pos):
@@ -82,12 +84,10 @@ def test_body_y_axis_has_the_bits_of_np_cross(t):
 def test_zenith_link():
     cfg = ConstellationConfig(planes=1, sats_per_plane=1, inclination_deg=0.0,
                               altitude_km=1200.0)
-    (sat,) = propagate(cfg, 0.0)
+    states = propagate(cfg, 0.0)
     gu = GroundUser(0, 0.0, 0.0)
-    elev = visibility([sat], [gu]).elevation_deg[0, 0]
-    assert elev == pytest.approx(90.0)
-    geom = link_geometry(sat, gu, t=0.0, elevation_deg=elev)
-    assert geom.elevation_deg == elev
+    assert visibility(states, [gu]).elevation_deg[0, 0] == pytest.approx(90.0)
+    geom = link_geometry(states[0], ground_user_position(gu, 0.0))
     assert geom.slant_range_km == pytest.approx(1200.0)
     assert np.allclose(geom.direction, [1.0, 0.0, 0.0])
     # user straight below the satellite: body-frame elevation is 90 degrees
@@ -108,32 +108,58 @@ def test_slant_range_spherical_law_of_cosines():
                     / (np.linalg.norm(gu_pos) * np.linalg.norm(sat.position_km)))
     r_gu, r_sat = np.linalg.norm(gu_pos), cfg.radius_km
     expected = math.sqrt(r_gu**2 + r_sat**2 - 2.0 * r_gu * r_sat * math.cos(psi))
-    geom = link_geometry(sat, gu, t=t,
-                         elevation_deg=visibility([sat], [gu], 0.0, t).elevation_deg[0, 0])
+    geom = link_geometry(sat, gu_pos)
     assert geom.slant_range_km == pytest.approx(expected, rel=1e-12)
     assert psi == pytest.approx(math.radians(7.5), abs=1e-9)
+    elevation = visibility(propagate(cfg, t), [gu], 0.0, t).elevation_deg[0, 0]
+    assert cfg.slant_range_km(elevation) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_link_geometry_keeps_the_two_position_bits(profile):
     # one line of sight per link gives the bits that separate
     # satellite-to-user and user-to-satellite vectors gave, which the
-    # result files pin
+    # result files pin; every visible link of the epoch in one call
     cfg = load_config(profile)
     t = cfg.epochs.times()[1]
     states, gus = propagate(cfg.constellation, t), list(cfg.gus)
     vis = visibility(states, gus, cfg.min_elevation_deg, t)
-    for s, u in zip(*np.nonzero(vis.visible)):
+    rows, users = np.nonzero(vis.visible)
+    geom = link_geometry(states[rows], ground_user_positions(gus, t)[users])
+    for link, (s, u) in enumerate(zip(rows, users)):
         sat, gu = states[s], gus[u]
-        geom = link_geometry(sat, gu, t, elevation_deg=float(vis.elevation_deg[s, u]))
         los = sat.position_km - ground_user_position(gu, t)
         to_user = ground_user_position(gu, t) - sat.position_km
         d_body = sat.body_axes @ (to_user / np.linalg.norm(to_user))
-        assert geom.slant_range_km == float(np.linalg.norm(los))
-        assert np.array_equal(geom.direction, los / np.linalg.norm(los))
-        assert geom.elevation_sat_deg == math.degrees(
+        assert geom.slant_range_km[link] == float(np.linalg.norm(los))
+        assert np.array_equal(geom.direction[link], los / np.linalg.norm(los))
+        assert geom.elevation_sat_deg[link] == math.degrees(
             math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
-        assert geom.azimuth_sat_deg == math.degrees(math.atan2(d_body[1], d_body[0]))
+        assert geom.azimuth_sat_deg[link] == math.degrees(math.atan2(d_body[1], d_body[0]))
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_stacked_geometry_equals_the_per_item_reference(profile):
+    # propagate and link_geometry over arrays keep every bit of the
+    # one-satellite and one-link loops they replaced
+    cfg = load_config(profile)
+    gus = list(cfg.gus)
+    for t in cfg.epochs.times()[::5] + [0.0, 86400.0]:
+        states = propagate(cfg.constellation, t)
+        reference = ref_links.propagate(cfg.constellation, t)
+        assert states.satellite_id.tolist() == [r[0] for r in reference]
+        for field, column in (("position_km", 1), ("velocity_km_s", 2), ("body_axes", 3)):
+            assert same_bits(getattr(states, field), np.array([r[column] for r in reference]))
+        rows, users = np.nonzero(visibility(states, gus, cfg.min_elevation_deg, t).visible)
+        gu_pos = ground_user_positions(gus, t)
+        geom = link_geometry(states[rows], gu_pos[users])
+        expected = [ref_links.link_geometry(states.position_km[s], states.body_axes[s],
+                                            gu_pos[u]) for s, u in zip(rows, users)]
+        for field, column in (("slant_range_km", 0), ("azimuth_sat_deg", 1),
+                              ("elevation_sat_deg", 2), ("direction", 3)):
+            assert same_bits(getattr(geom, field),
+                             np.array([e[column] for e in expected]).reshape(
+                                 getattr(geom, field).shape))
 
 
 def test_visibility_zenith_and_antipode():
@@ -167,22 +193,23 @@ def test_visibility_matches_one_pair_elevation(profile):
 
 
 def _parked(position_km):
-    return SatelliteState(0, np.asarray(position_km, dtype=float), np.zeros(3), np.eye(3))
+    return SatelliteState(np.array([0]), np.array([position_km], dtype=float),
+                          np.zeros((1, 3)), np.eye(3)[None])
 
 
 def test_visibility_threshold_is_inclusive():
     gu = GroundUser(0, 0.0, 0.0)  # at (R, 0, 0) at t = 0
     # on the local horizon: elevation exactly 0
     horizon = _parked([EARTH_RADIUS_KM, 3000.0, 0.0])
-    assert elevation_deg(horizon.position_km, ground_user_position(gu, 0.0)) == 0.0
-    assert visibility([horizon], [gu], min_elevation_deg=0.0).per_gu[0] == {0}
+    assert elevation_deg(horizon.position_km[0], ground_user_position(gu, 0.0)) == 0.0
+    assert visibility(horizon, [gu], min_elevation_deg=0.0).per_gu[0] == {0}
     # a threshold equal to a link's elevation keeps the link, one ulp
     # above drops it
     sat = _parked([EARTH_RADIUS_KM + 900.0, 1500.0, 400.0])
-    elev = one_pair_elevation(sat.position_km, ground_user_position(gu, 0.0))
+    elev = one_pair_elevation(sat.position_km[0], ground_user_position(gu, 0.0))
     assert 10.0 < elev < 90.0
-    assert visibility([sat], [gu], min_elevation_deg=elev).visible.all()
-    assert not visibility([sat], [gu], np.nextafter(elev, 90.0)).visible.any()
+    assert visibility(sat, [gu], min_elevation_deg=elev).visible.all()
+    assert not visibility(sat, [gu], np.nextafter(elev, 90.0)).visible.any()
 
 
 def test_walker_phasing_offset_equatorial():

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import reference_channel as ref
+import reference_links as ref_links
 from conftest import same_bits
 from coopsat import harness
-from coopsat.beamforming import analog_beamform, build_codebook
+from coopsat.beamforming import build_codebook
 from coopsat.channel import ArrayConfig, large_scale_amplitude, path_loss
 from coopsat.config import EpochGrid, ScenarioConfig, bundled_cities, from_dict, load_config
-from coopsat.geometry import (ConstellationConfig, GroundUser, link_geometry, propagate,
-                              visibility)
+from coopsat.geometry import (ConstellationConfig, GroundUser, ground_user_position,
+                              propagate, visibility)
 from coopsat.harness import build_epoch_instance, emit, link_rng, run
 from coopsat.scheduling import SchemeMode
 
@@ -118,9 +119,9 @@ class TestBuildInstance:
 
 
 def reference_build(config, epoch_index, t):
-    """The instance build one link at a time: the reference channel draw
-    on each link's substream, scaled by its large-scale amplitude, and
-    that link's analog beam."""
+    """The instance build one link at a time: the reference geometry and
+    channel draw on each link's substream, scaled by its large-scale
+    amplitude, and that link's reference analog beam."""
     gus = sorted(config.gus, key=lambda g: g.user_id)
     states = propagate(config.constellation, t)
     vis = visibility(states, gus, config.min_elevation_deg, t)
@@ -133,17 +134,16 @@ def reference_build(config, epoch_index, t):
         for u, gu in enumerate(gus):
             if not vis.visible[s, u]:
                 continue
-            geom = link_geometry(states[s], gu, t,
-                                 elevation_deg=float(vis.elevation_deg[s, u]))
+            slant, phi, theta, directions[u, i] = ref_links.link_geometry(
+                states.position_km[s], states.body_axes[s], ground_user_position(gu, t))
             rng = link_rng(config.seed, epoch_index, vis.sat_ids[s], gu.user_id)
-            loss_db = path_loss(geom, config.rf, config.attenuation, rng)
-            rays = ref.sample_ray_angles(geom.azimuth_sat_deg, geom.elevation_sat_deg,
-                                         config.small_scale, rng)
-            h_ss = ref.small_scale(geom.azimuth_sat_deg, geom.elevation_sat_deg, rays,
-                                   config.small_scale, config.array, rng)
+            loss_db = path_loss(float(vis.elevation_deg[s, u]), slant, config.rf,
+                                config.attenuation, rng)
+            rays = ref.sample_ray_angles(phi, theta, config.small_scale, rng)
+            h_ss = ref.small_scale(phi, theta, rays, config.small_scale, config.array, rng)
             channels[i, u] = large_scale_amplitude(loss_db, config.rf) * h_ss
-            analog[i, u] = analog_beamform(channels[i, u], codebook, k=config.codewords)
-            directions[u, i] = geom.direction
+            analog[i, u] = ref_links.analog_beamform(channels[i, u], codebook,
+                                                     k=config.codewords)
     return tuple(vis.sat_ids[s] for s in active), channels, analog, directions
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import beam_matrix, instances, serving_vector, visible_sats
-from coopsat import metrics
+from coopsat import metrics, network
 from coopsat.channel import RfConfig
 from coopsat.geometry import GroundUser
 from coopsat.network import EpochInstance, hybrid_beams
@@ -60,7 +60,11 @@ def scalar_sinr_oracle(instance, links, beams):
 def served_instances(draw):
     """A random instance with a random feasible serving map: each user
     unserved or served by a visible satellite with a spare beam."""
-    inst = draw(instances())
+    return draw(_served_on(draw(instances())))
+
+
+@st.composite
+def _served_on(draw, inst):
     serving, load = {}, {}
     for g in inst.gu_ids:
         spare = [s for s in visible_sats(inst, g) if load.get(s, 0) < inst.n_beams]
@@ -78,6 +82,24 @@ def assert_matches_oracle(inst, links, beams):
         assert u.sinr == pytest.approx(sinr, rel=1e-10)
         assert u.se == pytest.approx(math.log2(1.0 + sinr), rel=1e-10)
         assert u.interference_power == pytest.approx(interference, rel=1e-6)
+
+
+@pytest.mark.parametrize("beams_of", [unit_power_beams, hybrid_beams],
+                         ids=["unit", "hybrid"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stacked_total_se_equals_total_se(beams_of, data):
+    # the exhaustive search ranks assignments by these sums, so each must
+    # keep the bits of total_se of the same beams
+    inst = data.draw(instances())
+    cases = data.draw(st.lists(_served_on(inst), min_size=1, max_size=6))
+    links = [serving_vector(inst, serving) for _, serving in cases]
+    beams = [beams_of(inst, inst.served_map(v)) for v in links]
+    powers = [network.beam_powers(inst, inst.served_map(v), b)
+              for v, b in zip(links, beams)]
+    stacked = tuple(np.stack(p) for p in zip(*powers))
+    assert metrics.stacked_total_se(inst, np.stack(links), stacked) == [
+        metrics.total_se(inst, v, b) for v, b in zip(links, beams)]
 
 
 class TestSinrEvaluator:

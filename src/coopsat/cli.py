@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, check_links, from_dict, load_config, to_dict
+from .config import ConfigError, load_config
 from .harness import build_epoch_instance, emit, run
 from .scheduling import SchemeMode, exhaustive_schedule, greedy_schedule
 
@@ -23,11 +23,10 @@ EXIT_CONFIG = 2
 
 
 def _cmd_run(args) -> int:
-    # --schemes and --seed set file fields, so from_dict checks them as such
+    # --schemes and --seed set fields, so ScenarioConfig checks them as such
     overrides = {"schemes": args.schemes, "seed": args.seed}
-    config = from_dict({**to_dict(load_config(args.config)),
-                        **{k: v for k, v in overrides.items() if v is not None}})
-    check_links(config)
+    config = replace(load_config(args.config),
+                     **{k: v for k, v in overrides.items() if v is not None})
     report = run(config, trace=args.trace)
     if args.trace:
         for key, records in report.summary.get("trace", {}).items():
@@ -47,7 +46,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    check_links(load_config(args.config))
+    load_config(args.config)
     print("OK")
     return EXIT_OK
 
@@ -56,7 +55,6 @@ def _cmd_oracle(args) -> int:
     if args.max_space < 1:
         raise ConfigError(["--max-space: must be >= 1"])
     config = load_config(args.config)
-    check_links(config)
     ratios = []
     for epoch_index, t in enumerate(config.epochs.times()):
         instance = build_epoch_instance(config, epoch_index, t)

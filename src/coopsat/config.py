@@ -2,12 +2,12 @@
 
 A scenario file is a YAML mapping; every field has a default, so a
 minimal config is a handful of lines.  The config dataclasses state
-each field's default and range, and check themselves when built;
-loading maps the YAML onto them and collects every problem with its
-field path before failing.  The bundled profiles are
-scenario files too (``data/<name>.yaml``): ``desk`` is a quick laptop
-run (20 users, 10 epochs) and ``full`` the full-size experiment (80
-users, 24 epochs).
+each field's default and range, and check themselves when built,
+``ScenarioConfig`` the scenario as a whole; loading maps the YAML onto
+them and collects every problem with its field path before failing.
+The bundled profiles are scenario files too (``data/<name>.yaml``):
+``desk`` is a quick laptop run (20 users, 10 epochs) and ``full`` the
+full-size experiment (80 users, 24 epochs).
 """
 
 from __future__ import annotations
@@ -68,12 +68,18 @@ class EpochGrid:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A scenario.  ``schemes`` may be given as names (repeats are
-    dropped) and the float fields as integers; the stored values are
+    """A scenario, checked whole when built: every field, section and
+    ground user has the type a scenario file must give it (``_SCALARS``),
+    users have distinct labels and ids, and each field is in range.
+    ``schemes`` may be given as names (repeats are dropped) and the
+    top-level float fields as integers; the stored values are
     ``SchemeMode``s and floats.  ``zenith_gas_db`` is also bounded at
-    ``min_elevation_deg`` (``channel.max_zenith_gas_db``), except at 0,
-    where the cosecant has no bound: a link at the horizon can then take
-    the gas term out of the float range, and ``run`` stops with an error."""
+    ``min_elevation_deg`` (``channel.max_zenith_gas_db``), and no link of
+    the scenario may have a gain out of the float range before its
+    shadow-fading draw (``_check_links``).  Neither holds at
+    ``min_elevation_deg`` 0, where the cosecant has no bound: a link at
+    the horizon can then take the gas term out of the float range, and
+    ``run`` stops with an error."""
 
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
     gus: tuple[GroundUser, ...] = field(default_factory=lambda: bundled_cities(20))
@@ -91,10 +97,21 @@ class ScenarioConfig:
     tracked_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        errors = []
+        # the types first: the range checks below compare the values
+        errors = _type_errors(self)
+        if errors:
+            raise ConfigError(errors)
         put = partial(object.__setattr__, self)  # the fields are frozen
         if not self.gus:
             errors.append("gus: at least one ground user is required")
+        first: dict[tuple, int] = {}  # (field, value) -> index of its first user
+        for i, gu in enumerate(self.gus):
+            for name in ("label", "user_id"):
+                value = getattr(gu, name)
+                j = first.setdefault((name, value), i)
+                if j != i:
+                    errors.append(f"gus[{i}].{name}: {value!r} is already the "
+                                  f"{name} of gus[{j}]")
         if isinstance(self.schemes, (list, tuple)) and self.schemes:
             schemes = []
             for s in self.schemes:
@@ -139,6 +156,8 @@ class ScenarioConfig:
         put("density_threshold_km", float(self.density_threshold_km))
         if self.beta is not None:
             put("beta", float(self.beta))
+        if self.min_elevation_deg > 0.0:  # no bound at the horizon, as above
+            _check_links(self)
 
 
 def bundled_cities(count: int | None = None) -> tuple[GroundUser, ...]:
@@ -181,6 +200,36 @@ _CHANNEL = ("small_scale", "attenuation")
 _field_types = cache(get_type_hints)
 
 
+def _type_problem(name: str, kind, value) -> str | None:
+    """Why ``value`` cannot be field ``name`` of scalar annotation
+    ``kind``, if it cannot: as ``_SCALARS`` says, except that -inf, a
+    linear value of 0, is the ``multipath_power_db`` that turns the rays
+    off."""
+    accepts, problem = _SCALARS[kind]
+    if accepts(value) or (name == "multipath_power_db" and value == -math.inf):
+        return None
+    return problem
+
+
+def _type_errors(obj, prefix: str = "") -> list[str]:
+    """``_type_problem`` of every field of config dataclass ``obj``, of its
+    sections and of its ground users, with their field paths."""
+    errors = []
+    for name, kind in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        where = prefix + ("channel" if name in _CHANNEL else name)
+        if kind in _SCALARS:
+            problem = _type_problem(name, kind, value)
+            if problem:
+                errors.append(f"{where}: {problem}")
+        elif is_dataclass(kind):
+            errors += _type_errors(value, where + ".")
+        elif kind == tuple[GroundUser, ...]:
+            for i, gu in enumerate(value):
+                errors += _type_errors(gu, f"gus[{i}].")
+    return errors
+
+
 def _mapping(value, where: str, errors: list[str]) -> dict:
     if isinstance(value, dict):
         return value
@@ -205,11 +254,10 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
         if kind is None:
             errors.append(f"{where}: unknown field")
         elif kind in _SCALARS:
-            accepts, problem = _SCALARS[kind]
-            # -inf, a linear value of 0, is the switch that turns the rays off
-            if key == "multipath_power_db" and value in (-math.inf, NO_RAYS):
+            if key == "multipath_power_db" and value == NO_RAYS:
                 value = -math.inf
-            elif not accepts(value):
+            problem = _type_problem(key, kind, value)
+            if problem:
                 errors.append(f"{where}: {problem}")
         elif is_dataclass(kind):
             value = _build_section(kind, _mapping(value, where, errors),
@@ -252,7 +300,6 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
         errors.append("gus: expected a list or a dataset reference")
         return ()
     out = []
-    labelled: dict[str, int] = {}  # label -> index of its first user
     for i, row in enumerate(data):
         if not isinstance(row, dict):
             errors.append(f"gus[{i}]: expected a mapping")
@@ -264,11 +311,6 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
                 errors.append(f"gus[{i}].{key}: unknown field")
             elif key != "label" and not _is_finite(value):
                 errors.append(f"gus[{i}].{key}: must be a finite number")
-        label = str(row["label"])
-        if label in labelled:
-            errors.append(f"gus[{i}].label: {label!r} is already the label "
-                          f"of gus[{labelled[label]}]")
-        labelled.setdefault(label, i)
         if len(errors) > n_errors:
             continue
         try:
@@ -278,7 +320,7 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
                 # 180 E is 180 W; GroundUser keeps longitudes in [-180, 180)
                 longitude_deg=-180.0 if row["lon"] == 180.0 else float(row["lon"]),
                 altitude_km=float(row["alt_km"]),
-                label=label,
+                label=str(row["label"]),
             ))
         except ValueError as exc:
             errors.append(f"gus[{i}]: {exc}")
@@ -341,22 +383,19 @@ def to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
-def check_links(config: ScenarioConfig) -> None:
+def _check_links(config: ScenarioConfig) -> None:
     """Raise ``ConfigError`` naming the first link of the scenario whose
     gain is out of the float range before its shadow-fading draw
     (``channel.median_amplitude``): ``run`` would stop on that link at
-    half of the seeds or more.  The links are found by propagating the
-    constellation over the epoch grid, so this is not one of
-    ``ScenarioConfig``'s own checks; the command line runs it on every
-    scenario.  The epochs are searched only when the longest link the
-    constellation allows (a sea-level user at ``min_elevation_deg``)
-    fails: a scenario's own links may never come that close."""
+    half of the seeds or more.  The epochs are searched only when the
+    worst link the scenario allows fails: the longest, from its lowest
+    user at ``min_elevation_deg``, where the gas term is also largest.
+    The scenario's own links may never come that close."""
     el = config.min_elevation_deg
-    if el == 0.0:  # the gas term has no bound at the horizon
-        return
+    lowest_km = min(gu.altitude_km for gu in config.gus)
     try:
-        median_amplitude(el, config.constellation.slant_range_km(el), config.rf,
-                         config.attenuation)
+        median_amplitude(el, config.constellation.slant_range_km(el, lowest_km),
+                         config.rf, config.attenuation)
         return
     except ValueError:
         pass

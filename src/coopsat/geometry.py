@@ -62,11 +62,13 @@ class ConstellationConfig:
     def mean_motion_rad_s(self) -> float:
         return math.sqrt(EARTH_MU_KM3_S2 / self.radius_km**3)
 
-    def slant_range_km(self, elevation_deg: float) -> float:
-        """Distance from a sea-level user to a satellite it sees at
-        ``elevation_deg`` above its horizon."""
+    def slant_range_km(self, elevation_deg: float,
+                       user_altitude_km: float = 0.0) -> float:
+        """Distance from a user at ``user_altitude_km`` (sea level by
+        default) to a satellite it sees at ``elevation_deg`` above its
+        horizon."""
         el = math.radians(elevation_deg)
-        r = EARTH_RADIUS_KM
+        r = EARTH_RADIUS_KM + user_altitude_km
         return math.sqrt(self.radius_km**2 - (r * math.cos(el))**2) - r * math.sin(el)
 
 

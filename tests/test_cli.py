@@ -78,12 +78,17 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     # longest link before any draw
     ("gus: {count: 80}\nepochs: {count: 4}\nchannel: {zenith_gas_db: 535}\n",
      "channel: before shadow fading, the link gain of"),
+    # ... and of a link longer than a sea-level user can have
+    pytest.param("gus:\n" + "".join(f"  - {{lat: {30.0 + 0.5 * i}, lon: {100.0 + 3 * i}, "
+                                   "alt_km: -3000.0}\n" for i in range(10))
+                 + "epochs: {count: 24}\nchannel: {zenith_gas_db: 532.9}\n",
+                 "from satellite 24 to user 8 at epoch 5", id="below-sea-level"),
     # a divisor whose linear value is 0; a negative suppression or spread
     ("rf: {noise_temperature_dbk: -4000}\n", "rf.noise_temperature_dbk"),
     ("rf: {vsat_floor_suppression_db: -1}\n", "rf.vsat_floor_suppression_db"),
     ("channel: {direct_amp_std_db: -1}\n", "channel.direct_amp_std_db"),
 ])
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
 def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):
     path = tmp_path / "bad.yaml"
     path.write_text(text)

@@ -12,10 +12,12 @@ import pytest
 
 import coopsat
 from coopsat import config as config_module
-from coopsat.channel import median_amplitude
+from coopsat.channel import (ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig,
+                             median_amplitude)
 from coopsat.config import (NO_RAYS, ConfigError, EpochGrid, ScenarioConfig,
-                            bundled_cities, check_links, config_digest, from_dict,
-                            load_config, to_dict)
+                            bundled_cities, config_digest, from_dict, load_config,
+                            to_dict)
+from coopsat.geometry import GroundUser
 from coopsat.scheduling import SchemeMode
 
 
@@ -109,6 +111,43 @@ class TestFromDict:
             EpochGrid(start_s=-1.0, step_s=0.0, count=0)
         assert err.value.errors == ["count: must be a positive integer",
                                     "step_s: must be > 0", "start_s: must be >= 0"]
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"array": ArrayConfig(n_x=2.5)}, "array.n_x: must be an integer"),
+        ({"epochs": EpochGrid(count=2.5)}, "epochs.count: must be an integer"),
+        ({"seed": 1.5}, "seed: must be an integer"),
+        ({"seed": "1"}, "seed: must be an integer"),
+        ({"codewords": 2.5}, "codewords: must be an integer"),
+        ({"rf": RfConfig(tx_power_w=math.nan)}, "rf.tx_power_w: must be a finite number"),
+        ({"beta": math.nan}, "beta: must be a finite number"),
+        ({"epochs": EpochGrid(step_s=math.inf)},
+         "epochs.step_s: must be a finite number"),
+        ({"density_threshold_km": math.nan},
+         "density_threshold_km: must be a finite number"),
+        ({"small_scale": SmallScaleConfig(angle_spread_deg=math.nan)},
+         "channel.angle_spread_deg: must be a finite number"),
+        ({"attenuation": AttenuationConfig(zenith_gas_db=True)},
+         "channel.zenith_gas_db: must be a finite number"),
+        ({"gus": (GroundUser(0, 30.0, 116.0, altitude_km=math.inf),)},
+         "gus[0].altitude_km: must be a finite number"),
+        ({"gus": (GroundUser(0.5, 30.0, 116.0),)}, "gus[0].user_id: must be an integer"),
+    ])
+    def test_python_built_scenario_gets_the_file_type_rules(self, fields, message):
+        # reported before a range check compares the value
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(**fields)
+        assert err.value.errors == [message]
+
+    @pytest.mark.parametrize("gus,message", [
+        ((GroundUser(0, 30.0, 116.0, label="A"), GroundUser(1, 31.0, 121.0, label="A")),
+         "gus[1].label: 'A' is already the label of gus[0]"),
+        ((GroundUser(3, 30.0, 116.0, label="A"), GroundUser(3, 31.0, 121.0, label="B")),
+         "gus[1].user_id: 3 is already the user_id of gus[0]"),
+    ])
+    def test_python_built_users_are_distinct(self, gus, message):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(gus=gus)
+        assert err.value.errors == [message]
 
     def test_top_level_floats_stored_as_floats_section_numbers_as_given(self):
         cfg = from_dict({"min_elevation_deg": 10, "beta": 1,
@@ -261,7 +300,9 @@ class TestFromDict:
         # at 0 the cosecant has no bound: only the zenith range holds
         (0.0, 3000.0, True)])
     def test_zenith_gas_bounded_at_the_lowest_elevation(self, min_elevation, gas, ok):
-        data = {"min_elevation_deg": min_elevation, "channel": {"zenith_gas_db": gas}}
+        # few enough users and epochs that no link underflows (TestCheckLinks)
+        data = {"min_elevation_deg": min_elevation, "channel": {"zenith_gas_db": gas},
+                "gus": {"count": 3}, "epochs": {"count": 1}}
         if ok:
             assert from_dict(data).attenuation.zenith_gas_db == gas
             return
@@ -339,20 +380,44 @@ class TestCheckLinks:
     # free-space loss underflows the gain of some link before any draw
     UNDERFLOWING = {"gus": {"count": 80}, "epochs": {"count": 4},
                     "channel": {"zenith_gas_db": 535}}
+    # the longest sea-level link passes, but these users' links are longer
+    BELOW_SEA_LEVEL = {
+        "gus": [{"lat": 30.0 + 0.5 * i, "lon": 100.0 + 3 * i, "alt_km": -3000.0}
+                for i in range(10)],
+        "epochs": {"count": 24}, "channel": {"zenith_gas_db": 532.9}}
 
     def test_names_a_link_that_underflows_before_any_draw(self):
-        config = from_dict(self.UNDERFLOWING)
         with pytest.raises(ConfigError) as err:
-            check_links(config)
+            from_dict(self.UNDERFLOWING)
         (message,) = err.value.errors
         assert message.startswith("channel: before shadow fading, the link gain of ")
         assert "dB underflows on the link from satellite " in message
+
+    def test_tries_the_longest_link_from_the_lowest_user(self):
+        with pytest.raises(ConfigError) as err:
+            from_dict(self.BELOW_SEA_LEVEL)
+        assert err.value.errors == [
+            "channel: before shadow fading, the link gain of -3238.8 dB underflows "
+            "on the link from satellite 24 to user 8 at epoch 5 (10.01 deg, 6218 km)"]
+
+    def test_python_built_scenario_is_checked(self):
+        # the 20 default cities over 10 epochs: the gas bound at 10 degrees
+        # holds, but one link's gain underflows
+        gas = AttenuationConfig(zenith_gas_db=535.0)
+        for build in (lambda: ScenarioConfig(attenuation=gas),
+                      lambda: replace(load_config("desk"), attenuation=gas),
+                      lambda: from_dict({"min_elevation_deg": 10.0,
+                                         "channel": {"zenith_gas_db": 535.0}})):
+            with pytest.raises(ConfigError) as err:
+                build()
+            (message,) = err.value.errors
+            assert "from satellite 15 to user 5 at epoch 1 " in message
 
     @pytest.mark.parametrize("profile", ["desk", "full"])
     def test_epochs_are_searched_only_when_the_longest_link_fails(self, profile):
         # the bundled profiles pass on the constellation's longest link alone
         with mock.patch.object(config_module, "propagate") as propagate:
-            check_links(load_config(profile))
+            load_config(profile)
         propagate.assert_not_called()
 
     def test_passes_when_no_link_of_the_scenario_comes_close(self):
@@ -367,7 +432,6 @@ class TestCheckLinks:
             median_amplitude(
                 10.0, config.constellation.slant_range_km(10.0), config.rf,
                 config.attenuation)
-        check_links(config)
 
 
 class TestDigest:

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from importlib import resources
@@ -34,6 +35,11 @@ CITY_DATASET = "cities_cn"
 # ``multipath_power_db`` = -inf (no diffuse rays) as plain data: JSON has
 # no infinity, so ``to_dict`` writes this and ``from_dict`` reads it back.
 NO_RAYS = "-inf"
+# Set while ``from_dict`` builds a scenario once an error is collected:
+# a failed field holds its default (every field does, once the scenario's
+# own check failed), so the link check would judge values the file did
+# not give, on a file already rejected.
+_FIELD_FAILED = ContextVar("field_failed", default=False)
 
 
 class ConfigError(ValueError):
@@ -156,7 +162,8 @@ class ScenarioConfig:
         put("density_threshold_km", float(self.density_threshold_km))
         if self.beta is not None:
             put("beta", float(self.beta))
-        if self.min_elevation_deg > 0.0:  # no bound at the horizon, as above
+        # no bound at the horizon, as above
+        if self.min_elevation_deg > 0.0 and not _FIELD_FAILED.get():
             _check_links(self)
 
 
@@ -243,7 +250,8 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
     mapping, ``int`` from an integer, ``float`` from a finite number (or
     -inf or ``NO_RAYS`` for ``multipath_power_db``), ground users from
     ``gus`` rows; other values pass as given.  A value that does not map
-    keeps its default.  Errors, the dataclass's own included, are
+    keeps its default, and once an error is collected ``ScenarioConfig``
+    skips its link check.  Errors, the dataclass's own included, are
     collected with their field paths (``prefix`` + name)."""
     kinds = _field_types(cls)
     kwargs = {}
@@ -266,11 +274,15 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
             value = _parse_gus(value, errors)
         if len(errors) == n_errors:
             kwargs[key] = value
+    failed = _FIELD_FAILED.set(bool(errors))
     try:
         return cls(**kwargs)
     except ValueError as exc:
         errors.extend(prefix + e for e in getattr(exc, "errors", [str(exc)]))
+        _FIELD_FAILED.set(True)
         return cls()
+    finally:
+        _FIELD_FAILED.reset(failed)
 
 
 def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:

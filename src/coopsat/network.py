@@ -30,7 +30,8 @@ of a served user's signal and interference, for ``metrics``, the greedy
 scorer and the exhaustive oracle alike.  ``design_powers`` gives a
 satellite's powers for a stack of member sets in one call: for
 ``beam_powers`` one set per satellite, for the JHU greedy one per
-candidate, for the oracle every set it may meet.
+candidate, for the oracle the sets of one size of every satellite, with
+the satellite given per row.
 """
 
 from __future__ import annotations
@@ -171,10 +172,23 @@ def equal_power_beams(instance: EpochInstance,
             for i, members in served.items()}
 
 
-def hybrid_from_beamspace(instance: EpochInstance, sat: int, idx: np.ndarray,
-                          beta: float | None = None) -> np.ndarray:
+def _at_satellite(table: np.ndarray, sat: "int | np.ndarray", rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """``table[sat][rows, cols]`` of an S x U x U table, or with ``sat``
+    per leading row (K,), row k from ``table[sat[k]]``.  One satellite
+    indexes its own U x U table: the 3-index gather costs more."""
+    if np.ndim(sat):
+        return table[sat[:, None, None], rows, cols]
+    return table[sat][rows, cols]
+
+
+def hybrid_from_beamspace(instance: EpochInstance, sat: "int | np.ndarray",
+                          idx: np.ndarray, beta: float | None = None) -> np.ndarray:
     """Hybrid mixers sqrt(eta) F of satellite row ``sat`` serving each
-    row of user rows ``idx`` (K x n); returns K x n x n.
+    row of user rows ``idx`` (K x n); returns K x n x n.  ``sat`` may
+    also give the satellite of each row (K,), so one call designs member
+    sets of one size for many satellites; each row rounds as it does
+    alone.
 
     F is the regularized-ZF precoder of the beam-space channel
     sqrt(g0) X_s[T, T]; its rows carry the boresight user antenna gain
@@ -183,9 +197,10 @@ def hybrid_from_beamspace(instance: EpochInstance, sat: int, idx: np.ndarray,
     exactly the satellite power P without forming it.
     """
     rows, cols = idx[:, :, None], idx[:, None, :]
-    h_tilde = math.sqrt(instance.boresight_gain) * instance.cross_terms[sat][rows, cols]
+    h_tilde = (math.sqrt(instance.boresight_gain)
+               * _at_satellite(instance.cross_terms, sat, rows, cols))
     f = regularized_zf(h_tilde, instance.tx_power_w, beta)
-    gram = instance.analog_gram[sat][rows, cols]
+    gram = _at_satellite(instance.analog_gram, sat, rows, cols)
     # tr(F^H (A^H A) F) = ||A F||_F^2
     total = np.sum(f.conj() * (gram @ f), axis=(1, 2)).real
     if np.any(total == 0.0):
@@ -222,16 +237,19 @@ def beam_powers(instance: EpochInstance, served: Mapping[int, list[int]],
     return power, own, intra
 
 
-def design_powers(instance: EpochInstance, sat: int, idx: np.ndarray, mixer: np.ndarray,
-                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def design_powers(instance: EpochInstance, sat: "int | np.ndarray", idx: np.ndarray,
+                  mixer: np.ndarray, rows: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Powers at user rows ``rows`` of the beams of satellite row ``sat``
-    serving each row of user rows ``idx`` (K x n) through ``mixer``
-    (K x n x n, or one n x n for every row): of all its beams, and at
-    its members of the own beam and of the other beams, zero elsewhere;
-    K x len(rows) each.  The other beams are summed directly: after ZF
-    nulling, a difference of the two totals would be rounding noise.
-    Each row of the stack rounds as a design on its own does."""
-    amp = np.abs(instance.cross_terms[sat][rows[:, None], idx[:, None, :]] @ mixer) ** 2
+    (or of the satellite of each row, (K,)) serving each row of user rows
+    ``idx`` (K x n) through ``mixer`` (K x n x n, or one n x n for every
+    row): of all its beams, and at its members of the own beam and of the
+    other beams, zero elsewhere; K x len(rows) each.  The other beams are
+    summed directly: after ZF nulling, a difference of the two totals
+    would be rounding noise.  Each row of the stack rounds as a design on
+    its own does."""
+    amp = np.abs(_at_satellite(instance.cross_terms, sat, rows[:, None],
+                               idx[:, None, :]) @ mixer) ** 2
     mine = rows[:, None] == idx[:, None, :]  # user rows[r] is beam k's member
     # members by scatter: an any() along the short beam axis costs more
     member = np.zeros((len(idx), len(instance.gu_ids)), dtype=bool)

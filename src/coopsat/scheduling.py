@@ -73,13 +73,15 @@ gain grid in row-major order over the sorted satellite and user ids.
 An exhaustive oracle for desk-scale instances provides the reference
 optimum for testing.  After checking the size of the assignment space,
 ``_BeamCache`` designs every (satellite row, member set) within the beam
-capacity, batched per (satellite, member count): a satellite's beams
-depend only on the users it serves.  Assignments (each user's visible
-satellite rows in increasing order, then unserved) are enumerated with
-``itertools.product`` in blocks of ``_BLOCK``, and those over a
-satellite's capacity dropped.  One ``signal_and_interference`` call
-evaluates a block's stacked powers, and ``metrics.stacked_total_se`` sums
-each assignment's per-user SEs in row order, so every score has the bits
+capacity, one batched design per member count over every satellite: a
+satellite's beams depend only on the users it serves.  Assignments (each
+user's visible satellite rows in increasing order, then unserved) are
+enumerated in ``itertools.product`` order, ``_BLOCK`` at a time, as a
+mixed-radix count over the users (the last fastest) turned into serving
+vectors by index arithmetic; those over a satellite's capacity are
+dropped.  One ``signal_and_interference`` call evaluates a block's
+stacked powers, and ``metrics.stacked_total_se`` sums each assignment's
+per-user SEs in row order, so every score has the bits
 ``metrics.total_se`` gives it alone.  The first strictly greater score in
 enumeration order wins, so exact ties go to the assignment enumerated
 first, and a complete assignment beats an equally good partial one.
@@ -92,6 +94,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -325,48 +328,71 @@ _CHUNK = 256
 class _BeamCache:
     """``beam_powers`` entries (row of the S x U powers, members' own and
     intra powers) of every set of at most ``n_beams`` users who see a
-    satellite; serving one set alone is feasible, so none is wasted.
-    ``_CHUNK`` sets of one (satellite row, size) at a time get their
-    mixers (SHU's and JHU's are alike) and powers in one call each, with
-    the bits each set gets alone.  A member set is a bitmask over the
-    users who see some satellite: a space of 2**m assignments or more has
-    m of them, so an enumerable space fits an int64 mask.  Each
-    satellite's masks are sorted for ``np.searchsorted``; mask 0 (no one)
-    has zero powers."""
+    satellite; serving one set alone is feasible, so none is wasted.  The
+    sets of one size, satellite after satellite, get their mixers (SHU's
+    and JHU's are alike) and powers ``_CHUNK`` at a time in one call each,
+    the satellite given per row, with the bits each set gets alone.  A
+    member set is a bitmask over the m users who see some satellite: a
+    space of 2**m assignments or more has m of them, so for any space
+    that can be enumerated the key s * 2**m + mask of (satellite row s,
+    mask) fits an int64.  One table holds every set's powers in key
+    order, for ``np.searchsorted``; mask 0 (no one) has zero powers, and
+    so has row 0 (key -1), which unserved users read."""
 
     def __init__(self, instance: EpochInstance, mode: SchemeMode,
                  beta: float | None) -> None:
         users = np.flatnonzero(instance.visible_mask.any(axis=1))
         self.bits = np.zeros(len(instance.gu_ids), dtype=np.int64)
         self.bits[users] = 1 << np.arange(users.size, dtype=np.int64)
+        seen = [np.flatnonzero(v).tolist() for v in instance.visible_mask.T]
+        self.sat_keys = np.arange(len(seen), dtype=np.int64) << users.size
         rows = np.arange(len(instance.gu_ids))
-        self.tables = []  # per satellite row: (sorted masks, 3 x masks x U)
-        for s, seen in enumerate(instance.visible_mask.T):
-            seen = np.flatnonzero(seen).tolist()
-            masks, parts = [np.zeros(1, dtype=np.int64)], [np.zeros((3, 1, rows.size))]
-            for m in range(1, min(instance.n_beams, len(seen)) + 1):
-                subsets = itertools.combinations(seen, m)
-                while chunk := list(itertools.islice(subsets, _CHUNK)):
-                    idx = np.array(chunk)
-                    mixer = (equal_power_mixer(instance, m) if mode is SchemeMode.AU
-                             else hybrid_from_beamspace(instance, s, idx, beta))
-                    parts.append(np.stack(design_powers(instance, s, idx, mixer, rows)))
-                    masks.append(self.bits[idx].sum(axis=1))
-            masks = np.concatenate(masks)
-            order = np.argsort(masks)
-            self.tables.append((masks[order], np.concatenate(parts, axis=1)[:, order]))
+        keys, parts = [[-1], self.sat_keys], [np.zeros((3, 1 + len(seen), rows.size))]
+        for m in range(1, min(instance.n_beams, max(map(len, seen), default=0)) + 1):
+            sets = [np.array(list(itertools.combinations(v, m)), dtype=int).reshape(-1, m)
+                    for v in seen]
+            sats = np.repeat(np.arange(len(seen)), [len(c) for c in sets])
+            sets = np.concatenate(sets)
+            for start in range(0, len(sets), _CHUNK):
+                sat, idx = sats[start:start + _CHUNK], sets[start:start + _CHUNK]
+                mixer = (equal_power_mixer(instance, m) if mode is SchemeMode.AU
+                         else hybrid_from_beamspace(instance, sat, idx, beta))
+                parts.append(np.stack(design_powers(instance, sat, idx, mixer, rows)))
+            keys.append(self.sat_keys[sats] + self.bits[sets].sum(axis=1))
+        keys = np.concatenate(keys)
+        order = np.argsort(keys)
+        self.keys, self.table = keys[order], np.concatenate(parts, axis=1)[:, order]
 
-    def powers(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``beam_powers`` of a stack of assignments, given as K x U x S
-        membership (user u served by satellite row s): K x S x U, K x U
-        and K x U.  A user's own and intra powers are nonzero in one
-        satellite's row at most, so summing over the satellites adds only
-        zeros to them."""
-        masks = (member * self.bits[:, None]).sum(axis=1)  # K x S
-        found = np.empty((3, *masks.shape, self.bits.size))  # 3 x K x S x U
-        for s, (keys, table) in enumerate(self.tables):
-            found[:, :, s] = table[:, np.searchsorted(keys, masks[:, s])]
-        return found[0], found[1].sum(axis=1), found[2].sum(axis=1)
+    def powers(self, serving: np.ndarray, member: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``beam_powers`` of a stack of assignments, given as K x U
+        serving vectors and their K x U x S membership (user u served by
+        satellite row s): K x S x U, K x U and K x U.  A user's own and
+        intra powers are read from its serving satellite's set alone,
+        the zeros of the others' sets never added to them."""
+        masks = self.bits @ member  # K x S
+        at = np.zeros((len(masks), self.sat_keys.size + 1), dtype=np.intp)
+        at[:, :-1] = np.searchsorted(self.keys, masks + self.sat_keys)
+        mine = at[np.arange(len(at))[:, None], serving]  # -1: the last column, row 0
+        users = np.arange(serving.shape[1])
+        return self.table[0][at[:, :-1]], self.table[1][mine, users], self.table[2][mine, users]
+
+
+def _assignment_blocks(options: list[list[int]]) -> Iterator[np.ndarray]:
+    """The serving vectors of ``itertools.product(*options)``, in its
+    order and ``_BLOCK`` at a time, as K x U arrays.  Assignment k is a
+    mixed-radix count with the last user fastest: user u's option is
+    digit (k // stride_u) % radix_u, gathered from a users x options
+    table."""
+    radix = [len(o) for o in options]
+    table = np.full((len(options), max(radix, default=1)), -1)
+    for u, o in enumerate(options):
+        table[u, :len(o)] = o
+    stride = np.array([math.prod(radix[u + 1:]) for u in range(len(radix))], dtype=np.int64)
+    users, space = np.arange(len(options)), math.prod(radix)
+    for start in range(0, space, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, space))[:, None]
+        yield table[users, k // stride % radix]
 
 
 def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
@@ -387,17 +413,17 @@ def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
             f"assignment space {space} exceeds limit {max_space}")
 
     cache = _BeamCache(instance, mode, beta)
-    n_gus, sats = len(instance.gu_ids), np.arange(len(instance.sat_ids))
-    assignments = itertools.product(*options)
+    sats, ones = np.arange(len(instance.sat_ids)), np.ones(len(options), dtype=np.int64)
     best_se, best_links = -math.inf, None
-    while combos := list(itertools.islice(assignments, _BLOCK)):
-        serving = np.array(combos, dtype=int).reshape(len(combos), n_gus)
+    for serving in _assignment_blocks(options):
         member = serving[:, :, None] == sats  # K x U x S
-        feasible = (member.sum(axis=1) <= instance.n_beams).all(axis=1)
+        # loads (and masks) by integer products: a sum of bools along the
+        # users takes several times longer
+        feasible = (ones @ member <= instance.n_beams).all(axis=1)
         if not feasible.any():
             continue
         serving, member = serving[feasible], member[feasible]
-        se = metrics.stacked_total_se(instance, serving, cache.powers(member))
+        se = metrics.stacked_total_se(instance, serving, cache.powers(serving, member))
         k = max(range(len(se)), key=se.__getitem__)  # the first maximum
         if se[k] > best_se:
             best_se, best_links = se[k], serving[k]

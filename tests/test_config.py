@@ -413,6 +413,26 @@ class TestCheckLinks:
             (message,) = err.value.errors
             assert "from satellite 15 to user 5 at epoch 1 " in message
 
+    @pytest.mark.parametrize("fault", [{"rf": {"tx_power_w": -1}}, {"beta": "0.5"},
+                                       {"seed": -1}], ids=["rf", "beta", "seed"])
+    def test_skipped_once_a_field_fails(self, fault):
+        # the failed field holds its default: no link is judged on it, and
+        # neither on the default scenario built in place of the rejected one
+        with mock.patch.object(config_module, "_check_links",
+                               wraps=config_module._check_links) as check, \
+                pytest.raises(ConfigError) as err:
+            from_dict({**self.UNDERFLOWING, **fault})
+        (message,) = err.value.errors
+        assert message.startswith(next(iter(fault)))
+        check.assert_not_called()
+
+    def test_runs_once_when_only_a_link_fails(self):
+        with mock.patch.object(config_module, "_check_links",
+                               wraps=config_module._check_links) as check, \
+                pytest.raises(ConfigError):
+            from_dict(self.UNDERFLOWING)
+        check.assert_called_once()
+
     @pytest.mark.parametrize("profile", ["desk", "full"])
     def test_epochs_are_searched_only_when_the_longest_link_fails(self, profile):
         # the bundled profiles pass on the constellation's longest link alone

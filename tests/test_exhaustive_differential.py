@@ -5,7 +5,9 @@ stacked blocks, against the per-assignment loop kept in
 
 Both evaluate every assignment with the same arithmetic, so the links
 must be equal and the total SE equal to the bit, ties included, however
-the designs are split into batches.
+the designs are split into batches.  The array-built blocks of
+assignments must be ``itertools.product``'s, and a batch of designs
+over many satellites must give each set the bits it gets alone.
 """
 
 import itertools
@@ -16,10 +18,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import instances, make_instance, mirror_first_satellite
+from conftest import instances, make_instance, mirror_first_satellite, same_bits
 from coopsat import metrics, scheduling
+from coopsat.network import design_powers, equal_power_mixer, hybrid_from_beamspace
 from coopsat.scheduling import SchemeMode, exhaustive_schedule, final_beams
 from reference_exhaustive import reference_exhaustive
+
+# No satellite in view: every user's one option is to stay unserved.
+NO_SATELLITE = make_instance(np.random.default_rng(43), n_sats=0, n_gus=3,
+                             visible={g: () for g in range(100, 103)})
 
 
 def assert_matches_reference(inst, mode):
@@ -37,6 +44,71 @@ def assert_matches_reference(inst, mode):
 @given(inst=instances(max_gus=5))
 def test_exhaustive_matches_reference_loop(mode, inst):
     assert_matches_reference(inst, mode)
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode))
+def test_no_satellite_in_view_matches_reference_loop(mode):
+    assert_matches_reference(NO_SATELLITE, mode)
+
+
+def options_of(inst):
+    return [np.flatnonzero(row).tolist() + [-1] for row in inst.visible_mask]
+
+
+def assert_blocks_match_product(options):
+    assignments = itertools.product(*options)
+    blocks = scheduling._assignment_blocks(options)
+    while combos := list(itertools.islice(assignments, scheduling._BLOCK)):
+        expected = np.array(combos, dtype=int).reshape(len(combos), len(options))
+        block = next(blocks)
+        assert block.dtype == expected.dtype
+        assert np.array_equal(block, expected)
+    assert next(blocks, None) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(inst=instances(max_gus=7))
+def test_array_blocks_equal_product_blocks(inst):
+    assert_blocks_match_product(options_of(inst))
+
+
+# Spaces of one assignment (no satellite in view), of 4 full blocks
+# (4**5), of 3 blocks with a short last one (3**6 = 729), and of mixed
+# radices with a user who sees nothing (4 * 1 * 2 * 3 * 4 * 2 * 3 = 1152).
+@pytest.mark.parametrize("options", [
+    options_of(NO_SATELLITE),
+    [[0, 1, 2, -1]] * 5,
+    [[0, 1, -1]] * 6,
+    [[0, 1, 2, -1], [-1], [1, -1], [0, 2, -1], [0, 1, 2, -1], [2, -1], [1, 2, -1]],
+], ids=["no-satellite", "4-blocks", "short-last-block", "mixed-radix"])
+def test_array_blocks_equal_product_blocks_over_several_blocks(options):
+    assert_blocks_match_product(options)
+
+
+# The oracle designs the sets of one size of every satellite in one call,
+# the satellite given per row: each row must keep the bits of its set
+# designed alone, for the hybrid and the equal-power mixers alike.
+@pytest.mark.parametrize("beta", [None, 0.0, 0.5])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(inst=instances(max_gus=6))
+def test_cross_satellite_design_equals_each_set_alone(beta, inst):
+    rows = np.arange(len(inst.gu_ids))
+    for m in range(1, 4):
+        sets = [(s, c) for s, seen in enumerate(inst.visible_mask.T)
+                for c in itertools.combinations(np.flatnonzero(seen).tolist(), m)]
+        if not sets:
+            continue
+        sat, idx = np.array([s for s, _ in sets]), np.array([c for _, c in sets])
+        hybrid = hybrid_from_beamspace(inst, sat, idx, beta)
+        for k, s in enumerate(sat.tolist()):  # the mixers are transposed views
+            assert same_bits(np.ascontiguousarray(hybrid[k]), np.ascontiguousarray(
+                hybrid_from_beamspace(inst, s, idx[k:k + 1], beta)[0]))
+        for mixer in (hybrid, equal_power_mixer(inst, m)):
+            batched = design_powers(inst, sat, idx, mixer, rows)
+            for k, s in enumerate(sat.tolist()):
+                one = mixer[k:k + 1] if mixer.ndim == 3 else mixer
+                single = design_powers(inst, s, idx[k:k + 1], one, rows)
+                assert all(same_bits(a[k], b[0]) for a, b in zip(batched, single))
 
 
 @pytest.mark.parametrize("mode", list(SchemeMode))
@@ -87,8 +159,8 @@ def test_each_member_set_is_designed_once(mode):
                            wraps=scheduling.hybrid_from_beamspace) as zf:
         exhaustive_schedule(inst, mode)
     for spy in (powers,) if mode is SchemeMode.AU else (powers, zf):
-        designed = sorted((c.args[1], tuple(row)) for c in spy.call_args_list
-                          for row in c.args[2].tolist())
+        designed = sorted((s, tuple(row)) for c in spy.call_args_list
+                          for s, row in zip(c.args[1].tolist(), c.args[2].tolist()))
         assert designed == expected  # every set, none twice
     if mode is SchemeMode.AU:
         assert not zf.called

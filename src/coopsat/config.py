@@ -16,8 +16,7 @@ import csv
 import hashlib
 import json
 import math
-from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import InitVar, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from importlib import resources
 from pathlib import Path
@@ -35,11 +34,6 @@ CITY_DATASET = "cities_cn"
 # ``multipath_power_db`` = -inf (no diffuse rays) as plain data: JSON has
 # no infinity, so ``to_dict`` writes this and ``from_dict`` reads it back.
 NO_RAYS = "-inf"
-# Set while ``from_dict`` builds a scenario once an error is collected:
-# a failed field holds its default (every field does, once the scenario's
-# own check failed), so the link check would judge values the file did
-# not give, on a file already rejected.
-_FIELD_FAILED = ContextVar("field_failed", default=False)
 
 
 class ConfigError(ValueError):
@@ -101,8 +95,10 @@ class ScenarioConfig:
     codewords: int = 4
     beta: float | None = None  # None selects the large-system optimum
     tracked_labels: tuple[str, ...] = ()
+    # ``from_dict`` runs the link check itself, once every field passed
+    _skip_link_check: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _skip_link_check: bool) -> None:
         # the types first: the range checks below compare the values
         errors = _type_errors(self)
         if errors:
@@ -162,8 +158,7 @@ class ScenarioConfig:
         put("density_threshold_km", float(self.density_threshold_km))
         if self.beta is not None:
             put("beta", float(self.beta))
-        # no bound at the horizon, as above
-        if self.min_elevation_deg > 0.0 and not _FIELD_FAILED.get():
+        if not _skip_link_check:
             _check_links(self)
 
 
@@ -202,9 +197,14 @@ _SCALARS = {
 # The YAML ``channel`` section holds the fields of both of these.
 _CHANNEL = ("small_scale", "attenuation")
 
-# Field name -> type of a config dataclass.  The annotations are strings,
-# and evaluating them took half of a ``from_dict`` call.
-_field_types = cache(get_type_hints)
+
+@cache
+def _field_types(cls) -> dict:
+    """Field name -> type of config dataclass ``cls``, init-only variables
+    left out.  The annotations are strings, and evaluating them took half
+    of a ``from_dict`` call."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _type_problem(name: str, kind, value) -> str | None:
@@ -244,15 +244,15 @@ def _mapping(value, where: str, errors: list[str]) -> dict:
     return {}
 
 
-def _build_section(cls, data: dict, prefix: str, errors: list[str]):
+def _build_section(cls, data: dict, prefix: str, errors: list[str], **init):
     """Build config dataclass ``cls`` from a mapping of its fields.  Each
     value maps as the field's annotation says: a config dataclass from a
     mapping, ``int`` from an integer, ``float`` from a finite number (or
     -inf or ``NO_RAYS`` for ``multipath_power_db``), ground users from
     ``gus`` rows; other values pass as given.  A value that does not map
-    keeps its default, and once an error is collected ``ScenarioConfig``
-    skips its link check.  Errors, the dataclass's own included, are
-    collected with their field paths (``prefix`` + name)."""
+    keeps its default.  Errors, the dataclass's own included, are
+    collected with their field paths (``prefix`` + name).  ``init`` is
+    passed to ``cls`` as given."""
     kinds = _field_types(cls)
     kwargs = {}
     for key, value in data.items():
@@ -274,15 +274,11 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
             value = _parse_gus(value, errors)
         if len(errors) == n_errors:
             kwargs[key] = value
-    failed = _FIELD_FAILED.set(bool(errors))
     try:
-        return cls(**kwargs)
+        return cls(**kwargs, **init)
     except ValueError as exc:
         errors.extend(prefix + e for e in getattr(exc, "errors", [str(exc)]))
-        _FIELD_FAILED.set(True)
-        return cls()
-    finally:
-        _FIELD_FAILED.reset(failed)
+        return cls(**init)
 
 
 def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
@@ -352,9 +348,11 @@ def from_dict(data: dict) -> ScenarioConfig:
         atten = {f.name for f in fields(AttenuationConfig)}
         top["small_scale"] = {k: v for k, v in channel.items() if k not in atten}
         top["attenuation"] = {k: v for k, v in channel.items() if k in atten}
-    config = _build_section(ScenarioConfig, top, "", errors)
+    # a field that failed holds its default: no link is judged on that
+    config = _build_section(ScenarioConfig, top, "", errors, _skip_link_check=True)
     if errors:
         raise ConfigError(errors)
+    _check_links(config)
     return config
 
 
@@ -402,8 +400,11 @@ def _check_links(config: ScenarioConfig) -> None:
     half of the seeds or more.  The epochs are searched only when the
     worst link the scenario allows fails: the longest, from its lowest
     user at ``min_elevation_deg``, where the gas term is also largest.
-    The scenario's own links may never come that close."""
+    The scenario's own links may never come that close.  Nothing is
+    checked at ``min_elevation_deg`` 0, where the gas term has no bound."""
     el = config.min_elevation_deg
+    if el == 0.0:
+        return
     lowest_km = min(gu.altitude_km for gu in config.gus)
     try:
         median_amplitude(el, config.constellation.slant_range_km(el, lowest_km),

@@ -39,20 +39,9 @@ class RunReport:
 
 
 def link_rng(seed: int, epoch_index: int, sat_id: int, gu_id: int) -> np.random.Generator:
-    """Independent substream for one (epoch, link) pair: the generator of
-    ``default_rng(SeedSequence([seed, epoch_index, sat_id, gu_id]))``,
-    built from the uint32 words that ``SeedSequence`` derives from that
-    list (each int's little-endian 32-bit words, [0] for 0), which skips
-    its per-int conversion and ``default_rng``'s dispatch."""
-    words = []
-    for x in (seed, epoch_index, sat_id, gu_id):
-        if x < 0:
-            raise ValueError(f"link key {x} is negative")
-        words.append(x & 0xFFFF_FFFF)
-        while x := x >> 32:
-            words.append(x & 0xFFFF_FFFF)
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+    """Independent substream for one (epoch, link) pair."""
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, epoch_index, sat_id, gu_id]))
 
 
 def build_epoch_instance(config: ScenarioConfig, epoch_index: int,

@@ -131,7 +131,7 @@ def stacked_total_se(instance: EpochInstance, serving: np.ndarray,
     sinr, _ = _sinr(instance, serving, powers)
     se = list(map(math.log2, (1.0 + sinr).ravel().tolist()))
     n = sinr.shape[-1]
-    return list(map(sum, zip(*[iter(se)] * n))) if n else [0] * len(sinr)
+    return [sum(se[i * n:(i + 1) * n]) for i in range(len(sinr))]
 
 
 def great_circle_km(a: GroundUser, b: GroundUser) -> float:

@@ -172,16 +172,6 @@ def equal_power_beams(instance: EpochInstance,
             for i, members in served.items()}
 
 
-def _at_satellite(table: np.ndarray, sat: "int | np.ndarray", rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """``table[sat][rows, cols]`` of an S x U x U table, or with ``sat``
-    per leading row (K,), row k from ``table[sat[k]]``.  One satellite
-    indexes its own U x U table: the 3-index gather costs more."""
-    if np.ndim(sat):
-        return table[sat[:, None, None], rows, cols]
-    return table[sat][rows, cols]
-
-
 def hybrid_from_beamspace(instance: EpochInstance, sat: "int | np.ndarray",
                           idx: np.ndarray, beta: float | None = None) -> np.ndarray:
     """Hybrid mixers sqrt(eta) F of satellite row ``sat`` serving each
@@ -196,11 +186,10 @@ def hybrid_from_beamspace(instance: EpochInstance, sat: "int | np.ndarray",
     eta = P / tr(F^H (A^H A) F) makes the radiated product A F carry
     exactly the satellite power P without forming it.
     """
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    h_tilde = (math.sqrt(instance.boresight_gain)
-               * _at_satellite(instance.cross_terms, sat, rows, cols))
+    at = np.reshape(sat, (-1, 1, 1)), idx[:, :, None], idx[:, None, :]
+    h_tilde = math.sqrt(instance.boresight_gain) * instance.cross_terms[at]
     f = regularized_zf(h_tilde, instance.tx_power_w, beta)
-    gram = _at_satellite(instance.analog_gram, sat, rows, cols)
+    gram = instance.analog_gram[at]
     # tr(F^H (A^H A) F) = ||A F||_F^2
     total = np.sum(f.conj() * (gram @ f), axis=(1, 2)).real
     if np.any(total == 0.0):
@@ -248,8 +237,8 @@ def design_powers(instance: EpochInstance, sat: "int | np.ndarray", idx: np.ndar
     summed directly: after ZF nulling, a difference of the two totals
     would be rounding noise.  Each row of the stack rounds as a design on
     its own does."""
-    amp = np.abs(_at_satellite(instance.cross_terms, sat, rows[:, None],
-                               idx[:, None, :]) @ mixer) ** 2
+    at = np.reshape(sat, (-1, 1, 1)), rows[:, None], idx[:, None, :]
+    amp = np.abs(instance.cross_terms[at] @ mixer) ** 2
     mine = rows[:, None] == idx[:, None, :]  # user rows[r] is beam k's member
     # members by scatter: an any() along the short beam axis costs more
     member = np.zeros((len(idx), len(instance.gu_ids)), dtype=bool)

@@ -433,6 +433,11 @@ class TestCheckLinks:
             from_dict(self.UNDERFLOWING)
         check.assert_called_once()
 
+    def test_a_file_cannot_skip_it(self):
+        with pytest.raises(ConfigError) as err:
+            from_dict({**self.UNDERFLOWING, "_skip_link_check": True})
+        assert err.value.errors == ["_skip_link_check: unknown field"]
+
     @pytest.mark.parametrize("profile", ["desk", "full"])
     def test_epochs_are_searched_only_when_the_longest_link_fails(self, profile):
         # the bundled profiles pass on the constellation's longest link alone

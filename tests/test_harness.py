@@ -67,16 +67,6 @@ class TestLinkRng:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("key", [(0, 0, 0, 0), (1, 0, 2**32 - 1, 7),
-                                     (2**32, 3, 0, 2**32 - 1), (2**64 + 5, 2**32, 1, 0)])
-    def test_state_is_that_of_default_rng(self, key):
-        expected = np.random.default_rng(np.random.SeedSequence(list(key)))
-        assert link_rng(*key).bit_generator.state == expected.bit_generator.state
-
-    def test_negative_key_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            link_rng(1, 0, -1, 0)
-
 
 class TestBuildInstance:
     def test_instance_consistency(self):

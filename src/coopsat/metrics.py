@@ -120,18 +120,15 @@ def total_se(instance: EpochInstance, serving: np.ndarray,
 
 
 def stacked_total_se(instance: EpochInstance, serving: np.ndarray,
-                     powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[float]:
+                     powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """``total_se`` of each serving vector of a K x U stack, from the
     ``beam_powers`` of its beams stacked along a leading axis (K x S x U,
-    K x U, K x U), with the same bits: the per-user SEs are summed in row
-    order by Python's ``sum``, as ``total_se`` sums them (``np.cumsum``
-    would round differently from the compensated ``sum`` of Python 3.12
-    on).  Every served SINR of the stack is checked as ``user_metrics``
-    checks it."""
+    K x U, K x U), to rounding: ``np.log2`` may differ from ``total_se``'s
+    ``math.log2`` in the last bit, and ``np.sum`` adds in its own order.
+    Every served SINR of the stack is checked as ``user_metrics`` checks
+    it."""
     sinr, _ = _sinr(instance, serving, powers)
-    se = list(map(math.log2, (1.0 + sinr).ravel().tolist()))
-    n = sinr.shape[-1]
-    return [sum(se[i * n:(i + 1) * n]) for i in range(len(sinr))]
+    return np.log2(1.0 + sinr).sum(axis=-1)
 
 
 def great_circle_km(a: GroundUser, b: GroundUser) -> float:

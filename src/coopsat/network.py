@@ -31,7 +31,8 @@ scorer and the exhaustive oracle alike.  ``design_powers`` gives a
 satellite's powers for a stack of member sets in one call: for
 ``beam_powers`` one set per satellite, for the JHU greedy one per
 candidate, for the oracle the sets of one size of every satellite, with
-the satellite given per row.
+the satellite given per row.  ``KeptPowers`` keeps a greedy's powers and
+the signal and interference they give, updated commit by commit.
 """
 
 from __future__ import annotations
@@ -233,18 +234,24 @@ def design_powers(instance: EpochInstance, sat: "int | np.ndarray", idx: np.ndar
     (or of the satellite of each row, (K,)) serving each row of user rows
     ``idx`` (K x n) through ``mixer`` (K x n x n, or one n x n for every
     row): of all its beams, and at its members of the own beam and of the
-    other beams, zero elsewhere; K x len(rows) each.  The other beams are
-    summed directly: after ZF nulling, a difference of the two totals
-    would be rounding noise.  Each row of the stack rounds as a design on
-    its own does."""
+    other beams, zero elsewhere; K x len(rows) each.  Every member must be
+    one of ``rows``.  Own and intra power are evaluated at the member rows
+    alone: each design's n x n block of member rows by beams gives own
+    power on its diagonal, and intra power as the sum of each row with
+    its diagonal entry zeroed, over the same n beams as the total.  The
+    other beams are summed directly: after ZF nulling, a difference of
+    the two totals would be rounding noise.  Each row of the stack rounds
+    as a design on its own does."""
     at = np.reshape(sat, (-1, 1, 1)), rows[:, None], idx[:, None, :]
     amp = np.abs(instance.cross_terms[at] @ mixer) ** 2
-    mine = rows[:, None] == idx[:, None, :]  # user rows[r] is beam k's member
-    # members by scatter: an any() along the short beam axis costs more
-    member = np.zeros((len(idx), len(instance.gu_ids)), dtype=bool)
-    member[np.arange(len(idx))[:, None], idx] = True
-    intra = np.where(member[:, rows], np.where(mine, 0.0, amp).sum(axis=2), 0.0)
-    return amp.sum(axis=2), np.where(mine, amp, 0.0).sum(axis=2), intra
+    pos = np.zeros(len(instance.gu_ids), dtype=np.intp)
+    pos[rows] = np.arange(len(rows))
+    at = np.arange(len(idx))[:, None], pos[idx]  # each member's row of amp
+    block = amp[at]  # K x n x n: member b's row, beam c
+    own, intra = np.zeros((2, *amp.shape[:2]))
+    own[at] = np.diagonal(block, axis1=1, axis2=2)
+    intra[at] = np.where(np.eye(idx.shape[1], dtype=bool), 0.0, block).sum(axis=2)
+    return amp.sum(axis=2), own, intra
 
 
 def signal_and_interference(instance: EpochInstance, serving: np.ndarray,
@@ -270,3 +277,55 @@ def signal_and_interference(instance: EpochInstance, serving: np.ndarray,
     by_sat[idx] = np.where(instance.visible_mask[u], instance.gain_table[u, a] * at_user, 0.0)
     by_sat[idx + (a,)] = g0 * intra[idx]
     return signal, by_sat
+
+
+class KeptPowers:
+    """The ``beam_powers`` (L, own, intra) of a greedy schedule's beams,
+    iterated as that triple, with what the scorer derives from them kept
+    up to date commit by commit: ``signal`` and ``by_sat`` of
+    ``signal_and_interference``, and the products (S x S x U)
+    ``products[t, s, g]`` = G[g, s, t] L[t, g], t != s, of the power of
+    t's beams at a user g who would track s.  ``new_others`` is their sum
+    over t, in t order, which has the bits of the ``np.einsum("gst,tg->sg",
+    ...)`` of the same factors that it replaces."""
+
+    def __init__(self, instance: EpochInstance, serving: np.ndarray,
+                 power: np.ndarray, own: np.ndarray, intra: np.ndarray) -> None:
+        self.instance, self.power, self.own, self.intra = instance, power, own, intra
+        self.signal, self.by_sat = signal_and_interference(instance, serving, power, own, intra)
+        # G[g, s, t] (1 - I)[s, t] L[t, g], the einsum's factors, in one
+        # t-major array
+        self.products = np.multiply(instance.gain_table.transpose(2, 1, 0),
+                                    (1.0 - np.eye(len(power)))[:, :, None], order="C")
+        self.products *= power[:, None, :]
+
+    def __iter__(self):
+        return iter((self.power, self.own, self.intra))
+
+    @property
+    def new_others(self) -> np.ndarray:
+        """S x U: interference at each user g, tracking s, from every
+        satellite but s."""
+        return self.products.sum(axis=0)
+
+    def commit(self, serving: np.ndarray, i: int, j: int, total: np.ndarray,
+               own: np.ndarray, intra: np.ndarray) -> None:
+        """User row j joins satellite row i (``serving`` already says so),
+        whose beams redesigned on its members put ``total``, ``own`` and
+        ``intra`` (U each) at each user.  Only what that changes is
+        rewritten, each entry as the same product as afresh: column i of
+        ``by_sat`` at the served users, row j, the members' signal and
+        intra terms, and the t = i slice of the products."""
+        inst, g0 = self.instance, self.instance.boresight_gain
+        members = np.flatnonzero(serving == i)
+        self.power[i] = total
+        self.own[members], self.intra[members] = own[members], intra[members]
+        u = np.flatnonzero(serving >= 0)
+        self.by_sat[u, i] = np.where(inst.visible_mask[u, i],
+                                     inst.gain_table[u, serving[u], i] * total[u], 0.0)
+        self.by_sat[j] = np.where(inst.visible_mask[j], inst.gain_table[j, i] * self.power[:, j],
+                                  0.0)
+        self.signal[members] = g0 * self.own[members]
+        self.by_sat[members, i] = g0 * self.intra[members]
+        off = inst.gain_table[:, :, i].T * (1.0 - np.eye(len(self.power)))[i, :, None]
+        self.products[i] = off * total

@@ -55,7 +55,10 @@ batched ZF solve) and its flag set; a commit to s copies the winner's
 rows into the kept powers and clears it.  Until then s's candidates
 only leave the pool and the served users who see s only join, so the
 rows stay exact (AU's kept L sums beams in commit order, not user
-order: the same to rounding).  Each iteration scores every candidate in
+order: the same to rounding).  ``network.KeptPowers`` also keeps the
+signal and interference the scorer reads; a commit rewrites only the
+entries it changes, each the same product as afresh, so they keep their
+bits.  Each iteration scores every candidate in
 one set of numpy calls over the flat (candidate, affected user) entries,
 in ``np.nonzero``'s row-major order, and sums each satellite's block as
 a contiguous (candidates, users) array along its rows: the bits depend
@@ -79,12 +82,11 @@ user's visible satellite rows in increasing order, then unserved) are
 enumerated in ``itertools.product`` order, ``_BLOCK`` at a time, as a
 mixed-radix count over the users (the last fastest) turned into serving
 vectors by index arithmetic; those over a satellite's capacity are
-dropped.  One ``signal_and_interference`` call evaluates a block's
-stacked powers, and ``metrics.stacked_total_se`` sums each assignment's
-per-user SEs in row order, so every score has the bits
-``metrics.total_se`` gives it alone.  The first strictly greater score in
-enumeration order wins, so exact ties go to the assignment enumerated
-first, and a complete assignment beats an equally good partial one.
+dropped.  ``metrics.stacked_total_se`` scores a block in numpy, equal
+to ``metrics.total_se`` to rounding; the winner's total SE is derived
+again from its links.  The first strictly greater score in enumeration
+order wins, so exact ties go to the assignment enumerated first, and a
+complete assignment beats an equally good partial one.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ from typing import Iterator
 import numpy as np
 
 from . import metrics
-from .network import (EpochInstance, beam_powers, design_powers, equal_power_beams,
-                      equal_power_mixer, hybrid_beams, hybrid_from_beamspace,
-                      signal_and_interference)
+from .network import (EpochInstance, KeptPowers, beam_powers, design_powers,
+                      equal_power_beams, equal_power_mixer, hybrid_beams,
+                      hybrid_from_beamspace)
 
 
 class SchemeMode(str, Enum):
@@ -188,7 +190,7 @@ def preassign_single_visibility(instance: EpochInstance,
 
 
 def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
-                  powers: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  powers: KeptPowers,
                   designs: tuple[np.ndarray, ...], beta: float | None, unit: bool) -> None:
     """Fill the design rows of each satellite with candidates and a clear
     flag, and set the flag: g's unit beam added to the kept unit beams if
@@ -216,19 +218,17 @@ def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.n
 
 
 def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
-                 powers: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 designs: tuple[np.ndarray, ...]) -> np.ndarray:
+                 powers: KeptPowers, designs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Total-SE gain of every candidate link, given the kept ``powers``
-    (L, own, intra) and the filled candidate ``designs`` (own, intra,
-    total, designed); -inf off the candidates."""
+    and the filled candidate ``designs`` (own, intra, total, designed);
+    -inf off the candidates."""
     g0 = instance.boresight_gain
-    signal, by_sat = signal_and_interference(instance, serving, *powers)
+    signal, by_sat = powers.signal, powers.by_sat
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
     others = interference[:, None] - by_sat  # from every satellite but s
     # a new user tracking s sees the other satellites' current beams
-    off = instance.gain_table * (1.0 - np.eye(len(candidates)))
-    new_others = np.einsum("gst,tg->sg", off, powers[0])
+    new_others = powers.new_others
 
     # every (candidate, served user seeing its satellite) entry at once,
     # gathered by flat index
@@ -274,10 +274,10 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     # powers of the beams each mode scores with, kept across iterations
     # (not hybrid_beams, which traced runs count as the final-beam step)
     served = instance.served_map(serving)
-    powers = beam_powers(instance, served, {
+    powers = KeptPowers(instance, serving, *beam_powers(instance, served, {
         i: np.eye(len(m)) if unit else
         hybrid_from_beamspace(instance, i, np.array([m]), beta)[0]
-        for i, m in served.items()})
+        for i, m in served.items()}))
     designs = (*np.zeros((3, spare.size, *2 * serving.shape)), np.zeros_like(spare))
     own, intra, total, designed = designs
     records: list[TraceRecord] = []
@@ -301,10 +301,7 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         if committed:  # the winner's design has the committed beams' powers
             serving[j] = i
             pending[j] = False
-            members = np.flatnonzero(serving == i)
-            powers[0][i] = total[i, j]
-            powers[1][members] = own[i, j, members]
-            powers[2][members] = intra[i, j, members]
+            powers.commit(serving, i, j, total[i, j], own[i, j], intra[i, j])
             designed[i] = False
         else:
             spare[i] = False
@@ -424,7 +421,7 @@ def exhaustive_schedule(instance: EpochInstance, mode: "SchemeMode | str",
             continue
         serving, member = serving[feasible], member[feasible]
         se = metrics.stacked_total_se(instance, serving, cache.powers(serving, member))
-        k = max(range(len(se)), key=se.__getitem__)  # the first maximum
+        k = np.argmax(se)  # the first maximum
         if se[k] > best_se:
             best_se, best_links = se[k], serving[k]
     if best_links is None:  # cannot happen: the all-unserved combo is always feasible

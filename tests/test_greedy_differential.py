@@ -7,7 +7,8 @@ down different paths.  The scorer keeps its beams and candidate designs
 across iterations; JHU's scores are also checked bit for bit against
 ``reference_greedy.hybrid_gains``, which designs them again each time,
 and every mode's kept powers against beams designed afresh after every
-commit.
+commit, and the signal and interference kept with them against a fresh
+evaluation, bit for bit.
 """
 
 import math
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import instances, make_instance, mirror_first_satellite
+from conftest import instances, make_instance, mirror_first_satellite, same_bits
 from coopsat import scheduling
-from coopsat.network import EpochInstance, beam_powers, hybrid_from_beamspace
+from coopsat.network import (EpochInstance, beam_powers, hybrid_from_beamspace,
+                             signal_and_interference)
 from coopsat.scheduling import SchemeMode, greedy_schedule, preassign_single_visibility
 from reference_greedy import hybrid_gains, reference_greedy
 
@@ -104,6 +106,12 @@ def crowded_instance() -> EpochInstance:
         np.random.default_rng(42), n_sats=3, n_gus=6, n_beams=1,
         visible={100: (0, 1), 101: (0, 1, 2), 102: (0, 1, 2), 103: (),
                  104: (1, 2), 105: (0, 2)}))
+
+
+def many_satellites_instance() -> EpochInstance:
+    # users seeing up to ten satellites: numpy sums eight or more terms
+    # with several accumulators, so summation orders can be told apart
+    return make_instance(np.random.default_rng(43), n_sats=10, n_gus=12, n_beams=2)
 
 
 def checked_jhu_schedule(inst: EpochInstance, beta: float | None = None):
@@ -208,6 +216,42 @@ def test_kept_au_powers_equal_fresh_unit_beams_after_every_commit(inst):
         result = greedy_schedule(inst, SchemeMode.AU)
     if kept:
         assert_unit_powers(kept[0], result.links)
+
+
+def assert_fresh_scoring_state(powers, inst: EpochInstance, serving: np.ndarray) -> None:
+    """The signal and interference kept with ``powers``, and the
+    ``new_others`` their products give, have the bits of a fresh
+    ``signal_and_interference`` of the kept powers and of the einsum
+    over the whole gain table."""
+    signal, by_sat = signal_and_interference(inst, serving, *powers)
+    off = inst.gain_table * (1.0 - np.eye(len(inst.sat_ids)))
+    new_others = np.einsum("gst,tg->sg", off, powers.power)
+    assert same_bits(powers.signal, signal)
+    assert same_bits(powers.by_sat, by_sat)
+    assert same_bits(powers.new_others, new_others)
+
+
+@pytest.mark.parametrize("mode", [SchemeMode.AU, SchemeMode.JHU])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+@example(inst=tie_instance())
+@example(inst=crowded_instance())
+@example(inst=many_satellites_instance())
+def test_kept_scoring_state_equals_fresh_after_every_commit(mode, inst):
+    # a commit rewrites only the kept entries it changes; each scoring
+    # call, and the end of the run, sees them as computed afresh
+    scorer = scheduling._joint_gains
+    kept = []
+
+    def checking(instance, serving, candidates, powers, designs):
+        kept[:] = [powers]
+        assert_fresh_scoring_state(powers, instance, serving)
+        return scorer(instance, serving, candidates, powers, designs)
+
+    with mock.patch.object(scheduling, "_joint_gains", checking):
+        result = greedy_schedule(inst, mode)
+    if kept:
+        assert_fresh_scoring_state(kept[0], inst, result.links)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

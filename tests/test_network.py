@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import instances, make_instance
+from conftest import instances, make_instance, same_bits
 from coopsat.channel import vsat_gain_linear
 from coopsat.config import load_config
 from coopsat.harness import build_epoch_instance
+from coopsat.network import design_powers, equal_power_mixer, hybrid_from_beamspace
+from reference_powers import reference_design_powers
 
 
 @pytest.fixture
@@ -80,3 +83,51 @@ class TestGainTable:
         for epoch, t in enumerate(cfg.epochs.times()):
             inst = build_epoch_instance(cfg, epoch, t)
             assert np.array_equal(inst.gain_table, loop_gain_table(inst))
+
+
+def _design_cases(inst):
+    """(sat, idx, rows) of every member set of up to three users who see
+    a satellite: per satellite, at every user row and at the rows of the
+    users who see it, with the satellite given once and per row; and
+    every satellite's sets of one size in one stack, at every user row."""
+    every = np.arange(len(inst.gu_ids))
+    for m in range(1, 4):
+        sats, sets = [], []
+        for s, seen in enumerate(inst.visible_mask.T):
+            idx = np.array(list(itertools.combinations(np.flatnonzero(seen), m)),
+                           dtype=int).reshape(-1, m)
+            if not len(idx):
+                continue
+            for rows in (every, np.flatnonzero(seen)):
+                yield s, idx, rows
+                yield np.full(len(idx), s), idx, rows
+            sats.append(np.full(len(idx), s))
+            sets.append(idx)
+        if sets:
+            yield np.concatenate(sats), np.concatenate(sets), every
+
+
+@pytest.mark.parametrize("beta", [None, 0.0])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(inst=instances(max_gus=6))
+def test_design_powers_equal_per_beam_loop(beta, inst):
+    for sat, idx, rows in _design_cases(inst):
+        hybrid = hybrid_from_beamspace(inst, sat, idx, beta)
+        for mixer in (hybrid, equal_power_mixer(inst, idx.shape[1])):
+            got = design_powers(inst, sat, idx, mixer, rows)
+            want = reference_design_powers(inst, sat, idx, mixer, rows)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_design_powers_equal_per_beam_loop_at_many_beams(m):
+    # numpy sums eight or more beams with several accumulators, so the
+    # two must sum each member's other beams over the same n entries
+    inst = make_instance(np.random.default_rng(44), n_sats=2, n_gus=10, n_beams=10,
+                         visible={g: (0, 1) for g in range(100, 110)})
+    idx = np.array(list(itertools.combinations(range(10), m)))
+    for sat, rows in ((1, np.arange(10)), (np.arange(len(idx)) % 2, np.arange(10))):
+        for mixer in (hybrid_from_beamspace(inst, sat, idx), equal_power_mixer(inst, m)):
+            got = design_powers(inst, sat, idx, mixer, rows)
+            want = reference_design_powers(inst, sat, idx, mixer, rows)
+            assert all(same_bits(a, b) for a, b in zip(got, want))

@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .beamforming import analog_beamform, build_codebook, regularized_zf
 from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError, RfConfig,
-                      SmallScaleConfig, path_loss, small_scale, vsat_gain_dbi)
+                      SmallScaleConfig, small_scale, vsat_gain_dbi)
 from .config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
                      config_digest, load_config)
 from .geometry import (ConstellationConfig, GroundUser, LinkGeometry,
@@ -30,7 +30,7 @@ __all__ = [
     # channel
     "ArrayConfig", "AttenuationConfig", "LinkInvalidError",
     "RfConfig", "SmallScaleConfig",
-    "path_loss", "small_scale", "vsat_gain_dbi",
+    "small_scale", "vsat_gain_dbi",
     # beamforming
     "analog_beamform", "build_codebook", "regularized_zf",
     # network / scheduling / metrics

@@ -83,9 +83,18 @@ def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> np.ndarray:
         coeff = d_k.conj().swapaxes(1, 2) @ block[:, :, None]  # least squares
         combined = (d_k @ coeff)[:, :, 0]
 
+        # unit modulus: both parts times 1 / |x|, then times 1 / sqrt(N).
+        # numpy divides by a real d as (re + im * 0) and (im - re * 0)
+        # times 1 / d: the same bits, but for a -0.0 part, which the
+        # division may turn into +0.0.
         mod = np.abs(combined)
-        phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
-        beams[start:start + _BLOCK] = phases / math.sqrt(n)
+        parts = combined.view(float).reshape(*mod.shape, 2)
+        inverse = 1.0 / np.where(mod > 0.0, mod, 1.0)
+        parts[..., 0] *= inverse
+        parts[..., 1] *= inverse
+        combined[mod == 0.0] = 1.0
+        parts *= 1.0 / math.sqrt(n)
+        beams[start:start + _BLOCK] = combined
     return beams.reshape(h.shape)
 
 

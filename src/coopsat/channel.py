@@ -9,16 +9,19 @@ plus Rayleigh diffuse rays (Loo model).
 The noise power is folded into the large-scale amplitude, so all
 downstream SINR math uses unit noise power.
 
-An epoch's channels are drawn in two parts.  Each link's random draws
-come from its own substream, one link at a time (``path_loss``,
-``sample_ray_angles``, ``path_coefficients``).  ``large_scale_amplitude``
-then converts every link's path loss at once, and ``small_scale``
-synthesizes every link of the epoch at once, path-major: for each path
-in turn it builds that path's steering term of every link and adds it
-to the running sum.  Each element sees the same operations in the same
+An epoch's channels are drawn in two parts.  Only the random draws are
+made link by link: ``draw_links`` takes each link's draws from its own
+substream, in a fixed order, into one row of per-epoch arrays
+(``LinkDraws``).  Everything else runs once over every link of the
+epoch: ``path_loss``, ``sample_ray_angles`` and ``path_gains`` convert the
+draws, ``large_scale_amplitude`` the path losses, and ``small_scale``
+synthesizes the fading vectors path-major, taking the wavenumbers of
+every path of every link from one trig pass and then, for each path in
+turn, building that path's steering term of every link and adding it to
+the running sum.  Each element sees the same operations in the same
 order as a one-link-at-a-time loop, so the bits do not depend on how
-many links are batched.  Working memory stays O(links x elements):
-no links x paths x elements stack is built.
+many links are batched.  Working memory stays O(links x (elements +
+paths)): no links x paths x elements stack is built.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .geometry import _RADIANS_PER_DEGREE, _libm
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 BOLTZMANN_J_K = 1.380649e-23
@@ -35,8 +41,6 @@ BOLTZMANN_J_K = 1.380649e-23
 # Gain-beamwidth constant of a parabolic aperture: G ~ 30000 / theta_3dB^2
 # with theta in degrees.
 _APERTURE_GAIN_CONST = 30000.0
-
-_RADIANS_PER_DEGREE = math.pi / 180.0
 
 # The largest dB value whose linear ratio 10^(x/10) is a finite float.
 _MAX_DB = 10.0 * math.log10(sys.float_info.max)
@@ -185,85 +189,126 @@ def max_zenith_gas_db(min_elevation_deg: float) -> float:
     return _MAX_DB * math.sin(math.radians(min_elevation_deg))
 
 
-def steering_vectors(phi_deg, theta_deg, array: ArrayConfig,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Unit-norm planar-array steering vectors (P x N) for the azimuths
-    ``phi_deg`` and elevations ``theta_deg`` (P each) seen from the
-    array; written to ``out`` (C-contiguous, complex) when one is given.
+def _wavenumbers(phi_deg, theta_deg, array: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element phase steps, -2j pi d cos(theta) cos(phi) along x and
+    -2j pi d cos(theta) sin(phi) along y, of the directions at azimuths
+    ``phi_deg`` and elevations ``theta_deg`` (same shape, any), as
+    C-contiguous arrays.  The steps reuse their buffers: besides the two
+    results, one float array and one angle array are held."""
+    phi = np.multiply(phi_deg, _RADIANS_PER_DEGREE, order="C")
+    trig = np.multiply(theta_deg, _RADIANS_PER_DEGREE, order="C")
+    step = -2j * math.pi * array.element_spacing * np.cos(trig, out=trig)
+    kx = step * np.cos(phi, out=trig)
+    return kx, np.multiply(step, np.sin(phi, out=trig), out=step)
 
-    Element (p, q) maps to index p * n_y + q, matching the Kronecker
-    order of the 2D DFT codebook.  Each row is the outer product of one
-    exponential per array axis.  The cosines and sines come from
-    ``math`` (libm) one direction at a time: numpy's vectorized trig may
-    round differently from libm, and differently on another CPU, which
-    would move every channel bit.  The conversion to radians may be
-    vectorized: ``math.radians`` is one multiplication by ``pi / 180``.
-    The rows are scaled by multiplying the real and imaginary parts with
-    ``1 / sqrt(N)``: numpy divides a complex array by a real scalar
-    exactly so, while dividing the parts by ``sqrt(N)`` rounds
-    differently.
-    """
-    phi = (np.asarray(phi_deg, dtype=float) * _RADIANS_PER_DEGREE).tolist()
-    theta = (np.asarray(theta_deg, dtype=float) * _RADIANS_PER_DEGREE).tolist()
-    k = -2j * math.pi * array.element_spacing
-    cos_theta = np.fromiter(map(math.cos, theta), float, len(theta))
-    kx = k * cos_theta * np.fromiter(map(math.cos, phi), float, len(phi))
-    ky = k * cos_theta * np.fromiter(map(math.sin, phi), float, len(phi))
+
+def _steer(kx: np.ndarray, ky: np.ndarray, array: ArrayConfig,
+           out: np.ndarray) -> np.ndarray:
+    """Write the steering vectors of the wavenumbers ``kx``, ``ky`` (M
+    each) to the rows of ``out`` (M x N, C-contiguous, complex)."""
     ax = np.exp(kx[:, None] * np.arange(array.n_x))
     ay = np.exp(ky[:, None] * np.arange(array.n_y))
-    if out is None:
-        out = np.empty((len(phi), array.n_elements), dtype=complex)
     np.multiply(ax[:, :, None], ay[:, None, :],
-                out=out.reshape(len(phi), array.n_x, array.n_y))
+                out=out.reshape(len(kx), array.n_x, array.n_y))
     out.view(float)[...] *= 1.0 / math.sqrt(array.n_elements)
     return out
 
 
-def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Draw (azimuth, elevation) pairs for every diffuse ray.
+def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
+    """Unit-norm planar-array steering vectors (P x N) for the azimuths
+    ``phi_deg`` and elevations ``theta_deg`` (P each) seen from the
+    array.
 
-    Cluster centers are Laplacian around the direct-path direction, and
-    the rays of a cluster Laplacian around its center, both with scale
-    ``angle_spread_deg``.  One zero-mean call draws every cluster's
-    center offset followed by its ray offsets, which consumes the stream
-    as one call per cluster center and per ray would.  Adding the mean
-    afterwards keeps the bits: ``laplace`` returns ``loc +/- x``, and
-    ``0 +/- x`` is exact.
+    Element (p, q) maps to index p * n_y + q, matching the Kronecker
+    order of the 2D DFT codebook.  Each row is the outer product of one
+    exponential per array axis.  The conversion to radians is one
+    multiplication by ``pi / 180``, as ``math.radians`` does, and the
+    cosines and sines are numpy's, which at numpy 2.4.6 are libm's to
+    the bit (``tests/test_geometry.py`` checks it).  The rows are scaled
+    by multiplying the real and imaginary parts with ``1 / sqrt(N)``:
+    numpy divides a complex array by a real scalar exactly so, while
+    dividing the parts by ``sqrt(N)`` rounds differently.
     """
-    draws = rng.laplace(scale=cfg.angle_spread_deg,
-                        size=(cfg.n_clusters, cfg.n_rays + 1, 2))
-    centers = draws[:, :1] + (phi0_deg, theta0_deg)
-    return (draws[:, 1:] + centers).reshape(-1, 2)
+    kx, ky = _wavenumbers(phi_deg, theta_deg, array)
+    return _steer(kx, ky, array, np.empty((len(kx), array.n_elements), dtype=complex))
 
 
-def path_coefficients(cfg: SmallScaleConfig, rng: np.random.Generator) -> np.ndarray:
-    """Complex gains of one link's ``cfg.n_paths`` paths, direct path
-    first.
+@dataclass(frozen=True, eq=False)
+class LinkDraws:
+    """The random draws of L links, one row each, in the order every
+    link draws them from its own substream (see ``draw_links``)."""
 
-    Direct path: amplitude 10^(A/20), A ~ N(mean_db, std_db^2); diffuse
-    rays: Rayleigh amplitudes sharing ``multipath_power`` equally; all
-    phases uniform on [0, 2*pi).  Drawn after the link's path loss and
-    ray angles, in this order: direct amplitude and phase, then the ray
-    amplitudes and phases.
-    """
-    amp0_db = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
-    m0 = 10.0 ** (amp0_db / 20.0) * np.exp(2j * math.pi * rng.uniform())
-    n_rays = cfg.n_paths - 1
-    if not n_rays:
-        return np.array([m0])
-    per_ray_power = cfg.multipath_power / n_rays
-    amps = rng.rayleigh(scale=math.sqrt(per_ray_power / 2.0), size=n_rays)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_rays)
-    return np.concatenate(([m0], amps * np.exp(1j * phases)))
+    shadow_db: np.ndarray      # (L,) N(0, shadow_sigma_db^2)
+    offsets_deg: np.ndarray    # (L, C, R + 1, 2) Laplace, per cluster its
+                               # center's offset, then its rays'
+    direct_amp_db: np.ndarray  # (L,) N(direct_amp_mean_db, direct_amp_std_db^2)
+    direct_phase: np.ndarray   # (L,) U[0, 1), in turns
+    ray_amp: np.ndarray        # (L, P - 1) Rayleigh
+    ray_phase: np.ndarray      # (L, P - 1) U[0, 2 pi)
+
+
+def draw_links(rngs: list[np.random.Generator], cfg: SmallScaleConfig,
+               atten: AttenuationConfig) -> LinkDraws:
+    """Draw the channels of one link per generator of ``rngs``, link k
+    from the k-th one alone, in this order: its shadow fading; every
+    cluster's center offset followed by its ray offsets, all in one
+    zero-mean ``laplace`` call (which consumes the stream as one call per
+    center and per ray would), drawn even when the link has no rays; its
+    direct-path amplitude and phase; then, only if the rays carry power,
+    the ray amplitudes and phases.  Only the draws happen here, one link
+    after another; ``path_loss``, ``sample_ray_angles`` and ``path_gains``
+    convert them for every link at once."""
+    n_links, n_rays = len(rngs), cfg.n_paths - 1
+    draws = LinkDraws(np.empty(n_links), np.empty((n_links, cfg.n_clusters, cfg.n_rays + 1, 2)),
+                      np.empty(n_links), np.empty(n_links), np.empty((n_links, n_rays)),
+                      np.empty((n_links, n_rays)))
+    offsets_size = draws.offsets_deg.shape[1:]
+    ray_scale = math.sqrt(cfg.multipath_power / n_rays / 2.0) if n_rays else 0.0
+    for link, rng in enumerate(rngs):
+        draws.shadow_db[link] = rng.normal(0.0, atten.shadow_sigma_db)
+        draws.offsets_deg[link] = rng.laplace(scale=cfg.angle_spread_deg, size=offsets_size)
+        draws.direct_amp_db[link] = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
+        draws.direct_phase[link] = rng.uniform()
+        if n_rays:
+            draws.ray_amp[link] = rng.rayleigh(scale=ray_scale, size=n_rays)
+            draws.ray_phase[link] = rng.uniform(0.0, 2.0 * math.pi, size=n_rays)
+    return draws
+
+
+def sample_ray_angles(direct_deg: np.ndarray, offsets_deg: np.ndarray) -> np.ndarray:
+    """Arrival directions (L x C R x 2, azimuth and elevation in degrees)
+    of the diffuse rays of L links whose direct paths arrive from
+    ``direct_deg`` (L x 2), sampled with the zero-mean Laplace draws
+    ``LinkDraws.offsets_deg``: cluster centers around the direct path,
+    the rays of a cluster around its center.  Adding the means to the
+    zero-mean draws keeps the bits of drawing around them: ``laplace``
+    returns ``loc +/- x``, and ``0 +/- x`` is exact."""
+    n_links, n_clusters, n_offsets, _ = offsets_deg.shape
+    centers = offsets_deg[:, :, :1] + direct_deg[:, None, None, :]
+    return (offsets_deg[:, :, 1:] + centers).reshape(n_links, n_clusters * (n_offsets - 1), 2)
+
+
+def path_gains(draws: LinkDraws) -> np.ndarray:
+    """Complex gains (L x P) of every path of L links, direct path first.
+
+    Direct path: amplitude 10^(A/20), A ~ N(mean_db, std_db^2), with
+    Python's power (libm ``pow``), one value at a time: numpy's
+    vectorized power may round differently.  Diffuse rays: Rayleigh
+    amplitudes sharing ``multipath_power`` equally.  All phases uniform
+    on [0, 2 pi)."""
+    direct = (_libm(partial(pow, 10.0), draws.direct_amp_db / 20.0)
+              * np.exp(2j * math.pi * draws.direct_phase))
+    rays = draws.ray_amp * np.exp(1j * draws.ray_phase)
+    return np.concatenate((direct[:, None], rays), axis=1)
 
 
 def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
                 array: ArrayConfig) -> np.ndarray:
     """Small-scale fading vectors (L x N), with mean energy one, of L
     links whose paths arrive from ``angles`` (L x P x 2, azimuth and
-    elevation in degrees) with gains ``coefs`` (L x P, from
-    ``path_coefficients``).
+    elevation in degrees: the direct path's, then the rays'
+    ``sample_ray_angles`` gives if they carry power) with gains ``coefs``
+    (L x P, from ``path_gains``).
 
     The result is pinned bit for bit (golden digests, and
     ``tests/reference_channel.py``, the one-ray-at-a-time loop this
@@ -275,17 +320,19 @@ def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
     * the terms are added path after path, never by ``sum`` or
       ``np.add.reduce``, which may add them pairwise.
 
-    The loop runs over paths, each step on every link at once, so one
-    path's steering terms are held at a time: memory is O(L x N), never
-    an L x P x N stack.
+    The wavenumbers of every path of every link come from one trig pass
+    (P x L).  The loop then runs over paths, each step on every link at
+    once, so one path's steering terms are held at a time: memory is
+    O(L x (N + P)), never an L x P x N stack.
     """
     n_links, n_paths = coefs.shape
     if angles.shape != (n_links, n_paths, 2) or not n_paths:
         raise ValueError(f"expected path angles of shape {(n_links, n_paths, 2)} "
                          f"with at least one path, got {angles.shape}")
+    kx, ky = _wavenumbers(angles[:, :, 0].T, angles[:, :, 1].T, array)  # P x L each
 
     def path_term(p: int, out: np.ndarray) -> np.ndarray:
-        steering_vectors(angles[:, p, 0], angles[:, p, 1], array, out=out)
+        _steer(kx[p], ky[p], array, out)
         return np.multiply(coefs[:, p, None], out, out=out)
 
     # one term buffer for every path: a fresh L x N array per path can
@@ -298,26 +345,33 @@ def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
     return h
 
 
-def _clear_sky_loss_db(elevation_deg: float, slant_range_km: float, rf: RfConfig,
-                       atten: AttenuationConfig) -> tuple[float, float]:
-    """Free-space loss and cosecant-scaled gaseous absorption (dB) of a
-    link at ``elevation_deg`` above the user's horizon."""
-    if elevation_deg <= 0.0:
-        raise LinkInvalidError(
-            f"satellite below horizon (elevation {elevation_deg:.2f} deg)")
-    d_m = slant_range_km * 1e3
-    fspl = 20.0 * math.log10(4.0 * math.pi * d_m * rf.carrier_frequency_hz
-                             / SPEED_OF_LIGHT_M_S)
-    return fspl, atten.zenith_gas_db / math.sin(math.radians(elevation_deg))
+def clear_sky_loss_db(elevation_deg, slant_range_km, rf: RfConfig,
+                      atten: AttenuationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Free-space loss and cosecant-scaled gaseous absorption (dB) of
+    links at ``elevation_deg`` above the users' horizon and
+    ``slant_range_km`` away (same shape, any).  The first link at
+    elevation <= 0 is a ``LinkInvalidError``.  The logarithms are
+    Python's (libm), one at a time: numpy's ``log10`` may round
+    differently."""
+    elevation_deg = np.asarray(elevation_deg, dtype=float)
+    below = elevation_deg <= 0.0
+    if below.any():
+        raise LinkInvalidError("satellite below horizon "
+                               f"(elevation {elevation_deg[below][0]:.2f} deg)")
+    d_m = np.asarray(slant_range_km, dtype=float) * 1e3
+    fspl = 20.0 * _libm(math.log10, 4.0 * math.pi * d_m * rf.carrier_frequency_hz
+                        / SPEED_OF_LIGHT_M_S)
+    return fspl, atten.zenith_gas_db / np.sin(elevation_deg * _RADIANS_PER_DEGREE)
 
 
-def path_loss(elevation_deg: float, slant_range_km: float, rf: RfConfig,
-              atten: AttenuationConfig, rng: np.random.Generator) -> float:
-    """Large-scale path loss of a link in dB: free-space plus a shadow-fading
-    draw, cosecant-scaled gaseous absorption, and scintillation."""
-    fspl, gas = _clear_sky_loss_db(elevation_deg, slant_range_km, rf, atten)
-    shadow = float(rng.normal(0.0, atten.shadow_sigma_db))
-    return fspl + shadow + gas + atten.scintillation_db
+def path_loss(clear_sky: tuple[np.ndarray, np.ndarray], shadow_db,
+              atten: AttenuationConfig) -> np.ndarray:
+    """Large-scale path loss (dB) of links: the free-space loss plus
+    their shadow-fading draws ``shadow_db``, the gaseous absorption
+    (``clear_sky``, from ``clear_sky_loss_db``) and scintillation, added
+    in that order, whose rounding the result files pin."""
+    fspl, gas = clear_sky
+    return fspl + shadow_db + gas + atten.scintillation_db
 
 
 def median_amplitude(elevation_deg: float, slant_range_km: float, rf: RfConfig,
@@ -325,8 +379,8 @@ def median_amplitude(elevation_deg: float, slant_range_km: float, rf: RfConfig,
     """``large_scale_amplitude`` of a link at this geometry before its
     shadow-fading draw, a dB term of median 0: when this gain is out of
     the float range, so is the link's gain at half of its draws."""
-    fspl, gas = _clear_sky_loss_db(elevation_deg, slant_range_km, rf, atten)
-    return float(large_scale_amplitude(fspl + gas + atten.scintillation_db, rf))
+    clear_sky = clear_sky_loss_db(elevation_deg, slant_range_km, rf, atten)
+    return float(large_scale_amplitude(path_loss(clear_sky, 0.0, atten), rf))
 
 
 def vsat_gain_dbi(off_boresight_deg: float, rf: RfConfig) -> float:
@@ -360,8 +414,7 @@ def large_scale_amplitude(pl_total_db, rf: RfConfig) -> np.ndarray:
     first such gain.  The powers of ten are Python's (libm ``pow``), one
     at a time: numpy's vectorized power may round differently."""
     g_db = rf.satellite_antenna_gain_dbi - np.asarray(pl_total_db, dtype=float)
-    ratio = np.fromiter(map(_power_of_ten, (g_db / 10.0).ravel().tolist()),
-                        float, g_db.size).reshape(g_db.shape)
+    ratio = _libm(_power_of_ten, g_db / 10.0)
     with np.errstate(over="ignore"):
         gain = ratio / rf.noise_power_w
     for bad, problem in ((gain == math.inf, "overflows"), (gain == 0.0, "underflows")):

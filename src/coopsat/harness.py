@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .beamforming import analog_beamform, build_codebook
-from .channel import (large_scale_amplitude, path_coefficients, path_loss,
-                      sample_ray_angles, small_scale)
+from .channel import (clear_sky_loss_db, draw_links, large_scale_amplitude, path_gains,
+                      path_loss, sample_ray_angles, small_scale)
 from .config import ScenarioConfig, config_digest, to_dict
 from .geometry import ground_user_positions, link_geometry, propagate, visibility
 from .metrics import (ExperimentResult, density_classes, density_statistics,
@@ -49,7 +49,9 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     """Propagate, compute visibility, and realize every candidate link's
     channel and analog beam for one snapshot.  Each stage runs once over
     all of the epoch's links, except the random draws: each link draws
-    from its own substream, one link after another."""
+    from its own substream, one link after another, into rows of the
+    epoch's draw arrays.  A link below the horizon stops the build
+    before any draw."""
     gus = sorted(config.gus, key=lambda g: g.user_id)
     gu_ids = tuple(g.user_id for g in gus)
     states = propagate(config.constellation, t)
@@ -61,22 +63,19 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     rows, users = np.nonzero(visible.T)  # links by satellite, then user
     sats = active[rows]
     geom = link_geometry(states[sats], ground_user_positions(gus, t)[users])
-    n_paths = config.small_scale.n_paths
-    loss_db = np.empty(len(rows))
-    angles = np.empty((len(rows), n_paths, 2))
-    angles[:, 0, 0] = geom.azimuth_sat_deg
-    angles[:, 0, 1] = geom.elevation_sat_deg
-    coefs = np.empty((len(rows), n_paths), dtype=complex)
-    per_link = zip(states.satellite_id[sats].tolist(), np.array(gu_ids)[users].tolist(),
-                   vis.elevation_deg[sats, users].tolist(), geom.slant_range_km.tolist(),
-                   angles[:, 0].tolist())
-    for link, (sat_id, gu_id, elevation, slant, (phi, theta)) in enumerate(per_link):
-        rng = link_rng(config.seed, epoch_index, sat_id, gu_id)
-        loss_db[link] = path_loss(elevation, slant, config.rf, config.attenuation, rng)
-        # none of the rays if they carry no power
-        angles[link, 1:] = sample_ray_angles(phi, theta, config.small_scale,
-                                             rng)[:n_paths - 1]
-        coefs[link] = path_coefficients(config.small_scale, rng)
+    clear_sky = clear_sky_loss_db(vis.elevation_deg[sats, users], geom.slant_range_km,
+                                  config.rf, config.attenuation)
+    rngs = [link_rng(config.seed, epoch_index, sat_id, gu_id) for sat_id, gu_id in
+            zip(states.satellite_id[sats].tolist(), np.array(gu_ids)[users].tolist())]
+    draws = draw_links(rngs, config.small_scale, config.attenuation)
+    loss_db = path_loss(clear_sky, draws.shadow_db, config.attenuation)
+    direct = np.stack((geom.azimuth_sat_deg, geom.elevation_sat_deg), axis=1)
+    rays = sample_ray_angles(direct, draws.offsets_deg)
+    # none of the rays if they carry no power
+    angles = np.concatenate((direct[:, None], rays[:, :config.small_scale.n_paths - 1]),
+                            axis=1)
+    coefs = path_gains(draws)
+    del rngs, draws, rays  # freed before the synthesis and the analog stage
 
     h = small_scale(angles, coefs, config.small_scale, config.array)
     np.multiply(large_scale_amplitude(loss_db, config.rf)[:, None], h, out=h)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import reference_channel as ref
 from coopsat.beamforming import analog_beamform, build_codebook
-from coopsat.channel import ArrayConfig, RfConfig, path_coefficients, sample_ray_angles
+from coopsat.channel import ArrayConfig, RfConfig, sample_ray_angles
 from coopsat.network import EpochInstance
 
 
@@ -27,17 +28,17 @@ def rf():
 def draw_paths(directions, cfg, rng):
     """Path angles (L x P x 2) and gains (L x P) of links whose direct
     paths arrive from ``directions`` [(azimuth, elevation), ...], drawn
-    from ``rng`` one link after another as ``build_epoch_instance`` draws
-    each link after its path loss."""
-    n_paths = cfg.n_paths
-    angles = np.empty((len(directions), n_paths, 2))
-    coefs = np.empty((len(directions), n_paths), dtype=complex)
-    for link, (phi, theta) in enumerate(directions):
-        rays = sample_ray_angles(phi, theta, cfg, rng)
-        angles[link, 0] = phi, theta
-        angles[link, 1:] = rays[:n_paths - 1]
-        coefs[link] = path_coefficients(cfg, rng)
-    return angles, coefs
+    from ``rng`` one link after another, each as ``channel.draw_links``
+    draws it after its shadow fading: the Laplace offsets of its clusters
+    and rays in one call, then its path gains."""
+    offsets = np.empty((len(directions), cfg.n_clusters, cfg.n_rays + 1, 2))
+    coefs = np.empty((len(directions), cfg.n_paths), dtype=complex)
+    for link in range(len(directions)):
+        offsets[link] = rng.laplace(scale=cfg.angle_spread_deg, size=offsets.shape[1:])
+        coefs[link] = ref.path_coefficients(cfg, rng)
+    direct = np.array(directions, dtype=float).reshape(len(directions), 2)
+    rays = sample_ray_angles(direct, offsets)[:, :cfg.n_paths - 1]
+    return np.concatenate((direct[:, None], rays), axis=1), coefs
 
 
 def same_bits(a, b) -> bool:

@@ -1,9 +1,11 @@
 """Test-only reference geometry and analog stage, one item at a time.
 
 The loops the stacked ``coopsat.geometry.propagate``,
+``coopsat.geometry.ground_user_positions``,
 ``coopsat.geometry.link_geometry`` and ``coopsat.beamforming.
-analog_beamform`` replaced: one satellite, one link, one channel per
-call, on 3-vectors and single matrices.  The stacked code must
+analog_beamform`` replaced: one satellite, one user, one link, one
+channel per call, on 3-vectors and single matrices, with ``math``'s
+(libm) trigonometry.  The stacked code must
 reproduce these arrays bit for bit, so the differential tests compare
 them with ``same_bits``.
 """
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 
-from coopsat.geometry import ConstellationConfig
+from coopsat.geometry import (EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S, ConstellationConfig,
+                              GroundUser)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -52,6 +55,16 @@ def propagate(config: ConstellationConfig, t: float) -> list[tuple]:
             states.append((p * config.sats_per_plane + k, pos, vel,
                            np.array([x_b, np.cross(z_b, x_b), z_b])))
     return states
+
+
+def ground_user_position(gu: GroundUser, t: float) -> np.ndarray:
+    """Inertial position (km) of one ground user at time ``t``."""
+    lat = math.radians(gu.latitude_deg)
+    lon = math.radians(gu.longitude_deg) + EARTH_ROTATION_RAD_S * t
+    r = EARTH_RADIUS_KM + gu.altitude_km
+    return r * np.array([math.cos(lat) * math.cos(lon),
+                         math.cos(lat) * math.sin(lon),
+                         math.sin(lat)])
 
 
 def link_geometry(sat_position_km: np.ndarray, body_axes: np.ndarray,

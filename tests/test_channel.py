@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import reference_channel as ref
 from conftest import draw_paths, same_bits
 from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
-                             RfConfig, SmallScaleConfig, large_scale_amplitude,
-                             path_coefficients, path_loss, sample_ray_angles,
-                             small_scale, steering_vectors, vsat_gain_dbi)
+                             RfConfig, SmallScaleConfig, clear_sky_loss_db, draw_links,
+                             large_scale_amplitude, path_gains, path_loss,
+                             sample_ray_angles, small_scale, steering_vectors,
+                             vsat_gain_dbi)
 
 
 class TestSteeringVector:
@@ -35,9 +36,10 @@ class TestSteeringVector:
 
 
 class TestReferenceChannel:
-    """The batched draw against the one-ray-at-a-time loop it replaced:
-    ray angles, steering vectors and channels must be equal bit for
-    bit, since the result files pin them."""
+    """The per-epoch draw against the one-link, one-ray-at-a-time loop it
+    replaced: path losses, ray angles, path gains, steering vectors and
+    channels must be equal bit for bit, since the result files pin them,
+    and the draws must consume the stream in the same order."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_x=st.integers(1, 9), n_y=st.integers(1, 9),
@@ -45,35 +47,50 @@ class TestReferenceChannel:
            n_clusters=st.integers(1, 4), n_rays=st.integers(1, 12),
            multipath_db=st.sampled_from([-15.0, -3.0, -math.inf]),
            phi=st.floats(-180.0, 180.0), theta=st.floats(-90.0, 90.0),
+           elevation=st.floats(1e-3, 90.0), slant=st.floats(300.0, 5000.0),
            n_links=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     # the benchmark's shapes, which the strategy does not reach: 16x16
     # elements with 4 x 25 rays (wide-array) and 8x8 with 2 x 10 rays
     # (the desk and full profiles); and a single element with 4 x 3
     # rays, where np.add.reduce would add the 13 paths pairwise
     @example(n_x=16, n_y=16, spacing=0.5, n_clusters=4, n_rays=25,
-             multipath_db=-15.0, phi=-37.25, theta=71.5, n_links=3, seed=3)
+             multipath_db=-15.0, phi=-37.25, theta=71.5, elevation=23.5, slant=2400.0,
+             n_links=3, seed=3)
     @example(n_x=8, n_y=8, spacing=0.5, n_clusters=2, n_rays=10,
-             multipath_db=-15.0, phi=123.0, theta=48.75, n_links=1, seed=11)
+             multipath_db=-15.0, phi=123.0, theta=48.75, elevation=61.0, slant=1350.0,
+             n_links=1, seed=11)
     @example(n_x=1, n_y=1, spacing=0.5, n_clusters=4, n_rays=3,
-             multipath_db=-15.0, phi=5.0, theta=80.0, n_links=2, seed=0)
+             multipath_db=-15.0, phi=5.0, theta=80.0, elevation=10.0, slant=3500.0,
+             n_links=2, seed=0)
     def test_draw_equals_reference(self, n_x, n_y, spacing, n_clusters, n_rays,
-                                   multipath_db, phi, theta, n_links, seed):
+                                   multipath_db, phi, theta, elevation, slant, n_links,
+                                   seed):
         array = ArrayConfig(n_x=n_x, n_y=n_y, element_spacing=spacing)
         cfg = SmallScaleConfig(n_clusters=n_clusters, n_rays=n_rays,
                                multipath_power_db=multipath_db)
-        directions = [(phi - 7.0 * link, theta * (1.0 - 0.25 * link))
-                      for link in range(n_links)]
+        rf, atten = RfConfig(), AttenuationConfig()
+        links = range(n_links)
+        direct = np.array([(phi - 7.0 * k, theta * (1.0 - 0.25 * k)) for k in links])
+        elevations = np.array([elevation * (1.0 - 0.25 * k) for k in links])
+        slants = np.array([slant + 150.0 * k for k in links])
+        # every link drawn from one stream, so the order of the draws
+        # across links shows too
         new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        angles, coefs, ref_h = [], [], []
-        for d in directions:
-            rays = sample_ray_angles(*d, cfg, new_rng)
+        draws = draw_links([new_rng] * n_links, cfg, atten)
+        loss = path_loss(clear_sky_loss_db(elevations, slants, rf, atten),
+                         draws.shadow_db, atten)
+        rays = sample_ray_angles(direct, draws.offsets_deg)
+        angles = np.concatenate((direct[:, None], rays[:, :cfg.n_paths - 1]), axis=1)
+        coefs = path_gains(draws)
+        h = small_scale(angles, coefs, cfg, array)
+        for k, d in zip(links, direct.tolist()):
+            ref_loss = ref.path_loss(elevations[k], slants[k], rf, atten, ref_rng)
             ref_rays = ref.sample_ray_angles(*d, cfg, ref_rng)
-            assert same_bits(rays, ref_rays)
-            angles.append(np.vstack((d, rays))[:cfg.n_paths])
-            coefs.append(path_coefficients(cfg, new_rng))
-            ref_h.append(ref.small_scale(*d, ref_rays, cfg, array, ref_rng))
-        h = small_scale(np.array(angles), np.array(coefs), cfg, array)
-        assert same_bits(h, np.array(ref_h))
+            ref_coefs = ref.path_coefficients(cfg, ref_rng)
+            assert same_bits(loss[k:k + 1], np.array([ref_loss]))
+            assert same_bits(rays[k], ref_rays)
+            assert same_bits(coefs[k], ref_coefs)
+            assert same_bits(h[k], ref.small_scale(*d, ref_rays, ref_coefs, cfg, array))
         # both consumed the stream alike
         assert new_rng.uniform() == ref_rng.uniform()
         assert same_bits(steering_vectors([phi], [theta], array)[0],
@@ -125,6 +142,14 @@ class TestSmallScale:
         h = small_scale(np.zeros((0, cfg.n_paths, 2)),
                         np.zeros((0, cfg.n_paths), dtype=complex), cfg, default_array)
         assert h.shape == (0, default_array.n_elements)
+        draws = draw_links([], cfg, AttenuationConfig())
+        rays = sample_ray_angles(np.zeros((0, 2)), draws.offsets_deg)
+        assert rays.shape == (0, cfg.n_clusters * cfg.n_rays, 2)
+        assert path_gains(draws).shape == (0, cfg.n_paths)
+
+
+def no_shadow_loss(elevation_deg, slant_range_km, rf, atten):
+    return path_loss(clear_sky_loss_db(elevation_deg, slant_range_km, rf, atten), 0.0, atten)
 
 
 class TestPathLoss:
@@ -132,7 +157,7 @@ class TestPathLoss:
         # independent closed-form free-space loss
         atten = AttenuationConfig(zenith_gas_db=0.0, scintillation_db=0.0,
                                   shadow_sigma_db=0.0)
-        pl = path_loss(90.0, 1200.0, rf, atten, np.random.default_rng(0))
+        pl = no_shadow_loss(90.0, 1200.0, rf, atten)
         expected = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
         assert pl == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(180.05, abs=0.01)
@@ -140,20 +165,21 @@ class TestPathLoss:
 
     def test_doubling_range_adds_6db(self, rf):
         atten = AttenuationConfig(shadow_sigma_db=0.0)
-        p1 = path_loss(90.0, 800.0, rf, atten, np.random.default_rng(0))
-        p2 = path_loss(90.0, 1600.0, rf, atten, np.random.default_rng(0))
+        p1, p2 = no_shadow_loss(90.0, [800.0, 1600.0], rf, atten)
         assert p2 - p1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
     def test_cosecant_gas_scaling(self, rf):
         # same range, so only the gas term differs: csc 30 deg = 2 csc 90 deg
         atten = AttenuationConfig(shadow_sigma_db=0.0)
-        g90 = path_loss(90.0, 1200.0, rf, atten, np.random.default_rng(0))
-        g30 = path_loss(30.0, 1200.0, rf, atten, np.random.default_rng(0))
+        g90, g30 = no_shadow_loss([90.0, 30.0], 1200.0, rf, atten)
         assert g30 - g90 == pytest.approx(atten.zenith_gas_db, rel=1e-12)
 
     def test_total_is_additive(self, rf):
+        # the shadow fading is the first draw of the link's stream
         atten = AttenuationConfig()
-        pl = path_loss(45.0, 1200.0, rf, atten, np.random.default_rng(3))
+        draws = draw_links([np.random.default_rng(3)], SmallScaleConfig(), atten)
+        (pl,) = path_loss(clear_sky_loss_db([45.0], [1200.0], rf, atten),
+                          draws.shadow_db, atten)
         fspl = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
         shadow = np.random.default_rng(3).normal(0.0, atten.shadow_sigma_db)
         gas = atten.zenith_gas_db / math.sin(math.radians(45.0))
@@ -161,8 +187,11 @@ class TestPathLoss:
 
     def test_below_horizon_rejected(self, rf):
         with pytest.raises(LinkInvalidError):
-            path_loss(-1.0, 1200.0, rf, AttenuationConfig(),
-                      np.random.default_rng(0))
+            clear_sky_loss_db(-1.0, 1200.0, rf, AttenuationConfig())
+        # the first link at or below the horizon is named
+        with pytest.raises(LinkInvalidError,
+                           match=r"^satellite below horizon \(elevation 0\.00 deg\)$"):
+            clear_sky_loss_db([30.0, 0.0, -1.0], [1200.0] * 3, rf, AttenuationConfig())
 
 
 class TestVsatGain:

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import instances, make_instance, mirror_first_satellite, same_bits
 from coopsat import metrics, scheduling
@@ -85,15 +85,28 @@ def test_array_blocks_equal_product_blocks_over_several_blocks(options):
     assert_blocks_match_product(options)
 
 
+# Nine users of one satellite with nine beams, and eight satellites with
+# satellite 0 seen by all nine users: sets of eight or more members, whose
+# sums over beams numpy adds with several accumulators, unlike the sums
+# of fewer than eight terms the strategy's sets give.
+NINE_BEAMS = make_instance(np.random.default_rng(45), n_sats=1, n_gus=9, n_beams=9,
+                           visible={g: (0,) for g in range(100, 109)})
+EIGHT_SATELLITES = make_instance(
+    np.random.default_rng(46), n_sats=8, n_gus=9, n_beams=9,
+    visible={g: (0, 1 + k % 7, 1 + (k + 3) % 7) for k, g in enumerate(range(100, 109))})
+
+
 # The oracle designs the sets of one size of every satellite in one call,
 # the satellite given per row: each row must keep the bits of its set
 # designed alone, for the hybrid and the equal-power mixers alike.
 @pytest.mark.parametrize("beta", [None, 0.0, 0.5])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(inst=instances(max_gus=6))
+@example(inst=NINE_BEAMS)
+@example(inst=EIGHT_SATELLITES)
 def test_cross_satellite_design_equals_each_set_alone(beta, inst):
     rows = np.arange(len(inst.gu_ids))
-    for m in range(1, 4):
+    for m in range(1, max(3, inst.n_beams) + 1):
         sets = [(s, c) for s, seen in enumerate(inst.visible_mask.T)
                 for c in itertools.combinations(np.flatnonzero(seen).tolist(), m)]
         if not sets:

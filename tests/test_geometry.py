@@ -8,8 +8,7 @@ from conftest import same_bits
 from coopsat.config import load_config
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM, ConstellationConfig,
                               GroundUser, SatelliteState, elevation_deg,
-                              ground_user_position, ground_user_positions, link_geometry,
-                              propagate, visibility)
+                              ground_user_positions, link_geometry, propagate, visibility)
 
 
 def one_pair_elevation(sat_pos, gu_pos):
@@ -18,6 +17,26 @@ def one_pair_elevation(sat_pos, gu_pos):
     los = (sat_pos - gu_pos) / np.linalg.norm(sat_pos - gu_pos)
     zenith = gu_pos / np.linalg.norm(gu_pos)
     return math.degrees(math.asin(float(np.clip(np.dot(los, zenith), -1.0, 1.0))))
+
+
+def test_numpy_cos_and_sin_are_libm():
+    # The steering vectors, the orbits and the user positions take their
+    # cosines and sines from numpy on arrays, and the result files pin
+    # them with libm's: at numpy 2.4.6, float64 np.cos and np.sin call
+    # libm per value.  A numpy that vectorizes them may round otherwise,
+    # and then fails here first.  The values span the build's inputs:
+    # angles of +-360 degrees in radians, and the orbit phases of
+    # propagate (2 pi (slot / sats_per_plane + phasing) + n t) of
+    # low orbits over ten days.
+    rng = np.random.default_rng(2024)
+    n_max = ConstellationConfig(altitude_km=300.0).mean_motion_rad_s
+    x = np.concatenate((rng.uniform(-360.0, 360.0, 100_000) * (math.pi / 180.0),
+                        rng.uniform(0.0, 4.0 * math.pi + n_max * 864_000.0, 100_000)))
+    for fn, libm in ((np.cos, math.cos), (np.sin, math.sin)):
+        expected = np.fromiter(map(libm, x.tolist()), float, len(x))
+        assert same_bits(fn(x), expected), (
+            f"np.{fn.__name__} differs from libm's on "
+            f"{np.count_nonzero(fn(x) != expected)} of {len(x)} values")
 
 
 def test_single_sat_radius():
@@ -87,7 +106,7 @@ def test_zenith_link():
     states = propagate(cfg, 0.0)
     gu = GroundUser(0, 0.0, 0.0)
     assert visibility(states, [gu]).elevation_deg[0, 0] == pytest.approx(90.0)
-    geom = link_geometry(states[0], ground_user_position(gu, 0.0))
+    geom = link_geometry(states[0], ref_links.ground_user_position(gu, 0.0))
     assert geom.slant_range_km == pytest.approx(1200.0)
     assert np.allclose(geom.direction, [1.0, 0.0, 0.0])
     # user straight below the satellite: body-frame elevation is 90 degrees
@@ -103,7 +122,7 @@ def test_slant_range_spherical_law_of_cosines():
     t = math.radians(7.5) / relative_rate
     (sat,) = propagate(cfg, t)
     gu = GroundUser(0, 0.0, 0.0)
-    gu_pos = ground_user_position(gu, t)
+    gu_pos = ref_links.ground_user_position(gu, t)
     psi = math.acos(np.dot(gu_pos, sat.position_km)
                     / (np.linalg.norm(gu_pos) * np.linalg.norm(sat.position_km)))
     r_gu, r_sat = np.linalg.norm(gu_pos), cfg.radius_km
@@ -128,8 +147,8 @@ def test_link_geometry_keeps_the_two_position_bits(profile):
     geom = link_geometry(states[rows], ground_user_positions(gus, t)[users])
     for link, (s, u) in enumerate(zip(rows, users)):
         sat, gu = states[s], gus[u]
-        los = sat.position_km - ground_user_position(gu, t)
-        to_user = ground_user_position(gu, t) - sat.position_km
+        los = sat.position_km - ref_links.ground_user_position(gu, t)
+        to_user = ref_links.ground_user_position(gu, t) - sat.position_km
         d_body = sat.body_axes @ (to_user / np.linalg.norm(to_user))
         assert geom.slant_range_km[link] == float(np.linalg.norm(los))
         assert np.array_equal(geom.direction[link], los / np.linalg.norm(los))
@@ -140,8 +159,9 @@ def test_link_geometry_keeps_the_two_position_bits(profile):
 
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_stacked_geometry_equals_the_per_item_reference(profile):
-    # propagate and link_geometry over arrays keep every bit of the
-    # one-satellite and one-link loops they replaced
+    # propagate, ground_user_positions and link_geometry over arrays keep
+    # every bit of the one-satellite, one-user and one-link loops they
+    # replaced
     cfg = load_config(profile)
     gus = list(cfg.gus)
     for t in cfg.epochs.times()[::5] + [0.0, 86400.0]:
@@ -152,6 +172,7 @@ def test_stacked_geometry_equals_the_per_item_reference(profile):
             assert same_bits(getattr(states, field), np.array([r[column] for r in reference]))
         rows, users = np.nonzero(visibility(states, gus, cfg.min_elevation_deg, t).visible)
         gu_pos = ground_user_positions(gus, t)
+        assert same_bits(gu_pos, np.array([ref_links.ground_user_position(g, t) for g in gus]))
         geom = link_geometry(states[rows], gu_pos[users])
         expected = [ref_links.link_geometry(states.position_km[s], states.body_axes[s],
                                             gu_pos[u]) for s, u in zip(rows, users)]
@@ -180,7 +201,7 @@ def test_visibility_matches_one_pair_elevation(profile):
     for t in cfg.epochs.times()[::4]:
         states = propagate(cfg.constellation, t)
         sat_pos = np.array([s.position_km for s in states])
-        gu_pos = np.array([ground_user_position(g, t) for g in gus])
+        gu_pos = np.array([ref_links.ground_user_position(g, t) for g in gus])
         scalar = np.array([[one_pair_elevation(sp, gp) for gp in gu_pos]
                            for sp in sat_pos])
         # bit-equal, so the mask agrees even at the threshold
@@ -201,12 +222,12 @@ def test_visibility_threshold_is_inclusive():
     gu = GroundUser(0, 0.0, 0.0)  # at (R, 0, 0) at t = 0
     # on the local horizon: elevation exactly 0
     horizon = _parked([EARTH_RADIUS_KM, 3000.0, 0.0])
-    assert elevation_deg(horizon.position_km[0], ground_user_position(gu, 0.0)) == 0.0
+    assert elevation_deg(horizon.position_km[0], ref_links.ground_user_position(gu, 0.0)) == 0.0
     assert visibility(horizon, [gu], min_elevation_deg=0.0).per_gu[0] == {0}
     # a threshold equal to a link's elevation keeps the link, one ulp
     # above drops it
     sat = _parked([EARTH_RADIUS_KM + 900.0, 1500.0, 400.0])
-    elev = one_pair_elevation(sat.position_km[0], ground_user_position(gu, 0.0))
+    elev = one_pair_elevation(sat.position_km[0], ref_links.ground_user_position(gu, 0.0))
     assert 10.0 < elev < 90.0
     assert visibility(sat, [gu], min_elevation_deg=elev).visible.all()
     assert not visibility(sat, [gu], np.nextafter(elev, 90.0)).visible.any()
@@ -224,9 +245,9 @@ def test_walker_phasing_offset_equatorial():
 
 def test_ground_user_rotates_with_earth():
     gu = GroundUser(0, 0.0, 0.0)
-    p0 = ground_user_position(gu, 0.0)
+    p0 = ref_links.ground_user_position(gu, 0.0)
     sidereal_day = 2.0 * math.pi / 7.292115e-5
-    p1 = ground_user_position(gu, sidereal_day / 4.0)
+    p1 = ref_links.ground_user_position(gu, sidereal_day / 4.0)
     assert np.linalg.norm(p0) == pytest.approx(EARTH_RADIUS_KM)
     angle = math.degrees(math.acos(np.dot(p0, p1) / EARTH_RADIUS_KM**2))
     assert angle == pytest.approx(90.0, abs=1e-9)

@@ -114,6 +114,14 @@ def many_satellites_instance() -> EpochInstance:
     return make_instance(np.random.default_rng(43), n_sats=10, n_gus=12, n_beams=2)
 
 
+def many_beams_instance() -> EpochInstance:
+    # ten beams per satellite, all taken: the JHU designs grow to ten
+    # beams, and the served users seeing a satellite to eleven, so the
+    # sums over beams and over users are eight or more terms long
+    return make_instance(np.random.default_rng(44), n_sats=2, n_gus=12, n_beams=10,
+                         visible={g: (0, 1) for g in range(100, 112)})
+
+
 def checked_jhu_schedule(inst: EpochInstance, beta: float | None = None):
     """Run the JHU greedy, asserting at every iteration that the kept
     scorer's candidate scores equal the stateless recompute's bits.
@@ -138,6 +146,8 @@ def checked_jhu_schedule(inst: EpochInstance, beta: float | None = None):
 @given(inst=instances())
 @example(inst=tie_instance())
 @example(inst=crowded_instance())
+@example(inst=many_beams_instance())
+@example(inst=many_satellites_instance())
 def test_jhu_scores_equal_stateless_recompute(inst):
     checked_jhu_schedule(inst)
 

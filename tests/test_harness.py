@@ -13,10 +13,9 @@ import reference_links as ref_links
 from conftest import same_bits
 from coopsat import harness
 from coopsat.beamforming import build_codebook
-from coopsat.channel import ArrayConfig, large_scale_amplitude, path_loss
+from coopsat.channel import ArrayConfig, LinkInvalidError, large_scale_amplitude
 from coopsat.config import EpochGrid, ScenarioConfig, bundled_cities, from_dict, load_config
-from coopsat.geometry import (ConstellationConfig, GroundUser, ground_user_position,
-                              propagate, visibility)
+from coopsat.geometry import ConstellationConfig, GroundUser, propagate, visibility
 from coopsat.harness import build_epoch_instance, emit, link_rng, run
 from coopsat.scheduling import SchemeMode
 
@@ -101,6 +100,25 @@ class TestBuildInstance:
             "d82bbb1d5fe0d1e418054a1659acb0018db02b162cfb14f0496e74bb5187a317",
         ]
 
+    def test_link_below_horizon_stops_the_build_before_any_draw(self):
+        # a visible link at elevation <= 0 (reachable at min_elevation_deg
+        # 0) is a LinkInvalidError naming the first such link, raised
+        # before any link's substream is made
+        cfg = tiny_config()
+
+        def sinking(states, gus, min_elevation_deg, t):
+            vis = visibility(states, gus, min_elevation_deg, t)
+            (s1, u1), (s2, u2) = np.argwhere(vis.visible)[1:3]  # in link order
+            vis.elevation_deg[s1, u1], vis.elevation_deg[s2, u2] = -0.25, -0.75
+            return vis
+
+        with mock.patch.object(harness, "visibility", sinking), \
+             mock.patch.object(harness, "link_rng") as rng:
+            with pytest.raises(LinkInvalidError,
+                               match=r"^satellite below horizon \(elevation -0\.25 deg\)$"):
+                build_epoch_instance(cfg, 0, 0.0)
+        rng.assert_not_called()
+
     def test_identical_channels_for_any_scheme_subset(self):
         # channel realizations keyed by (seed, epoch, link): scheme list
         # cannot perturb them
@@ -135,12 +153,14 @@ def reference_build(config, epoch_index, t):
             if not vis.visible[s, u]:
                 continue
             slant, phi, theta, directions[u, i] = ref_links.link_geometry(
-                states.position_km[s], states.body_axes[s], ground_user_position(gu, t))
+                states.position_km[s], states.body_axes[s],
+                ref_links.ground_user_position(gu, t))
             rng = link_rng(config.seed, epoch_index, vis.sat_ids[s], gu.user_id)
-            loss_db = path_loss(float(vis.elevation_deg[s, u]), slant, config.rf,
-                                config.attenuation, rng)
+            loss_db = ref.path_loss(float(vis.elevation_deg[s, u]), slant, config.rf,
+                                    config.attenuation, rng)
             rays = ref.sample_ray_angles(phi, theta, config.small_scale, rng)
-            h_ss = ref.small_scale(phi, theta, rays, config.small_scale, config.array, rng)
+            coefs = ref.path_coefficients(config.small_scale, rng)
+            h_ss = ref.small_scale(phi, theta, rays, coefs, config.small_scale, config.array)
             channels[i, u] = large_scale_amplitude(loss_db, config.rf) * h_ss
             analog[i, u] = ref_links.analog_beamform(channels[i, u], codebook,
                                                      k=config.codewords)

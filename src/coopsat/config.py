@@ -16,18 +16,14 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import InitVar, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
-from .channel import (ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig,
-                      max_zenith_gas_db, median_amplitude)
-from .geometry import (ConstellationConfig, GroundUser, ground_user_positions,
-                       link_geometry, propagate, visibility)
+from .channel import ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig
+from .geometry import ConstellationConfig, GroundUser
 from .scheduling import SchemeMode
 
 CITY_DATASET = "cities_cn"
@@ -73,13 +69,10 @@ class ScenarioConfig:
     users have distinct labels and ids, and each field is in range.
     ``schemes`` may be given as names (repeats are dropped) and the
     top-level float fields as integers; the stored values are
-    ``SchemeMode``s and floats.  ``zenith_gas_db`` is also bounded at
-    ``min_elevation_deg`` (``channel.max_zenith_gas_db``), and no link of
-    the scenario may have a gain out of the float range before its
-    shadow-fading draw (``_check_links``).  Neither holds at
-    ``min_elevation_deg`` 0, where the cosecant has no bound: a link at
-    the horizon can then take the gas term out of the float range, and
-    ``run`` stops with an error."""
+    ``SchemeMode``s and floats.  ``min_elevation_deg`` is at least 5
+    degrees, where ITU-R P.676's cosecant law for the gaseous slant-path
+    loss still holds; with the sections' ranges it keeps every link's
+    gain inside the float range (see the ``channel`` docstring)."""
 
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
     gus: tuple[GroundUser, ...] = field(default_factory=lambda: bundled_cities(20))
@@ -95,10 +88,8 @@ class ScenarioConfig:
     codewords: int = 4
     beta: float | None = None  # None selects the large-system optimum
     tracked_labels: tuple[str, ...] = ()
-    # ``from_dict`` runs the link check itself, once every field passed
-    _skip_link_check: InitVar[bool] = False
 
-    def __post_init__(self, _skip_link_check: bool) -> None:
+    def __post_init__(self) -> None:
         # the types first: the range checks below compare the values
         errors = _type_errors(self)
         if errors:
@@ -126,14 +117,8 @@ class ScenarioConfig:
             errors.append("schemes: expected a non-empty list")
         if self.seed < 0:
             errors.append("seed: must be a non-negative integer")
-        if not 0.0 <= self.min_elevation_deg < 90.0:
-            errors.append("min_elevation_deg: must be in [0, 90)")
-        elif self.min_elevation_deg > 0.0:
-            limit = max_zenith_gas_db(self.min_elevation_deg)
-            if self.attenuation.zenith_gas_db > limit:
-                errors.append(f"channel.zenith_gas_db: must be <= {limit:.1f} at "
-                              f"min_elevation_deg {self.min_elevation_deg:g} (the gas "
-                              "term is zenith_gas_db / sin(elevation))")
+        if not 5.0 <= self.min_elevation_deg < 90.0:
+            errors.append("min_elevation_deg: must be in [5, 90)")
         if self.density_threshold_km <= 0.0:
             errors.append("density_threshold_km: must be > 0")
         if self.codewords < 1:
@@ -158,8 +143,6 @@ class ScenarioConfig:
         put("density_threshold_km", float(self.density_threshold_km))
         if self.beta is not None:
             put("beta", float(self.beta))
-        if not _skip_link_check:
-            _check_links(self)
 
 
 def bundled_cities(count: int | None = None) -> tuple[GroundUser, ...]:
@@ -200,9 +183,8 @@ _CHANNEL = ("small_scale", "attenuation")
 
 @cache
 def _field_types(cls) -> dict:
-    """Field name -> type of config dataclass ``cls``, init-only variables
-    left out.  The annotations are strings, and evaluating them took half
-    of a ``from_dict`` call."""
+    """Field name -> type of config dataclass ``cls``.  The annotations
+    are strings, and evaluating them took half of a ``from_dict`` call."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
 
@@ -244,15 +226,14 @@ def _mapping(value, where: str, errors: list[str]) -> dict:
     return {}
 
 
-def _build_section(cls, data: dict, prefix: str, errors: list[str], **init):
+def _build_section(cls, data: dict, prefix: str, errors: list[str]):
     """Build config dataclass ``cls`` from a mapping of its fields.  Each
     value maps as the field's annotation says: a config dataclass from a
     mapping, ``int`` from an integer, ``float`` from a finite number (or
     -inf or ``NO_RAYS`` for ``multipath_power_db``), ground users from
     ``gus`` rows; other values pass as given.  A value that does not map
     keeps its default.  Errors, the dataclass's own included, are
-    collected with their field paths (``prefix`` + name).  ``init`` is
-    passed to ``cls`` as given."""
+    collected with their field paths (``prefix`` + name)."""
     kinds = _field_types(cls)
     kwargs = {}
     for key, value in data.items():
@@ -275,10 +256,10 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str], **init):
         if len(errors) == n_errors:
             kwargs[key] = value
     try:
-        return cls(**kwargs, **init)
+        return cls(**kwargs)
     except ValueError as exc:
         errors.extend(prefix + e for e in getattr(exc, "errors", [str(exc)]))
-        return cls(**init)
+        return cls()
 
 
 def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
@@ -331,7 +312,7 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
                 label=str(row["label"]),
             ))
         except ValueError as exc:
-            errors.append(f"gus[{i}]: {exc}")
+            errors.append(f"gus[{i}].{exc}")
     return tuple(out)
 
 
@@ -348,11 +329,9 @@ def from_dict(data: dict) -> ScenarioConfig:
         atten = {f.name for f in fields(AttenuationConfig)}
         top["small_scale"] = {k: v for k, v in channel.items() if k not in atten}
         top["attenuation"] = {k: v for k, v in channel.items() if k in atten}
-    # a field that failed holds its default: no link is judged on that
-    config = _build_section(ScenarioConfig, top, "", errors, _skip_link_check=True)
+    config = _build_section(ScenarioConfig, top, "", errors)
     if errors:
         raise ConfigError(errors)
-    _check_links(config)
     return config
 
 
@@ -391,42 +370,6 @@ def to_dict(config: ScenarioConfig) -> dict:
         data["channel"]["multipath_power_db"] = NO_RAYS
     data["schemes"] = [s.value for s in config.schemes]
     return data
-
-
-def _check_links(config: ScenarioConfig) -> None:
-    """Raise ``ConfigError`` naming the first link of the scenario whose
-    gain is out of the float range before its shadow-fading draw
-    (``channel.median_amplitude``): ``run`` would stop on that link at
-    half of the seeds or more.  The epochs are searched only when the
-    worst link the scenario allows fails: the longest, from its lowest
-    user at ``min_elevation_deg``, where the gas term is also largest.
-    The scenario's own links may never come that close.  Nothing is
-    checked at ``min_elevation_deg`` 0, where the gas term has no bound."""
-    el = config.min_elevation_deg
-    if el == 0.0:
-        return
-    lowest_km = min(gu.altitude_km for gu in config.gus)
-    try:
-        median_amplitude(el, config.constellation.slant_range_km(el, lowest_km),
-                         config.rf, config.attenuation)
-        return
-    except ValueError:
-        pass
-    gus = list(config.gus)
-    for epoch, t in enumerate(config.epochs.times()):
-        states = propagate(config.constellation, t)
-        vis = visibility(states, gus, el, t)
-        rows, users = np.nonzero(vis.visible)
-        slant = link_geometry(states[rows], ground_user_positions(gus, t)[users])
-        for s, u, d in zip(rows.tolist(), users.tolist(), slant.slant_range_km.tolist()):
-            try:
-                median_amplitude(float(vis.elevation_deg[s, u]), d, config.rf,
-                                 config.attenuation)
-            except ValueError as exc:
-                raise ConfigError([
-                    f"channel: before shadow fading, the {exc} on the link from "
-                    f"satellite {vis.sat_ids[s]} to user {vis.gu_ids[u]} at epoch "
-                    f"{epoch} ({vis.elevation_deg[s, u]:.2f} deg, {d:.0f} km)"])
 
 
 def config_digest(config: ScenarioConfig) -> str:

@@ -27,12 +27,25 @@ _TWO_PI = 2.0 * math.pi
 _RADIANS_PER_DEGREE = math.pi / 180.0  # math.radians multiplies by it
 
 
+def _check_ranges(config, ranges: dict[str, tuple[float, float]]) -> None:
+    """Raise ``ValueError`` naming the first field of ``config`` outside
+    its closed range ``ranges[field]``.  A non-finite value is left to
+    ``ScenarioConfig``'s type check, which reports it first (and accepts
+    -inf for ``multipath_power_db``, the switch that turns the rays off)."""
+    for name, (lo, hi) in ranges.items():
+        value = getattr(config, name)
+        if math.isfinite(value) and not lo <= value <= hi:
+            raise ValueError(f"{name}: must be in [{lo:g}, {hi:g}]")
+
+
 @dataclass(frozen=True)
 class ConstellationConfig:
     """Walker-delta constellation of circular orbits.
 
     ``phasing_factor`` sets the inter-plane phase offset in units of
-    360 degrees / total satellite count.
+    360 degrees / total satellite count.  ``altitude_km`` runs from the
+    lowest circular orbit that lasts more than a few days (160 km) to
+    just above the geostationary altitude (35,786 km).
     """
 
     planes: int = 6
@@ -47,10 +60,8 @@ class ConstellationConfig:
             raise ValueError("planes: must be >= 1")
         if self.sats_per_plane < 1:
             raise ValueError("sats_per_plane: must be >= 1")
-        if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ValueError("inclination_deg: must be in [0, 180]")
-        if self.altitude_km <= 0.0:
-            raise ValueError("altitude_km: must be > 0")
+        _check_ranges(self, {"inclination_deg": (0.0, 180.0),
+                             "altitude_km": (160.0, 40000.0)})
 
     @property
     def total_sats(self) -> int:
@@ -63,15 +74,6 @@ class ConstellationConfig:
     @property
     def mean_motion_rad_s(self) -> float:
         return math.sqrt(EARTH_MU_KM3_S2 / self.radius_km**3)
-
-    def slant_range_km(self, elevation_deg: float,
-                       user_altitude_km: float = 0.0) -> float:
-        """Distance from a user at ``user_altitude_km`` (sea level by
-        default) to a satellite it sees at ``elevation_deg`` above its
-        horizon."""
-        el = math.radians(elevation_deg)
-        r = EARTH_RADIUS_KM + user_altitude_km
-        return math.sqrt(self.radius_km**2 - (r * math.cos(el))**2) - r * math.sin(el)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +103,9 @@ class SatelliteState:
 
 @dataclass(frozen=True)
 class GroundUser:
+    """A user on the ground, ``altitude_km`` above sea level: from the
+    Dead Sea shore (-0.43 km) to the summit of Everest (8.85 km)."""
+
     user_id: int
     latitude_deg: float
     longitude_deg: float
@@ -108,10 +113,9 @@ class GroundUser:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(f"latitude_deg out of range: {self.latitude_deg}")
+        _check_ranges(self, {"latitude_deg": (-90.0, 90.0), "altitude_km": (-0.5, 10.0)})
         if not -180.0 <= self.longitude_deg < 180.0:
-            raise ValueError(f"longitude_deg out of range: {self.longitude_deg}")
+            raise ValueError("longitude_deg: must be in [-180, 180)")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,8 @@ analog_beamform`` replaced: one satellite, one user, one link, one
 channel per call, on 3-vectors and single matrices, with ``math``'s
 (libm) trigonometry.  The stacked code must
 reproduce these arrays bit for bit, so the differential tests compare
-them with ``same_bits``.
+them with ``same_bits``.  ``slant_range_km`` gives a link's length in
+closed form from its elevation.
 """
 
 from __future__ import annotations
@@ -90,3 +91,13 @@ def analog_beamform(h: np.ndarray, codebook: np.ndarray, k: int) -> np.ndarray:
     mod = np.abs(combined)
     phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
     return phases / math.sqrt(n)
+
+
+def slant_range_km(config: ConstellationConfig, elevation_deg: float,
+                   user_altitude_km: float = 0.0) -> float:
+    """Distance from a user at ``user_altitude_km`` (sea level by default)
+    to a satellite of ``config`` it sees at ``elevation_deg`` above its
+    horizon."""
+    el = math.radians(elevation_deg)
+    r = EARTH_RADIUS_KM + user_altitude_km
+    return math.sqrt(config.radius_km**2 - (r * math.cos(el))**2) - r * math.sin(el)

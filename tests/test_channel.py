@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_channel as ref
+import reference_links as ref_links
 from conftest import draw_paths, same_bits
+from coopsat import harness
 from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
                              RfConfig, SmallScaleConfig, clear_sky_loss_db, draw_links,
                              large_scale_amplitude, path_gains, path_loss,
                              sample_ray_angles, small_scale, steering_vectors,
                              vsat_gain_dbi)
+from coopsat.config import from_dict
+from coopsat.geometry import ConstellationConfig
 
 
 class TestSteeringVector:
@@ -254,6 +259,54 @@ def test_config_validation():
         SmallScaleConfig(n_clusters=0)
     with pytest.raises(ValueError):
         AttenuationConfig(zenith_gas_db=-1.0)
-    for name in ("zenith_gas_db", "scintillation_db", "shadow_sigma_db"):
-        with pytest.raises(ValueError, match=f"^{name}: must be in"):
-            AttenuationConfig(**{name: 4000.0})
+
+
+class TestRangeCorners:
+    """The worst-case sum of the ``channel`` docstring: at the corners of
+    the fields' ranges, a link's gain before its shadow draw stays far
+    inside the float range."""
+
+    # the ends of the float range in dB: the smallest normal and the largest float
+    FLOAT_DB = (10.0 * math.log10(sys.float_info.min), 10.0 * math.log10(sys.float_info.max))
+    LOSS_RF = {"carrier_frequency_hz": 1e12, "bandwidth_hz": 1e11,
+               "noise_temperature_dbk": 50.0, "satellite_antenna_gain_dbi": 0.0}
+    LOSS_CHANNEL = {"zenith_gas_db": 100.0, "scintillation_db": 20.0}
+    GAIN_RF = {"carrier_frequency_hz": 1e8, "bandwidth_hz": 1e3,
+               "noise_temperature_dbk": 0.0, "satellite_antenna_gain_dbi": 70.0}
+    GAIN_CHANNEL = {"zenith_gas_db": 0.0, "scintillation_db": 0.0}
+
+    @pytest.mark.parametrize("rf,channel,elevation,sat_km,user_km,slant_km,gain_db", [
+        # the longest link: a satellite at 40,000 km seen at 5 degrees
+        # from -0.5 km, at the largest loss
+        (LOSS_RF, LOSS_CHANNEL, 5.0, 40000.0, -0.5, 45379.5, -1344.4),
+        # the shortest: from 160 km straight down to 10 km, at the least loss
+        (GAIN_RF, GAIN_CHANNEL, 90.0, 160.0, 10.0, 150.0, 152.6),
+    ], ids=["loss", "gain"])
+    def test_gain_before_the_shadow_draw(self, rf, channel, elevation, sat_km, user_km,
+                                         slant_km, gain_db):
+        rf, atten = RfConfig(**rf), AttenuationConfig(**channel)
+        slant = ref_links.slant_range_km(ConstellationConfig(altitude_km=sat_km), elevation,
+                                         user_km)
+        assert slant == pytest.approx(slant_km, abs=0.05)
+        amplitude = large_scale_amplitude(
+            path_loss(clear_sky_loss_db(elevation, slant, rf, atten), 0.0, atten), rf)
+        assert math.isfinite(amplitude) and amplitude > 0.0
+        g_db = 20.0 * math.log10(amplitude)
+        assert g_db == pytest.approx(gain_db, abs=0.05)
+        # over 1,700 dB from either end, past any shadow draw's ~275 dB
+        low, high = self.FLOAT_DB
+        assert g_db - low > 1700.0 and high - g_db > 1700.0
+
+    def test_scenario_at_the_loss_corner_runs_to_finite_se(self):
+        cfg = from_dict({
+            "constellation": {"altitude_km": 40000.0}, "min_elevation_deg": 5.0,
+            "gus": [{"lat": 30.0, "lon": 116.0, "alt_km": -0.5},
+                    {"lat": 32.0, "lon": 118.0, "alt_km": -0.5},
+                    {"lat": 35.0, "lon": 114.0, "alt_km": -0.5}],
+            "epochs": {"count": 1}, "rf": self.LOSS_RF, "channel": self.LOSS_CHANNEL})
+        report = harness.run(cfg)
+        assert len(report.results) == 3
+        for result in report.results:
+            assert math.isfinite(result.total_se)
+            assert all(u.serving_sat is not None and math.isfinite(u.se)
+                       for u in result.users)

@@ -4,7 +4,8 @@ from unittest import mock
 
 import pytest
 
-from coopsat import cli
+from coopsat import cli, harness
+from coopsat.channel import draw_links
 from coopsat.cli import EXIT_CONFIG, EXIT_OK, main
 from coopsat.config import from_dict, load_config
 from coopsat.scheduling import SchemeMode
@@ -62,7 +63,8 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     ("schemes: [1]\n", "schemes: unknown scheme 1"),
     ("schemes: [null]\n", "schemes: unknown scheme None"),
     ("schemes: [{}]\n", "schemes: unknown scheme {}"),
-    # dB fields whose linear value overflows
+    # fields past their physical ranges: far past, where the linear
+    # value overflows, and just past
     ("rf: {noise_temperature_dbk: 4000}\n", "rf.noise_temperature_dbk"),
     ("rf: {vsat_max_gain_dbi: 4000}\n", "rf.vsat_max_gain_dbi"),
     ("rf: {satellite_antenna_gain_dbi: 4000}\n", "rf.satellite_antenna_gain_dbi"),
@@ -70,19 +72,21 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     ("channel: {direct_amp_mean_db: 8000}\n", "channel.direct_amp_mean_db"),
     ("channel: {direct_amp_std_db: 1000}\n", "channel.direct_amp_std_db"),
     ("channel: {zenith_gas_db: 4000}\n", "channel.zenith_gas_db"),
-    # in range at the zenith, but not at the lowest elevation
     ("channel: {zenith_gas_db: 3000}\n", "channel.zenith_gas_db"),
     ("channel: {scintillation_db: 4000}\n", "channel.scintillation_db"),
     ("channel: {shadow_sigma_db: 4000}\n", "channel.shadow_sigma_db"),
-    # every term in range, but their sum underflows the gain of the
-    # longest link before any draw
     ("gus: {count: 80}\nepochs: {count: 4}\nchannel: {zenith_gas_db: 535}\n",
-     "channel: before shadow fading, the link gain of"),
-    # ... and of a link longer than a sea-level user can have
+     "channel.zenith_gas_db"),
     pytest.param("gus:\n" + "".join(f"  - {{lat: {30.0 + 0.5 * i}, lon: {100.0 + 3 * i}, "
                                    "alt_km: -3000.0}\n" for i in range(10))
                  + "epochs: {count: 24}\nchannel: {zenith_gas_db: 532.9}\n",
-                 "from satellite 24 to user 8 at epoch 5", id="below-sea-level"),
+                 "gus[0].altitude_km", id="below-sea-level"),
+    ("channel: {angle_spread_deg: -1.0}\n", "channel.angle_spread_deg"),
+    ("rf: {bandwidth_hz: 1.0e-300}\n", "rf.bandwidth_hz"),
+    ("rf: {tx_power_w: 1.0e-300}\n", "rf.tx_power_w"),
+    ("rf: {carrier_frequency_hz: 1.0e+300}\n", "rf.carrier_frequency_hz"),
+    ("min_elevation_deg: 0\n", "min_elevation_deg"),
+    ("constellation: {altitude_km: 40001}\n", "constellation.altitude_km"),
     # a divisor whose linear value is 0; a negative suppression or spread
     ("rf: {noise_temperature_dbk: -4000}\n", "rf.noise_temperature_dbk"),
     ("rf: {vsat_floor_suppression_db: -1}\n", "rf.vsat_floor_suppression_db"),
@@ -100,9 +104,9 @@ def test_invalid_field_exits_2(tmp_path, capsys, text, field, command):
 
 
 @pytest.mark.parametrize("channel", ["{multipath_power_db: -.inf}",
-                                     "{zenith_gas_db: 500}"])
+                                     "{zenith_gas_db: 100}"])
 def test_extreme_channel_field_validates_and_runs(tmp_path, channel):
-    # no diffuse rays; a gas term near the end of its range at 10 degrees
+    # no diffuse rays; the zenith gas loss at the end of its range
     path = tmp_path / "extreme.yaml"
     path.write_text(MINI_SCENARIO + f"channel: {channel}\n")
     assert main(["validate", str(path)]) == EXIT_OK
@@ -111,25 +115,32 @@ def test_extreme_channel_field_validates_and_runs(tmp_path, channel):
     assert from_dict(summary["config"]) == load_config(path)
 
 
-def test_overflowing_shadow_draw_exits_1(tmp_path, capsys):
-    # a valid spread whose draw overflows a link's gain at seed 4: an
-    # error line, no traceback
-    path = tmp_path / "shadow.yaml"
-    path.write_text(MINI_SCENARIO.replace("seed: 11", "seed: 4")
-                    + "channel: {shadow_sigma_db: 3000}\n")
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+def shadow_draw(shadow_db: float):
+    """``harness.draw_links`` with each epoch's first shadow-fading draw
+    set to ``shadow_db``: a draw no valid spread reaches, far past the
+    ~275 dB that a 20 dB spread can draw."""
+    def draws(rngs, cfg, atten):
+        out = draw_links(rngs, cfg, atten)
+        out.shadow_db[0] = shadow_db
+        return out
+    return mock.patch.object(harness, "draw_links", draws)
+
+
+def test_overflowing_shadow_draw_exits_1(scenario_file, tmp_path, capsys):
+    # the one run-time guard: an error line, no traceback
+    with shadow_draw(-4000.0):
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) \
+            == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: link gain of ") and "overflows" in err
 
 
-def test_underflowing_shadow_draw_exits_1(tmp_path, capsys):
-    # a draw that takes a link's gain below the float range at seed 7:
+def test_underflowing_shadow_draw_exits_1(scenario_file, tmp_path, capsys):
     # the error names the underflow, not the zero channel it leaves
-    path = tmp_path / "shadow.yaml"
-    path.write_text(MINI_SCENARIO.replace("seed: 11", "seed: 7")
-                    + "channel: {shadow_sigma_db: 3000}\n")
-    assert main(["validate", str(path)]) == EXIT_OK
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+    assert main(["validate", str(scenario_file)]) == EXIT_OK
+    with shadow_draw(4000.0):
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) \
+            == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: link gain of ") and "underflows" in err
 

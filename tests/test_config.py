@@ -6,18 +6,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from unittest import mock
-
 import pytest
 
 import coopsat
-from coopsat import config as config_module
-from coopsat.channel import (ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig,
-                             median_amplitude)
+from coopsat.channel import ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig
 from coopsat.config import (NO_RAYS, ConfigError, EpochGrid, ScenarioConfig,
                             bundled_cities, config_digest, from_dict, load_config,
                             to_dict)
-from coopsat.geometry import GroundUser
+from coopsat.geometry import ConstellationConfig, GroundUser
 from coopsat.scheduling import SchemeMode
 
 
@@ -159,15 +155,6 @@ class TestFromDict:
         # existing files keep their value
         assert type(data["constellation"]["altitude_km"]) is int
 
-    @pytest.mark.parametrize("section,key", [
-        ("rf", "noise_temperature_dbk"), ("rf", "vsat_max_gain_dbi"),
-        ("rf", "satellite_antenna_gain_dbi"), ("channel", "multipath_power_db"),
-        ("channel", "direct_amp_mean_db"), ("channel", "direct_amp_std_db")])
-    def test_large_db_field_with_a_finite_linear_value_accepted(self, section, key):
-        value = 100.0 if key == "direct_amp_std_db" else 3000.0
-        cfg = from_dict({section: {key: value}})
-        assert getattr(cfg.rf if section == "rf" else cfg.small_scale, key) == value
-
     def test_codewords_bounded_by_array(self):
         with pytest.raises(ConfigError) as err:
             from_dict({"array": {"n_x": 2, "n_y": 2}, "codewords": 5})
@@ -294,24 +281,65 @@ class TestFromDict:
             from_dict({"channel": {key: NO_RAYS}})
         assert f"channel.{key}: must be a finite number" in err.value.errors
 
-    @pytest.mark.parametrize("min_elevation,gas,ok", [
-        (10.0, 535.0, True), (10.0, 536.0, False), (10.0, 3000.0, False),
-        (45.0, 2000.0, True), (45.0, 2200.0, False),
-        # at 0 the cosecant has no bound: only the zenith range holds
-        (0.0, 3000.0, True)])
-    def test_zenith_gas_bounded_at_the_lowest_elevation(self, min_elevation, gas, ok):
-        # few enough users and epochs that no link underflows (TestCheckLinks)
-        data = {"min_elevation_deg": min_elevation, "channel": {"zenith_gas_db": gas},
-                "gus": {"count": 3}, "epochs": {"count": 1}}
-        if ok:
-            assert from_dict(data).attenuation.zenith_gas_db == gas
-            return
+
+def _scenario(path: str, value) -> dict:
+    """A scenario mapping that sets field ``path`` (``section.field``, or a
+    top-level field, or ``gus.<key>`` for one inline user) to ``value``."""
+    if path.startswith("gus."):
+        return {"gus": [{"lat": 30.0, "lon": 116.0, path[4:]: value}]}
+    section, _, key = path.rpartition(".")
+    return {section: {key: value}} if section else {path: value}
+
+
+class TestPhysicalRanges:
+    # (field path in a file, range, the path errors name it by)
+    RANGES = [
+        ("rf.carrier_frequency_hz", (1e8, 1e12), None),
+        ("rf.bandwidth_hz", (1e3, 1e11), None),
+        ("rf.noise_temperature_dbk", (0.0, 50.0), None),
+        ("rf.satellite_antenna_gain_dbi", (0.0, 70.0), None),
+        ("rf.vsat_max_gain_dbi", (0.0, 70.0), None),
+        ("rf.vsat_floor_suppression_db", (0.0, 60.0), None),
+        ("rf.tx_power_w", (1e-3, 1e5), None),
+        ("constellation.inclination_deg", (0.0, 180.0), None),
+        ("constellation.altitude_km", (160.0, 40000.0), None),
+        ("gus.lat", (-90.0, 90.0), "gus[0].latitude_deg"),
+        ("gus.alt_km", (-0.5, 10.0), "gus[0].altitude_km"),
+        ("channel.zenith_gas_db", (0.0, 100.0), None),
+        ("channel.scintillation_db", (0.0, 20.0), None),
+        ("channel.shadow_sigma_db", (0.0, 20.0), None),
+        ("channel.direct_amp_mean_db", (-40.0, 10.0), None),
+        ("channel.direct_amp_std_db", (0.0, 20.0), None),
+        ("channel.multipath_power_db", (-60.0, 10.0), None),
+        ("channel.angle_spread_deg", (0.0, 90.0), None),
+    ]
+
+    @pytest.mark.parametrize("path,ends,where", RANGES, ids=[r[0] for r in RANGES])
+    def test_each_end_accepted_and_one_step_past_rejected(self, path, ends, where):
+        lo, hi = ends
+        for value in ends:
+            from_dict(_scenario(path, value))
+        for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(ConfigError) as err:
+                from_dict(_scenario(path, value))
+            assert err.value.errors == [f"{where or path}: must be in [{lo:g}, {hi:g}]"]
+
+    def test_min_elevation_half_open(self):
+        assert from_dict({"min_elevation_deg": 5.0}).min_elevation_deg == 5.0
+        assert from_dict({"min_elevation_deg": math.nextafter(90.0, 0.0)})
+        for value in (math.nextafter(5.0, 0.0), 90.0, 0.0):
+            with pytest.raises(ConfigError) as err:
+                from_dict({"min_elevation_deg": value})
+            assert err.value.errors == ["min_elevation_deg: must be in [5, 90)"]
+
+    def test_python_built_sections_check_their_ranges(self):
+        with pytest.raises(ValueError, match=r"^altitude_km: must be in \[160, 40000\]$"):
+            ConstellationConfig(altitude_km=100.0)
+        with pytest.raises(ValueError, match=r"^altitude_km: must be in \[-0.5, 10\]$"):
+            GroundUser(0, 30.0, 116.0, altitude_km=-3000.0)
         with pytest.raises(ConfigError) as err:
-            from_dict(data)
-        limit = 3082.547 * math.sin(math.radians(min_elevation))
-        assert err.value.errors == [
-            f"channel.zenith_gas_db: must be <= {limit:.1f} at min_elevation_deg "
-            f"{min_elevation:g} (the gas term is zenith_gas_db / sin(elevation))"]
+            ScenarioConfig(min_elevation_deg=0.0)
+        assert err.value.errors == ["min_elevation_deg: must be in [5, 90)"]
 
 
 class TestYamlLoading:
@@ -373,90 +401,6 @@ class TestYamlLoading:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.split() == ["False", "True"]
-
-
-class TestCheckLinks:
-    # every field in range, but the gas term near 10 degrees plus the
-    # free-space loss underflows the gain of some link before any draw
-    UNDERFLOWING = {"gus": {"count": 80}, "epochs": {"count": 4},
-                    "channel": {"zenith_gas_db": 535}}
-    # the longest sea-level link passes, but these users' links are longer
-    BELOW_SEA_LEVEL = {
-        "gus": [{"lat": 30.0 + 0.5 * i, "lon": 100.0 + 3 * i, "alt_km": -3000.0}
-                for i in range(10)],
-        "epochs": {"count": 24}, "channel": {"zenith_gas_db": 532.9}}
-
-    def test_names_a_link_that_underflows_before_any_draw(self):
-        with pytest.raises(ConfigError) as err:
-            from_dict(self.UNDERFLOWING)
-        (message,) = err.value.errors
-        assert message.startswith("channel: before shadow fading, the link gain of ")
-        assert "dB underflows on the link from satellite " in message
-
-    def test_tries_the_longest_link_from_the_lowest_user(self):
-        with pytest.raises(ConfigError) as err:
-            from_dict(self.BELOW_SEA_LEVEL)
-        assert err.value.errors == [
-            "channel: before shadow fading, the link gain of -3238.8 dB underflows "
-            "on the link from satellite 24 to user 8 at epoch 5 (10.01 deg, 6218 km)"]
-
-    def test_python_built_scenario_is_checked(self):
-        # the 20 default cities over 10 epochs: the gas bound at 10 degrees
-        # holds, but one link's gain underflows
-        gas = AttenuationConfig(zenith_gas_db=535.0)
-        for build in (lambda: ScenarioConfig(attenuation=gas),
-                      lambda: replace(load_config("desk"), attenuation=gas),
-                      lambda: from_dict({"min_elevation_deg": 10.0,
-                                         "channel": {"zenith_gas_db": 535.0}})):
-            with pytest.raises(ConfigError) as err:
-                build()
-            (message,) = err.value.errors
-            assert "from satellite 15 to user 5 at epoch 1 " in message
-
-    @pytest.mark.parametrize("fault", [{"rf": {"tx_power_w": -1}}, {"beta": "0.5"},
-                                       {"seed": -1}], ids=["rf", "beta", "seed"])
-    def test_skipped_once_a_field_fails(self, fault):
-        # the failed field holds its default: no link is judged on it, and
-        # neither on the default scenario built in place of the rejected one
-        with mock.patch.object(config_module, "_check_links",
-                               wraps=config_module._check_links) as check, \
-                pytest.raises(ConfigError) as err:
-            from_dict({**self.UNDERFLOWING, **fault})
-        (message,) = err.value.errors
-        assert message.startswith(next(iter(fault)))
-        check.assert_not_called()
-
-    def test_runs_once_when_only_a_link_fails(self):
-        with mock.patch.object(config_module, "_check_links",
-                               wraps=config_module._check_links) as check, \
-                pytest.raises(ConfigError):
-            from_dict(self.UNDERFLOWING)
-        check.assert_called_once()
-
-    def test_a_file_cannot_skip_it(self):
-        with pytest.raises(ConfigError) as err:
-            from_dict({**self.UNDERFLOWING, "_skip_link_check": True})
-        assert err.value.errors == ["_skip_link_check: unknown field"]
-
-    @pytest.mark.parametrize("profile", ["desk", "full"])
-    def test_epochs_are_searched_only_when_the_longest_link_fails(self, profile):
-        # the bundled profiles pass on the constellation's longest link alone
-        with mock.patch.object(config_module, "propagate") as propagate:
-            load_config(profile)
-        propagate.assert_not_called()
-
-    def test_passes_when_no_link_of_the_scenario_comes_close(self):
-        # the longest link allowed underflows, but three users over two
-        # epochs see no satellite that low
-        data = {"constellation": {"planes": 2, "sats_per_plane": 4},
-                "gus": [{"lat": 30.0, "lon": 116.0}, {"lat": 32.0, "lon": 118.0},
-                        {"lat": 35.0, "lon": 114.0}],
-                "epochs": {"count": 2}, "seed": 11, "channel": {"zenith_gas_db": 535}}
-        config = from_dict(data)
-        with pytest.raises(ValueError, match="underflows"):
-            median_amplitude(
-                10.0, config.constellation.slant_range_km(10.0), config.rf,
-                config.attenuation)
 
 
 class TestDigest:

@@ -131,7 +131,7 @@ def test_slant_range_spherical_law_of_cosines():
     assert geom.slant_range_km == pytest.approx(expected, rel=1e-12)
     assert psi == pytest.approx(math.radians(7.5), abs=1e-9)
     elevation = visibility(propagate(cfg, t), [gu], 0.0, t).elevation_deg[0, 0]
-    assert cfg.slant_range_km(elevation) == pytest.approx(expected, rel=1e-9)
+    assert ref_links.slant_range_km(cfg, elevation) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("profile", ["desk", "full"])

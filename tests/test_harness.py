@@ -101,9 +101,9 @@ class TestBuildInstance:
         ]
 
     def test_link_below_horizon_stops_the_build_before_any_draw(self):
-        # a visible link at elevation <= 0 (reachable at min_elevation_deg
-        # 0) is a LinkInvalidError naming the first such link, raised
-        # before any link's substream is made
+        # a visible link at elevation <= 0 (no valid scenario's, whose
+        # min_elevation_deg is at least 5) is a LinkInvalidError naming
+        # the first such link, raised before any link's substream is made
         cfg = tiny_config()
 
         def sinking(states, gus, min_elevation_deg, t):

@@ -15,13 +15,11 @@ substream, in a fixed order, into one row of per-epoch arrays
 (``LinkDraws``).  Everything else runs once over every link of the
 epoch: ``path_loss``, ``sample_ray_angles`` and ``path_gains`` convert the
 draws, ``large_scale_amplitude`` the path losses, and ``small_scale``
-synthesizes the fading vectors path-major, taking the wavenumbers of
-every path of every link from one trig pass and then, for each path in
-turn, building that path's steering term of every link and adding it to
-the running sum.  Each element sees the same operations in the same
-order as a one-link-at-a-time loop, so the bits do not depend on how
-many links are batched.  Working memory stays O(links x (elements +
-paths)): no links x paths x elements stack is built.
+synthesizes the fading vectors: one trig pass gives the wavenumbers of
+every path of every link, and each link's channel is then one small
+matrix product of its paths' per-axis steering factors (the planar
+array's steering vectors are outer products of one factor per axis),
+batched over blocks of links.
 
 Every field that enters the link budget has a physical range, stated
 with its source on the config dataclass that holds it (``RfConfig``,
@@ -64,6 +62,11 @@ BOLTZMANN_J_K = 1.380649e-23
 # Gain-beamwidth constant of a parabolic aperture: G ~ 30000 / theta_3dB^2
 # with theta in degrees.
 _APERTURE_GAIN_CONST = 30000.0
+
+# Links per block of ``small_scale``: at 16 x 16 elements and 101 paths
+# a whole epoch at once raises the peak memory, larger blocks are no
+# faster.
+_BLOCK = 8
 
 
 class LinkInvalidError(ValueError):
@@ -209,8 +212,11 @@ def _wavenumbers(phi_deg, theta_deg, array: ArrayConfig) -> tuple[np.ndarray, np
     """Per-element phase steps, -2j pi d cos(theta) cos(phi) along x and
     -2j pi d cos(theta) sin(phi) along y, of the directions at azimuths
     ``phi_deg`` and elevations ``theta_deg`` (same shape, any), as
-    C-contiguous arrays.  The steps reuse their buffers: besides the two
-    results, one float array and one angle array are held."""
+    C-contiguous arrays.  The conversion to radians is one multiplication
+    by ``pi / 180``, as ``math.radians`` does, and the cosines and sines
+    are numpy's, libm's to the bit at numpy 2.4.6 (``tests/test_geometry.py``
+    checks it).  The steps reuse their buffers: besides the two results,
+    one float array and one angle array are held."""
     phi = np.multiply(phi_deg, _RADIANS_PER_DEGREE, order="C")
     trig = np.multiply(theta_deg, _RADIANS_PER_DEGREE, order="C")
     step = -2j * math.pi * array.element_spacing * np.cos(trig, out=trig)
@@ -218,35 +224,17 @@ def _wavenumbers(phi_deg, theta_deg, array: ArrayConfig) -> tuple[np.ndarray, np
     return kx, np.multiply(step, np.sin(phi, out=trig), out=step)
 
 
-def _steer(kx: np.ndarray, ky: np.ndarray, array: ArrayConfig,
-           out: np.ndarray) -> np.ndarray:
-    """Write the steering vectors of the wavenumbers ``kx``, ``ky`` (M
-    each) to the rows of ``out`` (M x N, C-contiguous, complex)."""
-    ax = np.exp(kx[:, None] * np.arange(array.n_x))
-    ay = np.exp(ky[:, None] * np.arange(array.n_y))
-    np.multiply(ax[:, :, None], ay[:, None, :],
-                out=out.reshape(len(kx), array.n_x, array.n_y))
-    out.view(float)[...] *= 1.0 / math.sqrt(array.n_elements)
+def _axis_factors(first, steps: np.ndarray, n: int) -> np.ndarray:
+    """``first * steps ** m`` for m = 0 .. n - 1, as ``(B, n, P)`` for
+    ``steps`` of shape ``(B, P)``: a running product of ``steps``, one
+    complex ``exp`` per path and axis rather than one per element.  Each
+    step multiplies whole (B, P) slices: ``np.cumprod`` along the short
+    element axis runs its loop row by row, several times slower."""
+    out = np.empty((steps.shape[0], n, steps.shape[1]), dtype=complex)
+    out[:, 0] = first
+    for m in range(1, n):
+        np.multiply(out[:, m - 1], steps, out=out[:, m])
     return out
-
-
-def steering_vectors(phi_deg, theta_deg, array: ArrayConfig) -> np.ndarray:
-    """Unit-norm planar-array steering vectors (P x N) for the azimuths
-    ``phi_deg`` and elevations ``theta_deg`` (P each) seen from the
-    array.
-
-    Element (p, q) maps to index p * n_y + q, matching the Kronecker
-    order of the 2D DFT codebook.  Each row is the outer product of one
-    exponential per array axis.  The conversion to radians is one
-    multiplication by ``pi / 180``, as ``math.radians`` does, and the
-    cosines and sines are numpy's, which at numpy 2.4.6 are libm's to
-    the bit (``tests/test_geometry.py`` checks it).  The rows are scaled
-    by multiplying the real and imaginary parts with ``1 / sqrt(N)``:
-    numpy divides a complex array by a real scalar exactly so, while
-    dividing the parts by ``sqrt(N)`` rounds differently.
-    """
-    kx, ky = _wavenumbers(phi_deg, theta_deg, array)
-    return _steer(kx, ky, array, np.empty((len(kx), array.n_elements), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,39 +314,41 @@ def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
     ``sample_ray_angles`` gives if they carry power) with gains ``coefs``
     (L x P, from ``path_gains``).
 
-    The result is pinned bit for bit (golden digests, and
-    ``tests/reference_channel.py``, the one-ray-at-a-time loop this
-    replaced), which fixes the order of the arithmetic:
+    A path from azimuth phi and elevation theta steers element (p, q)
+    of the n_x x n_y grid by exp(kx p + ky q) / sqrt(N), with kx and ky
+    from ``_wavenumbers``; element (p, q) is entry p * n_y + q, the
+    Kronecker order of the 2D DFT codebook.  So a link's channel, as an
+    n_x x n_y matrix, is AX^T diag(c * normalization / sqrt(N)) AY,
+    where AX (P x n_x) and AY (P x n_y) hold its paths' per-axis
+    factors: one matrix product per link, batched ``_BLOCK`` links at a
+    time, so working memory is O(L x P + block x P x (n_x + n_y)).  The
+    scale rides in the factors' first entries (``_axis_factors``): AX's
+    start at normalization / sqrt(N), AY's at the path gains c.
 
-    * each path's term is ``coef * steering``, coefficient first: numpy
-      may round the imaginary part of a complex product differently
-      with the operands swapped;
-    * the terms are added path after path, never by ``sum`` or
-      ``np.add.reduce``, which may add them pairwise.
-
-    The wavenumbers of every path of every link come from one trig pass
-    (P x L).  The loop then runs over paths, each step on every link at
-    once, so one path's steering terms are held at a time: memory is
-    O(L x (N + P)), never an L x P x N stack.
+    Each link's product is a BLAS call of the same shape and layout
+    alone as in any stack, so a link's channel has the same bits alone
+    as in any stack and at 1 or 2 BLAS threads (``tests/test_channel.py``
+    checks it at 16 x 16 elements with 101 paths, across block edges).
+    The paths are added in the BLAS kernel's order, so the channel
+    matches the one-path-at-a-time sum of ``tests/reference_channel.py``
+    to max |difference| <= 1e-12 ||h|| per link, not bit for bit, and
+    the pinned digests hold on the OpenBLAS kernel they were recorded
+    with only.
     """
     n_links, n_paths = coefs.shape
     if angles.shape != (n_links, n_paths, 2) or not n_paths:
         raise ValueError(f"expected path angles of shape {(n_links, n_paths, 2)} "
                          f"with at least one path, got {angles.shape}")
-    kx, ky = _wavenumbers(angles[:, :, 0].T, angles[:, :, 1].T, array)  # P x L each
-
-    def path_term(p: int, out: np.ndarray) -> np.ndarray:
-        _steer(kx[p], ky[p], array, out)
-        return np.multiply(coefs[:, p, None], out, out=out)
-
-    # one term buffer for every path: a fresh L x N array per path can
-    # cost more in page faults than its arithmetic
-    h = path_term(0, np.empty((n_links, array.n_elements), dtype=complex))
-    term = np.empty_like(h)
-    for p in range(1, n_paths):
-        h += path_term(p, term)
-    np.multiply(cfg.normalization, h, out=h)
-    return h
+    kx, ky = _wavenumbers(angles[:, :, 0], angles[:, :, 1], array)  # L x P each
+    steps_x, steps_y = np.exp(kx, out=kx), np.exp(ky, out=ky)
+    scale = cfg.normalization / math.sqrt(array.n_elements)
+    h = np.empty((n_links, array.n_x, array.n_y), dtype=complex)
+    for start in range(0, n_links, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        ax = _axis_factors(scale, steps_x[block], array.n_x)
+        ay = _axis_factors(coefs[block], steps_y[block], array.n_y)
+        np.matmul(ax, ay.swapaxes(1, 2), out=h[block])
+    return h.reshape(n_links, array.n_elements)
 
 
 def clear_sky_loss_db(elevation_deg, slant_range_km, rf: RfConfig,

@@ -47,6 +47,17 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def close_to_reference(h, reference, rtol=1e-12) -> bool:
+    """Equal shapes, and no entry of a channel (along the last axis) of
+    ``h`` off its reference's by more than ``rtol`` times the reference
+    channel's norm: the tolerance for channels whose paths are added in
+    another order than the reference's."""
+    if h.shape != reference.shape:
+        return False
+    worst = np.max(np.abs(h - reference), axis=-1, initial=0.0)
+    return bool(np.all(worst <= rtol * np.linalg.norm(reference, axis=-1)))
+
+
 def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
                   channel_scale=3.0, visible=None):
     """Random synthetic scheduling instance with consistent channels,

@@ -7,7 +7,9 @@ gains, one ``np.kron`` steering vector per path, and the diffuse rays
 added to the direct path one after another.  The trigonometry is
 ``math``'s (libm), one value at a time.  The per-epoch code must
 reproduce these arrays bit for bit, so the differential tests compare
-them with ``same_bits``.
+them with ``same_bits``, except the channels: ``coopsat.channel.
+small_scale`` adds the paths in another order, so they are compared to
+1e-12 of their norm (``conftest.close_to_reference``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ An epoch's channels are drawn in two parts.  Only the random draws are
 made link by link: ``draw_links`` takes each link's draws from its own
 substream, in a fixed order, into one row of per-epoch arrays
 (``LinkDraws``).  Everything else runs once over every link of the
-epoch: ``path_loss``, ``sample_ray_angles`` and ``path_gains`` convert the
+epoch, in numpy, so that a link has the same bits alone as in any
+stack: ``path_loss``, ``sample_ray_angles`` and ``path_gains`` convert the
 draws, ``large_scale_amplitude`` the path losses, and ``small_scale``
 synthesizes the fading vectors: one trig pass gives the wavenumbers of
 every path of every link, and each link's channel is then one small
@@ -50,11 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .geometry import _RADIANS_PER_DEGREE, _check_ranges, _libm
+from .geometry import _RADIANS_PER_DEGREE, _check_ranges
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 BOLTZMANN_J_K = 1.380649e-23
@@ -213,10 +213,9 @@ def _wavenumbers(phi_deg, theta_deg, array: ArrayConfig) -> tuple[np.ndarray, np
     -2j pi d cos(theta) sin(phi) along y, of the directions at azimuths
     ``phi_deg`` and elevations ``theta_deg`` (same shape, any), as
     C-contiguous arrays.  The conversion to radians is one multiplication
-    by ``pi / 180``, as ``math.radians`` does, and the cosines and sines
-    are numpy's, libm's to the bit at numpy 2.4.6 (``tests/test_geometry.py``
-    checks it).  The steps reuse their buffers: besides the two results,
-    one float array and one angle array are held."""
+    by ``pi / 180``, as ``math.radians`` does.  The steps reuse their
+    buffers: besides the two results, one float array and one angle array
+    are held."""
     phi = np.multiply(phi_deg, _RADIANS_PER_DEGREE, order="C")
     trig = np.multiply(theta_deg, _RADIANS_PER_DEGREE, order="C")
     step = -2j * math.pi * array.element_spacing * np.cos(trig, out=trig)
@@ -295,12 +294,10 @@ def sample_ray_angles(direct_deg: np.ndarray, offsets_deg: np.ndarray) -> np.nda
 def path_gains(draws: LinkDraws) -> np.ndarray:
     """Complex gains (L x P) of every path of L links, direct path first.
 
-    Direct path: amplitude 10^(A/20), A ~ N(mean_db, std_db^2), with
-    Python's power (libm ``pow``), one value at a time: numpy's
-    vectorized power may round differently.  Diffuse rays: Rayleigh
-    amplitudes sharing ``multipath_power`` equally.  All phases uniform
-    on [0, 2 pi)."""
-    direct = (_libm(partial(pow, 10.0), draws.direct_amp_db / 20.0)
+    Direct path: amplitude 10^(A/20), A ~ N(mean_db, std_db^2).  Diffuse
+    rays: Rayleigh amplitudes sharing ``multipath_power`` equally.  All
+    phases uniform on [0, 2 pi)."""
+    direct = (np.power(10.0, draws.direct_amp_db / 20.0)
               * np.exp(2j * math.pi * draws.direct_phase))
     rays = draws.ray_amp * np.exp(1j * draws.ray_phase)
     return np.concatenate((direct[:, None], rays), axis=1)
@@ -356,17 +353,15 @@ def clear_sky_loss_db(elevation_deg, slant_range_km, rf: RfConfig,
     """Free-space loss and cosecant-scaled gaseous absorption (dB) of
     links at ``elevation_deg`` above the users' horizon and
     ``slant_range_km`` away (same shape, any).  The first link at
-    elevation <= 0 is a ``LinkInvalidError``.  The logarithms are
-    Python's (libm), one at a time: numpy's ``log10`` may round
-    differently."""
+    elevation <= 0 is a ``LinkInvalidError``."""
     elevation_deg = np.asarray(elevation_deg, dtype=float)
     below = elevation_deg <= 0.0
     if below.any():
         raise LinkInvalidError("satellite below horizon "
                                f"(elevation {elevation_deg[below][0]:.2f} deg)")
     d_m = np.asarray(slant_range_km, dtype=float) * 1e3
-    fspl = 20.0 * _libm(math.log10, 4.0 * math.pi * d_m * rf.carrier_frequency_hz
-                        / SPEED_OF_LIGHT_M_S)
+    fspl = 20.0 * np.log10(4.0 * math.pi * d_m * rf.carrier_frequency_hz
+                           / SPEED_OF_LIGHT_M_S)
     return fspl, atten.zenith_gas_db / np.sin(elevation_deg * _RADIANS_PER_DEGREE)
 
 
@@ -375,30 +370,25 @@ def path_loss(clear_sky: tuple[np.ndarray, np.ndarray], shadow_db,
     """Large-scale path loss (dB) of links: the free-space loss plus
     their shadow-fading draws ``shadow_db``, the gaseous absorption
     (``clear_sky``, from ``clear_sky_loss_db``) and scintillation, added
-    in that order, whose rounding the result files pin."""
+    in that order."""
     fspl, gas = clear_sky
     return fspl + shadow_db + gas + atten.scintillation_db
 
 
-def vsat_gain_dbi(off_boresight_deg: float, rf: RfConfig) -> float:
-    """Narrow-beam user antenna gain versus off-boresight angle:
-    quadratic roll-off (3 dB down at the half-power angle), floored
-    ``vsat_floor_suppression_db`` below peak."""
-    if off_boresight_deg < 0.0:
+def vsat_gain_dbi(off_boresight_deg, rf: RfConfig) -> np.ndarray:
+    """Narrow-beam user antenna gain versus off-boresight angle (degrees,
+    any shape): quadratic roll-off (3 dB down at the half-power angle),
+    floored ``vsat_floor_suppression_db`` below peak.  A NaN angle gives
+    a NaN gain."""
+    angle = np.asarray(off_boresight_deg, dtype=float)
+    if np.any(angle < 0.0):
         raise ValueError("off_boresight_deg must be >= 0")
-    rolloff = 3.0 * (off_boresight_deg / rf.vsat_theta_3db_deg) ** 2
-    return rf.vsat_max_gain_dbi - min(rolloff, rf.vsat_floor_suppression_db)
+    rolloff = 3.0 * np.square(angle / rf.vsat_theta_3db_deg)
+    return rf.vsat_max_gain_dbi - np.minimum(rolloff, rf.vsat_floor_suppression_db)
 
 
-def vsat_gain_linear(off_boresight_deg: float, rf: RfConfig) -> float:
-    return 10.0 ** (vsat_gain_dbi(off_boresight_deg, rf) / 10.0)
-
-
-def _power_of_ten(x: float) -> float:
-    try:
-        return 10.0 ** x
-    except OverflowError:
-        return math.inf
+def vsat_gain_linear(off_boresight_deg, rf: RfConfig) -> np.ndarray:
+    return np.power(10.0, vsat_gain_dbi(off_boresight_deg, rf) / 10.0)
 
 
 def large_scale_amplitude(pl_total_db, rf: RfConfig) -> np.ndarray:
@@ -408,12 +398,10 @@ def large_scale_amplitude(pl_total_db, rf: RfConfig) -> np.ndarray:
     The user antenna gain depends on which satellite the user tracks, so
     it is applied at evaluation, not here.  A gain past the float range,
     or else one that underflows to 0, is a ``ValueError`` naming the
-    first such gain.  The powers of ten are Python's (libm ``pow``), one
-    at a time: numpy's vectorized power may round differently."""
+    first such gain."""
     g_db = rf.satellite_antenna_gain_dbi - np.asarray(pl_total_db, dtype=float)
-    ratio = _libm(_power_of_ten, g_db / 10.0)
     with np.errstate(over="ignore"):
-        gain = ratio / rf.noise_power_w
+        gain = np.power(10.0, g_db / 10.0) / rf.noise_power_w
     for bad, problem in ((gain == math.inf, "overflows"), (gain == 0.0, "underflows")):
         if bad.any():
             raise ValueError(f"link gain of {g_db[bad].flat[0]:.1f} dB {problem}")

@@ -5,11 +5,8 @@ Earth-centered frame.  Ground users sit on the rotating Earth (sidereal
 rate), so the time-varying network topology emerges from the relative
 motion without a full ephemeris stack.
 
-Satellites and links are computed as arrays, one row each, with the
-bits of the one-satellite and one-link arithmetic: products and norms
-of 3-vectors by the same BLAS calls (``_dot``, ``_matvec``), arcs by
-libm (``_libm``), cosines and sines by numpy, whose float64 cosines and
-sines are libm's.  The result files pin these bits.
+Satellites and links are computed as arrays, one row each, in plain
+numpy: a link rounds the same alone as in any stack.
 """
 
 from __future__ import annotations
@@ -165,35 +162,6 @@ def _rot_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _libm(fn, *args: np.ndarray) -> np.ndarray:
-    """``fn``, a scalar function of ``math`` or Python (libm), applied
-    element by element to same-shape arrays.  For the functions whose
-    numpy counterparts round differently: at numpy 2.4.6, ``np.arcsin``,
-    ``np.arctan2``, ``np.arccos``, ``np.log10`` and ``np.power`` differ
-    from libm on 8.4%, 7.3%, 9.4%, 14.5% and 5.3% of 10^6 values, and
-    may differ again on another CPU.  Its float64 ``np.cos`` and
-    ``np.sin`` are libm's, bit for bit (``tests/test_geometry.py``
-    checks it), so cosines and sines are numpy's."""
-    shape = np.shape(args[0])
-    values = map(fn, *(np.ravel(a).tolist() for a in args))
-    return np.fromiter(values, float, math.prod(shape)).reshape(shape)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis of broadcastable (..., 3) arrays, rounded
-    as ``np.dot`` of two vectors: the stacked 1x3 by 3x1 product calls
-    the same BLAS ddot, where ``einsum`` or ``sum`` round differently."""
-    a, b = np.broadcast_arrays(a, b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """matrices @ vectors over (..., 3, 3) and (..., 3) stacks, rounded
-    as one 3 x 3 matrix times one 3-vector: the stacked product calls
-    the same BLAS gemv for each pair."""
-    return np.matmul(matrices, vectors[..., None])[..., 0]
-
-
 def propagate(config: ConstellationConfig, t: float) -> SatelliteState:
     """Propagate every satellite of the constellation to time ``t`` (s).
 
@@ -215,14 +183,12 @@ def propagate(config: ConstellationConfig, t: float) -> SatelliteState:
                    + config.phasing_factor * plane / total) + n * dt
     cu, su = np.cos(u), np.sin(u)
     zero = np.zeros(total)
-    pos = _matvec(frames, np.stack([a * cu, a * su, zero], axis=1))
-    vel = _matvec(frames, np.stack([-a * n * su, a * n * cu, zero], axis=1))
+    pos = np.einsum("sij,sj->si", frames, np.stack([a * cu, a * su, zero], axis=1))
+    vel = np.einsum("sij,sj->si", frames, np.stack([-a * n * su, a * n * cu, zero], axis=1))
     z_b = -pos / a
-    x_b = vel - _dot(vel, z_b)[:, None] * z_b
-    x_b /= np.sqrt(_dot(x_b, x_b))[:, None]
-    # z_b x x_b, component by component as np.cross rounds it
-    (z0, z1, z2), (x0, x1, x2) = z_b.T, x_b.T
-    y_b = np.stack([z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0], axis=1)
+    x_b = vel - np.sum(vel * z_b, axis=1, keepdims=True) * z_b
+    x_b /= np.linalg.norm(x_b, axis=1, keepdims=True)
+    y_b = np.cross(z_b, x_b)
     return SatelliteState(satellite_id=np.arange(total), position_km=pos,
                           velocity_km_s=vel,
                           body_axes=np.stack([x_b, y_b, z_b], axis=1))
@@ -244,37 +210,28 @@ def elevation_deg(sat_position_km: np.ndarray,
     """Elevation of the satellite above the user's local horizon.
 
     Positions are (..., 3) arrays that broadcast against each other, so
-    S x 1 x 3 satellites against U x 3 users give an S x U array.  The
-    elevation of one link feeds its path loss, whose bits the result
-    files pin, so every step rounds as the one-pair arithmetic: norms
-    and dot products by BLAS ddot, and the arcsine by ``math.asin``
-    (``np.arcsin`` may differ in the last bit).
+    S x 1 x 3 satellites against U x 3 users give an S x U array.
     """
     gu = np.asarray(gu_position_km, dtype=float)
     los = np.asarray(sat_position_km, dtype=float) - gu
-    los = los / np.sqrt(_dot(los, los))[..., None]
-    zenith = gu / np.sqrt(_dot(gu, gu))[..., None]
-    sin_el = np.clip(_dot(los, zenith), -1.0, 1.0)
-    return np.degrees(_libm(math.asin, sin_el))
+    los = los / np.linalg.norm(los, axis=-1, keepdims=True)
+    zenith = gu / np.linalg.norm(gu, axis=-1, keepdims=True)
+    return np.degrees(np.arcsin(np.clip(np.sum(los * zenith, axis=-1), -1.0, 1.0)))
 
 
 def link_geometry(sats: SatelliteState, gu_position_km: np.ndarray) -> LinkGeometry:
     """Geometry of the links from the satellites ``sats`` to the users at
     ``gu_position_km`` (inertial, km), row for row: L satellites and an
     L x 3 array give L links; one satellite (``states[i]``) and one
-    3-vector give one link, with fields that have no link axis.  Each
-    link rounds as the one-link arithmetic: the norm of its line of
-    sight as ``np.linalg.norm`` (``_dot``), its body-frame coordinates
-    as ``body_axes @ v`` (``_matvec``), its angles by libm."""
+    3-vector give one link, with fields that have no link axis."""
     los = sats.position_km - np.asarray(gu_position_km, dtype=float)
-    slant = np.sqrt(_dot(los, los))
+    slant = np.linalg.norm(los, axis=-1)
     direction = los / slant[..., None]
 
-    # user direction expressed in the satellite body frame (negation is
-    # exact, so these are the bits of the normalized user - satellite)
-    d_body = _matvec(sats.body_axes, -direction)
-    theta = np.degrees(_libm(math.asin, np.clip(d_body[..., 2], -1.0, 1.0)))
-    phi = np.degrees(_libm(math.atan2, d_body[..., 1], d_body[..., 0]))
+    # user direction expressed in the satellite body frame
+    d_body = np.einsum("...ij,...j->...i", sats.body_axes, -direction)
+    theta = np.degrees(np.arcsin(np.clip(d_body[..., 2], -1.0, 1.0)))
+    phi = np.degrees(np.arctan2(d_body[..., 1], d_body[..., 0]))
     return LinkGeometry(slant_range_km=slant, azimuth_sat_deg=phi,
                         elevation_sat_deg=theta, direction=direction)
 

@@ -66,15 +66,15 @@ class NonFiniteSinrError(ValueError):
     """A SINR or a scheduling score evaluated to NaN or infinity."""
 
 
-def _sinr(instance: EpochInstance, serving: np.ndarray,
-          powers: tuple[np.ndarray, np.ndarray, np.ndarray]
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """SINR and total interference of every user of one serving vector,
-    or of a stack of them, from the ``beam_powers`` of their beams (see
-    ``network.signal_and_interference`` for the shapes); both are 0.0 at
-    an unserved user.  Raises ``NonFiniteSinrError`` naming the first
-    served user, in stack and then row order, whose SINR is NaN or
-    infinite."""
+def _evaluate(instance: EpochInstance, serving: np.ndarray,
+              powers: tuple[np.ndarray, np.ndarray, np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SINR, spectral efficiency log2(1 + SINR) and total interference of
+    every user of one serving vector, or of a stack of them, from the
+    ``beam_powers`` of their beams (see ``network.signal_and_interference``
+    for the shapes); all are 0.0 at an unserved user.  Raises
+    ``NonFiniteSinrError`` naming the first served user, in stack and then
+    row order, whose SINR is NaN or infinite."""
     signal, by_sat = signal_and_interference(instance, serving, *powers)
     interference = by_sat.sum(axis=-1)
     sinr = signal / (interference + 1.0)
@@ -84,12 +84,7 @@ def _sinr(instance: EpochInstance, serving: np.ndarray,
         raise NonFiniteSinrError(
             f"SINR of user {instance.gu_ids[where[-1]]} served by satellite "
             f"{instance.sat_ids[serving[where]]} is {sinr[where]}")
-    return sinr, interference
-
-
-def _spectral_efficiency(sinr: list[float]) -> list[float]:
-    """Per-user SE of one serving vector's SINRs, 0.0 at unserved users."""
-    return [math.log2(1.0 + x) for x in sinr]
+    return sinr, np.log2(1.0 + sinr), interference
 
 
 def user_metrics(instance: EpochInstance, serving: np.ndarray,
@@ -107,11 +102,11 @@ def user_metrics(instance: EpochInstance, serving: np.ndarray,
         raise ValueError(f"mixer shapes {shapes} do not match the user rows "
                          f"served by each satellite row, {served}")
 
-    sinr, interference = _sinr(instance, serving, beam_powers(instance, served, beams))
-    sinr = sinr.tolist()
-    return [UserMetrics(g, x, se, instance.sat_ids[a] if a >= 0 else None, i)
-            for g, a, x, se, i in zip(instance.gu_ids, serving.tolist(), sinr,
-                                      _spectral_efficiency(sinr), interference.tolist())]
+    sinr, se, interference = _evaluate(instance, serving,
+                                       beam_powers(instance, served, beams))
+    return [UserMetrics(g, x, e, instance.sat_ids[a] if a >= 0 else None, i)
+            for g, a, x, e, i in zip(instance.gu_ids, serving.tolist(), sinr.tolist(),
+                                     se.tolist(), interference.tolist())]
 
 
 def total_se(instance: EpochInstance, serving: np.ndarray,
@@ -123,12 +118,11 @@ def stacked_total_se(instance: EpochInstance, serving: np.ndarray,
                      powers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """``total_se`` of each serving vector of a K x U stack, from the
     ``beam_powers`` of its beams stacked along a leading axis (K x S x U,
-    K x U, K x U), to rounding: ``np.log2`` may differ from ``total_se``'s
-    ``math.log2`` in the last bit, and ``np.sum`` adds in its own order.
+    K x U, K x U), to rounding: each user's SE has the bits
+    ``user_metrics`` gives it, but ``np.sum`` adds them in its own order.
     Every served SINR of the stack is checked as ``user_metrics`` checks
     it."""
-    sinr, _ = _sinr(instance, serving, powers)
-    return np.log2(1.0 + sinr).sum(axis=-1)
+    return _evaluate(instance, serving, powers)[1].sum(axis=-1)
 
 
 def great_circle_km(a: GroundUser, b: GroundUser) -> float:

@@ -118,24 +118,14 @@ class EpochInstance:
     def gain_table(self) -> np.ndarray:
         """G[u, a, b]: linear user antenna gain toward satellite ``b``
         while user ``u`` tracks satellite ``a`` (U x S x S), zero unless
-        the user sees both.  The off-boresight angle is evaluated with the
-        scalar ``math.acos``, not ``np.arccos``, which may differ in the
-        last bit: the result files pin its values.  The table is symmetric
-        in (a, b), and so is ``np.dot``'s rounding, so each unordered pair
-        is evaluated once."""
-        n_s = len(self.sat_ids)
-        out = np.zeros((len(self.gu_ids), n_s, n_s))
-        users, sats = np.nonzero(self.visible_mask)
-        out[users, sats, sats] = self.boresight_gain
-        for u in np.flatnonzero(self.visible_mask.sum(axis=1) > 1):
-            seen = np.flatnonzero(self.visible_mask[u]).tolist()
-            dirs = list(self.directions[u, seen])
-            for k, a in enumerate(seen):
-                for d, b in zip(dirs[k + 1:], seen[k + 1:]):
-                    cos = min(max(float(np.dot(dirs[k], d)), -1.0), 1.0)  # NaN stays
-                    out[u, a, b] = out[u, b, a] = vsat_gain_linear(
-                        math.degrees(math.acos(cos)), self.rf)
-        return out
+        the user sees both; the boresight gain where a = b."""
+        d = self.directions
+        cos = np.clip(np.sum(d[:, :, None] * d[:, None], axis=-1), -1.0, 1.0)
+        gain = vsat_gain_linear(np.degrees(np.arccos(cos)), self.rf)
+        diagonal = np.arange(len(self.sat_ids))
+        gain[:, diagonal, diagonal] = self.boresight_gain
+        seen = self.visible_mask
+        return np.where(seen[:, :, None] & seen[:, None], gain, 0.0)
 
     def served_map(self, serving: np.ndarray) -> dict[int, list[int]]:
         """Rows of the users served by each satellite row that serves

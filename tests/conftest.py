@@ -48,10 +48,10 @@ def same_bits(a, b) -> bool:
 
 
 def close_to_reference(h, reference, rtol=1e-12) -> bool:
-    """Equal shapes, and no entry of a channel (along the last axis) of
+    """Equal shapes, and no entry of a vector (along the last axis) of
     ``h`` off its reference's by more than ``rtol`` times the reference
-    channel's norm: the tolerance for channels whose paths are added in
-    another order than the reference's."""
+    vector's norm.  The default is the tolerance for channels whose paths
+    are added in another order than the reference's."""
     if h.shape != reference.shape:
         return False
     worst = np.max(np.abs(h - reference), axis=-1, initial=0.0)

@@ -4,12 +4,15 @@ The per-link and per-ray loops the per-epoch ``coopsat.channel``
 functions replaced: each link's path loss with its shadow-fading draw,
 one ``laplace`` call per cluster center and per ray, the link's path
 gains, one ``np.kron`` steering vector per path, and the diffuse rays
-added to the direct path one after another.  The trigonometry is
-``math``'s (libm), one value at a time.  The per-epoch code must
-reproduce these arrays bit for bit, so the differential tests compare
-them with ``same_bits``, except the channels: ``coopsat.channel.
-small_scale`` adds the paths in another order, so they are compared to
-1e-12 of their norm (``conftest.close_to_reference``).
+added to the direct path one after another.  The trigonometry,
+logarithms and powers are ``math``'s and Python's (libm), one value at a
+time.  The per-epoch code must consume each stream as these do and
+reproduce the ray angles and ray gains bit for bit (``same_bits``).  It
+takes numpy's ``log10`` and ``power``, so the path losses and direct-path
+gains are compared to the tolerances ``TestReferenceChannel`` states, and
+``coopsat.channel.small_scale`` adds the paths in another order, so the
+channels are compared to 1e-12 of their norm
+(``conftest.close_to_reference``).
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ The loops the stacked ``coopsat.geometry.propagate``,
 ``coopsat.geometry.link_geometry`` and ``coopsat.beamforming.
 analog_beamform`` replaced: one satellite, one user, one link, one
 channel per call, on 3-vectors and single matrices, with ``math``'s
-(libm) trigonometry.  The stacked code must
-reproduce these arrays bit for bit, so the differential tests compare
-them with ``same_bits``.  ``slant_range_km`` gives a link's length in
+(libm) trigonometry.  The stacked geometry is plain numpy, so the
+differential tests compare it with these to the tolerances that
+``tests/test_geometry.py`` states; the analog beams must be equal bit
+for bit (``same_bits``).  ``slant_range_km`` gives a link's length in
 closed form from its elevation.
 """
 

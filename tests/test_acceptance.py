@@ -26,15 +26,16 @@ from conftest import beam_matrix, draw_paths, make_instance, serving_vector
 
 DESK_SEEDS = (1, 2, 3, 4, 5)
 
-# sha256 of the desk seed-1 result files, taken with numpy 2.4.6 and
-# its bundled OpenBLAS on its default (SkylakeX) kernel, the same at 1
-# and 2 BLAS threads; another OpenBLAS kernel (OPENBLAS_CORETYPE) may
+# sha256 of the desk seed-1 result files, taken with numpy 2.4.6 on its
+# AVX-512 loops and its bundled OpenBLAS on its default (SkylakeX)
+# kernel, the same at 1 and 2 BLAS threads; another OpenBLAS kernel
+# (OPENBLAS_CORETYPE) or numpy's AVX2 loops (NPY_DISABLE_CPU_FEATURES)
 # round differently.  A change that moves any output number must re-pin
 # these and say why.
 DESK_SEED1_SHA256 = {
-    "results.csv": "ae80a1bce1e11fd28491914c4356dca8d069e432535b86f33e33aa64e3c833c1",
-    "series.csv": "78af3a3fb9a86e9b7af69a7f7edd8f809bcb767c2ba3b365d7dfaaabcdf2eff7",
-    "summary.json": "0a6d08a85fa29411e4b067b25ce6f9b28296fdcdf91d0d72ad3be6611a33a03f",
+    "results.csv": "1ade058811bbea034b79496600534df68d1e5d34206c580db1d71e0c6037343c",
+    "series.csv": "26fffa1d7a934484023818878188e5887898ec577f7ac8758e4e64327560af9a",
+    "summary.json": "80e83e3f518d4967332ca6a66b39052b948ab3ab9c739a6991c0c83865ce0106",
 }
 
 

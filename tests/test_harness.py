@@ -96,8 +96,8 @@ class TestBuildInstance:
         digests = [hashlib.sha256(a[i, u].tobytes()).hexdigest()
                    for a in (inst.channels, inst.analog)]
         assert digests == [
-            "6580f7e0360f7f0afff84a41b71cb11189e020f3f2843267addfc68fa9437230",
-            "166a2b6d156c7172c527c1eec28e83e5ccb21e17aae9f4b8de9da7bcfa736272",
+            "bd17c73d9499d6ae9d958fd5eb9820c13c31d5403ad7ffd657f9118b03a7674b",
+            "5da5b3a6a1e8e0b64d74578e7bbe2b7238a10fb06a64a68c785d8fe758453f95",
         ]
 
     def test_link_below_horizon_stops_the_build_before_any_draw(self):
@@ -182,10 +182,11 @@ BUILD_SHAPES = {
 @pytest.mark.parametrize("shape", BUILD_SHAPES)
 def test_build_equals_per_link_reference(shape):
     # against the one-link-at-a-time loop on the same substreams: every
-    # direction bit is equal, every channel is within 1e-12 of its norm
-    # of the reference's (its paths are added in another order), and
-    # every analog beam has the bits of the reference beam of the
-    # channel the build made
+    # direction is within 2e-15 of the reference's (the geometry tests'
+    # tolerance), every channel within 1e-12 of its norm of the
+    # reference's (its paths are added in another order), and every
+    # analog beam has the bits of the reference beam of the channel the
+    # build made
     config = BUILD_SHAPES[shape]()
     codebook = build_codebook(config.array)
     for epoch_index, t in list(enumerate(config.epochs.times()))[:2]:
@@ -198,7 +199,9 @@ def test_build_equals_per_link_reference(shape):
             analog[i, u] = ref_links.analog_beamform(inst.channels[i, u], codebook,
                                                      k=config.codewords)
         assert same_bits(inst.analog, analog)
-        assert same_bits(inst.directions, directions)
+        assert close_to_reference(inst.directions[inst.visible_mask],
+                                  directions[inst.visible_mask], 2e-15)
+        assert not inst.directions[~inst.visible_mask].any()
 
 
 class TestRun:

@@ -1,13 +1,12 @@
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import beam_matrix, instances, make_instance, serving_vector, visible_sats
+from conftest import beam_matrix, instances, serving_vector, visible_sats
 from coopsat import metrics, network
 from coopsat.channel import RfConfig
 from coopsat.geometry import GroundUser
@@ -90,9 +89,9 @@ def assert_matches_oracle(inst, links, beams):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_stacked_total_se_equals_total_se(beams_of, data):
-    # the exhaustive search ranks assignments by these sums in numpy:
-    # np.log2 may differ from total_se's math.log2 in the last bit and
-    # np.sum adds in its own order, so they agree to rounding
+    # the exhaustive search ranks assignments by these sums: each user's
+    # SE has the bits user_metrics gives it (tests/test_stacking.py), but
+    # np.sum adds them in its own order, so they agree to rounding
     inst = data.draw(instances())
     cases = data.draw(st.lists(_served_on(inst), min_size=1, max_size=6))
     links = [serving_vector(inst, serving) for _, serving in cases]
@@ -103,28 +102,6 @@ def test_stacked_total_se_equals_total_se(beams_of, data):
     np.testing.assert_allclose(
         metrics.stacked_total_se(inst, np.stack(links), stacked),
         [metrics.total_se(inst, v, b) for v, b in zip(links, beams)], rtol=1e-13, atol=0.0)
-
-
-def test_spectral_efficiency_has_math_log2_bits():
-    # results.csv's se column, which the golden digests pin, is
-    # math.log2(1 + SINR); np.log2 differs from it in the last bit on a
-    # few SINRs (11 of these 100,000 draws with numpy 2.4.6 on x86-64,
-    # 33.03201616177742 the first), so only those SINRs can tell the two
-    x = np.random.default_rng(0).uniform(0.0, 1000.0, 100_000)
-    exact = np.array([math.log2(1.0 + v) for v in x.tolist()])
-    sinr = x[np.log2(1.0 + x) != exact].tolist()
-    if not sinr:
-        pytest.skip("np.log2 rounds as math.log2 at every drawn SINR here")
-    expected = [math.log2(1.0 + v) for v in sinr]
-    assert metrics._spectral_efficiency(sinr) == expected
-    # and through user_metrics, every user served with one of those SINRs
-    n = len(sinr)
-    inst = make_instance(np.random.default_rng(5), n_sats=1, n_gus=n, n_beams=n,
-                         visible={g: (0,) for g in range(100, 100 + n)})
-    with mock.patch.object(metrics, "_sinr", return_value=(np.array(sinr), np.zeros(n))):
-        users = metrics.user_metrics(inst, np.zeros(n, dtype=int),
-                                     {0: network.equal_power_mixer(inst, n)})
-    assert [u.se for u in users] == expected
 
 
 class TestSinrEvaluator:

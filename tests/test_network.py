@@ -75,7 +75,13 @@ class TestGainTable:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(inst=instances())
     def test_equals_the_loop(self, inst):
-        assert np.array_equal(inst.gain_table, loop_gain_table(inst))
+        # to a relative 1e-11: near boresight one ulp of the cosine moves
+        # a gain by up to ~7e-13 (the largest deviation seen with numpy
+        # 2.4.6 on x86-64, where the loop's np.dot and the table's sum
+        # rounded a cosine differently); the zeros are exact
+        table, loop = inst.gain_table, loop_gain_table(inst)
+        assert np.array_equal(table == 0.0, loop == 0.0)
+        np.testing.assert_allclose(table, loop, rtol=1e-11, atol=0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_equals_the_loop_on_desk(self, seed):

@@ -7,7 +7,7 @@ users cooperatively on a shared band.
 
 __version__ = "0.1.0"
 
-from .beamforming import analog_beamform, build_codebook, regularized_zf
+from .beamforming import analog_beamform, regularized_zf
 from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError, RfConfig,
                       SmallScaleConfig, small_scale, vsat_gain_dbi)
 from .config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
@@ -32,7 +32,7 @@ __all__ = [
     "RfConfig", "SmallScaleConfig",
     "small_scale", "vsat_gain_dbi",
     # beamforming
-    "analog_beamform", "build_codebook", "regularized_zf",
+    "analog_beamform", "regularized_zf",
     # network / scheduling / metrics
     "EpochInstance", "ScheduleResult",
     "SchemeMode", "greedy_schedule", "exhaustive_schedule",

@@ -20,47 +20,62 @@ import numpy as np
 
 from .channel import ArrayConfig
 
-# Channels per block of the analog stage (see ``analog_beamform``): at
-# 16 x 16 elements, larger blocks are no faster and raise peak memory.
-_BLOCK = 8
-
-
-def _dft_unitary(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(-2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
-
 
 @cache
-def build_codebook(array: ArrayConfig) -> np.ndarray:
-    """Unitary 2D DFT codebook (N x N), one codeword per column: the
-    Kronecker product of the 1D DFT codebooks of the two array axes.
-    Built once per array layout and shared, so it is read-only."""
-    codebook = np.kron(_dft_unitary(array.n_x), _dft_unitary(array.n_y))
-    codebook.flags.writeable = False
-    return codebook
+def _dft(n: int) -> np.ndarray:
+    """Unitary n-point DFT matrix; shared, so read-only."""
+    dft = np.fft.fft(np.eye(n), norm="ortho")
+    dft.flags.writeable = False
+    return dft
 
 
-def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> np.ndarray:
+def _top_codewords(h: np.ndarray, array: ArrayConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (L x k, increasing) of the top ``k`` codewords of each of
+    the channels ``h`` (L x N), and their least-squares coefficients."""
+    n_x, n_y, n = array.n_x, array.n_y, array.n_elements
+    coeffs = (_dft(n_x).conj().T @ (h.reshape(-1, n_x, n_y) @ _dft(n_y).conj())).reshape(-1, n)
+    scores = np.abs(coeffs) ** 2
+    top = np.argpartition(scores, n - k, axis=1)[:, n - k:]
+    rows = np.arange(len(h))[:, None]
+    kth = scores[rows, top].min(axis=1, keepdims=True)
+    for row in np.flatnonzero(np.count_nonzero(scores >= kth, axis=1) > k):
+        top[row] = np.argsort(-scores[row], kind="stable")[:k]  # lower index wins ties
+    top.sort(axis=1)
+    return top, coeffs[rows, top]
+
+
+def analog_beamform(h, array: ArrayConfig, k: int = 4) -> np.ndarray:
     """Constant-modulus analog beams (N entries of modulus 1/sqrt(N)) for
-    the channels ``h`` (..., N), one per channel, from the codewords
-    (columns) of ``codebook``.  One channel (N,) is the one-row case.
+    the channels ``h`` (..., N) of ``array``, one per channel, from the
+    codewords of its 2D DFT codebook D = kron(A, B), where A and B are
+    the unitary DFTs of the n_x and n_y axes.  One channel (N,) is the
+    one-row case.
 
-    Steps, per channel: rank codewords by |h^H d|^2 and keep the top
+    Steps, per channel: rank codewords by |d^H h|^2 and keep the top
     ``k`` (ties go to the lower index), least-squares combine them, then
     force every entry to modulus 1/sqrt(N) keeping only the phases.
     Entries that combine to exactly zero get phase zero.
 
-    The channels go through in blocks of ``_BLOCK``, so working memory is
-    O(block x N x k), never channels x N x N.  Each product is a stacked
-    matrix-vector product, which calls the BLAS gemv of the one-channel
-    product with the same memory layout, so a beam has the same bits
-    alone as in any stack; a stack-by-matrix product (``H.conj() @
-    codebook``) would call gemm and round differently.
+    With the channel as an n_x x n_y matrix H (entry p * n_y + q of h is
+    H[p, q]), codeword kx * n_y + ky scores |z[kx, ky]|^2 for
+    z = A^T conj(H) B: two small products per channel score them all.
+    They run as conj(z) = A^H H conj(B), whose entries are also the
+    least-squares coefficients d^H h, since D is unitary.  The top ``k``
+    come from a partition (sorting every row is 4x slower at N = 256); a
+    channel whose k-th score ties one outside it is ranked by a stable
+    sort instead.  The chosen codewords combine from their per-axis
+    columns: A[:, kx] times the coefficients (n_x x k), times B[:, ky]^T
+    (k x n_y).
+
+    Every product is a stacked ``np.matmul``, one BLAS call of the same
+    shape per channel, so a beam has the same bits alone as in any
+    stack; it matches the one-channel construction with the N x N
+    codebook (``tests/reference_links.py``) to rounding, not bit for bit.
     """
     h = np.asarray(h)
-    n = codebook.shape[0]
+    n = array.n_elements
     if h.shape[-1:] != (n,):
-        raise ValueError(f"channel length {h.shape} does not match codebook size {n}")
+        raise ValueError(f"channel length {h.shape} does not match array size {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
     zero = ~h.any(axis=-1)
@@ -68,34 +83,20 @@ def analog_beamform(h, codebook: np.ndarray, k: int = 4) -> np.ndarray:
         raise ValueError("channel vector is zero" if h.ndim == 1 else
                          f"channel vector at {tuple(np.argwhere(zero)[0].tolist())} is zero")
 
-    flat = h.reshape(-1, n)
-    beams = np.empty(flat.shape, dtype=complex)
-    for start in range(0, len(flat), _BLOCK):
-        block = flat[start:start + _BLOCK]
-        # |D^H h| = |D^T conj(h)|: conjugating h, not the N x N codebook.
-        # IEEE rounding is sign-symmetric, so the product is the exact
-        # conjugate and the scores keep their bits.
-        scores = np.abs(codebook.T @ block.conj()[:, :, None])[:, :, 0] ** 2
-        order = np.argsort(-scores, axis=1, kind="stable")  # lower index wins ties
-        # the selected codewords of each channel as an N x k matrix whose
-        # rows are contiguous, as ``codebook[:, selected]`` of one channel
-        d_k = codebook[:, order[:, :k]].transpose(1, 0, 2)
-        coeff = d_k.conj().swapaxes(1, 2) @ block[:, :, None]  # least squares
-        combined = (d_k @ coeff)[:, :, 0]
+    top, coeffs = _top_codewords(h.reshape(-1, n), array, k)
+    kx, ky = np.divmod(top, array.n_y)
+    left = _dft(array.n_x).T[kx] * coeffs[:, :, None]
+    combined = np.matmul(left.swapaxes(1, 2), _dft(array.n_y).T[ky]).reshape(-1, n)
 
-        # unit modulus: both parts times 1 / |x|, then times 1 / sqrt(N).
-        # numpy divides by a real d as (re + im * 0) and (im - re * 0)
-        # times 1 / d: the same bits, but for a -0.0 part, which the
-        # division may turn into +0.0.
-        mod = np.abs(combined)
-        parts = combined.view(float).reshape(*mod.shape, 2)
-        inverse = 1.0 / np.where(mod > 0.0, mod, 1.0)
-        parts[..., 0] *= inverse
-        parts[..., 1] *= inverse
-        combined[mod == 0.0] = 1.0
-        parts *= 1.0 / math.sqrt(n)
-        beams[start:start + _BLOCK] = combined
-    return beams.reshape(h.shape)
+    # unit modulus, in place: both parts times 1 / |x|, then times 1 / sqrt(N)
+    mod = np.abs(combined)
+    parts = combined.view(float).reshape(*mod.shape, 2)
+    inverse = 1.0 / np.where(mod > 0.0, mod, 1.0)
+    parts[..., 0] *= inverse
+    parts[..., 1] *= inverse
+    combined[mod == 0.0] = 1.0
+    parts *= 1.0 / math.sqrt(n)
+    return combined.reshape(h.shape)
 
 
 def regularized_zf(h_tilde: np.ndarray, tx_power_w: float,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamforming import analog_beamform, build_codebook
+from .beamforming import analog_beamform
 from .channel import (clear_sky_loss_db, draw_links, large_scale_amplitude, path_gains,
                       path_loss, sample_ray_angles, small_scale)
 from .config import ScenarioConfig, config_digest, to_dict
@@ -88,8 +88,7 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     analog = np.zeros_like(channels)
     directions = np.zeros((len(gus), len(sat_ids), 3))
     channels[rows, users] = h
-    analog[rows, users] = analog_beamform(h, build_codebook(config.array),
-                                          k=config.codewords)
+    analog[rows, users] = analog_beamform(h, config.array, k=config.codewords)
     directions[users, rows] = geom.direction
     return EpochInstance(sat_ids, gu_ids, config.rf, config.array.n_beams,
                          visible_mask=visible, channels=channels, analog=analog,

@@ -1,11 +1,15 @@
+import ctypes
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import reference_channel as ref
-from coopsat.beamforming import analog_beamform, build_codebook
+from reference_links import phase_projection
+from coopsat.beamforming import analog_beamform
 from coopsat.channel import ArrayConfig, RfConfig, sample_ray_angles
 from coopsat.network import EpochInstance
 
@@ -58,6 +62,48 @@ def close_to_reference(h, reference, rtol=1e-12) -> bool:
     return bool(np.all(worst <= rtol * np.linalg.norm(reference, axis=-1)))
 
 
+def close_beams(beams, combined, rtol=1e-13) -> bool:
+    """Equal shapes, and every beam of ``beams`` (..., N) the phase
+    projection of its least-squares combination ``combined`` to
+    rounding: an entry that combines to c may differ from c's projection
+    by rtol * m / (sqrt(N) |c|), where m is the largest |c| of its beam,
+    so one that combines to nearly zero may take any phase.  The default
+    is the tolerance for beams whose codeword scores and combination are
+    computed in another order than the reference's."""
+    if beams.shape != combined.shape:
+        return False
+    mod = np.abs(combined)
+    deviation = np.abs(beams - phase_projection(combined)) * mod * math.sqrt(mod.shape[-1])
+    return bool(np.all(deviation <= rtol * mod.max(axis=-1, initial=0.0, keepdims=True)))
+
+
+def _openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, from its own
+    ``get_corename``: ``np.show_config`` names only the build's target,
+    which ``OPENBLAS_CORETYPE`` or another CPU does not change."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        blas = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if (getter := getattr(blas, name, None)) is not None:
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return "unknown"
+
+
+def running_build() -> dict:
+    """numpy's version, its OpenBLAS kernel and the highest SIMD level
+    its loops dispatch to (``NPY_DISABLE_CPU_FEATURES`` lowers it)."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    return {"numpy": np.__version__, "openblas_core": _openblas_core(),
+            "simd": (simd["found"] or simd["baseline"])[-1]}
+
+
+def digest_builds(recorded: dict) -> str:
+    """Message for a failed digest: the build it was recorded on and the
+    one that ran, which tells an output that moved from another build."""
+    return f"digests recorded on {recorded}, this run on {running_build()}"
+
+
 def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
                   channel_scale=3.0, visible=None):
     """Random synthetic scheduling instance with consistent channels,
@@ -65,7 +111,6 @@ def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
     user id to the satellites it sees."""
     array = array or ArrayConfig(n_x=4, n_y=4, n_sub_x=2, n_sub_y=1)
     rf_cfg = rf_cfg or RfConfig()
-    codebook = build_codebook(array)
     n = array.n_elements
 
     sat_ids = tuple(range(n_sats))
@@ -84,7 +129,7 @@ def make_instance(rng, n_sats=3, n_gus=5, n_beams=2, array=None, rf_cfg=None,
             h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
             mask[u, s] = True
             channels[s, u] = channel_scale * h
-            analog[s, u] = analog_beamform(h, codebook, k=min(4, n))
+            analog[s, u] = analog_beamform(h, array, k=min(4, n))
             d = rng.standard_normal(3)
             directions[u, s] = d / np.linalg.norm(d)
     return EpochInstance(sat_ids=sat_ids, gu_ids=gu_ids, rf=rf_cfg,

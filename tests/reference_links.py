@@ -5,19 +5,24 @@ The loops the stacked ``coopsat.geometry.propagate``,
 ``coopsat.geometry.link_geometry`` and ``coopsat.beamforming.
 analog_beamform`` replaced: one satellite, one user, one link, one
 channel per call, on 3-vectors and single matrices, with ``math``'s
-(libm) trigonometry.  The stacked geometry is plain numpy, so the
-differential tests compare it with these to the tolerances that
-``tests/test_geometry.py`` states; the analog beams must be equal bit
-for bit (``same_bits``).  ``slant_range_km`` gives a link's length in
-closed form from its elevation.
+(libm) trigonometry.  The analog stage here scores and combines with
+the whole N x N codebook (``build_codebook``) where the stacked one
+works one array axis at a time.  The differential tests compare the
+stacked geometry with these to the tolerances that
+``tests/test_geometry.py`` states, and the analog beams to the
+tolerance that ``tests/test_beamforming.py`` states.
+``slant_range_km`` gives a link's length in closed form from its
+elevation.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
+from coopsat.channel import ArrayConfig
 from coopsat.geometry import (EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S, ConstellationConfig,
                               GroundUser)
 
@@ -82,16 +87,40 @@ def link_geometry(sat_position_km: np.ndarray, body_axes: np.ndarray,
     return float(slant), phi, theta, direction
 
 
-def analog_beamform(h: np.ndarray, codebook: np.ndarray, k: int) -> np.ndarray:
-    """Analog beam of one channel: the top-k codewords by |D^T conj(h)|^2
-    (stable sort), their least-squares combination, the phase projection."""
-    n = codebook.shape[0]
-    scores = np.abs(codebook.T @ h.conj()) ** 2
-    d_k = codebook[:, np.argsort(-scores, kind="stable")[:k]]
-    combined = d_k @ (d_k.conj().T @ h)
+def _dft_unitary(n: int) -> np.ndarray:
+    k = np.arange(n)
+    return np.exp(-2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
+
+
+@cache
+def build_codebook(array: ArrayConfig) -> np.ndarray:
+    """Unitary 2D DFT codebook (N x N), one codeword per column: the
+    Kronecker product of the 1D DFT codebooks of the two array axes.
+    Built once per array layout and shared, so it is read-only."""
+    codebook = np.kron(_dft_unitary(array.n_x), _dft_unitary(array.n_y))
+    codebook.flags.writeable = False
+    return codebook
+
+
+def codeword_ranking(h: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """Codeword indices by decreasing score |D^T conj(h)|^2 for one
+    channel; the lower index comes first among equal scores."""
+    return np.argsort(-np.abs(codebook.T @ h.conj()) ** 2, kind="stable")
+
+
+def combination(h: np.ndarray, codebook: np.ndarray, chosen) -> np.ndarray:
+    """Least-squares combination of the codewords ``chosen`` fitting one
+    channel, before the phase projection."""
+    d_k = codebook[:, chosen]
+    return d_k @ (d_k.conj().T @ h)
+
+
+def phase_projection(combined: np.ndarray) -> np.ndarray:
+    """Unit-modulus phases of ``combined`` (..., N) scaled to 1/sqrt(N);
+    entries that are exactly zero get phase zero."""
     mod = np.abs(combined)
     phases = np.where(mod > 0.0, combined / np.where(mod > 0.0, mod, 1.0), 1.0)
-    return phases / math.sqrt(n)
+    return phases / math.sqrt(combined.shape[-1])
 
 
 def slant_range_km(config: ConstellationConfig, elevation_deg: float,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from coopsat import metrics
-from coopsat.beamforming import analog_beamform, build_codebook, regularized_zf
+from coopsat.beamforming import analog_beamform, regularized_zf
 from coopsat.channel import SmallScaleConfig, small_scale
 from coopsat.config import load_config
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM,
@@ -22,21 +22,23 @@ from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM,
 from coopsat.harness import build_epoch_instance, emit, run
 from coopsat.scheduling import SchemeMode, exhaustive_schedule, final_beams, greedy_schedule
 
-from conftest import beam_matrix, draw_paths, make_instance, serving_vector
+from conftest import beam_matrix, digest_builds, draw_paths, make_instance, serving_vector
+from reference_links import build_codebook
 
 DESK_SEEDS = (1, 2, 3, 4, 5)
 
-# sha256 of the desk seed-1 result files, taken with numpy 2.4.6 on its
-# AVX-512 loops and its bundled OpenBLAS on its default (SkylakeX)
-# kernel, the same at 1 and 2 BLAS threads; another OpenBLAS kernel
+# sha256 of the desk seed-1 result files, taken on DESK_SEED1_BUILD
+# (numpy's AVX-512 loops, its bundled OpenBLAS on its default SkylakeX
+# kernel), the same at 1 and 2 BLAS threads; another OpenBLAS kernel
 # (OPENBLAS_CORETYPE) or numpy's AVX2 loops (NPY_DISABLE_CPU_FEATURES)
-# round differently.  A change that moves any output number must re-pin
-# these and say why.
+# round differently, and the failure message names the build that ran.
+# A change that moves any output number must re-pin these and say why.
 DESK_SEED1_SHA256 = {
-    "results.csv": "1ade058811bbea034b79496600534df68d1e5d34206c580db1d71e0c6037343c",
-    "series.csv": "26fffa1d7a934484023818878188e5887898ec577f7ac8758e4e64327560af9a",
-    "summary.json": "80e83e3f518d4967332ca6a66b39052b948ab3ab9c739a6991c0c83865ce0106",
+    "results.csv": "1b33fbc4b0ce04aae5f6cdcc063a2c8093a30248ec7480e0670974d3c0aef0e3",
+    "series.csv": "c50f62326a640e5022f8cc938cd36915503fd235e526f380edb6146c8783deab",
+    "summary.json": "73c8b366ba73a536534a2220ba66f06f539bfc0e143b83122c399aec37aff0f8",
 }
+DESK_SEED1_BUILD = {"numpy": "2.4.6", "openblas_core": "SkylakeX", "simd": "AVX512_SPR"}
 
 
 def report_line(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -162,7 +164,7 @@ def test_criterion_5_codebook_and_analog_properties():
     trials = 1000
     for _ in range(trials):
         h = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2)
-        beam = analog_beamform(h, cb, k=4)
+        beam = analog_beamform(h, array, k=4)
         worst_modulus = max(worst_modulus,
                             float(np.max(np.abs(np.abs(beam) - amp))))
         combined = abs(np.vdot(h, beam)) ** 2
@@ -235,7 +237,7 @@ def test_golden_digests(desk_reports, tmp_path):
     reports, _ = desk_reports
     files = emit(reports[1], tmp_path, "csv")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-    assert digests == DESK_SEED1_SHA256
+    assert digests == DESK_SEED1_SHA256, digest_builds(DESK_SEED1_BUILD)
 
 
 def test_criterion_9_orbit_sanity():

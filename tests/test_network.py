@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import instances, make_instance, same_bits
+from conftest import instances, make_instance, same_bits, serving_vector
 from coopsat.channel import vsat_gain_linear
 from coopsat.config import load_config
 from coopsat.harness import build_epoch_instance
+from coopsat.metrics import user_metrics
 from coopsat.network import design_powers, equal_power_mixer, hybrid_from_beamspace
+from coopsat.scheduling import SchemeMode, final_beams
 from reference_powers import reference_design_powers
 
 
@@ -89,6 +91,56 @@ class TestGainTable:
         for epoch, t in enumerate(cfg.epochs.times()):
             inst = build_epoch_instance(cfg, epoch, t)
             assert np.array_equal(inst.gain_table, loop_gain_table(inst))
+
+
+def dense_desk():
+    """desk's users and epochs under a 20 x 20 Walker constellation at
+    1,200 km: dense enough that users see two satellites less than the
+    2.7 degrees apart at which the user antenna's roll-off reaches its
+    floor, which the bundled profiles never do."""
+    cfg = load_config("desk")
+    return replace(cfg, constellation=replace(cfg.constellation, planes=20, sats_per_plane=20,
+                                              altitude_km=1200.0))
+
+
+class TestRollOff:
+    def test_gain_table_off_the_floor_equals_the_arithmetic(self):
+        # every entry above the 30 dB floor is the quadratic roll-off of
+        # its angle, computed here one entry at a time with math, to the
+        # relative 1e-11 of TestGainTable
+        cfg = dense_desk()
+        rf = cfg.rf
+        floor = 10.0 ** ((rf.vsat_max_gain_dbi - rf.vsat_floor_suppression_db) / 10.0)
+        above = 0
+        for epoch, t in enumerate(cfg.epochs.times()):
+            inst = build_epoch_instance(cfg, epoch, t)
+            table = inst.gain_table
+            off_diagonal = ~np.eye(len(inst.sat_ids), dtype=bool)
+            for u, a, b in np.argwhere((table > floor) & off_diagonal):
+                cos = sum(x * y for x, y in zip(inst.directions[u, a].tolist(),
+                                                inst.directions[u, b].tolist()))
+                angle = math.degrees(math.acos(cos))
+                gain_db = rf.vsat_max_gain_dbi - 3.0 * (angle / rf.vsat_theta_3db_deg) ** 2
+                assert table[u, a, b] == pytest.approx(10.0 ** (gain_db / 10.0), rel=1e-11)
+                above += 1
+        assert above == 120  # over the 10 epochs; the bundled profiles have none
+
+    def test_sinr_of_users_on_the_roll_off(self):
+        # at the first epoch users 2 and 4 track satellite 62 and hear
+        # satellite 345 at 25.5 and 25.6 dBi, on the roll-off, and user 15
+        # tracks 345 and hears 62 at 28.2 dBi; served so, each user's
+        # interference includes the other satellite's beams through that
+        # gain.  Pinned to a relative 1e-9, perfbench's tolerance
+        cfg = dense_desk()
+        inst = build_epoch_instance(cfg, 0, cfg.epochs.times()[0])
+        rows = {s: inst.sat_ids.index(s) for s in (62, 345)}
+        assert [round(10.0 * math.log10(inst.gain_table[u, rows[a], rows[b]]), 1)
+                for u, a, b in [(2, 62, 345), (4, 62, 345), (15, 345, 62)]] == [25.5, 25.6, 28.2]
+        serving = serving_vector(inst, {2: 62, 4: 62, 15: 345})
+        beams = final_beams(inst, serving, SchemeMode.AU, cfg.beta)
+        sinr = {m.gu_id: m.sinr for m in user_metrics(inst, serving, beams)
+                if m.serving_sat is not None}
+        assert sinr == pytest.approx({2: 0.8051843469380585, 4: 1.2445247413389766, 15: 5.436932502025224}, rel=1e-9)
 
 
 def _design_cases(inst):

@@ -4,7 +4,8 @@ The geometry, the link budget, the user antenna gain table and the
 per-user spectral efficiency are plain numpy over arrays: each value is
 one element of a ufunc, or a reduction along a short last axis, so it
 does not depend on how many links share the call or on where the link
-sits in a SIMD vector.  A numpy scalar would break this: ``10.0 **
+sits in a SIMD vector.  The analog stage adds matrix products, each one
+BLAS call of the same shape per link.  A numpy scalar would break this: ``10.0 **
 np.float64(x)`` is a scalar power, which rounds as libm does and differs
 from ``np.power`` on some values, so a link computed that way alone
 would not match its row in a stack.  Each check stacks 1, 7, 8, 9 or 17
@@ -22,7 +23,8 @@ import pytest
 
 from conftest import make_instance, same_bits
 from coopsat import metrics
-from coopsat.channel import (RfConfig, clear_sky_loss_db, large_scale_amplitude, path_loss,
+from coopsat.beamforming import analog_beamform
+from coopsat.channel import (ArrayConfig, RfConfig, clear_sky_loss_db, large_scale_amplitude, path_loss,
                              vsat_gain_linear)
 from coopsat.config import load_config
 from coopsat.geometry import (elevation_deg, ground_user_positions, link_geometry, propagate,
@@ -149,3 +151,24 @@ def test_per_user_se_alone_as_in_any_stack(n):
         powers = (np.zeros((len(index), 1, n_users)), own[index], np.zeros((len(index), n_users)))
         _, se, _ = metrics._evaluate(inst, np.tile(serving, (len(index), 1)), powers)
         assert_rows_alone(se, alone, index, "per-user SE")
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+@pytest.mark.parametrize("n_x,n_y", [(16, 16), (1, 7), (5, 3)])
+def test_analog_beam_of_a_link_alone_as_in_any_stack(n_x, n_y, n):
+    # complex Gaussian channels at scales from 1e-8 to 1e3, and scaled
+    # basis vectors: e_0 ties every codeword's score exactly, so its
+    # codewords are ranked by the stable sort, in a stack as alone
+    array = ArrayConfig(n_x=n_x, n_y=n_y)
+    n_el = array.n_elements
+    rng = np.random.default_rng(17)
+    pool = ((rng.standard_normal((34, n_el)) + 1j * rng.standard_normal((34, n_el)))
+            * 10.0 ** rng.uniform(-8.0, 3.0, (34, 1)))
+    pool[::5] = 0.0
+    pool[::5, 0] = 1.0 - 2.0j
+    pool[2::5] = 0.0
+    pool[2::5, n_el - 1] = 3.0
+    k = min(4, n_el)
+    alone = [analog_beamform(h, array, k=k) for h in pool]
+    for index in stacks(len(pool), n):
+        assert_rows_alone(analog_beamform(pool[index], array, k=k), alone, index, "analog beam")

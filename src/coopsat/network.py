@@ -31,8 +31,9 @@ scorer and the exhaustive oracle alike.  ``design_powers`` gives a
 satellite's powers for a stack of member sets in one call: for
 ``beam_powers`` one set per satellite, for the JHU greedy one per
 candidate, for the oracle the sets of one size of every satellite, with
-the satellite given per row.  ``KeptPowers`` keeps a greedy's powers and
-the signal and interference they give, updated commit by commit.
+the satellite given per row.  The greedy keeps only its ``beam_powers``
+across commits and derives the signal and interference again from them
+at every iteration.
 """
 
 from __future__ import annotations
@@ -268,54 +269,3 @@ def signal_and_interference(instance: EpochInstance, serving: np.ndarray,
     by_sat[idx + (a,)] = g0 * intra[idx]
     return signal, by_sat
 
-
-class KeptPowers:
-    """The ``beam_powers`` (L, own, intra) of a greedy schedule's beams,
-    iterated as that triple, with what the scorer derives from them kept
-    up to date commit by commit: ``signal`` and ``by_sat`` of
-    ``signal_and_interference``, and the products (S x S x U)
-    ``products[t, s, g]`` = G[g, s, t] L[t, g], t != s, of the power of
-    t's beams at a user g who would track s.  ``new_others`` is their sum
-    over t, in t order, which has the bits of the ``np.einsum("gst,tg->sg",
-    ...)`` of the same factors that it replaces."""
-
-    def __init__(self, instance: EpochInstance, serving: np.ndarray,
-                 power: np.ndarray, own: np.ndarray, intra: np.ndarray) -> None:
-        self.instance, self.power, self.own, self.intra = instance, power, own, intra
-        self.signal, self.by_sat = signal_and_interference(instance, serving, power, own, intra)
-        # G[g, s, t] (1 - I)[s, t] L[t, g], the einsum's factors, in one
-        # t-major array
-        self.products = np.multiply(instance.gain_table.transpose(2, 1, 0),
-                                    (1.0 - np.eye(len(power)))[:, :, None], order="C")
-        self.products *= power[:, None, :]
-
-    def __iter__(self):
-        return iter((self.power, self.own, self.intra))
-
-    @property
-    def new_others(self) -> np.ndarray:
-        """S x U: interference at each user g, tracking s, from every
-        satellite but s."""
-        return self.products.sum(axis=0)
-
-    def commit(self, serving: np.ndarray, i: int, j: int, total: np.ndarray,
-               own: np.ndarray, intra: np.ndarray) -> None:
-        """User row j joins satellite row i (``serving`` already says so),
-        whose beams redesigned on its members put ``total``, ``own`` and
-        ``intra`` (U each) at each user.  Only what that changes is
-        rewritten, each entry as the same product as afresh: column i of
-        ``by_sat`` at the served users, row j, the members' signal and
-        intra terms, and the t = i slice of the products."""
-        inst, g0 = self.instance, self.instance.boresight_gain
-        members = np.flatnonzero(serving == i)
-        self.power[i] = total
-        self.own[members], self.intra[members] = own[members], intra[members]
-        u = np.flatnonzero(serving >= 0)
-        self.by_sat[u, i] = np.where(inst.visible_mask[u, i],
-                                     inst.gain_table[u, serving[u], i] * total[u], 0.0)
-        self.by_sat[j] = np.where(inst.visible_mask[j], inst.gain_table[j, i] * self.power[:, j],
-                                  0.0)
-        self.signal[members] = g0 * self.own[members]
-        self.by_sat[members, i] = g0 * self.intra[members]
-        off = inst.gain_table[:, :, i].T * (1.0 - np.eye(len(self.power)))[i, :, None]
-        self.products[i] = off * total

@@ -52,18 +52,14 @@ else S_u and G[u, sigma(u), s] total'(u).  Designs have two sources:
 The designs are kept as S x U x U arrays over (s, g, u).  A satellite
 with candidates and a clear flag has its rows filled (for JHU by one
 batched ZF solve) and its flag set; a commit to s copies the winner's
-rows into the kept powers and clears it.  Until then s's candidates
-only leave the pool and the served users who see s only join, so the
-rows stay exact (AU's kept L sums beams in commit order, not user
-order: the same to rounding).  ``network.KeptPowers`` also keeps the
-signal and interference the scorer reads; a commit rewrites only the
-entries it changes, each the same product as afresh, so they keep their
-bits.  Each iteration scores every candidate in
-one set of numpy calls over the flat (candidate, affected user) entries,
-in ``np.nonzero``'s row-major order, and sums each satellite's block as
-a contiguous (candidates, users) array along its rows: the bits depend
-on the row length, so ``np.add.reduceat`` or zero padding would change
-them.
+rows into the kept ``network.beam_powers`` (L, own, intra) and clears
+it.  Until then s's candidates only leave the pool and the served users
+who see s only join, so the rows stay exact (AU's kept L sums beams in
+commit order, not user order: the same to rounding).  Each iteration
+derives the signal and interference from the kept powers with
+``network.signal_and_interference``, scores every candidate in one set
+of numpy calls over the flat (candidate, affected user) entries, and
+sums each candidate's entries with one ``np.bincount``.
 
 The scores are exact, not approximations: each is the difference of the
 total SE with and without the link, minus terms that cancel.  They
@@ -101,9 +97,9 @@ from typing import Iterator
 import numpy as np
 
 from . import metrics
-from .network import (EpochInstance, KeptPowers, beam_powers, design_powers,
-                      equal_power_beams, equal_power_mixer, hybrid_beams,
-                      hybrid_from_beamspace)
+from .network import (EpochInstance, beam_powers, design_powers, equal_power_beams,
+                      equal_power_mixer, hybrid_beams, hybrid_from_beamspace,
+                      signal_and_interference)
 
 
 class SchemeMode(str, Enum):
@@ -190,11 +186,12 @@ def preassign_single_visibility(instance: EpochInstance,
 
 
 def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
-                  powers: KeptPowers,
-                  designs: tuple[np.ndarray, ...], beta: float | None, unit: bool) -> None:
+                  powers: tuple[np.ndarray, ...], designs: tuple[np.ndarray, ...],
+                  beta: float | None, unit: bool) -> None:
     """Fill the design rows of each satellite with candidates and a clear
-    flag, and set the flag: g's unit beam added to the kept unit beams if
-    ``unit``, else the hybrid beams redesigned on the members and g."""
+    flag, and set the flag: g's unit beam added to the kept unit beams'
+    ``powers`` (L, own, intra) if ``unit``, else the hybrid beams
+    redesigned on the members and g."""
     own, intra, total, designed = designs
     for s in np.flatnonzero(candidates.any(axis=1) & ~designed):
         if unit:  # a closed form at every (g, u): no beam is redesigned
@@ -218,21 +215,23 @@ def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.n
 
 
 def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
-                 powers: KeptPowers, designs: tuple[np.ndarray, ...]) -> np.ndarray:
+                 powers: tuple[np.ndarray, ...], designs: tuple[np.ndarray, ...]
+                 ) -> np.ndarray:
     """Total-SE gain of every candidate link, given the kept ``powers``
-    and the filled candidate ``designs`` (own, intra, total, designed);
-    -inf off the candidates."""
+    (L, own, intra) and the filled candidate ``designs`` (own, intra,
+    total, designed); -inf off the candidates."""
     g0 = instance.boresight_gain
-    signal, by_sat = powers.signal, powers.by_sat
+    signal, by_sat = signal_and_interference(instance, serving, *powers)
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
     others = interference[:, None] - by_sat  # from every satellite but s
     # a new user tracking s sees the other satellites' current beams
-    new_others = powers.new_others
+    n_sats, n_gus = candidates.shape
+    off = instance.gain_table * (1.0 - np.eye(n_sats))
+    new_others = np.einsum("gst,tg->sg", off, powers[0])
 
     # every (candidate, served user seeing its satellite) entry at once,
     # gathered by flat index
-    n_sats, n_gus = candidates.shape
     own, intra, total, _ = designs
     sats, gus = np.nonzero(candidates)
     affected = instance.visible_mask.T & (serving >= 0)
@@ -246,16 +245,12 @@ def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.nd
     intf[tracks] = g0 * intra.take(at[tracks])
     intf = others.take(u * n_sats + s) + intf
     terms = np.log2(1.0 + sig / (intf + 1.0)) - base[u]
-    # each satellite's (candidates, users) block summed along its rows
-    delta, end = [], 0
-    for c, m in zip(candidates.sum(axis=1).tolist(), affected.sum(axis=1).tolist()):
-        if c:
-            delta.append(terms[end:end + c * m].reshape(c, m).sum(axis=1))
-            end += c * m
+    # a candidate with no affected user sums to 0 (np.add.reduceat would
+    # return the next candidate's first entry)
+    delta = np.bincount(pair, weights=terms, minlength=sats.size)
     new_intf = new_others[sats, gus] + g0 * intra[sats, gus, gus]
     gains = np.full(candidates.shape, -np.inf)
-    gains[sats, gus] = (np.log2(1.0 + g0 * own[sats, gus, gus] / (new_intf + 1.0))
-                        + np.concatenate(delta))
+    gains[sats, gus] = np.log2(1.0 + g0 * own[sats, gus, gus] / (new_intf + 1.0)) + delta
     return gains
 
 
@@ -274,10 +269,10 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
     # powers of the beams each mode scores with, kept across iterations
     # (not hybrid_beams, which traced runs count as the final-beam step)
     served = instance.served_map(serving)
-    powers = KeptPowers(instance, serving, *beam_powers(instance, served, {
+    powers = load, kept_own, kept_intra = beam_powers(instance, served, {
         i: np.eye(len(m)) if unit else
         hybrid_from_beamspace(instance, i, np.array([m]), beta)[0]
-        for i, m in served.items()}))
+        for i, m in served.items()})
     designs = (*np.zeros((3, spare.size, *2 * serving.shape)), np.zeros_like(spare))
     own, intra, total, designed = designs
     records: list[TraceRecord] = []
@@ -301,7 +296,9 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         if committed:  # the winner's design has the committed beams' powers
             serving[j] = i
             pending[j] = False
-            powers.commit(serving, i, j, total[i, j], own[i, j], intra[i, j])
+            members = serving == i
+            load[i] = total[i, j]
+            kept_own[members], kept_intra[members] = own[i, j, members], intra[i, j, members]
             designed[i] = False
         else:
             spare[i] = False

@@ -7,8 +7,9 @@ Python, so it serves only as the oracle of the differential tests.
 
 ``hybrid_gains`` is the JHU scorer before it kept state across
 iterations: it designs every satellite's current and candidate beams
-again from the serving vector alone, with the same arithmetic, so the
-kept scorer's scores must equal it bit for bit.
+again from the serving vector alone, with the same arithmetic but its
+own summation order, so the kept scorer's scores must equal it to
+rounding (the tolerance ``test_greedy_differential`` states).
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ The expensive desk-scale runs (5 seeds) execute once per session and
 are shared by the criteria that audit them.
 """
 
+import csv
 import hashlib
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ DESK_SEED1_SHA256 = {
     "summary.json": "73c8b366ba73a536534a2220ba66f06f539bfc0e143b83122c399aec37aff0f8",
 }
 DESK_SEED1_BUILD = {"numpy": "2.4.6", "openblas_core": "SkylakeX", "simd": "AVX512_SPR"}
+
+# Every desk seed-1 row: epoch, scheme, user, serving satellite, SINR
+# (linear) and SE.  Unlike the digests it holds on any build: links must
+# match exactly and values to DESK_REFERENCE_RTOL.  On OpenBLAS's Haswell
+# and Sandybridge kernels and on numpy's AVX2 loops no link moves and no
+# value by more than 3.8e-14 relative; the bound sits below 1e-9 so that
+# an SE moved by 1e-9 fails.  Re-record it with
+# ``PYTHONPATH=src:tests python tests/test_acceptance.py``.
+DESK_REFERENCE = Path(__file__).with_name("desk_seed1_reference.csv")
+DESK_REFERENCE_RTOL = 1e-10
 
 
 def report_line(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -240,6 +252,30 @@ def test_golden_digests(desk_reports, tmp_path):
     assert digests == DESK_SEED1_SHA256, digest_builds(DESK_SEED1_BUILD)
 
 
+def desk_reference_rows(report) -> list[tuple]:
+    return [(r.epoch_s, r.scheme, u.gu_id, u.serving_sat, u.sinr, u.se)
+            for r in report.results for u in r.users]
+
+
+def write_desk_reference() -> None:
+    with DESK_REFERENCE.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("epoch_s", "scheme", "gu_id", "serving_sat", "sinr", "se"))
+        writer.writerows(desk_reference_rows(run(replace(load_config("desk"), seed=1))))
+
+
+def test_desk_seed1_reference(desk_reports):
+    reports, _ = desk_reports
+    got = desk_reference_rows(reports[1])
+    with DESK_REFERENCE.open(newline="") as fh:
+        want = [(float(epoch), scheme, int(gu), int(sat) if sat else None,
+                 float(sinr), float(se))
+                for epoch, scheme, gu, sat, sinr, se in list(csv.reader(fh))[1:]]
+    assert [row[:4] for row in got] == [row[:4] for row in want]
+    np.testing.assert_allclose([row[4:] for row in got], [row[4:] for row in want],
+                               rtol=DESK_REFERENCE_RTOL, atol=0.0)
+
+
 def test_criterion_9_orbit_sanity():
     cfg = ConstellationConfig(planes=1, sats_per_plane=1, altitude_km=1200.0)
     a = EARTH_RADIUS_KM + 1200.0
@@ -259,3 +295,7 @@ def test_criterion_9_orbit_sanity():
                 f"period err={period_err:.1e} km, min |V_g| over 24 epochs={worst}")
     assert period_err <= 1e-6
     assert worst >= 1, "a configured user lost coverage"
+
+
+if __name__ == "__main__":
+    write_desk_reference()

@@ -3,12 +3,11 @@ whole-network re-evaluation loop kept in ``reference_greedy``.
 
 The reference is replayed along the new scheduler's decisions, so every
 step is compared from the same state even after a near-tie sent the two
-down different paths.  The scorer keeps its beams and candidate designs
-across iterations; JHU's scores are also checked bit for bit against
+down different paths.  The scorer keeps its beams' powers and candidate
+designs across iterations; JHU's scores are also checked against
 ``reference_greedy.hybrid_gains``, which designs them again each time,
-and every mode's kept powers against beams designed afresh after every
-commit, and the signal and interference kept with them against a fresh
-evaluation, bit for bit.
+to ``JHU_SCORE_RTOL`` and ``JHU_SCORE_ATOL``, and every mode's kept
+powers against beams designed afresh after every commit.
 """
 
 import math
@@ -18,10 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import instances, make_instance, mirror_first_satellite, same_bits
+from conftest import instances, make_instance, mirror_first_satellite
 from coopsat import scheduling
-from coopsat.network import (EpochInstance, beam_powers, hybrid_from_beamspace,
-                             signal_and_interference)
+from coopsat.network import EpochInstance, beam_powers, hybrid_from_beamspace
 from coopsat.scheduling import SchemeMode, greedy_schedule, preassign_single_visibility
 from reference_greedy import hybrid_gains, reference_greedy
 
@@ -122,17 +120,28 @@ def many_beams_instance() -> EpochInstance:
                          visible={g: (0, 1) for g in range(100, 112)})
 
 
+# The kept scorer and the stateless recompute design the same beams with
+# the same bits, but sum a candidate's terms in their own orders: up to
+# 3.3e-16 relative and 1.4e-14 absolute (in bit/s/Hz) over 27,943 scores
+# of 800 hypothesis instances and the examples below at the three betas
+# tested here, and 1.6e-14 relative and 6.8e-15 absolute over the 24,721
+# scores of full-profile epochs 0, 11 and 23.
+JHU_SCORE_RTOL = 1e-12
+JHU_SCORE_ATOL = 1e-12
+
+
 def checked_jhu_schedule(inst: EpochInstance, beta: float | None = None):
     """Run the JHU greedy, asserting at every iteration that the kept
-    scorer's candidate scores equal the stateless recompute's bits.
-    Returns the result."""
+    scorer's candidate scores equal the stateless recompute's to
+    ``JHU_SCORE_RTOL`` and ``JHU_SCORE_ATOL``.  Returns the result."""
     scorer = scheduling._joint_gains
     calls = []
 
     def checking(instance, serving, candidates, powers, designs):
         scores = scorer(instance, serving, candidates, powers, designs)
         expected = hybrid_gains(instance, serving, candidates, beta)
-        assert np.array_equal(scores[candidates], expected[candidates])
+        np.testing.assert_allclose(scores[candidates], expected[candidates],
+                                   rtol=JHU_SCORE_RTOL, atol=JHU_SCORE_ATOL)
         calls.append(None)
         return scores
 
@@ -226,42 +235,6 @@ def test_kept_au_powers_equal_fresh_unit_beams_after_every_commit(inst):
         result = greedy_schedule(inst, SchemeMode.AU)
     if kept:
         assert_unit_powers(kept[0], result.links)
-
-
-def assert_fresh_scoring_state(powers, inst: EpochInstance, serving: np.ndarray) -> None:
-    """The signal and interference kept with ``powers``, and the
-    ``new_others`` their products give, have the bits of a fresh
-    ``signal_and_interference`` of the kept powers and of the einsum
-    over the whole gain table."""
-    signal, by_sat = signal_and_interference(inst, serving, *powers)
-    off = inst.gain_table * (1.0 - np.eye(len(inst.sat_ids)))
-    new_others = np.einsum("gst,tg->sg", off, powers.power)
-    assert same_bits(powers.signal, signal)
-    assert same_bits(powers.by_sat, by_sat)
-    assert same_bits(powers.new_others, new_others)
-
-
-@pytest.mark.parametrize("mode", [SchemeMode.AU, SchemeMode.JHU])
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(inst=instances())
-@example(inst=tie_instance())
-@example(inst=crowded_instance())
-@example(inst=many_satellites_instance())
-def test_kept_scoring_state_equals_fresh_after_every_commit(mode, inst):
-    # a commit rewrites only the kept entries it changes; each scoring
-    # call, and the end of the run, sees them as computed afresh
-    scorer = scheduling._joint_gains
-    kept = []
-
-    def checking(instance, serving, candidates, powers, designs):
-        kept[:] = [powers]
-        assert_fresh_scoring_state(powers, instance, serving)
-        return scorer(instance, serving, candidates, powers, designs)
-
-    with mock.patch.object(scheduling, "_joint_gains", checking):
-        result = greedy_schedule(inst, mode)
-    if kept:
-        assert_fresh_scoring_state(kept[0], inst, result.links)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

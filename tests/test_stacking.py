@@ -154,7 +154,7 @@ def test_per_user_se_alone_as_in_any_stack(n):
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)
-@pytest.mark.parametrize("n_x,n_y", [(16, 16), (1, 7), (5, 3)])
+@pytest.mark.parametrize("n_x,n_y", [(16, 16), (8, 8), (1, 7), (5, 3)])
 def test_analog_beam_of_a_link_alone_as_in_any_stack(n_x, n_y, n):
     # complex Gaussian channels at scales from 1e-8 to 1e3, and scaled
     # basis vectors: e_0 ties every codeword's score exactly, so its

@@ -8,8 +8,8 @@ users cooperatively on a shared band.
 __version__ = "0.1.0"
 
 from .beamforming import analog_beamform, regularized_zf
-from .channel import (ArrayConfig, AttenuationConfig, LinkInvalidError, RfConfig,
-                      SmallScaleConfig, small_scale, vsat_gain_dbi)
+from .channel import (ArrayConfig, ChannelConfig, LinkInvalidError, RfConfig,
+                      small_scale, vsat_gain_dbi)
 from .config import (ConfigError, EpochGrid, ScenarioConfig, bundled_cities,
                      config_digest, load_config)
 from .geometry import (ConstellationConfig, GroundUser, LinkGeometry,
@@ -28,8 +28,7 @@ __all__ = [
     "ConstellationConfig", "GroundUser", "LinkGeometry", "SatelliteState",
     "VisibilitySets", "propagate", "link_geometry", "visibility",
     # channel
-    "ArrayConfig", "AttenuationConfig", "LinkInvalidError",
-    "RfConfig", "SmallScaleConfig",
+    "ArrayConfig", "ChannelConfig", "LinkInvalidError", "RfConfig",
     "small_scale", "vsat_gain_dbi",
     # beamforming
     "analog_beamform", "regularized_zf",

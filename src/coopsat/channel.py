@@ -4,7 +4,10 @@ A channel vector is the product of a scalar large-scale amplitude
 (free-space loss, shadow fading, gaseous absorption, scintillation,
 antenna gains, noise normalization) and a small-scale fading vector
 built from planar-array steering vectors: a log-normal direct path
-plus Rayleigh diffuse rays (Loo model).
+plus Rayleigh diffuse rays (Loo model).  One ``ChannelConfig``, the
+scenario file's ``channel`` section, holds the fading and attenuation
+parameters that ``draw_links``, ``clear_sky_loss_db``, ``path_loss`` and
+``small_scale`` take.
 
 The noise power is folded into the large-scale amplitude, so all
 downstream SINR math uses unit noise power.
@@ -24,8 +27,8 @@ batched over blocks of links.
 
 Every field that enters the link budget has a physical range, stated
 with its source on the config dataclass that holds it (``RfConfig``,
-``SmallScaleConfig``, ``AttenuationConfig``, ``ConstellationConfig``,
-``GroundUser``; ``ScenarioConfig.min_elevation_deg`` >= 5 degrees).  At
+``ChannelConfig``, ``ConstellationConfig``, ``GroundUser``;
+``ScenarioConfig.min_elevation_deg`` >= 5 degrees).  At
 those ranges every link's gain before its shadow-fading draw,
 ``large_scale_amplitude`` squared, stays far inside the float range:
 
@@ -141,16 +144,24 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class SmallScaleConfig:
-    """Loo fading: direct-path amplitude log-normal (parameters in dB),
+class ChannelConfig:
+    """The channel model, the scenario file's ``channel`` section: Loo
+    fading over a clear-sky link budget.
+
+    Loo fading: direct-path amplitude log-normal (parameters in dB),
     diffuse rays Rayleigh with total mean power ``multipath_power_db``
     relative to an unfaded direct path.  Use ``-inf`` (``-.inf`` or
-    ``"-inf"`` in a scenario file) to disable the diffuse part.
+    ``"-inf"`` in a scenario file) to disable the diffuse part.  The dB
+    ranges hold the Loo parameters fitted for land-mobile satellite
+    channels, light to heavy shadowing (Loo 1985, ITU-R P.681), with
+    margin: mean -40 to 10 dB, spread 0 to 20 dB, diffuse power -60 to
+    10 dB.  Rays spread by 0 to 90 degrees.
 
-    The dB ranges hold the Loo parameters fitted for land-mobile
-    satellite channels, light to heavy shadowing (Loo 1985, ITU-R
-    P.681), with margin: mean -40 to 10 dB, spread 0 to 20 dB, diffuse
-    power -60 to 10 dB.  Rays spread by 0 to 90 degrees."""
+    Clear-sky attenuation terms and shadow-fading spread (all dB):
+    gaseous absorption at the zenith 0 to 100 dB (ITU-R P.676 up to
+    1 THz, its lines at their strongest excepted), tropospheric
+    scintillation 0 to 20 dB (ITU-R P.618) and shadow fading 0 to 20 dB
+    (ITU-R P.681, Loo 1985)."""
 
     n_clusters: int = 2
     n_rays: int = 10
@@ -158,6 +169,9 @@ class SmallScaleConfig:
     direct_amp_std_db: float = 1.0
     multipath_power_db: float = -15.0
     angle_spread_deg: float = 2.0
+    zenith_gas_db: float = 0.5
+    scintillation_db: float = 0.3
+    shadow_sigma_db: float = 1.2
 
     def __post_init__(self) -> None:
         for name in ("n_clusters", "n_rays"):
@@ -165,7 +179,9 @@ class SmallScaleConfig:
                 raise ValueError(f"{name}: must be >= 1")
         _check_ranges(self, {
             "direct_amp_mean_db": (-40.0, 10.0), "direct_amp_std_db": (0.0, 20.0),
-            "multipath_power_db": (-60.0, 10.0), "angle_spread_deg": (0.0, 90.0)})
+            "multipath_power_db": (-60.0, 10.0), "angle_spread_deg": (0.0, 90.0),
+            "zenith_gas_db": (0.0, 100.0), "scintillation_db": (0.0, 20.0),
+            "shadow_sigma_db": (0.0, 20.0)})
 
     @property
     def direct_mean_square(self) -> float:
@@ -189,23 +205,6 @@ class SmallScaleConfig:
     def normalization(self) -> float:
         """Scale factor making the mean small-scale energy exactly one."""
         return 1.0 / math.sqrt(self.direct_mean_square + self.multipath_power)
-
-
-@dataclass(frozen=True)
-class AttenuationConfig:
-    """Clear-sky attenuation terms and shadow-fading spread (all dB):
-    gaseous absorption at the zenith 0 to 100 dB (ITU-R P.676 up to
-    1 THz, its lines at their strongest excepted), tropospheric
-    scintillation 0 to 20 dB (ITU-R P.618) and shadow fading 0 to 20 dB
-    (ITU-R P.681, Loo 1985)."""
-
-    zenith_gas_db: float = 0.5
-    scintillation_db: float = 0.3
-    shadow_sigma_db: float = 1.2
-
-    def __post_init__(self) -> None:
-        _check_ranges(self, {"zenith_gas_db": (0.0, 100.0), "scintillation_db": (0.0, 20.0),
-                             "shadow_sigma_db": (0.0, 20.0)})
 
 
 def _wavenumbers(phi_deg, theta_deg, array: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +249,7 @@ class LinkDraws:
     ray_phase: np.ndarray      # (L, P - 1) U[0, 2 pi)
 
 
-def draw_links(rngs: list[np.random.Generator], cfg: SmallScaleConfig,
-               atten: AttenuationConfig) -> LinkDraws:
+def draw_links(rngs: list[np.random.Generator], cfg: ChannelConfig) -> LinkDraws:
     """Draw the channels of one link per generator of ``rngs``, link k
     from the k-th one alone, in this order: its shadow fading; every
     cluster's center offset followed by its ray offsets, all in one
@@ -268,7 +266,7 @@ def draw_links(rngs: list[np.random.Generator], cfg: SmallScaleConfig,
     offsets_size = draws.offsets_deg.shape[1:]
     ray_scale = math.sqrt(cfg.multipath_power / n_rays / 2.0) if n_rays else 0.0
     for link, rng in enumerate(rngs):
-        draws.shadow_db[link] = rng.normal(0.0, atten.shadow_sigma_db)
+        draws.shadow_db[link] = rng.normal(0.0, cfg.shadow_sigma_db)
         draws.offsets_deg[link] = rng.laplace(scale=cfg.angle_spread_deg, size=offsets_size)
         draws.direct_amp_db[link] = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
         draws.direct_phase[link] = rng.uniform()
@@ -303,7 +301,7 @@ def path_gains(draws: LinkDraws) -> np.ndarray:
     return np.concatenate((direct[:, None], rays), axis=1)
 
 
-def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
+def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: ChannelConfig,
                 array: ArrayConfig) -> np.ndarray:
     """Small-scale fading vectors (L x N), with mean energy one, of L
     links whose paths arrive from ``angles`` (L x P x 2, azimuth and
@@ -349,7 +347,7 @@ def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: SmallScaleConfig,
 
 
 def clear_sky_loss_db(elevation_deg, slant_range_km, rf: RfConfig,
-                      atten: AttenuationConfig) -> tuple[np.ndarray, np.ndarray]:
+                      cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Free-space loss and cosecant-scaled gaseous absorption (dB) of
     links at ``elevation_deg`` above the users' horizon and
     ``slant_range_km`` away (same shape, any).  The first link at
@@ -362,17 +360,17 @@ def clear_sky_loss_db(elevation_deg, slant_range_km, rf: RfConfig,
     d_m = np.asarray(slant_range_km, dtype=float) * 1e3
     fspl = 20.0 * np.log10(4.0 * math.pi * d_m * rf.carrier_frequency_hz
                            / SPEED_OF_LIGHT_M_S)
-    return fspl, atten.zenith_gas_db / np.sin(elevation_deg * _RADIANS_PER_DEGREE)
+    return fspl, cfg.zenith_gas_db / np.sin(elevation_deg * _RADIANS_PER_DEGREE)
 
 
 def path_loss(clear_sky: tuple[np.ndarray, np.ndarray], shadow_db,
-              atten: AttenuationConfig) -> np.ndarray:
+              cfg: ChannelConfig) -> np.ndarray:
     """Large-scale path loss (dB) of links: the free-space loss plus
     their shadow-fading draws ``shadow_db``, the gaseous absorption
     (``clear_sky``, from ``clear_sky_loss_db``) and scintillation, added
     in that order."""
     fspl, gas = clear_sky
-    return fspl + shadow_db + gas + atten.scintillation_db
+    return fspl + shadow_db + gas + cfg.scintillation_db
 
 
 def vsat_gain_dbi(off_boresight_deg, rf: RfConfig) -> np.ndarray:

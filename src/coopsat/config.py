@@ -1,10 +1,14 @@
 """Scenario configuration: schema, validation, YAML loading, profiles.
 
-A scenario file is a YAML mapping; every field has a default, so a
-minimal config is a handful of lines.  The config dataclasses state
-each field's default and range, and check themselves when built,
-``ScenarioConfig`` the scenario as a whole; loading maps the YAML onto
-them and collects every problem with its field path before failing.
+A scenario file is a YAML mapping of ``ScenarioConfig``'s fields; every
+field has a default, so a minimal config is a handful of lines.  Each
+section of the file is one config dataclass (``constellation``,
+``rf``, ``array``, ``channel``, ``epochs``) that states each field's
+default and range and checks itself when built, ``ScenarioConfig`` the
+scenario as a whole.  Loading maps the YAML onto them and collects the
+problems with their field paths before failing: every type problem,
+and then each section's range problems (``constellation``, ``rf``,
+``array`` and ``channel`` report their first).
 The bundled profiles are scenario files too (``data/<name>.yaml``):
 ``desk`` is a quick laptop run (20 users, 10 epochs) and ``full`` the
 full-size experiment (80 users, 24 epochs).
@@ -22,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
-from .channel import ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig
+from .channel import ArrayConfig, ChannelConfig, RfConfig
 from .geometry import ConstellationConfig, GroundUser
 from .scheduling import SchemeMode
 
@@ -78,8 +82,7 @@ class ScenarioConfig:
     gus: tuple[GroundUser, ...] = field(default_factory=lambda: bundled_cities(20))
     rf: RfConfig = field(default_factory=RfConfig)
     array: ArrayConfig = field(default_factory=ArrayConfig)
-    small_scale: SmallScaleConfig = field(default_factory=SmallScaleConfig)
-    attenuation: AttenuationConfig = field(default_factory=AttenuationConfig)
+    channel: ChannelConfig = field(default_factory=ChannelConfig)
     schemes: tuple[SchemeMode, ...] = (SchemeMode.AU, SchemeMode.SHU, SchemeMode.JHU)
     epochs: EpochGrid = field(default_factory=EpochGrid)
     seed: int = 1
@@ -177,9 +180,6 @@ _SCALARS = {
     float | None: (lambda v: v is None or _is_finite(v), "must be a finite number"),
 }
 
-# The YAML ``channel`` section holds the fields of both of these.
-_CHANNEL = ("small_scale", "attenuation")
-
 
 @cache
 def _field_types(cls) -> dict:
@@ -206,7 +206,7 @@ def _type_errors(obj, prefix: str = "") -> list[str]:
     errors = []
     for name, kind in _field_types(type(obj)).items():
         value = getattr(obj, name)
-        where = prefix + ("channel" if name in _CHANNEL else name)
+        where = prefix + name
         if kind in _SCALARS:
             problem = _type_problem(name, kind, value)
             if problem:
@@ -238,7 +238,7 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
     kwargs = {}
     for key, value in data.items():
         kind = kinds.get(key)
-        where = prefix + ("channel" if key in _CHANNEL else key)
+        where = prefix + key
         n_errors = len(errors)
         if kind is None:
             errors.append(f"{where}: unknown field")
@@ -260,6 +260,10 @@ def _build_section(cls, data: dict, prefix: str, errors: list[str]):
     except ValueError as exc:
         errors.extend(prefix + e for e in getattr(exc, "errors", [str(exc)]))
         return cls()
+
+
+# ``GroundUser`` field -> the key of an inline user that sets it
+_GU_KEYS = {"latitude_deg": "lat", "longitude_deg": "lon", "altitude_km": "alt_km"}
 
 
 def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
@@ -311,25 +315,19 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
                 altitude_km=float(row["alt_km"]),
                 label=str(row["label"]),
             ))
-        except ValueError as exc:
-            errors.append(f"gus[{i}].{exc}")
+        except ValueError as exc:  # GroundUser names its field: report the file's key
+            name, _, problem = str(exc).partition(":")
+            errors.append(f"gus[{i}].{_GU_KEYS[name]}:{problem}")
     return tuple(out)
 
 
 def from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a scenario from a plain mapping: the fields of
-    ``ScenarioConfig``, except that one ``channel`` section holds those
-    of ``small_scale`` and ``attenuation``."""
+    """Build and validate a scenario from a plain mapping of the fields
+    of ``ScenarioConfig``."""
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
-    errors = [f"{key}: unknown field" for key in _CHANNEL if key in data]
-    top = {k: v for k, v in data.items() if k not in _CHANNEL}
-    if "channel" in top:
-        channel = _mapping(top.pop("channel"), "channel", errors)
-        atten = {f.name for f in fields(AttenuationConfig)}
-        top["small_scale"] = {k: v for k, v in channel.items() if k not in atten}
-        top["attenuation"] = {k: v for k, v in channel.items() if k in atten}
-    config = _build_section(ScenarioConfig, top, "", errors)
+    errors: list[str] = []
+    config = _build_section(ScenarioConfig, data, "", errors)
     if errors:
         raise ConfigError(errors)
     return config
@@ -365,7 +363,6 @@ def to_dict(config: ScenarioConfig) -> dict:
     data = asdict(config)
     data["gus"] = [{"label": g.label, "lat": g.latitude_deg, "lon": g.longitude_deg,
                     "alt_km": g.altitude_km} for g in config.gus]
-    data["channel"] = {**data.pop("small_scale"), **data.pop("attenuation")}
     if data["channel"]["multipath_power_db"] == -math.inf:
         data["channel"]["multipath_power_db"] = NO_RAYS
     data["schemes"] = [s.value for s in config.schemes]

@@ -64,20 +64,20 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     sats = active[rows]
     geom = link_geometry(states[sats], ground_user_positions(gus, t)[users])
     clear_sky = clear_sky_loss_db(vis.elevation_deg[sats, users], geom.slant_range_km,
-                                  config.rf, config.attenuation)
+                                  config.rf, config.channel)
     rngs = [link_rng(config.seed, epoch_index, sat_id, gu_id) for sat_id, gu_id in
             zip(states.satellite_id[sats].tolist(), np.array(gu_ids)[users].tolist())]
-    draws = draw_links(rngs, config.small_scale, config.attenuation)
-    loss_db = path_loss(clear_sky, draws.shadow_db, config.attenuation)
+    draws = draw_links(rngs, config.channel)
+    loss_db = path_loss(clear_sky, draws.shadow_db, config.channel)
     direct = np.stack((geom.azimuth_sat_deg, geom.elevation_sat_deg), axis=1)
     rays = sample_ray_angles(direct, draws.offsets_deg)
     # none of the rays if they carry no power
-    angles = np.concatenate((direct[:, None], rays[:, :config.small_scale.n_paths - 1]),
+    angles = np.concatenate((direct[:, None], rays[:, :config.channel.n_paths - 1]),
                             axis=1)
     coefs = path_gains(draws)
     del rngs, draws, rays  # freed before the synthesis and the analog stage
 
-    h = small_scale(angles, coefs, config.small_scale, config.array)
+    h = small_scale(angles, coefs, config.channel, config.array)
     np.multiply(large_scale_amplitude(loss_db, config.rf)[:, None], h, out=h)
     zero = np.flatnonzero(~h.any(axis=1))
     if zero.size:

@@ -21,12 +21,12 @@ import math
 
 import numpy as np
 
-from coopsat.channel import (SPEED_OF_LIGHT_M_S, ArrayConfig, AttenuationConfig,
-                             LinkInvalidError, RfConfig, SmallScaleConfig)
+from coopsat.channel import (SPEED_OF_LIGHT_M_S, ArrayConfig, ChannelConfig,
+                             LinkInvalidError, RfConfig)
 
 
 def path_loss(elevation_deg: float, slant_range_km: float, rf: RfConfig,
-              atten: AttenuationConfig, rng: np.random.Generator) -> float:
+              cfg: ChannelConfig, rng: np.random.Generator) -> float:
     """Large-scale path loss of one link in dB: free-space plus a
     shadow-fading draw, cosecant-scaled gaseous absorption, and
     scintillation; a link below the horizon draws nothing."""
@@ -36,9 +36,9 @@ def path_loss(elevation_deg: float, slant_range_km: float, rf: RfConfig,
     d_m = slant_range_km * 1e3
     fspl = 20.0 * math.log10(4.0 * math.pi * d_m * rf.carrier_frequency_hz
                              / SPEED_OF_LIGHT_M_S)
-    gas = atten.zenith_gas_db / math.sin(math.radians(elevation_deg))
-    shadow = float(rng.normal(0.0, atten.shadow_sigma_db))
-    return fspl + shadow + gas + atten.scintillation_db
+    gas = cfg.zenith_gas_db / math.sin(math.radians(elevation_deg))
+    shadow = float(rng.normal(0.0, cfg.shadow_sigma_db))
+    return fspl + shadow + gas + cfg.scintillation_db
 
 
 def steering_vector(phi_deg: float, theta_deg: float, array: ArrayConfig) -> np.ndarray:
@@ -51,7 +51,7 @@ def steering_vector(phi_deg: float, theta_deg: float, array: ArrayConfig) -> np.
     return np.kron(ax, ay) / math.sqrt(array.n_elements)
 
 
-def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,
+def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: ChannelConfig,
                       rng: np.random.Generator) -> np.ndarray:
     """(azimuth, elevation) of every diffuse ray of one link: cluster
     centers Laplacian around the direct path, rays Laplacian around their
@@ -67,7 +67,7 @@ def sample_ray_angles(phi0_deg: float, theta0_deg: float, cfg: SmallScaleConfig,
     return out
 
 
-def path_coefficients(cfg: SmallScaleConfig, rng: np.random.Generator) -> np.ndarray:
+def path_coefficients(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     """Complex gains of one link's ``cfg.n_paths`` paths, direct path
     first: the direct amplitude and phase, then the ray amplitudes and
     phases, drawn only if the rays carry power."""
@@ -83,7 +83,7 @@ def path_coefficients(cfg: SmallScaleConfig, rng: np.random.Generator) -> np.nda
 
 
 def small_scale(phi0_deg: float, theta0_deg: float, ray_angles: np.ndarray,
-                coefs: np.ndarray, cfg: SmallScaleConfig,
+                coefs: np.ndarray, cfg: ChannelConfig,
                 array: ArrayConfig) -> np.ndarray:
     """Small-scale fading vector of one link whose direct path arrives
     from (``phi0_deg``, ``theta0_deg``) and whose rays from

@@ -6,7 +6,9 @@ are shared by the criteria that audit them.
 """
 
 import csv
+import gzip
 import hashlib
+import io
 import math
 import time
 from dataclasses import replace
@@ -17,7 +19,7 @@ import pytest
 
 from coopsat import metrics
 from coopsat.beamforming import analog_beamform, regularized_zf
-from coopsat.channel import SmallScaleConfig, small_scale
+from coopsat.channel import ChannelConfig, small_scale
 from coopsat.config import load_config
 from coopsat.geometry import (EARTH_MU_KM3_S2, EARTH_RADIUS_KM,
                               ConstellationConfig, propagate, visibility)
@@ -42,15 +44,19 @@ DESK_SEED1_SHA256 = {
 }
 DESK_SEED1_BUILD = {"numpy": "2.4.6", "openblas_core": "SkylakeX", "simd": "AVX512_SPR"}
 
-# Every desk seed-1 row: epoch, scheme, user, serving satellite, SINR
-# (linear) and SE.  Unlike the digests it holds on any build: links must
-# match exactly and values to DESK_REFERENCE_RTOL.  On OpenBLAS's Haswell
-# and Sandybridge kernels and on numpy's AVX2 loops no link moves and no
-# value by more than 3.8e-14 relative; the bound sits below 1e-9 so that
-# an SE moved by 1e-9 fails.  Re-record it with
-# ``PYTHONPATH=src:tests python tests/test_acceptance.py``.
+# Every desk seed-1 row (``reference_rows``): epoch, scheme, user,
+# serving satellite, SINR (linear) and SE.  Unlike the digests it holds
+# on any build: links must match exactly and values to REFERENCE_RTOL.
+# On OpenBLAS's Haswell and Sandybridge kernels and on numpy's AVX2 loops
+# no link moves and no value by more than 3.8e-14 relative (4.1e-14 on
+# the full profile); the bound sits below 1e-9 so that an SE moved by
+# 1e-9 fails.  FULL_REFERENCE holds the full profile's rows,
+# gzip-compressed; a run takes seconds, so
+# ``tests/check_full_reference.py`` compares it outside the suite.
+# Re-record both with ``PYTHONPATH=src:tests python tests/test_acceptance.py``.
 DESK_REFERENCE = Path(__file__).with_name("desk_seed1_reference.csv")
-DESK_REFERENCE_RTOL = 1e-10
+FULL_REFERENCE = Path(__file__).with_name("full_reference.csv.gz")
+REFERENCE_RTOL = 1e-10
 
 
 def report_line(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -195,7 +201,7 @@ def test_criterion_5_codebook_and_analog_properties():
 def test_criterion_6_channel_normalization():
     from coopsat.channel import ArrayConfig
     array = ArrayConfig()
-    cfg = SmallScaleConfig()
+    cfg = ChannelConfig()
     draws = 10_000
     angles, coefs = draw_paths([(20.0, 50.0)] * draws, cfg, np.random.default_rng(66))
     h = small_scale(angles, coefs, cfg, array)
@@ -252,28 +258,41 @@ def test_golden_digests(desk_reports, tmp_path):
     assert digests == DESK_SEED1_SHA256, digest_builds(DESK_SEED1_BUILD)
 
 
-def desk_reference_rows(report) -> list[tuple]:
+def reference_rows(report) -> list[tuple]:
     return [(r.epoch_s, r.scheme, u.gu_id, u.serving_sat, u.sinr, u.se)
             for r in report.results for u in r.users]
 
 
-def write_desk_reference() -> None:
-    with DESK_REFERENCE.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch_s", "scheme", "gu_id", "serving_sat", "sinr", "se"))
-        writer.writerows(desk_reference_rows(run(replace(load_config("desk"), seed=1))))
+def write_reference(path: Path, report) -> None:
+    """The rows of ``report`` as CSV, gzip-compressed (with no time
+    stamp, so equal rows give equal bytes) if ``path`` ends in .gz."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(("epoch_s", "scheme", "gu_id", "serving_sat", "sinr", "se"))
+    writer.writerows(reference_rows(report))
+    data = text.getvalue().encode()
+    path.write_bytes(gzip.compress(data, mtime=0) if path.suffix == ".gz" else data)
+
+
+def assert_rows_match(report, path: Path) -> None:
+    """Links exactly as recorded in ``path``, SINR and SE to REFERENCE_RTOL."""
+    data = path.read_bytes()
+    rows = csv.reader((gzip.decompress(data) if path.suffix == ".gz" else data)
+                      .decode().splitlines())
+    want = [(float(epoch), scheme, int(gu), int(sat) if sat else None,
+             float(sinr), float(se))
+            for epoch, scheme, gu, sat, sinr, se in list(rows)[1:]]
+    got = reference_rows(report)
+    moved = [(row[:4], ref[:4]) for row, ref in zip(got, want) if row[:4] != ref[:4]]
+    assert len(got) == len(want) and not moved, (
+        f"{len(got)} rows for {len(want)} recorded; links moved (got, recorded): {moved[:3]}")
+    np.testing.assert_allclose([row[4:] for row in got], [row[4:] for row in want],
+                               rtol=REFERENCE_RTOL, atol=0.0)
 
 
 def test_desk_seed1_reference(desk_reports):
     reports, _ = desk_reports
-    got = desk_reference_rows(reports[1])
-    with DESK_REFERENCE.open(newline="") as fh:
-        want = [(float(epoch), scheme, int(gu), int(sat) if sat else None,
-                 float(sinr), float(se))
-                for epoch, scheme, gu, sat, sinr, se in list(csv.reader(fh))[1:]]
-    assert [row[:4] for row in got] == [row[:4] for row in want]
-    np.testing.assert_allclose([row[4:] for row in got], [row[4:] for row in want],
-                               rtol=DESK_REFERENCE_RTOL, atol=0.0)
+    assert_rows_match(reports[1], DESK_REFERENCE)
 
 
 def test_criterion_9_orbit_sanity():
@@ -298,4 +317,5 @@ def test_criterion_9_orbit_sanity():
 
 
 if __name__ == "__main__":
-    write_desk_reference()
+    write_reference(DESK_REFERENCE, run(replace(load_config("desk"), seed=1)))
+    write_reference(FULL_REFERENCE, run(load_config("full")))

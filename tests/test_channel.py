@@ -10,8 +10,8 @@ import reference_channel as ref
 import reference_links as ref_links
 from conftest import close_to_reference, draw_paths, same_bits
 from coopsat import harness
-from coopsat.channel import (ArrayConfig, AttenuationConfig, LinkInvalidError,
-                             RfConfig, SmallScaleConfig, clear_sky_loss_db, draw_links,
+from coopsat.channel import (ArrayConfig, ChannelConfig, LinkInvalidError,
+                             RfConfig, clear_sky_loss_db, draw_links,
                              large_scale_amplitude, path_gains, path_loss,
                              sample_ray_angles, small_scale, vsat_gain_dbi)
 from coopsat.config import from_dict
@@ -20,8 +20,8 @@ from coopsat.geometry import ConstellationConfig
 
 # one unit-gain path, whose normalization is exactly 1: its channel is
 # the steering vector toward the path's direction
-UNIT_PATH = SmallScaleConfig(direct_amp_mean_db=0.0, direct_amp_std_db=0.0,
-                             multipath_power_db=-math.inf)
+UNIT_PATH = ChannelConfig(direct_amp_mean_db=0.0, direct_amp_std_db=0.0,
+                          multipath_power_db=-math.inf)
 
 
 def steering(phi, theta, array):
@@ -87,9 +87,9 @@ class TestReferenceChannel:
                                    multipath_db, phi, theta, elevation, slant, n_links,
                                    seed):
         array = ArrayConfig(n_x=n_x, n_y=n_y, element_spacing=spacing)
-        cfg = SmallScaleConfig(n_clusters=n_clusters, n_rays=n_rays,
-                               multipath_power_db=multipath_db)
-        rf, atten = RfConfig(), AttenuationConfig()
+        cfg = ChannelConfig(n_clusters=n_clusters, n_rays=n_rays,
+                            multipath_power_db=multipath_db)
+        rf = RfConfig()
         links = range(n_links)
         direct = np.array([(phi - 7.0 * k, theta * (1.0 - 0.25 * k)) for k in links])
         elevations = np.array([elevation * (1.0 - 0.25 * k) for k in links])
@@ -97,15 +97,15 @@ class TestReferenceChannel:
         # every link drawn from one stream, so the order of the draws
         # across links shows too
         new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = draw_links([new_rng] * n_links, cfg, atten)
-        loss = path_loss(clear_sky_loss_db(elevations, slants, rf, atten),
-                         draws.shadow_db, atten)
+        draws = draw_links([new_rng] * n_links, cfg)
+        loss = path_loss(clear_sky_loss_db(elevations, slants, rf, cfg),
+                         draws.shadow_db, cfg)
         rays = sample_ray_angles(direct, draws.offsets_deg)
         angles = np.concatenate((direct[:, None], rays[:, :cfg.n_paths - 1]), axis=1)
         coefs = path_gains(draws)
         h = small_scale(angles, coefs, cfg, array)
         for k, d in zip(links, direct.tolist()):
-            ref_loss = ref.path_loss(elevations[k], slants[k], rf, atten, ref_rng)
+            ref_loss = ref.path_loss(elevations[k], slants[k], rf, cfg, ref_rng)
             ref_rays = ref.sample_ray_angles(*d, cfg, ref_rng)
             ref_coefs = ref.path_coefficients(cfg, ref_rng)
             assert loss[k] == pytest.approx(ref_loss, rel=1e-14, abs=0.0)
@@ -122,8 +122,8 @@ class TestReferenceChannel:
 
 class TestSmallScale:
     def test_deterministic_direct_path_only(self, default_array):
-        cfg = SmallScaleConfig(direct_amp_mean_db=0.0, direct_amp_std_db=0.0,
-                               multipath_power_db=-math.inf)
+        cfg = ChannelConfig(direct_amp_mean_db=0.0, direct_amp_std_db=0.0,
+                            multipath_power_db=-math.inf)
         assert cfg.normalization == pytest.approx(1.0)
         assert cfg.n_paths == 1
         angles, coefs = draw_paths([(10.0, 40.0)], cfg, np.random.default_rng(0))
@@ -134,7 +134,7 @@ class TestSmallScale:
         assert abs(np.vdot(a, h)) == pytest.approx(np.linalg.norm(h), rel=1e-12)
 
     def test_mean_energy_is_one(self, default_array):
-        cfg = SmallScaleConfig()
+        cfg = ChannelConfig()
         n_draws = 10_000
         angles, coefs = draw_paths([(0.0, 60.0)] * n_draws, cfg,
                                    np.random.default_rng(42))
@@ -145,7 +145,7 @@ class TestSmallScale:
         assert 0.95 <= acc / n_draws <= 1.05
 
     def test_same_seed_same_vector(self, default_array):
-        cfg = SmallScaleConfig()
+        cfg = ChannelConfig()
         draws = [small_scale(*draw_paths([(5.0, 45.0)], cfg, np.random.default_rng(123)),
                              cfg, default_array) for _ in range(2)]
         assert same_bits(draws[0], draws[1])
@@ -156,7 +156,7 @@ class TestSmallScale:
         # that fill, cross and end blocks of links, each also shifted by
         # 5 links, so that a link sits at another place in its block
         array = ArrayConfig(n_x=16, n_y=16)
-        cfg = SmallScaleConfig(n_clusters=4, n_rays=25)
+        cfg = ChannelConfig(n_clusters=4, n_rays=25)
         assert cfg.n_paths == 101
         rng = np.random.default_rng(17)
         directions = [(rng.uniform(-180.0, 180.0), rng.uniform(5.0, 90.0)) for _ in range(22)]
@@ -177,63 +177,62 @@ class TestSmallScale:
                                           ((1, 0, 2), (1, 0))]:
             with pytest.raises(ValueError):
                 small_scale(np.zeros(angles_shape), np.ones(coefs_shape, dtype=complex),
-                            SmallScaleConfig(), default_array)
+                            ChannelConfig(), default_array)
 
     def test_empty_epoch(self, default_array):
-        cfg = SmallScaleConfig()
+        cfg = ChannelConfig()
         h = small_scale(np.zeros((0, cfg.n_paths, 2)),
                         np.zeros((0, cfg.n_paths), dtype=complex), cfg, default_array)
         assert h.shape == (0, default_array.n_elements)
-        draws = draw_links([], cfg, AttenuationConfig())
+        draws = draw_links([], cfg)
         rays = sample_ray_angles(np.zeros((0, 2)), draws.offsets_deg)
         assert rays.shape == (0, cfg.n_clusters * cfg.n_rays, 2)
         assert path_gains(draws).shape == (0, cfg.n_paths)
 
 
-def no_shadow_loss(elevation_deg, slant_range_km, rf, atten):
-    return path_loss(clear_sky_loss_db(elevation_deg, slant_range_km, rf, atten), 0.0, atten)
+def no_shadow_loss(elevation_deg, slant_range_km, rf, cfg):
+    return path_loss(clear_sky_loss_db(elevation_deg, slant_range_km, rf, cfg), 0.0, cfg)
 
 
 class TestPathLoss:
     def test_fspl_closed_form(self, rf):
         # independent closed-form free-space loss
-        atten = AttenuationConfig(zenith_gas_db=0.0, scintillation_db=0.0,
-                                  shadow_sigma_db=0.0)
-        pl = no_shadow_loss(90.0, 1200.0, rf, atten)
+        cfg = ChannelConfig(zenith_gas_db=0.0, scintillation_db=0.0, shadow_sigma_db=0.0)
+        pl = no_shadow_loss(90.0, 1200.0, rf, cfg)
         expected = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
         assert pl == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(180.05, abs=0.01)
         assert pl == expected  # the zero shadow, gas and scintillation add nothing
 
     def test_doubling_range_adds_6db(self, rf):
-        atten = AttenuationConfig(shadow_sigma_db=0.0)
-        p1, p2 = no_shadow_loss(90.0, [800.0, 1600.0], rf, atten)
+        cfg = ChannelConfig(shadow_sigma_db=0.0)
+        p1, p2 = no_shadow_loss(90.0, [800.0, 1600.0], rf, cfg)
         assert p2 - p1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
     def test_cosecant_gas_scaling(self, rf):
         # same range, so only the gas term differs: csc 30 deg = 2 csc 90 deg
-        atten = AttenuationConfig(shadow_sigma_db=0.0)
-        g90, g30 = no_shadow_loss([90.0, 30.0], 1200.0, rf, atten)
-        assert g30 - g90 == pytest.approx(atten.zenith_gas_db, rel=1e-12)
+        cfg = ChannelConfig(shadow_sigma_db=0.0)
+        g90, g30 = no_shadow_loss([90.0, 30.0], 1200.0, rf, cfg)
+        assert g30 - g90 == pytest.approx(cfg.zenith_gas_db, rel=1e-12)
 
     def test_total_is_additive(self, rf):
         # the shadow fading is the first draw of the link's stream
-        atten = AttenuationConfig()
-        draws = draw_links([np.random.default_rng(3)], SmallScaleConfig(), atten)
-        (pl,) = path_loss(clear_sky_loss_db([45.0], [1200.0], rf, atten),
-                          draws.shadow_db, atten)
+        cfg = ChannelConfig()
+        draws = draw_links([np.random.default_rng(3)], cfg)
+        (pl,) = path_loss(clear_sky_loss_db([45.0], [1200.0], rf, cfg),
+                          draws.shadow_db, cfg)
         fspl = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
-        shadow = np.random.default_rng(3).normal(0.0, atten.shadow_sigma_db)
-        gas = atten.zenith_gas_db / math.sin(math.radians(45.0))
-        assert pl == pytest.approx(fspl + shadow + gas + atten.scintillation_db)
+        shadow = np.random.default_rng(3).normal(0.0, cfg.shadow_sigma_db)
+        gas = cfg.zenith_gas_db / math.sin(math.radians(45.0))
+        assert pl == pytest.approx(fspl + shadow + gas + cfg.scintillation_db)
 
     def test_below_horizon_rejected(self, rf):
         with pytest.raises(LinkInvalidError):
-            clear_sky_loss_db(-1.0, 1200.0, rf, AttenuationConfig())
+            clear_sky_loss_db(-1.0, 1200.0, rf, ChannelConfig())
         # the first link at or below the horizon is named
         with pytest.raises(LinkInvalidError,
                            match=r"^satellite below horizon \(elevation 0\.00 deg\)$"):
-            clear_sky_loss_db([30.0, 0.0, -1.0], [1200.0] * 3, rf, AttenuationConfig())
+            clear_sky_loss_db([30.0, 0.0, -1.0], [1200.0] * 3, rf, ChannelConfig())
 
 
 class TestVsatGain:
@@ -293,9 +292,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ArrayConfig(n_x=0)
     with pytest.raises(ValueError):
-        SmallScaleConfig(n_clusters=0)
+        ChannelConfig(n_clusters=0)
     with pytest.raises(ValueError):
-        AttenuationConfig(zenith_gas_db=-1.0)
+        ChannelConfig(zenith_gas_db=-1.0)
 
 
 class TestRangeCorners:
@@ -321,12 +320,12 @@ class TestRangeCorners:
     ], ids=["loss", "gain"])
     def test_gain_before_the_shadow_draw(self, rf, channel, elevation, sat_km, user_km,
                                          slant_km, gain_db):
-        rf, atten = RfConfig(**rf), AttenuationConfig(**channel)
+        rf, channel = RfConfig(**rf), ChannelConfig(**channel)
         slant = ref_links.slant_range_km(ConstellationConfig(altitude_km=sat_km), elevation,
                                          user_km)
         assert slant == pytest.approx(slant_km, abs=0.05)
         amplitude = large_scale_amplitude(
-            path_loss(clear_sky_loss_db(elevation, slant, rf, atten), 0.0, atten), rf)
+            path_loss(clear_sky_loss_db(elevation, slant, rf, channel), 0.0, channel), rf)
         assert math.isfinite(amplitude) and amplitude > 0.0
         g_db = 20.0 * math.log10(amplitude)
         assert g_db == pytest.approx(gain_db, abs=0.05)

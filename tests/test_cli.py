@@ -80,7 +80,7 @@ def test_validate_rejects_fractional_epoch_count(tmp_path, capsys):
     pytest.param("gus:\n" + "".join(f"  - {{lat: {30.0 + 0.5 * i}, lon: {100.0 + 3 * i}, "
                                    "alt_km: -3000.0}\n" for i in range(10))
                  + "epochs: {count: 24}\nchannel: {zenith_gas_db: 532.9}\n",
-                 "gus[0].altitude_km", id="below-sea-level"),
+                 "gus[0].alt_km", id="below-sea-level"),
     ("channel: {angle_spread_deg: -1.0}\n", "channel.angle_spread_deg"),
     ("rf: {bandwidth_hz: 1.0e-300}\n", "rf.bandwidth_hz"),
     ("rf: {tx_power_w: 1.0e-300}\n", "rf.tx_power_w"),
@@ -119,8 +119,8 @@ def shadow_draw(shadow_db: float):
     """``harness.draw_links`` with each epoch's first shadow-fading draw
     set to ``shadow_db``: a draw no valid spread reaches, far past the
     ~275 dB that a 20 dB spread can draw."""
-    def draws(rngs, cfg, atten):
-        out = draw_links(rngs, cfg, atten)
+    def draws(rngs, cfg):
+        out = draw_links(rngs, cfg)
         out.shadow_db[0] = shadow_db
         return out
     return mock.patch.object(harness, "draw_links", draws)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import coopsat
-from coopsat.channel import ArrayConfig, AttenuationConfig, RfConfig, SmallScaleConfig
+from coopsat.channel import ArrayConfig, ChannelConfig, RfConfig
 from coopsat.config import (NO_RAYS, ConfigError, EpochGrid, ScenarioConfig,
                             bundled_cities, config_digest, from_dict, load_config,
                             to_dict)
@@ -74,6 +74,22 @@ class TestFromDict:
                        "codewords", "seed", "bogus_section"):
             assert needle in messages
 
+    def test_section_reports_its_first_range_error(self):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"channel": {"n_clusters": 0, "zenith_gas_db": 200}})
+        assert err.value.errors == ["channel.n_clusters: must be >= 1"]
+        # a type error is reported beside it
+        with pytest.raises(ConfigError) as err:
+            from_dict({"channel": {"n_rays": True, "zenith_gas_db": 200}})
+        assert err.value.errors == ["channel.n_rays: must be an integer",
+                                    "channel.zenith_gas_db: must be in [0, 100]"]
+
+    @pytest.mark.parametrize("key", ["small_scale", "attenuation"])
+    def test_channel_fields_live_in_the_channel_section(self, key):
+        with pytest.raises(ConfigError) as err:
+            from_dict({key: {"n_rays": 5}})
+        assert err.value.errors == [f"{key}: unknown field"]
+
     def test_empty_gu_list_rejected(self):
         with pytest.raises(ConfigError) as err:
             from_dict({"gus": []})
@@ -120,9 +136,9 @@ class TestFromDict:
          "epochs.step_s: must be a finite number"),
         ({"density_threshold_km": math.nan},
          "density_threshold_km: must be a finite number"),
-        ({"small_scale": SmallScaleConfig(angle_spread_deg=math.nan)},
+        ({"channel": ChannelConfig(angle_spread_deg=math.nan)},
          "channel.angle_spread_deg: must be a finite number"),
-        ({"attenuation": AttenuationConfig(zenith_gas_db=True)},
+        ({"channel": ChannelConfig(zenith_gas_db=True)},
          "channel.zenith_gas_db: must be a finite number"),
         ({"gus": (GroundUser(0, 30.0, 116.0, altitude_km=math.inf),)},
          "gus[0].altitude_km: must be a finite number"),
@@ -250,6 +266,7 @@ class TestFromDict:
          "gus[1].label: 'A' is already the label of gus[0]"),
         ({"gus": [{"lat": 30, "lon": 116}, {"lat": 31, "lon": 121, "label": "gu0"}]},
          "gus[1].label: 'gu0' is already the label of gus[0]"),
+        ({"gus": [{"lat": 30, "lon": 200}]}, "gus[0].lon: must be in [-180, 180)"),
     ])
     def test_bad_user_entry_rejected(self, data, message):
         with pytest.raises(ConfigError) as err:
@@ -263,8 +280,8 @@ class TestFromDict:
     def test_minus_inf_multipath_power_turns_the_rays_off(self):
         # the documented switch, from a mapping as a scenario file gives it
         cfg = from_dict({"channel": {"multipath_power_db": -math.inf}})
-        assert cfg.small_scale.multipath_power_db == -math.inf
-        assert cfg.small_scale.n_paths == 1
+        assert cfg.channel.multipath_power_db == -math.inf
+        assert cfg.channel.n_paths == 1
         assert from_dict(to_dict(cfg)) == cfg
 
     def test_minus_inf_multipath_power_is_json_safe_plain_data(self):
@@ -292,37 +309,39 @@ def _scenario(path: str, value) -> dict:
 
 
 class TestPhysicalRanges:
-    # (field path in a file, range, the path errors name it by)
+    # (field path in a file, range); errors name ``gus.<key>`` by its
+    # one inline user, ``gus[0].<key>``
     RANGES = [
-        ("rf.carrier_frequency_hz", (1e8, 1e12), None),
-        ("rf.bandwidth_hz", (1e3, 1e11), None),
-        ("rf.noise_temperature_dbk", (0.0, 50.0), None),
-        ("rf.satellite_antenna_gain_dbi", (0.0, 70.0), None),
-        ("rf.vsat_max_gain_dbi", (0.0, 70.0), None),
-        ("rf.vsat_floor_suppression_db", (0.0, 60.0), None),
-        ("rf.tx_power_w", (1e-3, 1e5), None),
-        ("constellation.inclination_deg", (0.0, 180.0), None),
-        ("constellation.altitude_km", (160.0, 40000.0), None),
-        ("gus.lat", (-90.0, 90.0), "gus[0].latitude_deg"),
-        ("gus.alt_km", (-0.5, 10.0), "gus[0].altitude_km"),
-        ("channel.zenith_gas_db", (0.0, 100.0), None),
-        ("channel.scintillation_db", (0.0, 20.0), None),
-        ("channel.shadow_sigma_db", (0.0, 20.0), None),
-        ("channel.direct_amp_mean_db", (-40.0, 10.0), None),
-        ("channel.direct_amp_std_db", (0.0, 20.0), None),
-        ("channel.multipath_power_db", (-60.0, 10.0), None),
-        ("channel.angle_spread_deg", (0.0, 90.0), None),
+        ("rf.carrier_frequency_hz", (1e8, 1e12)),
+        ("rf.bandwidth_hz", (1e3, 1e11)),
+        ("rf.noise_temperature_dbk", (0.0, 50.0)),
+        ("rf.satellite_antenna_gain_dbi", (0.0, 70.0)),
+        ("rf.vsat_max_gain_dbi", (0.0, 70.0)),
+        ("rf.vsat_floor_suppression_db", (0.0, 60.0)),
+        ("rf.tx_power_w", (1e-3, 1e5)),
+        ("constellation.inclination_deg", (0.0, 180.0)),
+        ("constellation.altitude_km", (160.0, 40000.0)),
+        ("gus.lat", (-90.0, 90.0)),
+        ("gus.alt_km", (-0.5, 10.0)),
+        ("channel.zenith_gas_db", (0.0, 100.0)),
+        ("channel.scintillation_db", (0.0, 20.0)),
+        ("channel.shadow_sigma_db", (0.0, 20.0)),
+        ("channel.direct_amp_mean_db", (-40.0, 10.0)),
+        ("channel.direct_amp_std_db", (0.0, 20.0)),
+        ("channel.multipath_power_db", (-60.0, 10.0)),
+        ("channel.angle_spread_deg", (0.0, 90.0)),
     ]
 
-    @pytest.mark.parametrize("path,ends,where", RANGES, ids=[r[0] for r in RANGES])
-    def test_each_end_accepted_and_one_step_past_rejected(self, path, ends, where):
+    @pytest.mark.parametrize("path,ends", RANGES, ids=[r[0] for r in RANGES])
+    def test_each_end_accepted_and_one_step_past_rejected(self, path, ends):
         lo, hi = ends
+        where = path.replace("gus.", "gus[0].")
         for value in ends:
             from_dict(_scenario(path, value))
         for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
             with pytest.raises(ConfigError) as err:
                 from_dict(_scenario(path, value))
-            assert err.value.errors == [f"{where or path}: must be in [{lo:g}, {hi:g}]"]
+            assert err.value.errors == [f"{where}: must be in [{lo:g}, {hi:g}]"]
 
     def test_min_elevation_half_open(self):
         assert from_dict({"min_elevation_deg": 5.0}).min_elevation_deg == 5.0
@@ -410,6 +429,15 @@ class TestDigest:
         c = replace(a, seed=2)
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
+
+    @pytest.mark.parametrize("profile,digest", [
+        ("desk", "fd54172d2842c464ddf49a4e4549853cf5825f17144df1f8e22acbc5f1ea94fd"),
+        ("full", "b982abfd4642c1a3806cc45b9d24309e59b52479c86c980df9cacdd2ba6b9eb5"),
+    ])
+    def test_profile_digest_pinned(self, profile, digest):
+        # a hash of JSON text: unlike the output digests, the same on
+        # every BLAS and SIMD build
+        assert config_digest(load_config(profile)) == digest
 
     def test_to_dict_json_friendly(self):
         import json

@@ -39,22 +39,34 @@ def _near(a: float, b: float) -> bool:
 
 
 def assert_matches_reference(inst: EpochInstance, mode: SchemeMode) -> None:
-    new = greedy_schedule(inst, mode, trace=True)
+    scorer = scheduling._joint_gains
+    grids = []  # the scorer's own gains at each step
+
+    def recording(*args):
+        gains = scorer(*args)
+        grids.append(gains.copy())
+        return gains
+
+    with mock.patch.object(scheduling, "_joint_gains", recording):
+        new = greedy_schedule(inst, mode, trace=True)
     picks = [(r.sat_id, r.gu_id) for r in new.trace]
     steps, links, unserved = reference_greedy(inst, mode, picks=picks)
 
-    assert len(steps) == len(new.trace)
+    assert len(steps) == len(new.trace) == len(grids)
     near_tie_seen = False
-    for rec, step in zip(new.trace, steps):
+    for rec, step, grid in zip(new.trace, steps, grids):
         ref = step.record
         assert (rec.iteration, rec.n_candidates, rec.committed) == (
             ref.iteration, ref.n_candidates, ref.committed)
         best_pair, best = step.best
         runner_up = sorted(step.gains)[-2] if len(step.gains) > 1 else -math.inf
         pick = (rec.sat_id, rec.gu_id)
-        if best == runner_up:
-            assert pick == best_pair  # exact tie: smallest (sat, gu)
-        elif _near(best, runner_up):
+        tied = np.argwhere(grid == grid.max())
+        if len(tied) > 1:  # an exact tie in the scorer's gains: smallest (sat, gu)
+            assert pick == min((inst.sat_ids[s], inst.gu_ids[g]) for s, g in tied)
+        # an exact tie in the reference's gains is a near-tie too: the
+        # scorer's rounding may break it
+        if _near(best, runner_up):
             near_tie_seen = True
             assert _near(step.gain_of(pick), best)
         else:

@@ -156,10 +156,10 @@ def reference_build(config, epoch_index, t):
                 ref_links.ground_user_position(gu, t))
             rng = link_rng(config.seed, epoch_index, vis.sat_ids[s], gu.user_id)
             loss_db = ref.path_loss(float(vis.elevation_deg[s, u]), slant, config.rf,
-                                    config.attenuation, rng)
-            rays = ref.sample_ray_angles(phi, theta, config.small_scale, rng)
-            coefs = ref.path_coefficients(config.small_scale, rng)
-            h_ss = ref.small_scale(phi, theta, rays, coefs, config.small_scale, config.array)
+                                    config.channel, rng)
+            rays = ref.sample_ray_angles(phi, theta, config.channel, rng)
+            coefs = ref.path_coefficients(config.channel, rng)
+            h_ss = ref.small_scale(phi, theta, rays, coefs, config.channel, config.array)
             channels[i, u] = large_scale_amplitude(loss_db, config.rf) * h_ss
     return tuple(vis.sat_ids[s] for s in active), channels, directions
 
@@ -173,9 +173,9 @@ BUILD_SHAPES = {
     "full-40-cities": lambda: replace(load_config("full"), gus=bundled_cities(40)),
     "wide-array": lambda: replace(
         _desk(), array=ArrayConfig(n_x=16, n_y=16),
-        small_scale=replace(_desk().small_scale, n_clusters=4, n_rays=25)),
+        channel=replace(_desk().channel, n_clusters=4, n_rays=25)),
     "no-diffuse-rays": lambda: replace(
-        _desk(), small_scale=replace(_desk().small_scale, multipath_power_db=-math.inf)),
+        _desk(), channel=replace(_desk().channel, multipath_power_db=-math.inf)),
     "one-element": lambda: replace(_desk(), array=ArrayConfig(n_x=1, n_y=1), codewords=1),
 }
 
@@ -305,8 +305,8 @@ class TestEmit:
 
     def test_no_ray_summary_is_strict_json(self, tmp_path):
         # multipath_power_db = -inf is the one infinite value a config holds
-        config = replace(single_link_config(), small_scale=replace(
-            single_link_config().small_scale, multipath_power_db=-math.inf))
+        config = replace(single_link_config(), channel=replace(
+            single_link_config().channel, multipath_power_db=-math.inf))
         emit(run(config), tmp_path, "csv")
 
         def reject(token):

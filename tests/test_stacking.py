@@ -79,17 +79,17 @@ def test_geometry_of_a_link_alone_as_in_any_stack(links, n):
 @pytest.mark.parametrize("n", STACK_SIZES)
 def test_link_budget_of_a_link_alone_as_in_any_stack(links, n):
     cfg, sats, gu_pos = links
-    rf, atten = cfg.rf, cfg.attenuation
+    rf, channel = cfg.rf, cfg.channel
     elevation = elevation_deg(sats.position_km, gu_pos)
     slant = link_geometry(sats, gu_pos).slant_range_km
-    shadow = np.random.default_rng(3).normal(0.0, atten.shadow_sigma_db, len(slant))
-    loss = path_loss(clear_sky_loss_db(elevation, slant, rf, atten), shadow, atten)
+    shadow = np.random.default_rng(3).normal(0.0, channel.shadow_sigma_db, len(slant))
+    loss = path_loss(clear_sky_loss_db(elevation, slant, rf, channel), shadow, channel)
     # alone from Python floats, which numpy turns into 0-d values
-    fspl, gas = zip(*(clear_sky_loss_db(float(e), float(s), rf, atten)
+    fspl, gas = zip(*(clear_sky_loss_db(float(e), float(s), rf, channel)
                       for e, s in zip(elevation, slant)))
     amplitude = [large_scale_amplitude(float(x), rf) for x in loss]
     for index in stacks(len(slant), n):
-        stacked_fspl, stacked_gas = clear_sky_loss_db(elevation[index], slant[index], rf, atten)
+        stacked_fspl, stacked_gas = clear_sky_loss_db(elevation[index], slant[index], rf, channel)
         assert_rows_alone(stacked_fspl, fspl, index, "free-space loss")
         assert_rows_alone(stacked_gas, gas, index, "gas absorption")
         assert_rows_alone(large_scale_amplitude(loss[index], rf), amplitude, index,

@@ -17,13 +17,16 @@ made link by link: ``draw_links`` takes each link's draws from its own
 substream, in a fixed order, into one row of per-epoch arrays
 (``LinkDraws``).  Everything else runs once over every link of the
 epoch, in numpy, so that a link has the same bits alone as in any
-stack: ``path_loss``, ``sample_ray_angles`` and ``path_gains`` convert the
-draws, ``large_scale_amplitude`` the path losses, and ``small_scale``
-synthesizes the fading vectors: one trig pass gives the wavenumbers of
-every path of every link, and each link's channel is then one small
-matrix product of its paths' per-axis steering factors (the planar
-array's steering vectors are outer products of one factor per axis),
-batched over blocks of links.
+stack: ``draw_links`` turns the fading draws into path gains,
+``path_loss`` and ``sample_ray_angles`` convert the shadow fading and
+the angle offsets, ``large_scale_amplitude`` the path losses, and
+``small_scale`` synthesizes the fading vectors: one trig pass gives the
+wavenumbers of every path of every link, and each link's channel is
+then one small matrix product of its paths' per-axis steering factors
+(the planar array's steering vectors are outer products of one factor
+per axis), batched over blocks of links.  Every per-path array lays
+out a link's paths alike: its direct path, then its diffuse rays if
+they carry power (``ChannelConfig.n_paths``).
 
 Every field that enters the link budget has a physical range, stated
 with its source on the config dataclass that holds it (``RfConfig``,
@@ -237,16 +240,13 @@ def _axis_factors(first, steps: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinkDraws:
-    """The random draws of L links, one row each, in the order every
-    link draws them from its own substream (see ``draw_links``)."""
+    """The random draws of L links, one row each (see ``draw_links``),
+    with the gains of their P = ``ChannelConfig.n_paths`` paths."""
 
-    shadow_db: np.ndarray      # (L,) N(0, shadow_sigma_db^2)
-    offsets_deg: np.ndarray    # (L, C, R + 1, 2) Laplace, per cluster its
-                               # center's offset, then its rays'
-    direct_amp_db: np.ndarray  # (L,) N(direct_amp_mean_db, direct_amp_std_db^2)
-    direct_phase: np.ndarray   # (L,) U[0, 1), in turns
-    ray_amp: np.ndarray        # (L, P - 1) Rayleigh
-    ray_phase: np.ndarray      # (L, P - 1) U[0, 2 pi)
+    shadow_db: np.ndarray    # (L,) N(0, shadow_sigma_db^2)
+    offsets_deg: np.ndarray  # (L, C, R + 1, 2) Laplace, per cluster its
+                             # center's offset, then its rays'
+    gains: np.ndarray        # (L, P) complex, direct path first
 
 
 def draw_links(rngs: list[np.random.Generator], cfg: ChannelConfig) -> LinkDraws:
@@ -256,58 +256,53 @@ def draw_links(rngs: list[np.random.Generator], cfg: ChannelConfig) -> LinkDraws
     zero-mean ``laplace`` call (which consumes the stream as one call per
     center and per ray would), drawn even when the link has no rays; its
     direct-path amplitude and phase; then, only if the rays carry power,
-    the ray amplitudes and phases.  Only the draws happen here, one link
-    after another; ``path_loss``, ``sample_ray_angles`` and ``path_gains``
-    convert them for every link at once."""
-    n_links, n_rays = len(rngs), cfg.n_paths - 1
-    draws = LinkDraws(np.empty(n_links), np.empty((n_links, cfg.n_clusters, cfg.n_rays + 1, 2)),
-                      np.empty(n_links), np.empty(n_links), np.empty((n_links, n_rays)),
-                      np.empty((n_links, n_rays)))
-    offsets_size = draws.offsets_deg.shape[1:]
-    ray_scale = math.sqrt(cfg.multipath_power / n_rays / 2.0) if n_rays else 0.0
-    for link, rng in enumerate(rngs):
-        draws.shadow_db[link] = rng.normal(0.0, cfg.shadow_sigma_db)
-        draws.offsets_deg[link] = rng.laplace(scale=cfg.angle_spread_deg, size=offsets_size)
-        draws.direct_amp_db[link] = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
-        draws.direct_phase[link] = rng.uniform()
-        if n_rays:
-            draws.ray_amp[link] = rng.rayleigh(scale=ray_scale, size=n_rays)
-            draws.ray_phase[link] = rng.uniform(0.0, 2.0 * math.pi, size=n_rays)
-    return draws
-
-
-def sample_ray_angles(direct_deg: np.ndarray, offsets_deg: np.ndarray) -> np.ndarray:
-    """Arrival directions (L x C R x 2, azimuth and elevation in degrees)
-    of the diffuse rays of L links whose direct paths arrive from
-    ``direct_deg`` (L x 2), sampled with the zero-mean Laplace draws
-    ``LinkDraws.offsets_deg``: cluster centers around the direct path,
-    the rays of a cluster around its center.  Adding the means to the
-    zero-mean draws keeps the bits of drawing around them: ``laplace``
-    returns ``loc +/- x``, and ``0 +/- x`` is exact."""
-    n_links, n_clusters, n_offsets, _ = offsets_deg.shape
-    centers = offsets_deg[:, :, :1] + direct_deg[:, None, None, :]
-    return (offsets_deg[:, :, 1:] + centers).reshape(n_links, n_clusters * (n_offsets - 1), 2)
-
-
-def path_gains(draws: LinkDraws) -> np.ndarray:
-    """Complex gains (L x P) of every path of L links, direct path first.
+    the ray amplitudes and phases.  Only the draws happen one link after
+    another; the path gains are then computed for every link at once.
 
     Direct path: amplitude 10^(A/20), A ~ N(mean_db, std_db^2).  Diffuse
     rays: Rayleigh amplitudes sharing ``multipath_power`` equally.  All
     phases uniform on [0, 2 pi)."""
-    direct = (np.power(10.0, draws.direct_amp_db / 20.0)
-              * np.exp(2j * math.pi * draws.direct_phase))
-    rays = draws.ray_amp * np.exp(1j * draws.ray_phase)
-    return np.concatenate((direct[:, None], rays), axis=1)
+    n_links, n_rays = len(rngs), cfg.n_paths - 1
+    shadow_db = np.empty(n_links)
+    offsets_deg = np.empty((n_links, cfg.n_clusters, cfg.n_rays + 1, 2))
+    direct_amp_db, direct_phase = np.empty(n_links), np.empty(n_links)  # phase in turns
+    ray_amp, ray_phase = np.empty((n_links, n_rays)), np.empty((n_links, n_rays))
+    ray_scale = math.sqrt(cfg.multipath_power / n_rays / 2.0) if n_rays else 0.0
+    for link, rng in enumerate(rngs):
+        shadow_db[link] = rng.normal(0.0, cfg.shadow_sigma_db)
+        offsets_deg[link] = rng.laplace(scale=cfg.angle_spread_deg, size=offsets_deg.shape[1:])
+        direct_amp_db[link] = rng.normal(cfg.direct_amp_mean_db, cfg.direct_amp_std_db)
+        direct_phase[link] = rng.uniform()
+        if n_rays:
+            ray_amp[link] = rng.rayleigh(scale=ray_scale, size=n_rays)
+            ray_phase[link] = rng.uniform(0.0, 2.0 * math.pi, size=n_rays)
+    direct = np.power(10.0, direct_amp_db / 20.0) * np.exp(2j * math.pi * direct_phase)
+    gains = np.concatenate((direct[:, None], ray_amp * np.exp(1j * ray_phase)), axis=1)
+    return LinkDraws(shadow_db, offsets_deg, gains)
+
+
+def sample_ray_angles(direct_deg: np.ndarray, offsets_deg: np.ndarray,
+                      cfg: ChannelConfig) -> np.ndarray:
+    """Arrival directions (L x P x 2, azimuth and elevation in degrees)
+    of every path of L links whose direct paths arrive from
+    ``direct_deg`` (L x 2): the direct path's, then the diffuse rays' if
+    they carry power.  The rays are sampled with the zero-mean Laplace
+    draws ``LinkDraws.offsets_deg``: cluster centers around the direct
+    path, the rays of a cluster around its center.  Adding the means to
+    the zero-mean draws keeps the bits of drawing around them:
+    ``laplace`` returns ``loc +/- x``, and ``0 +/- x`` is exact."""
+    n_links, n_clusters, n_offsets, _ = offsets_deg.shape
+    centers = offsets_deg[:, :, :1] + direct_deg[:, None, None, :]
+    rays = (offsets_deg[:, :, 1:] + centers).reshape(n_links, n_clusters * (n_offsets - 1), 2)
+    return np.concatenate((direct_deg[:, None], rays[:, :cfg.n_paths - 1]), axis=1)
 
 
 def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: ChannelConfig,
                 array: ArrayConfig) -> np.ndarray:
     """Small-scale fading vectors (L x N), with mean energy one, of L
     links whose paths arrive from ``angles`` (L x P x 2, azimuth and
-    elevation in degrees: the direct path's, then the rays'
-    ``sample_ray_angles`` gives if they carry power) with gains ``coefs``
-    (L x P, from ``path_gains``).
+    elevation in degrees, from ``sample_ray_angles``) with gains
+    ``coefs`` (L x P, ``LinkDraws.gains``).
 
     A path from azimuth phi and elevation theta steers element (p, q)
     of the n_x x n_y grid by exp(kx p + ky q) / sqrt(N), with kx and ky

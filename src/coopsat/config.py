@@ -155,7 +155,7 @@ def bundled_cities(count: int | None = None) -> tuple[GroundUser, ...]:
     rows = list(csv.DictReader(text.splitlines()))
     if count is not None:
         if not 1 <= count <= len(rows):
-            raise ValueError(f"count must be in [1, {len(rows)}]")
+            raise ValueError(f"count: must be in [1, {len(rows)}]")
         rows = rows[:count]
     return tuple(GroundUser(user_id=i, latitude_deg=float(r["latitude_deg"]),
                             longitude_deg=float(r["longitude_deg"]),
@@ -178,6 +178,7 @@ _SCALARS = {
     int: (_is_int, "must be an integer"),
     float: (_is_finite, "must be a finite number"),
     float | None: (lambda v: v is None or _is_finite(v), "must be a finite number"),
+    str: (lambda v: isinstance(v, str), "must be a string"),
 }
 
 
@@ -281,8 +282,8 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
             return ()
         try:
             return bundled_cities(count)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"gus.count: {exc}")
+        except ValueError as exc:
+            errors.append(f"gus.{exc}")
             return ()
     if isinstance(data, dict):
         for key in data:
@@ -302,8 +303,8 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
         for key, value in row.items():
             if key not in ("lat", "lon", "alt_km", "label"):
                 errors.append(f"gus[{i}].{key}: unknown field")
-            elif key != "label" and not _is_finite(value):
-                errors.append(f"gus[{i}].{key}: must be a finite number")
+            elif problem := _type_problem(key, str if key == "label" else float, value):
+                errors.append(f"gus[{i}].{key}: {problem}")
         if len(errors) > n_errors:
             continue
         try:
@@ -313,7 +314,7 @@ def _parse_gus(data, errors: list[str]) -> tuple[GroundUser, ...]:
                 # 180 E is 180 W; GroundUser keeps longitudes in [-180, 180)
                 longitude_deg=-180.0 if row["lon"] == 180.0 else float(row["lon"]),
                 altitude_km=float(row["alt_km"]),
-                label=str(row["label"]),
+                label=row["label"],
             ))
         except ValueError as exc:  # GroundUser names its field: report the file's key
             name, _, problem = str(exc).partition(":")

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .beamforming import analog_beamform
-from .channel import (clear_sky_loss_db, draw_links, large_scale_amplitude, path_gains,
-                      path_loss, sample_ray_angles, small_scale)
+from .channel import (clear_sky_loss_db, draw_links, large_scale_amplitude, path_loss,
+                      sample_ray_angles, small_scale)
 from .config import ScenarioConfig, config_digest, to_dict
 from .geometry import ground_user_positions, link_geometry, propagate, visibility
 from .metrics import (ExperimentResult, density_classes, density_statistics,
@@ -50,8 +50,10 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     channel and analog beam for one snapshot.  Each stage runs once over
     all of the epoch's links, except the random draws: each link draws
     from its own substream, one link after another, into rows of the
-    epoch's draw arrays.  A link below the horizon stops the build
-    before any draw."""
+    epoch's draw arrays.  The path directions (``sample_ray_angles``)
+    and gains (``LinkDraws.gains``) come from ``channel`` in one layout,
+    which the build passes to ``small_scale`` as it is.  A link below
+    the horizon stops the build before any draw."""
     gus = sorted(config.gus, key=lambda g: g.user_id)
     gu_ids = tuple(g.user_id for g in gus)
     states = propagate(config.constellation, t)
@@ -65,19 +67,13 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     geom = link_geometry(states[sats], ground_user_positions(gus, t)[users])
     clear_sky = clear_sky_loss_db(vis.elevation_deg[sats, users], geom.slant_range_km,
                                   config.rf, config.channel)
-    rngs = [link_rng(config.seed, epoch_index, sat_id, gu_id) for sat_id, gu_id in
-            zip(states.satellite_id[sats].tolist(), np.array(gu_ids)[users].tolist())]
-    draws = draw_links(rngs, config.channel)
+    draws = draw_links([link_rng(config.seed, epoch_index, sat_id, gu_id) for sat_id, gu_id in
+                        zip(states.satellite_id[sats].tolist(),
+                            np.array(gu_ids)[users].tolist())], config.channel)
     loss_db = path_loss(clear_sky, draws.shadow_db, config.channel)
     direct = np.stack((geom.azimuth_sat_deg, geom.elevation_sat_deg), axis=1)
-    rays = sample_ray_angles(direct, draws.offsets_deg)
-    # none of the rays if they carry no power
-    angles = np.concatenate((direct[:, None], rays[:, :config.channel.n_paths - 1]),
-                            axis=1)
-    coefs = path_gains(draws)
-    del rngs, draws, rays  # freed before the synthesis and the analog stage
-
-    h = small_scale(angles, coefs, config.channel, config.array)
+    angles = sample_ray_angles(direct, draws.offsets_deg, config.channel)
+    h = small_scale(angles, draws.gains, config.channel, config.array)
     np.multiply(large_scale_amplitude(loss_db, config.rf)[:, None], h, out=h)
     zero = np.flatnonzero(~h.any(axis=1))
     if zero.size:

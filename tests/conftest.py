@@ -41,8 +41,7 @@ def draw_paths(directions, cfg, rng):
         offsets[link] = rng.laplace(scale=cfg.angle_spread_deg, size=offsets.shape[1:])
         coefs[link] = ref.path_coefficients(cfg, rng)
     direct = np.array(directions, dtype=float).reshape(len(directions), 2)
-    rays = sample_ray_angles(direct, offsets)[:, :cfg.n_paths - 1]
-    return np.concatenate((direct[:, None], rays), axis=1), coefs
+    return sample_ray_angles(direct, offsets, cfg), coefs
 
 
 def same_bits(a, b) -> bool:

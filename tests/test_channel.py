@@ -12,7 +12,7 @@ from conftest import close_to_reference, draw_paths, same_bits
 from coopsat import harness
 from coopsat.channel import (ArrayConfig, ChannelConfig, LinkInvalidError,
                              RfConfig, clear_sky_loss_db, draw_links,
-                             large_scale_amplitude, path_gains, path_loss,
+                             large_scale_amplitude, path_loss,
                              sample_ray_angles, small_scale, vsat_gain_dbi)
 from coopsat.config import from_dict
 from coopsat.geometry import ConstellationConfig
@@ -53,11 +53,11 @@ class TestSteeringVector:
 class TestReferenceChannel:
     """The per-epoch draw against the one-link, one-ray-at-a-time loop it
     replaced: the draws must consume the stream in the same order, and
-    the ray angles and ray gains must be equal bit for bit.  numpy's
-    ``log10`` and ``power`` may round otherwise than the reference's
-    ``math.log10`` and ``**``, so each path loss must match to a relative
-    1e-14 and each direct-path gain to 1e-15 of its modulus (with numpy
-    2.4.6 on x86-64, at most 3.1e-16 and 2.5e-16).  The channels add
+    every path's angles and the ray gains must be equal bit for bit.
+    numpy's ``log10`` and ``power`` may round otherwise than the
+    reference's ``math.log10`` and ``**``, so each path loss must match
+    to a relative 1e-14 and each direct-path gain to 1e-15 of its
+    modulus (with numpy 2.4.6 on x86-64, at most 3.1e-16 and 2.5e-16).  The channels add
     their paths in another order, so each link's channel must match the
     reference to max |difference| <= 1e-12 times the reference's norm
     (``close_to_reference``)."""
@@ -72,8 +72,8 @@ class TestReferenceChannel:
            n_links=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     # the benchmark's shapes, which the strategy does not reach: 16x16
     # elements with 4 x 25 rays (wide-array) and 8x8 with 2 x 10 rays
-    # (the desk and full profiles); and a single element with 4 x 3
-    # rays
+    # (the desk and full profiles); a single element with 4 x 3 rays;
+    # and the direct path alone (rays without power), on every run
     @example(n_x=16, n_y=16, spacing=0.5, n_clusters=4, n_rays=25,
              multipath_db=-15.0, phi=-37.25, theta=71.5, elevation=23.5, slant=2400.0,
              n_links=3, seed=3)
@@ -83,6 +83,9 @@ class TestReferenceChannel:
     @example(n_x=1, n_y=1, spacing=0.5, n_clusters=4, n_rays=3,
              multipath_db=-15.0, phi=5.0, theta=80.0, elevation=10.0, slant=3500.0,
              n_links=2, seed=0)
+    @example(n_x=3, n_y=2, spacing=0.5, n_clusters=2, n_rays=4,
+             multipath_db=-math.inf, phi=-80.0, theta=35.0, elevation=40.0, slant=1800.0,
+             n_links=3, seed=5)
     def test_draw_equals_reference(self, n_x, n_y, spacing, n_clusters, n_rays,
                                    multipath_db, phi, theta, elevation, slant, n_links,
                                    seed):
@@ -100,18 +103,17 @@ class TestReferenceChannel:
         draws = draw_links([new_rng] * n_links, cfg)
         loss = path_loss(clear_sky_loss_db(elevations, slants, rf, cfg),
                          draws.shadow_db, cfg)
-        rays = sample_ray_angles(direct, draws.offsets_deg)
-        angles = np.concatenate((direct[:, None], rays[:, :cfg.n_paths - 1]), axis=1)
-        coefs = path_gains(draws)
-        h = small_scale(angles, coefs, cfg, array)
+        angles = sample_ray_angles(direct, draws.offsets_deg, cfg)
+        h = small_scale(angles, draws.gains, cfg, array)
         for k, d in zip(links, direct.tolist()):
             ref_loss = ref.path_loss(elevations[k], slants[k], rf, cfg, ref_rng)
             ref_rays = ref.sample_ray_angles(*d, cfg, ref_rng)
             ref_coefs = ref.path_coefficients(cfg, ref_rng)
             assert loss[k] == pytest.approx(ref_loss, rel=1e-14, abs=0.0)
-            assert same_bits(rays[k], ref_rays)
-            assert same_bits(coefs[k, 1:], ref_coefs[1:])
-            assert abs(coefs[k, 0] - ref_coefs[0]) <= 1e-15 * abs(ref_coefs[0])
+            assert same_bits(angles[k, 0], direct[k])
+            assert same_bits(angles[k, 1:], ref_rays[:cfg.n_paths - 1])
+            assert same_bits(draws.gains[k, 1:], ref_coefs[1:])
+            assert abs(draws.gains[k, 0] - ref_coefs[0]) <= 1e-15 * abs(ref_coefs[0])
             assert close_to_reference(h[k], ref.small_scale(*d, ref_rays, ref_coefs, cfg,
                                                             array))
         # both consumed the stream alike
@@ -185,9 +187,9 @@ class TestSmallScale:
                         np.zeros((0, cfg.n_paths), dtype=complex), cfg, default_array)
         assert h.shape == (0, default_array.n_elements)
         draws = draw_links([], cfg)
-        rays = sample_ray_angles(np.zeros((0, 2)), draws.offsets_deg)
-        assert rays.shape == (0, cfg.n_clusters * cfg.n_rays, 2)
-        assert path_gains(draws).shape == (0, cfg.n_paths)
+        angles = sample_ray_angles(np.zeros((0, 2)), draws.offsets_deg, cfg)
+        assert angles.shape == (0, cfg.n_paths, 2)
+        assert draws.gains.shape == (0, cfg.n_paths)
 
 
 def no_shadow_loss(elevation_deg, slant_range_km, rf, cfg):

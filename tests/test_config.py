@@ -143,6 +143,8 @@ class TestFromDict:
         ({"gus": (GroundUser(0, 30.0, 116.0, altitude_km=math.inf),)},
          "gus[0].altitude_km: must be a finite number"),
         ({"gus": (GroundUser(0.5, 30.0, 116.0),)}, "gus[0].user_id: must be an integer"),
+        ({"gus": (GroundUser(0, 30.0, 116.0, label=None),)}, "gus[0].label: must be a string"),
+        ({"gus": (GroundUser(0, 30.0, 116.0, label=[1]),)}, "gus[0].label: must be a string"),
     ])
     def test_python_built_scenario_gets_the_file_type_rules(self, fields, message):
         # reported before a range check compares the value
@@ -267,6 +269,10 @@ class TestFromDict:
         ({"gus": [{"lat": 30, "lon": 116}, {"lat": 31, "lon": 121, "label": "gu0"}]},
          "gus[1].label: 'gu0' is already the label of gus[0]"),
         ({"gus": [{"lat": 30, "lon": 200}]}, "gus[0].lon: must be in [-180, 180)"),
+        ({"gus": [{"lat": 30, "lon": 116, "label": None}]}, "gus[0].label: must be a string"),
+        ({"gus": [{"lat": 30, "lon": 116, "label": [1]}]}, "gus[0].label: must be a string"),
+        ({"gus": [{"lat": 30, "lon": 116, "label": 5}]}, "gus[0].label: must be a string"),
+        ({"gus": {"count": 0}}, "gus.count: must be in [1, 80]"),
     ])
     def test_bad_user_entry_rejected(self, data, message):
         with pytest.raises(ConfigError) as err:

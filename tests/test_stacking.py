@@ -1,10 +1,10 @@
 """A link computed alone has the same bits as in any stack of links.
 
-The geometry, the link budget, the user antenna gain table and the
-per-user spectral efficiency are plain numpy over arrays: each value is
-one element of a ufunc, or a reduction along a short last axis, so it
-does not depend on how many links share the call or on where the link
-sits in a SIMD vector.  The analog stage adds matrix products, each one
+The geometry, the link budget, the draws' path gains and directions,
+the user antenna gain table and the per-user spectral efficiency are
+plain numpy over arrays: each value is one element of a ufunc, or a
+reduction along a short last axis, so it does not depend on how many
+links share the call or on where the link sits in a SIMD vector.  The analog stage adds matrix products, each one
 BLAS call of the same shape per link.  A numpy scalar would break this: ``10.0 **
 np.float64(x)`` is a scalar power, which rounds as libm does and differs
 from ``np.power`` on some values, so a link computed that way alone
@@ -24,7 +24,8 @@ import pytest
 from conftest import make_instance, same_bits
 from coopsat import metrics
 from coopsat.beamforming import analog_beamform
-from coopsat.channel import (ArrayConfig, RfConfig, clear_sky_loss_db, large_scale_amplitude, path_loss,
+from coopsat.channel import (ArrayConfig, ChannelConfig, RfConfig, clear_sky_loss_db, draw_links,
+                             large_scale_amplitude, path_loss, sample_ray_angles,
                              vsat_gain_linear)
 from coopsat.config import load_config
 from coopsat.geometry import (elevation_deg, ground_user_positions, link_geometry, propagate,
@@ -94,6 +95,30 @@ def test_link_budget_of_a_link_alone_as_in_any_stack(links, n):
         assert_rows_alone(stacked_gas, gas, index, "gas absorption")
         assert_rows_alone(large_scale_amplitude(loss[index], rf), amplitude, index,
                           "large-scale amplitude")
+
+
+@pytest.fixture(scope="module")
+def draw_pool():
+    """A pool of 300 links with the desk profile's paths, link k drawn
+    from its own generator as the build draws it, and a function that
+    draws any of them again: their path gains and every path's
+    direction."""
+    cfg = ChannelConfig()
+    direct = np.random.default_rng(8).uniform((-180.0, 5.0), (180.0, 90.0), (300, 2))
+
+    def draw(index):
+        draws = draw_links([np.random.default_rng([7, k]) for k in index], cfg)
+        return draws.gains, sample_ray_angles(direct[index], draws.offsets_deg, cfg)
+    return len(direct), draw, [draw([k]) for k in range(len(direct))]
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_path_gains_and_directions_of_a_link_alone_as_in_any_stack(draw_pool, n):
+    n_links, draw, alone = draw_pool
+    for index in stacks(n_links, n):
+        gains, angles = draw(index)
+        assert_rows_alone(gains, [a[0][0] for a in alone], index, "path gains")
+        assert_rows_alone(angles, [a[1][0] for a in alone], index, "path directions")
 
 
 def _users_instance(directions, visible):

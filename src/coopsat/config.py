@@ -361,7 +361,8 @@ def to_dict(config: ScenarioConfig) -> dict:
     """Plain-data form of a scenario, which ``from_dict`` maps back
     (canonical for hashing).  It is strict JSON: the one infinite value
     a scenario can hold, ``multipath_power_db`` = -inf, is ``NO_RAYS``."""
-    data = asdict(config)
+    data = {f.name: asdict(value) if is_dataclass(value) else value
+            for f in fields(config) for value in [getattr(config, f.name)]}
     data["gus"] = [{"label": g.label, "lat": g.latitude_deg, "lon": g.longitude_deg,
                     "alt_km": g.altitude_km} for g in config.gus]
     if data["channel"]["multipath_power_db"] == -math.inf:

@@ -14,7 +14,6 @@ arrays; ids appear only in the ``UserMetrics`` it returns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -125,13 +124,19 @@ def stacked_total_se(instance: EpochInstance, serving: np.ndarray,
     return _evaluate(instance, serving, powers)[1].sum(axis=-1)
 
 
+def _haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Great-circle distance on the spherical Earth (haversine) between
+    points given in degrees; the arguments broadcast."""
+    lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
+    s = (np.sin((lat2 - lat1) / 2.0) ** 2
+         + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2)
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
 def great_circle_km(a: GroundUser, b: GroundUser) -> float:
     """Great-circle distance on the spherical Earth (haversine)."""
-    lat1, lon1 = math.radians(a.latitude_deg), math.radians(a.longitude_deg)
-    lat2, lon2 = math.radians(b.latitude_deg), math.radians(b.longitude_deg)
-    s = (math.sin((lat2 - lat1) / 2.0) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
+    return float(_haversine_km(a.latitude_deg, a.longitude_deg,
+                               b.latitude_deg, b.longitude_deg))
 
 
 def density_classes(gus: Sequence[GroundUser],
@@ -140,12 +145,11 @@ def density_classes(gus: Sequence[GroundUser],
     threshold; otherwise dense."""
     if threshold_km <= 0.0:
         raise ValueError("threshold_km must be > 0")
-    out = []
-    for a in gus:
-        dense = any(great_circle_km(a, b) <= threshold_km
-                    for b in gus if b.user_id != a.user_id)
-        out.append(DensityClass(a.user_id, dense))
-    return out
+    lat, lon = np.reshape([(g.latitude_deg, g.longitude_deg) for g in gus], (-1, 2)).T
+    ids = np.array([g.user_id for g in gus])
+    near = _haversine_km(lat[:, None], lon[:, None], lat, lon) <= threshold_km
+    dense = (near & (ids[:, None] != ids)).any(axis=1)
+    return [DensityClass(g.user_id, d) for g, d in zip(gus, dense.tolist())]
 
 
 def mean_total_se(results: Iterable[ExperimentResult]) -> dict[str, float]:

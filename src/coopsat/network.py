@@ -22,18 +22,21 @@ satellite; ``EpochInstance.served_map`` gives each one's user rows.
 Two configurations exist: analog beams sharing the satellite power
 equally (AU's final beams), and hybrid beams with a power-scaled
 regularized-ZF precoder (the final SHU and JHU beams, and the beams the
-JHU scheduler scores with).  ``hybrid_from_beamspace`` is the one place
-hybrid beams are designed and scaled.
+JHU scheduler scores with).  ``_hybrid_mixers`` is the one place hybrid
+beams are designed and scaled: ``hybrid_from_beamspace`` gathers its
+blocks from the instance, the JHU greedy from each satellite's seen
+block.
 
 ``beam_powers`` and ``signal_and_interference`` are the one evaluator
 of a served user's signal and interference, for ``metrics``, the greedy
 scorer and the exhaustive oracle alike.  ``design_powers`` gives a
 satellite's powers for a stack of member sets in one call: for
-``beam_powers`` one set per satellite, for the JHU greedy one per
-candidate, for the oracle the sets of one size of every satellite, with
-the satellite given per row.  The greedy keeps only its ``beam_powers``
-across commits and derives the signal and interference again from them
-at every iteration.
+``beam_powers`` one set per satellite, for the oracle the sets of one
+size of every satellite, with the satellite given per row.  It gathers
+the cross terms and runs ``_powers_at``, which the JHU greedy runs on
+its own gather, one set per candidate.  The greedy keeps only its
+``beam_powers`` across commits and derives the signal and interference
+again from them at every iteration.
 """
 
 from __future__ import annotations
@@ -170,6 +173,16 @@ def hybrid_from_beamspace(instance: EpochInstance, sat: "int | np.ndarray",
     row of user rows ``idx`` (K x n); returns K x n x n.  ``sat`` may
     also give the satellite of each row (K,), so one call designs member
     sets of one size for many satellites; each row rounds as it does
+    alone.  The design is ``_hybrid_mixers`` of the gathered blocks."""
+    at = np.reshape(sat, (-1, 1, 1)), idx[:, :, None], idx[:, None, :]
+    return _hybrid_mixers(instance, instance.cross_terms[at], instance.analog_gram[at], beta)
+
+
+def _hybrid_mixers(instance: EpochInstance, cross: np.ndarray, gram: np.ndarray,
+                   beta: float | None) -> np.ndarray:
+    """Hybrid mixers sqrt(eta) F of a stack of member sets T, from their
+    beam-space blocks X_s[T, T] and analog Gram blocks (A^H A)[T, T]
+    (K x n x n each); returns K x n x n, each row rounding as it does
     alone.
 
     F is the regularized-ZF precoder of the beam-space channel
@@ -178,10 +191,8 @@ def hybrid_from_beamspace(instance: EpochInstance, sat: "int | np.ndarray",
     eta = P / tr(F^H (A^H A) F) makes the radiated product A F carry
     exactly the satellite power P without forming it.
     """
-    at = np.reshape(sat, (-1, 1, 1)), idx[:, :, None], idx[:, None, :]
-    h_tilde = math.sqrt(instance.boresight_gain) * instance.cross_terms[at]
+    h_tilde = math.sqrt(instance.boresight_gain) * cross
     f = regularized_zf(h_tilde, instance.tx_power_w, beta)
-    gram = instance.analog_gram[at]
     # tr(F^H (A^H A) F) = ||A F||_F^2
     total = np.sum(f.conj() * (gram @ f), axis=(1, 2)).real
     if np.any(total == 0.0):
@@ -224,24 +235,34 @@ def design_powers(instance: EpochInstance, sat: "int | np.ndarray", idx: np.ndar
     """Powers at user rows ``rows`` of the beams of satellite row ``sat``
     (or of the satellite of each row, (K,)) serving each row of user rows
     ``idx`` (K x n) through ``mixer`` (K x n x n, or one n x n for every
-    row): of all its beams, and at its members of the own beam and of the
-    other beams, zero elsewhere; K x len(rows) each.  Every member must be
-    one of ``rows``.  Own and intra power are evaluated at the member rows
+    row), as ``_powers_at`` gives them from the gathered cross terms.
+    Every member must be one of ``rows``."""
+    at = np.reshape(sat, (-1, 1, 1)), rows[:, None], idx[:, None, :]
+    pos = np.zeros(len(instance.gu_ids), dtype=np.intp)
+    pos[rows] = np.arange(len(rows))
+    return _powers_at(instance.cross_terms[at], pos[idx], mixer)
+
+
+def _powers_at(cross: np.ndarray, pos: np.ndarray, mixer: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Powers at R rows of the beams of a stack of member sets, from the
+    rows' cross terms with the members' analog beams (K x R x n), each
+    member's position among the rows ``pos`` (K x n) and ``mixer``
+    (K x n x n, or one n x n for every set): of all the beams, and at the
+    members of the own beam and of the other beams, zero elsewhere;
+    K x R each.  Own and intra power are evaluated at the member rows
     alone: each design's n x n block of member rows by beams gives own
     power on its diagonal, and intra power as the sum of each row with
     its diagonal entry zeroed, over the same n beams as the total.  The
     other beams are summed directly: after ZF nulling, a difference of
-    the two totals would be rounding noise.  Each row of the stack rounds
-    as a design on its own does."""
-    at = np.reshape(sat, (-1, 1, 1)), rows[:, None], idx[:, None, :]
-    amp = np.abs(instance.cross_terms[at] @ mixer) ** 2
-    pos = np.zeros(len(instance.gu_ids), dtype=np.intp)
-    pos[rows] = np.arange(len(rows))
-    at = np.arange(len(idx))[:, None], pos[idx]  # each member's row of amp
+    the two totals would be rounding noise.  Each set of the stack rounds
+    as it does alone."""
+    amp = np.abs(cross @ mixer) ** 2
+    at = np.arange(len(pos))[:, None], pos  # each member's row of amp
     block = amp[at]  # K x n x n: member b's row, beam c
     own, intra = np.zeros((2, *amp.shape[:2]))
     own[at] = np.diagonal(block, axis1=1, axis2=2)
-    intra[at] = np.where(np.eye(idx.shape[1], dtype=bool), 0.0, block).sum(axis=2)
+    intra[at] = np.where(np.eye(pos.shape[1], dtype=bool), 0.0, block).sum(axis=2)
     return amp.sum(axis=2), own, intra
 
 

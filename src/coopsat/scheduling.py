@@ -44,19 +44,27 @@ else S_u and G[u, sigma(u), s] total'(u).  Designs have two sources:
   closed form: total' = L_s + |X_s[:, g]|^2, intra'(u) = intra(u) +
   |X_s[u, g]|^2, intra'(g) = L_s[g], own'(u) = own(u) and own'(g) =
   |X_s[g, g]|^2.
-* JHU: s redesigns its beams on T = served(s) + {g} with
-  ``network.hybrid_from_beamspace``, which also builds the final SHU and
-  JHU beams: the regularized-ZF precoder F of sqrt(g0) X_s[T, T] scaled
-  by eta = P / tr(F^H (A^H A) F), A^H A the analog Gram on T.
+* JHU: s redesigns its beams on T = served(s) + {g} with the design
+  code that also builds the final SHU and JHU beams
+  (``network.hybrid_from_beamspace``): the regularized-ZF precoder F of
+  sqrt(g0) X_s[T, T] scaled by eta = P / tr(F^H (A^H A) F), A^H A the
+  analog Gram on T.
 
 The designs are kept as S x U x U arrays over (s, g, u).  A satellite
-with candidates and a clear flag has its rows filled (for JHU by one
-batched ZF solve) and its flag set; a commit to s copies the winner's
-rows into the kept ``network.beam_powers`` (L, own, intra) and clears
-it.  Until then s's candidates only leave the pool and the served users
-who see s only join, so the rows stay exact (AU's kept L sums beams in
-commit order, not user order: the same to rounding).  Each iteration
-derives the signal and interference from the kept powers with
+with candidates and a clear flag has its rows filled and its flag set;
+a commit to s copies the winner's rows into the kept
+``network.beam_powers`` (L, own, intra) and clears it.  Until then s's
+candidates only leave the pool and the served users who see s only
+join, so the rows stay exact (AU's kept L sums beams in commit order,
+not user order: the same to rounding).  What no commit changes is built
+once per schedule (``_Designs``): each satellite's seen users, their
+cross terms X_s[seen, seen] and analog Gram block, and the gain table
+off its diagonal.  A JHU batch takes its candidates' sets T from the
+candidate grid and the serving vector, gathers X_s[seen, T] once, and
+runs the shared design and power kernels (``network._hybrid_mixers``,
+``network._powers_at``) on that one gather: one batched ZF solve per
+batch, with the bits each set gets alone.  Each iteration derives the
+signal and interference from the kept powers with
 ``network.signal_and_interference``, scores every candidate in one set
 of numpy calls over the flat (candidate, affected user) entries, and
 sums each candidate's entries with one ``np.bincount``.
@@ -97,9 +105,9 @@ from typing import Iterator
 import numpy as np
 
 from . import metrics
-from .network import (EpochInstance, beam_powers, design_powers, equal_power_beams,
-                      equal_power_mixer, hybrid_beams, hybrid_from_beamspace,
-                      signal_and_interference)
+from .network import (EpochInstance, _hybrid_mixers, _powers_at, beam_powers,
+                      design_powers, equal_power_beams, equal_power_mixer, hybrid_beams,
+                      hybrid_from_beamspace, signal_and_interference)
 
 
 class SchemeMode(str, Enum):
@@ -185,15 +193,36 @@ def preassign_single_visibility(instance: EpochInstance,
     return dropped
 
 
+class _Designs:
+    """The greedy's candidate designs, and what no commit changes, built
+    once per schedule.  ``own``, ``intra`` and ``total`` are the S x U x U
+    design rows over (s, g, u), ``designed`` a flag per satellite row.
+    ``off`` is the gain table with zeros where the two satellites are
+    one.  For JHU, ``seen`` holds each satellite row's seen users, and
+    ``cross`` and ``gram`` its cross terms X_s[seen, seen] and analog
+    Gram block (A^H A)_s[seen, seen]."""
+
+    def __init__(self, instance: EpochInstance, unit: bool) -> None:
+        n_sats, n_gus = len(instance.sat_ids), len(instance.gu_ids)
+        self.own, self.intra, self.total = np.zeros((3, n_sats, n_gus, n_gus))
+        self.designed = np.zeros(n_sats, dtype=bool)
+        if not unit:
+            self.seen = [np.flatnonzero(v) for v in instance.visible_mask.T]
+            blocks = [np.ix_(v, v) for v in self.seen]
+            self.cross = [x[b] for x, b in zip(instance.cross_terms, blocks)]
+            self.gram = [a[b] for a, b in zip(instance.analog_gram, blocks)]
+        self.off = instance.gain_table * (1.0 - np.eye(n_sats))
+
+
 def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
-                  powers: tuple[np.ndarray, ...], designs: tuple[np.ndarray, ...],
+                  powers: tuple[np.ndarray, ...], designs: _Designs,
                   beta: float | None, unit: bool) -> None:
     """Fill the design rows of each satellite with candidates and a clear
     flag, and set the flag: g's unit beam added to the kept unit beams'
     ``powers`` (L, own, intra) if ``unit``, else the hybrid beams
     redesigned on the members and g."""
-    own, intra, total, designed = designs
-    for s in np.flatnonzero(candidates.any(axis=1) & ~designed):
+    own, intra, total = designs.own, designs.intra, designs.total
+    for s in np.flatnonzero(candidates.any(axis=1) & ~designs.designed):
         if unit:  # a closed form at every (g, u): no beam is redesigned
             load, kept_own, kept_intra = powers
             added = instance.cross_power[s].T  # added[g, u] = |X_s[u, g]|^2
@@ -203,23 +232,25 @@ def _fill_designs(instance: EpochInstance, serving: np.ndarray, candidates: np.n
             np.fill_diagonal(intra[s], load[s])
             np.fill_diagonal(own[s], added.diagonal())
         else:
-            cand = np.flatnonzero(candidates[s])
-            members = np.flatnonzero(serving == s)
-            idx = np.sort(np.column_stack(
-                [np.broadcast_to(members, (cand.size, members.size)), cand]), axis=1)
-            seen = np.flatnonzero(instance.visible_mask[:, s])
-            rows = s, cand[:, None], seen
-            total[rows], own[rows], intra[rows] = design_powers(
-                instance, s, idx, hybrid_from_beamspace(instance, s, idx, beta), seen)
-        designed[s] = True
+            # each candidate's set T = members + {g}, by position in seen
+            seen = designs.seen[s]
+            cand = np.flatnonzero(candidates[s][seen])
+            pick = np.arange(seen.size) == cand[:, None]
+            pick |= serving[seen] == s
+            sets = np.nonzero(pick)[1].reshape(cand.size, -1)
+            block = designs.cross[s][:, sets].transpose(1, 0, 2)  # K x seen x n
+            mixer = _hybrid_mixers(instance, block[np.arange(cand.size)[:, None], sets],
+                                   designs.gram[s][sets[:, :, None], sets[:, None, :]], beta)
+            rows = s, seen[cand][:, None], seen
+            total[rows], own[rows], intra[rows] = _powers_at(block, sets, mixer)
+        designs.designed[s] = True
 
 
 def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.ndarray,
-                 powers: tuple[np.ndarray, ...], designs: tuple[np.ndarray, ...]
-                 ) -> np.ndarray:
+                 powers: tuple[np.ndarray, ...], designs: _Designs) -> np.ndarray:
     """Total-SE gain of every candidate link, given the kept ``powers``
-    (L, own, intra) and the filled candidate ``designs`` (own, intra,
-    total, designed); -inf off the candidates."""
+    (L, own, intra) and the filled candidate ``designs``; -inf off the
+    candidates."""
     g0 = instance.boresight_gain
     signal, by_sat = signal_and_interference(instance, serving, *powers)
     interference = by_sat.sum(axis=1)
@@ -227,17 +258,17 @@ def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.nd
     others = interference[:, None] - by_sat  # from every satellite but s
     # a new user tracking s sees the other satellites' current beams
     n_sats, n_gus = candidates.shape
-    off = instance.gain_table * (1.0 - np.eye(n_sats))
-    new_others = np.einsum("gst,tg->sg", off, powers[0])
+    new_others = np.einsum("gst,tg->sg", designs.off, powers[0])
 
     # every (candidate, served user seeing its satellite) entry at once,
     # gathered by flat index
-    own, intra, total, _ = designs
-    sats, gus = np.nonzero(candidates)
+    own, intra, total = designs.own, designs.intra, designs.total
+    flat = np.flatnonzero(candidates)  # s * U + g
+    sats, gus = np.divmod(flat, n_gus)
     affected = instance.visible_mask.T & (serving >= 0)
     pair, u = np.divmod(np.flatnonzero(affected[sats]), n_gus)
     s, a = sats[pair], serving[u]
-    at = (sats * n_gus + gus)[pair] * n_gus + u  # (s, g, u)
+    at = flat[pair] * n_gus + u  # (s, g, u)
     tracks = np.flatnonzero(a == s)
     sig = signal[u]
     sig[tracks] = g0 * own.take(at[tracks])
@@ -247,10 +278,11 @@ def _joint_gains(instance: EpochInstance, serving: np.ndarray, candidates: np.nd
     terms = np.log2(1.0 + sig / (intf + 1.0)) - base[u]
     # a candidate with no affected user sums to 0 (np.add.reduceat would
     # return the next candidate's first entry)
-    delta = np.bincount(pair, weights=terms, minlength=sats.size)
-    new_intf = new_others[sats, gus] + g0 * intra[sats, gus, gus]
+    delta = np.bincount(pair, weights=terms, minlength=flat.size)
+    at = flat * n_gus + gus  # (s, g, g)
+    new_intf = new_others.take(flat) + g0 * intra.take(at)
     gains = np.full(candidates.shape, -np.inf)
-    gains[sats, gus] = np.log2(1.0 + g0 * own[sats, gus, gus] / (new_intf + 1.0)) + delta
+    gains.flat[flat] = np.log2(1.0 + g0 * own.take(at) / (new_intf + 1.0)) + delta
     return gains
 
 
@@ -273,8 +305,8 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
         i: np.eye(len(m)) if unit else
         hybrid_from_beamspace(instance, i, np.array([m]), beta)[0]
         for i, m in served.items()})
-    designs = (*np.zeros((3, spare.size, *2 * serving.shape)), np.zeros_like(spare))
-    own, intra, total, designed = designs
+    designs = _Designs(instance, unit)
+    own, intra, total = designs.own, designs.intra, designs.total
     records: list[TraceRecord] = []
 
     iteration = 0
@@ -299,7 +331,7 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
             members = serving == i
             load[i] = total[i, j]
             kept_own[members], kept_intra[members] = own[i, j, members], intra[i, j, members]
-            designed[i] = False
+            designs.designed[i] = False
         else:
             spare[i] = False
         if trace:

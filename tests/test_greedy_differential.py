@@ -254,9 +254,10 @@ def test_kept_au_powers_equal_fresh_unit_beams_after_every_commit(inst):
 @example(inst=tie_instance())
 @example(inst=crowded_instance())
 def test_jhu_commit_designs_nothing(inst):
-    # one design per satellite served before the first iteration, and one
-    # batched build per (satellite, members) scored with candidates; a
-    # commit copies the winner's cached design
+    # one design per satellite served before the first iteration
+    # (hybrid_from_beamspace), and one batched build per (satellite,
+    # members) scored with candidates (_hybrid_mixers on the satellite's
+    # seen block); a commit copies the winner's cached design
     before = np.full(len(inst.gu_ids), -1)
     preassign_single_visibility(inst, before)
     builds = set()
@@ -269,9 +270,12 @@ def test_jhu_commit_designs_nothing(inst):
 
     with mock.patch.object(scheduling, "_joint_gains", recording), \
          mock.patch.object(scheduling, "hybrid_from_beamspace",
-                           wraps=scheduling.hybrid_from_beamspace) as design:
+                           wraps=scheduling.hybrid_from_beamspace) as design, \
+         mock.patch.object(scheduling, "_hybrid_mixers",
+                           wraps=scheduling._hybrid_mixers) as batch:
         greedy_schedule(inst, SchemeMode.JHU)
-    assert design.call_count == len(inst.served_map(before)) + len(builds)
+    assert design.call_count == len(inst.served_map(before))
+    assert batch.call_count == len(builds)
 
 
 @pytest.mark.parametrize("make", [tie_instance, crowded_instance])

@@ -291,6 +291,26 @@ class TestDensityClasses:
         quarter = math.pi / 2.0 * 6371.0
         assert metrics.great_circle_km(a, b) == pytest.approx(quarter, rel=1e-12)
 
+    def test_equals_the_per_pair_loop_on_the_bundled_cities(self):
+        # among the 80 cities the nearest pair distance to a threshold is
+        # 0.21 km (400 km) and 0.15 km (150 and 1000 km), far above the
+        # rounding of either form
+        from coopsat.config import bundled_cities
+
+        def haversine_km(a, b):
+            lat1, lon1 = math.radians(a.latitude_deg), math.radians(a.longitude_deg)
+            lat2, lon2 = math.radians(b.latitude_deg), math.radians(b.longitude_deg)
+            s = (math.sin((lat2 - lat1) / 2.0) ** 2
+                 + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2)
+            return 2.0 * 6371.0 * math.asin(min(1.0, math.sqrt(s)))
+
+        gus = list(bundled_cities())
+        for threshold in (400.0, 150.0, 1000.0):
+            want = [metrics.DensityClass(a.user_id, any(haversine_km(a, b) <= threshold
+                                                for b in gus if b.user_id != a.user_id))
+                    for a in gus]
+            assert metrics.density_classes(gus, threshold_km=threshold) == want
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             metrics.density_classes([GroundUser(0, 0.0, 0.0)], threshold_km=0.0)

@@ -1,11 +1,15 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import beam_matrix, serving_sats, visible_sats
 from coopsat import metrics
+from coopsat.config import from_dict
+from coopsat.harness import build_epoch_instance
 from coopsat.scheduling import (ExhaustiveSearchError, SchemeMode,
                                 exhaustive_schedule, final_beams,
                                 greedy_schedule, preassign_single_visibility)
@@ -177,6 +181,34 @@ class TestGreedy:
         with pytest.raises(metrics.NonFiniteSinrError,
                            match=r"score of link \(\d, 101\) is nan"):
             greedy_schedule(inst, mode)
+
+
+# The AU and JHU greedy decisions on the full-epoch benchmark scenario
+# (the first 40 bundled cities, epoch 0, seed 3), recorded at commit
+# 16b4c7b:
+# (satellite id, user id, committed, candidates, gain) per iteration.
+FULL_EPOCH_TRACES = Path(__file__).with_name("full_epoch_traces.json")
+FULL_EPOCH_SCENARIO = {"gus": {"dataset": "cities_cn", "count": 40},
+                       "epochs": {"start_s": 0.0, "step_s": 1200.0, "count": 1},
+                       "seed": 3}
+# the recorded gains agree to rounding: each one is a sum of log2 terms
+FULL_EPOCH_GAIN_RTOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def full_epoch_instance():
+    cfg = from_dict(FULL_EPOCH_SCENARIO)
+    return build_epoch_instance(cfg, 0, cfg.epochs.times()[0])
+
+
+@pytest.mark.parametrize("mode", ["au", "jhu"])
+def test_greedy_trace_pinned_on_full_epoch(mode, full_epoch_instance):
+    want = json.loads(FULL_EPOCH_TRACES.read_text())[mode]
+    got = greedy_schedule(full_epoch_instance, mode, trace=True).trace
+    assert [(r.sat_id, r.gu_id, r.committed, r.n_candidates) for r in got] == \
+        [tuple(w[:4]) for w in want]
+    np.testing.assert_allclose([r.delta_se for r in got], [w[4] for w in want],
+                               rtol=FULL_EPOCH_GAIN_RTOL, atol=0.0)
 
 
 class TestExhaustive:

@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, load_config
-from .harness import build_epoch_instance, emit, run
-from .scheduling import SchemeMode, exhaustive_schedule, greedy_schedule
+from .harness import build_epoch_instance, emit, evaluate_epoch, run
+from .scheduling import SchemeMode, exhaustive_schedule
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -55,26 +55,22 @@ def _cmd_oracle(args) -> int:
     if args.max_space < 1:
         raise ConfigError(["--max-space: must be >= 1"])
     config = load_config(args.config)
+    # SHU and JHU radiate the same hybrid beams, so they share one search
+    radiates = {m.value: SchemeMode.AU if m is SchemeMode.AU else SchemeMode.SHU
+                for m in config.schemes}
     ratios = []
     for epoch_index, t in enumerate(config.epochs.times()):
         instance = build_epoch_instance(config, epoch_index, t)
-        # schemes that schedule alike share one greedy run, as in harness.run,
-        # and schemes that radiate alike (SHU and JHU: hybrid beams) one search
-        shared = {rule: greedy_schedule(instance, rule, beta=config.beta)
-                  for rule in dict.fromkeys(m.scoring for m in config.schemes)}
-        radiates = {m: SchemeMode.AU if m is SchemeMode.AU else SchemeMode.SHU
-                    for m in config.schemes}
+        results = evaluate_epoch(config, instance, epoch_index, t)
         optima = {rule: exhaustive_schedule(instance, rule, beta=config.beta,
-                                            max_space=args.max_space)
+                                            max_space=args.max_space).total_se
                   for rule in dict.fromkeys(radiates.values())}
-        for mode in config.schemes:
-            greedy = replace(shared[mode.scoring], mode=mode)
-            optimum = replace(optima[radiates[mode]], mode=mode)
-            ratio = (greedy.total_se / optimum.total_se
-                     if optimum.total_se > 0.0 else 1.0)
+        for r in results:
+            optimum = optima[radiates[r.scheme]]
+            ratio = r.total_se / optimum if optimum > 0.0 else 1.0
             ratios.append(ratio)
-            print(f"epoch {epoch_index} [{mode.value}]: "
-                  f"greedy={greedy.total_se:.6f} optimum={optimum.total_se:.6f} "
+            print(f"epoch {epoch_index} [{r.scheme}]: "
+                  f"greedy={r.total_se:.6f} optimum={optimum:.6f} "
                   f"ratio={ratio:.4f}")
     print(f"min ratio: {min(ratios):.4f}  mean ratio: "
           f"{sum(ratios) / len(ratios):.4f}")

@@ -2,10 +2,11 @@
 
 A run loops over time snapshots.  Per snapshot it propagates the
 constellation, computes visibility, draws one channel realization per
-link from a dedicated random substream, and evaluates every configured
-scheme on those identical channels (paired comparison).  Substreams are
-keyed by (seed, epoch, satellite, user), so results are reproducible
-and independent of which schemes run.
+link from a dedicated random substream (``build_epoch_instance``), and
+evaluates every configured scheme on those identical channels (paired
+comparison, ``evaluate_epoch``).  Substreams are keyed by (seed, the
+epoch's grid index, satellite, user), so results are reproducible and
+independent of which schemes run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .geometry import ground_user_positions, link_geometry, propagate, visibilit
 from .metrics import (ExperimentResult, density_classes, density_statistics,
                       mean_total_se, pairwise_gains, user_metrics)
 from .network import EpochInstance
-from .scheduling import TraceRecord, greedy_schedule
+from .scheduling import greedy_schedule
 
 
 @dataclass(eq=False)
@@ -91,21 +92,29 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
                          directions=directions)
 
 
+def evaluate_epoch(config: ScenarioConfig, instance: EpochInstance, epoch_index: int,
+                   t: float, trace: bool = False) -> list[ExperimentResult]:
+    """Every configured scheme's result on one epoch's instance, in
+    ``config.schemes`` order.  Schemes that schedule alike share one greedy
+    run (``SchemeMode.scoring``); with ``trace`` each result carries its
+    greedy's decisions."""
+    greedy = {rule: greedy_schedule(instance, rule, beta=config.beta, trace=trace)
+              for rule in dict.fromkeys(m.scoring for m in config.schemes)}
+    results = []
+    for mode in config.schemes:
+        sched = replace(greedy[mode.scoring], mode=mode)
+        users = user_metrics(instance, sched.links, sched.beams)
+        results.append(ExperimentResult(epoch_index, t, mode.value, tuple(users),
+                                        tuple(sched.trace)))
+    return results
+
+
 def run(config: ScenarioConfig, trace: bool = False) -> RunReport:
-    """Execute the full experiment grid (epochs x schemes).  Schemes that
-    schedule alike share one greedy run per epoch (``SchemeMode.scoring``)."""
+    """Execute the full experiment grid (epochs x schemes), one
+    ``evaluate_epoch`` per epoch."""
     results: list[ExperimentResult] = []
-    traces: dict[tuple[int, str], list[TraceRecord]] = {}
-    for epoch_index, t in enumerate(config.epochs.times()):
-        instance = build_epoch_instance(config, epoch_index, t)
-        greedy = {rule: greedy_schedule(instance, rule, beta=config.beta, trace=trace)
-                  for rule in dict.fromkeys(m.scoring for m in config.schemes)}
-        for mode in config.schemes:
-            sched = replace(greedy[mode.scoring], mode=mode)
-            users = user_metrics(instance, sched.links, sched.beams)
-            results.append(ExperimentResult(epoch_index, t, mode.value, tuple(users)))
-            if trace:
-                traces[(epoch_index, mode.value)] = sched.trace
+    for e, t in enumerate(config.epochs.times()):
+        results += evaluate_epoch(config, build_epoch_instance(config, e, t), e, t, trace)
 
     means = mean_total_se(results)
     classes = density_classes(list(config.gus), config.density_threshold_km)
@@ -122,19 +131,16 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunReport:
             for r in results if r.unserved
         },
     }
+    if trace:
+        summary["trace"] = {f"{r.epoch_index}/{r.scheme}": [vars(d) for d in r.trace]
+                            for r in results}
     provenance = {
         "config_sha256": config_digest(config),
         "seed": config.seed,
         "version": __version__,
     }
-    report = RunReport(config=config, results=results, summary=summary,
-                       provenance=provenance)
-    if trace:
-        report.summary["trace"] = {
-            f"{e}/{m}": [vars(r) for r in recs]
-            for (e, m), recs in traces.items()
-        }
-    return report
+    return RunReport(config=config, results=results, summary=summary,
+                     provenance=provenance)
 
 
 def _sinr_db(sinr: float) -> float | None:

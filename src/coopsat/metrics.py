@@ -50,6 +50,7 @@ class ExperimentResult:
     epoch_s: float
     scheme: str
     users: tuple[UserMetrics, ...]
+    trace: tuple = ()  # the greedy's TraceRecords, when traced
 
     @property
     def total_se(self) -> float:
@@ -131,12 +132,6 @@ def _haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     s = (np.sin((lat2 - lat1) / 2.0) ** 2
          + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2)
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
-
-
-def great_circle_km(a: GroundUser, b: GroundUser) -> float:
-    """Great-circle distance on the spherical Earth (haversine)."""
-    return float(_haversine_km(a.latitude_deg, a.longitude_deg,
-                               b.latitude_deg, b.longitude_deg))
 
 
 def density_classes(gus: Sequence[GroundUser],

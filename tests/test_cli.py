@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -242,6 +243,32 @@ def test_run_trace_prints_decisions(scenario_file, tmp_path, capsys):
     assert "trace" in capsys.readouterr().out
 
 
+# CI's oracle.yaml: the first five bundled cities over three epochs.  Its
+# printed lines, recorded as text, are the same on numpy's AVX2 loops and
+# on OpenBLAS's Haswell and Sandybridge kernels.
+ORACLE_SCENARIO = "gus: {dataset: cities_cn, count: 5}\nepochs: {count: 3}\n"
+PINNED = Path(__file__).resolve().parent
+
+
+@pytest.fixture
+def oracle_file(tmp_path):
+    path = tmp_path / "oracle.yaml"
+    path.write_text(ORACLE_SCENARIO)
+    return path
+
+
+def test_run_trace_lines_pinned(oracle_file, tmp_path, capsys):
+    assert main(["run", str(oracle_file), "--out", str(tmp_path / "o"), "--trace"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert "".join(line for line in lines if line.startswith("trace ")) == (
+        PINNED / "oracle_cli_trace.txt").read_text()
+
+
+def test_oracle_output_pinned(oracle_file, capsys):
+    assert main(["oracle", str(oracle_file)]) == EXIT_OK
+    assert capsys.readouterr().out == (PINNED / "oracle_cli_stdout.txt").read_text()
+
+
 def test_oracle_reports_ratios(scenario_file, capsys):
     assert main(["oracle", str(scenario_file)]) == EXIT_OK
     out = capsys.readouterr().out
@@ -249,8 +276,8 @@ def test_oracle_reports_ratios(scenario_file, capsys):
 
 
 def test_oracle_runs_the_analog_greedy_once_per_epoch(scenario_file, capsys):
-    with mock.patch.object(cli, "greedy_schedule",
-                           wraps=cli.greedy_schedule) as greedy:
+    with mock.patch.object(harness, "greedy_schedule",
+                           wraps=harness.greedy_schedule) as greedy:
         assert main(["oracle", str(scenario_file)]) == EXIT_OK
     modes = [SchemeMode.parse(c.args[1]) for c in greedy.call_args_list]
     assert sorted(modes) == [SchemeMode.AU] * 2 + [SchemeMode.JHU] * 2

@@ -15,7 +15,7 @@ from coopsat import harness
 from coopsat.channel import ArrayConfig, LinkInvalidError, large_scale_amplitude
 from coopsat.config import EpochGrid, ScenarioConfig, bundled_cities, from_dict, load_config
 from coopsat.geometry import ConstellationConfig, GroundUser, propagate, visibility
-from coopsat.harness import build_epoch_instance, emit, link_rng, run
+from coopsat.harness import build_epoch_instance, emit, evaluate_epoch, link_rng, run
 from coopsat.scheduling import SchemeMode
 
 
@@ -234,6 +234,20 @@ class TestRun:
         for r in report.results:
             assert len(r.users) == 4
             assert r.total_se == pytest.approx(sum(u.se for u in r.users))
+
+    def test_an_epoch_alone_equals_its_results_in_the_run(self):
+        # the grid index, not the time, keys the substreams: epoch 5 built
+        # and evaluated alone gives the run's epoch-5 results, decisions
+        # included, and the same time built as epoch 0 draws other channels
+        cfg = load_config("desk")
+        t5 = cfg.epochs.times()[5]
+        alone = evaluate_epoch(cfg, build_epoch_instance(cfg, 5, t5), 5, t5, trace=True)
+        in_run = [r for r in run(cfg, trace=True).results if r.epoch_index == 5]
+        assert [(r.epoch_s, r.scheme, r.users, r.trace) for r in alone] == [
+            (r.epoch_s, r.scheme, r.users, r.trace) for r in in_run]
+        assert all(r.trace for r in alone)
+        assert not np.array_equal(build_epoch_instance(cfg, 0, t5).channels,
+                                  build_epoch_instance(cfg, 5, t5).channels)
 
     def test_provenance(self):
         report = run(tiny_config(seed=9))

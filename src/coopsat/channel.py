@@ -6,8 +6,8 @@ antenna gains, noise normalization) and a small-scale fading vector
 built from planar-array steering vectors: a log-normal direct path
 plus Rayleigh diffuse rays (Loo model).  One ``ChannelConfig``, the
 scenario file's ``channel`` section, holds the fading and attenuation
-parameters that ``draw_links``, ``clear_sky_loss_db``, ``path_loss`` and
-``small_scale`` take.
+parameters that ``draw_links``, ``path_loss`` and ``small_scale``
+take.
 
 The noise power is folded into the large-scale amplitude, so all
 downstream SINR math uses unit noise power.
@@ -18,8 +18,9 @@ substream, in a fixed order, into one row of per-epoch arrays
 (``LinkDraws``).  Everything else runs once over every link of the
 epoch, in numpy, so that a link has the same bits alone as in any
 stack: ``draw_links`` turns the fading draws into path gains,
-``path_loss`` and ``sample_ray_angles`` convert the shadow fading and
-the angle offsets, ``large_scale_amplitude`` the path losses, and
+``path_loss`` adds each link's clear-sky losses, from its elevation and
+slant range, to its shadow fading, ``sample_ray_angles`` converts the
+angle offsets, ``large_scale_amplitude`` the path losses, and
 ``small_scale`` synthesizes the fading vectors: one trig pass gives the
 wavenumbers of every path of every link, and each link's channel is
 then one small matrix product of its paths' per-axis steering factors
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _RADIANS_PER_DEGREE, _check_ranges
+from .geometry import _RADIANS_PER_DEGREE, _check_counts, _check_ranges, _is_real
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 BOLTZMANN_J_K = 1.380649e-23
@@ -131,10 +132,8 @@ class ArrayConfig:
     element_spacing: float = 0.5  # in wavelengths
 
     def __post_init__(self) -> None:
-        for name in ("n_sub_x", "n_sub_y", "n_x", "n_y"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be >= 1")
-        if self.element_spacing <= 0.0:
+        _check_counts(self, ("n_sub_x", "n_sub_y", "n_x", "n_y"))
+        if _is_real(self.element_spacing) and self.element_spacing <= 0.0:
             raise ValueError("element_spacing: must be > 0")
 
     @property
@@ -177,9 +176,7 @@ class ChannelConfig:
     shadow_sigma_db: float = 1.2
 
     def __post_init__(self) -> None:
-        for name in ("n_clusters", "n_rays"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be >= 1")
+        _check_counts(self, ("n_clusters", "n_rays"))
         _check_ranges(self, {
             "direct_amp_mean_db": (-40.0, 10.0), "direct_amp_std_db": (0.0, 20.0),
             "multipath_power_db": (-60.0, 10.0), "angle_spread_deg": (0.0, 90.0),
@@ -341,12 +338,14 @@ def small_scale(angles: np.ndarray, coefs: np.ndarray, cfg: ChannelConfig,
     return h.reshape(n_links, array.n_elements)
 
 
-def clear_sky_loss_db(elevation_deg, slant_range_km, rf: RfConfig,
-                      cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Free-space loss and cosecant-scaled gaseous absorption (dB) of
-    links at ``elevation_deg`` above the users' horizon and
-    ``slant_range_km`` away (same shape, any).  The first link at
-    elevation <= 0 is a ``LinkInvalidError``."""
+def path_loss(elevation_deg, slant_range_km, shadow_db, rf: RfConfig,
+              cfg: ChannelConfig) -> np.ndarray:
+    """Large-scale path loss (dB) of links at ``elevation_deg`` above the
+    users' horizon, ``slant_range_km`` away, with shadow-fading draws
+    ``shadow_db`` (all broadcast, any shape): the free-space loss plus the
+    shadow fading, the cosecant-scaled gaseous absorption and
+    scintillation, added in that order.  The first link at elevation
+    <= 0 is a ``LinkInvalidError``."""
     elevation_deg = np.asarray(elevation_deg, dtype=float)
     below = elevation_deg <= 0.0
     if below.any():
@@ -355,16 +354,7 @@ def clear_sky_loss_db(elevation_deg, slant_range_km, rf: RfConfig,
     d_m = np.asarray(slant_range_km, dtype=float) * 1e3
     fspl = 20.0 * np.log10(4.0 * math.pi * d_m * rf.carrier_frequency_hz
                            / SPEED_OF_LIGHT_M_S)
-    return fspl, cfg.zenith_gas_db / np.sin(elevation_deg * _RADIANS_PER_DEGREE)
-
-
-def path_loss(clear_sky: tuple[np.ndarray, np.ndarray], shadow_db,
-              cfg: ChannelConfig) -> np.ndarray:
-    """Large-scale path loss (dB) of links: the free-space loss plus
-    their shadow-fading draws ``shadow_db``, the gaseous absorption
-    (``clear_sky``, from ``clear_sky_loss_db``) and scintillation, added
-    in that order."""
-    fspl, gas = clear_sky
+    gas = cfg.zenith_gas_db / np.sin(elevation_deg * _RADIANS_PER_DEGREE)
     return fspl + shadow_db + gas + cfg.scintillation_db
 
 

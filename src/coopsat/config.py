@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .channel import ArrayConfig, ChannelConfig, RfConfig
-from .geometry import ConstellationConfig, GroundUser
+from .geometry import ConstellationConfig, GroundUser, _is_real
 from .scheduling import SchemeMode
 
 CITY_DATASET = "cities_cn"
@@ -52,12 +52,13 @@ class EpochGrid:
     count: int = 10
 
     def __post_init__(self) -> None:
+        # a value that is not a number is left to ScenarioConfig's type check
         errors = []
-        if self.count < 1:
+        if _is_real(self.count) and self.count < 1:
             errors.append("count: must be a positive integer")
-        if self.step_s <= 0.0:
+        if _is_real(self.step_s) and self.step_s <= 0.0:
             errors.append("step_s: must be > 0")
-        if self.start_s < 0.0:
+        if _is_real(self.start_s) and self.start_s < 0.0:
             errors.append("start_s: must be >= 0")
         if errors:
             raise ConfigError(errors)
@@ -94,7 +95,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # the types first: the range checks below compare the values
-        errors = _type_errors(self)
+        errors = _type_errors(self, ScenarioConfig)
         if errors:
             raise ConfigError(errors)
         put = partial(object.__setattr__, self)  # the fields are frozen
@@ -201,22 +202,28 @@ def _type_problem(name: str, kind, value) -> str | None:
     return problem
 
 
-def _type_errors(obj, prefix: str = "") -> list[str]:
-    """``_type_problem`` of every field of config dataclass ``obj``, of its
-    sections and of its ground users, with their field paths."""
+def _type_errors(obj, cls, where: str = "") -> list[str]:
+    """``_type_problem`` of every field of ``obj``, an instance of config
+    dataclass ``cls``, of its sections and of its ground users, with their
+    field paths; or the problem that ``obj`` is not a ``cls``."""
+    if not isinstance(obj, cls):
+        return [f"{where}: must be of type {cls.__name__}"]
     errors = []
-    for name, kind in _field_types(type(obj)).items():
+    for name, kind in _field_types(cls).items():
         value = getattr(obj, name)
-        where = prefix + name
+        path = f"{where}.{name}" if where else name
         if kind in _SCALARS:
             problem = _type_problem(name, kind, value)
             if problem:
-                errors.append(f"{where}: {problem}")
+                errors.append(f"{path}: {problem}")
         elif is_dataclass(kind):
-            errors += _type_errors(value, where + ".")
+            errors += _type_errors(value, kind, path)
         elif kind == tuple[GroundUser, ...]:
+            if not isinstance(value, (tuple, list)):
+                errors.append(f"{path}: must be a tuple of GroundUser")
+                continue
             for i, gu in enumerate(value):
-                errors += _type_errors(gu, f"gus[{i}].")
+                errors += _type_errors(gu, GroundUser, f"{path}[{i}]")
     return errors
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -24,15 +25,32 @@ _TWO_PI = 2.0 * math.pi
 _RADIANS_PER_DEGREE = math.pi / 180.0  # math.radians multiplies by it
 
 
+def _is_real(value) -> bool:
+    """True for a value a range check compares: any other is left to
+    ``ScenarioConfig``'s type check, which reports it first."""
+    return isinstance(value, Real)
+
+
 def _check_ranges(config, ranges: dict[str, tuple[float, float]]) -> None:
     """Raise ``ValueError`` naming the first field of ``config`` outside
-    its closed range ``ranges[field]``.  A non-finite value is left to
-    ``ScenarioConfig``'s type check, which reports it first (and accepts
-    -inf for ``multipath_power_db``, the switch that turns the rays off)."""
+    its closed range ``ranges[field]``.  A value that is not a number or
+    not finite is left to ``ScenarioConfig``'s type check, which reports
+    it first (and accepts -inf for ``multipath_power_db``, the switch that
+    turns the rays off)."""
     for name, (lo, hi) in ranges.items():
         value = getattr(config, name)
-        if math.isfinite(value) and not lo <= value <= hi:
+        if _is_real(value) and math.isfinite(value) and not lo <= value <= hi:
             raise ValueError(f"{name}: must be in [{lo:g}, {hi:g}]")
+
+
+def _check_counts(config, names: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first of the count fields ``names``
+    of ``config`` below 1; a value that is not a number is left to the
+    type check."""
+    for name in names:
+        value = getattr(config, name)
+        if _is_real(value) and value < 1:
+            raise ValueError(f"{name}: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -53,10 +71,7 @@ class ConstellationConfig:
     epoch_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.planes < 1:
-            raise ValueError("planes: must be >= 1")
-        if self.sats_per_plane < 1:
-            raise ValueError("sats_per_plane: must be >= 1")
+        _check_counts(self, ("planes", "sats_per_plane"))
         _check_ranges(self, {"inclination_deg": (0.0, 180.0),
                              "altitude_km": (160.0, 40000.0)})
 
@@ -111,7 +126,7 @@ class GroundUser:
 
     def __post_init__(self) -> None:
         _check_ranges(self, {"latitude_deg": (-90.0, 90.0), "altitude_km": (-0.5, 10.0)})
-        if not -180.0 <= self.longitude_deg < 180.0:
+        if _is_real(self.longitude_deg) and not -180.0 <= self.longitude_deg < 180.0:
             raise ValueError("longitude_deg: must be in [-180, 180)")
 
 

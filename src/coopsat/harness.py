@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .beamforming import analog_beamform
-from .channel import (clear_sky_loss_db, draw_links, large_scale_amplitude, path_loss,
-                      sample_ray_angles, small_scale)
+from .channel import (draw_links, large_scale_amplitude, path_loss, sample_ray_angles,
+                      small_scale)
 from .config import ScenarioConfig, config_digest, to_dict
 from .geometry import ground_user_positions, link_geometry, propagate, visibility
 from .metrics import (ExperimentResult, density_classes, density_statistics,
@@ -54,7 +54,7 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     epoch's draw arrays.  The path directions (``sample_ray_angles``)
     and gains (``LinkDraws.gains``) come from ``channel`` in one layout,
     which the build passes to ``small_scale`` as it is.  A link below
-    the horizon stops the build before any draw."""
+    the horizon stops the build (``path_loss``)."""
     gus = sorted(config.gus, key=lambda g: g.user_id)
     gu_ids = tuple(g.user_id for g in gus)
     states = propagate(config.constellation, t)
@@ -66,12 +66,11 @@ def build_epoch_instance(config: ScenarioConfig, epoch_index: int,
     rows, users = np.nonzero(visible.T)  # links by satellite, then user
     sats = active[rows]
     geom = link_geometry(states[sats], ground_user_positions(gus, t)[users])
-    clear_sky = clear_sky_loss_db(vis.elevation_deg[sats, users], geom.slant_range_km,
-                                  config.rf, config.channel)
     draws = draw_links([link_rng(config.seed, epoch_index, sat_id, gu_id) for sat_id, gu_id in
                         zip(states.satellite_id[sats].tolist(),
                             np.array(gu_ids)[users].tolist())], config.channel)
-    loss_db = path_loss(clear_sky, draws.shadow_db, config.channel)
+    loss_db = path_loss(vis.elevation_deg[sats, users], geom.slant_range_km, draws.shadow_db,
+                        config.rf, config.channel)
     direct = np.stack((geom.azimuth_sat_deg, geom.elevation_sat_deg), axis=1)
     angles = sample_ray_angles(direct, draws.offsets_deg, config.channel)
     h = small_scale(angles, draws.gains, config.channel, config.array)

@@ -93,17 +93,11 @@ def user_metrics(instance: EpochInstance, serving: np.ndarray,
     satellite's row in ``instance.sat_ids`` per user, -1 when unserved)
     and the mixers ``{satellite row: mixer}`` of exactly the satellites
     that serve someone, each n x n for its n users.  A malformed serving
-    vector (see ``EpochInstance.served_map``) or beams that do not match
-    it raise ``ValueError``."""
+    vector or beams that do not match it raise ``ValueError`` (see
+    ``network.beam_powers``)."""
     serving = np.asarray(serving)
-    served = instance.served_map(serving)
-    shapes = {i: np.shape(b) for i, b in beams.items()}
-    if shapes != {i: (len(m), len(m)) for i, m in served.items()}:
-        raise ValueError(f"mixer shapes {shapes} do not match the user rows "
-                         f"served by each satellite row, {served}")
-
     sinr, se, interference = _evaluate(instance, serving,
-                                       beam_powers(instance, served, beams))
+                                       beam_powers(instance, serving, beams))
     return [UserMetrics(g, x, e, instance.sat_ids[a] if a >= 0 else None, i)
             for g, a, x, e, i in zip(instance.gu_ids, serving.tolist(), sinr.tolist(),
                                      se.tolist(), interference.tolist())]

@@ -158,15 +158,6 @@ def equal_power_mixer(instance: EpochInstance, n: int) -> np.ndarray:
     return np.eye(n) * math.sqrt(instance.tx_power_w / n)
 
 
-def equal_power_beams(instance: EpochInstance,
-                      served: dict[int, list[int]]) -> dict[int, np.ndarray]:
-    """Analog beams sharing the satellite power equally; ``served`` maps
-    satellite rows to their user rows, as ``EpochInstance.served_map``
-    does."""
-    return {i: equal_power_mixer(instance, len(members))
-            for i, members in served.items()}
-
-
 def hybrid_from_beamspace(instance: EpochInstance, sat: "int | np.ndarray",
                           idx: np.ndarray, beta: float | None = None) -> np.ndarray:
     """Hybrid mixers sqrt(eta) F of satellite row ``sat`` serving each
@@ -200,47 +191,51 @@ def _hybrid_mixers(instance: EpochInstance, cross: np.ndarray, gram: np.ndarray,
     return np.sqrt(instance.tx_power_w / total)[:, None, None] * f
 
 
-def hybrid_beams(instance: EpochInstance, served: dict[int, list[int]],
+def hybrid_beams(instance: EpochInstance, serving: np.ndarray,
                  beta: float | None = None) -> dict[int, np.ndarray]:
-    """Hybrid (analog + regularized-ZF) beams at full satellite power."""
+    """Hybrid (analog + regularized-ZF) beams at full satellite power of
+    each satellite row that serves someone in the serving vector."""
     return {i: hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
-            for i, members in served.items()}
+            for i, members in instance.served_map(serving).items()}
 
 
-def beam_powers(instance: EpochInstance, served: Mapping[int, list[int]],
+def beam_powers(instance: EpochInstance, serving: np.ndarray,
                 beams: Mapping[int, np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Received powers of the given beams (``{satellite row: mixer}``,
-    serving the user rows ``served`` maps each satellite to), before the
-    user antenna gain: of each satellite's beams at each user (S x U),
-    and of each served user's own beam and of its satellite's other
-    beams (U each, zero elsewhere).  A user is a member of one satellite
-    at most, so the satellites' own and intra powers add only zeros to
-    each other."""
+    """Received powers of the beams ``{satellite row: mixer}`` of a
+    serving vector, before the user antenna gain: of each satellite's
+    beams at each user (S x U), and of each served user's own beam and
+    of its satellite's other beams (U each, zero elsewhere).  ``beams``
+    holds exactly the satellites that serve someone, each mixer n x n for
+    its n users.  A malformed serving vector (see
+    ``EpochInstance.served_map``) or beams that do not match it raise
+    ``ValueError``.  A user is a member of one satellite at most, so the
+    satellites' own and intra powers add only zeros to each other."""
+    served = instance.served_map(serving)
+    shapes = {i: np.shape(b) for i, b in beams.items()}
+    if shapes != {i: (len(m), len(m)) for i, m in served.items()}:
+        raise ValueError(f"mixer shapes {shapes} do not match the user rows "
+                         f"served by each satellite row, {served}")
     n_u = len(instance.gu_ids)
     power = np.zeros((len(instance.sat_ids), n_u))
     own = np.zeros(n_u)
     intra = np.zeros(n_u)
     for i, members in served.items():
         (power[i],), (own_i,), (intra_i,) = design_powers(
-            instance, i, np.array([members]), beams[i], np.arange(n_u))
+            instance, i, np.array([members]), beams[i])
         own += own_i
         intra += intra_i
     return power, own, intra
 
 
 def design_powers(instance: EpochInstance, sat: "int | np.ndarray", idx: np.ndarray,
-                  mixer: np.ndarray, rows: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Powers at user rows ``rows`` of the beams of satellite row ``sat``
-    (or of the satellite of each row, (K,)) serving each row of user rows
+                  mixer: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Powers at every user row of the beams of satellite row ``sat`` (or
+    of the satellite of each row, (K,)) serving each row of user rows
     ``idx`` (K x n) through ``mixer`` (K x n x n, or one n x n for every
-    row), as ``_powers_at`` gives them from the gathered cross terms.
-    Every member must be one of ``rows``."""
-    at = np.reshape(sat, (-1, 1, 1)), rows[:, None], idx[:, None, :]
-    pos = np.zeros(len(instance.gu_ids), dtype=np.intp)
-    pos[rows] = np.arange(len(rows))
-    return _powers_at(instance.cross_terms[at], pos[idx], mixer)
+    row), as ``_powers_at`` gives them from the gathered cross terms."""
+    at = np.reshape(sat, (-1, 1, 1)), np.arange(len(instance.gu_ids))[:, None], idx[:, None, :]
+    return _powers_at(instance.cross_terms[at], idx, mixer)
 
 
 def _powers_at(cross: np.ndarray, pos: np.ndarray, mixer: np.ndarray

@@ -106,8 +106,8 @@ import numpy as np
 
 from . import metrics
 from .network import (EpochInstance, _hybrid_mixers, _powers_at, beam_powers,
-                      design_powers, equal_power_beams, equal_power_mixer, hybrid_beams,
-                      hybrid_from_beamspace, signal_and_interference)
+                      design_powers, equal_power_mixer, hybrid_beams, hybrid_from_beamspace,
+                      signal_and_interference)
 
 
 class SchemeMode(str, Enum):
@@ -169,10 +169,10 @@ class ScheduleResult:
 def final_beams(instance: EpochInstance, serving: np.ndarray, mode: SchemeMode,
                 beta: float | None = None) -> dict[int, np.ndarray]:
     """Mixers each scheme actually radiates with, by satellite row."""
-    served = instance.served_map(serving)
     if mode is SchemeMode.AU:
-        return equal_power_beams(instance, served)
-    return hybrid_beams(instance, served, beta=beta)
+        return {i: equal_power_mixer(instance, len(members))
+                for i, members in instance.served_map(serving).items()}
+    return hybrid_beams(instance, serving, beta=beta)
 
 
 def preassign_single_visibility(instance: EpochInstance,
@@ -300,11 +300,10 @@ def greedy_schedule(instance: EpochInstance, mode: "SchemeMode | str",
 
     # powers of the beams each mode scores with, kept across iterations
     # (not hybrid_beams, which traced runs count as the final-beam step)
-    served = instance.served_map(serving)
-    powers = load, kept_own, kept_intra = beam_powers(instance, served, {
+    powers = load, kept_own, kept_intra = beam_powers(instance, serving, {
         i: np.eye(len(m)) if unit else
         hybrid_from_beamspace(instance, i, np.array([m]), beta)[0]
-        for i, m in served.items()})
+        for i, m in instance.served_map(serving).items()})
     designs = _Designs(instance, unit)
     own, intra, total = designs.own, designs.intra, designs.total
     records: list[TraceRecord] = []
@@ -372,8 +371,8 @@ class _BeamCache:
         self.bits[users] = 1 << np.arange(users.size, dtype=np.int64)
         seen = [np.flatnonzero(v).tolist() for v in instance.visible_mask.T]
         self.sat_keys = np.arange(len(seen), dtype=np.int64) << users.size
-        rows = np.arange(len(instance.gu_ids))
-        keys, parts = [[-1], self.sat_keys], [np.zeros((3, 1 + len(seen), rows.size))]
+        keys = [[-1], self.sat_keys]
+        parts = [np.zeros((3, 1 + len(seen), len(instance.gu_ids)))]
         for m in range(1, min(instance.n_beams, max(map(len, seen), default=0)) + 1):
             sets = [np.array(list(itertools.combinations(v, m)), dtype=int).reshape(-1, m)
                     for v in seen]
@@ -383,7 +382,7 @@ class _BeamCache:
                 sat, idx = sats[start:start + _CHUNK], sets[start:start + _CHUNK]
                 mixer = (equal_power_mixer(instance, m) if mode is SchemeMode.AU
                          else hybrid_from_beamspace(instance, sat, idx, beta))
-                parts.append(np.stack(design_powers(instance, sat, idx, mixer, rows)))
+                parts.append(np.stack(design_powers(instance, sat, idx, mixer)))
             keys.append(self.sat_keys[sats] + self.bits[sets].sum(axis=1))
         keys = np.concatenate(keys)
         order = np.argsort(keys)

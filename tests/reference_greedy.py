@@ -20,25 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from coopsat import metrics
-from coopsat.network import (EpochInstance, beam_powers, hybrid_beams,
-                             hybrid_from_beamspace, signal_and_interference)
+from coopsat.network import (EpochInstance, beam_powers, hybrid_from_beamspace,
+                             signal_and_interference)
 from coopsat.scheduling import (SchemeMode, TraceRecord,
                                 preassign_single_visibility)
 
 
 def unit_power_beams(instance: EpochInstance,
-                     served: dict[int, list[int]]) -> dict[int, np.ndarray]:
+                     serving: np.ndarray) -> dict[int, np.ndarray]:
     """Plain analog beams with unit per-beam power (scheduling-time view)."""
-    return {i: np.eye(len(members)) for i, members in served.items()}
+    return {i: np.eye(len(members)) for i, members in instance.served_map(serving).items()}
 
 
-def scoring_beams(instance: EpochInstance, served: dict[int, list[int]],
-                  mode: SchemeMode, beta: float | None) -> dict[int, np.ndarray]:
-    """Beams the greedy loop scores with: hybrid for JHU, unit-power
-    analog otherwise."""
+def scoring_mixer(instance: EpochInstance, sat: int, members: list[int],
+                  mode: SchemeMode, beta: float | None) -> np.ndarray:
+    """Mixer the greedy loop scores satellite row ``sat`` serving the user
+    rows ``members`` with: hybrid for JHU, as ``hybrid_beams`` designs it,
+    unit-power analog otherwise."""
     if mode is SchemeMode.JHU:
-        return hybrid_beams(instance, served, beta=beta)
-    return unit_power_beams(instance, served)
+        return hybrid_from_beamspace(instance, sat, np.array([members]), beta)[0]
+    return np.eye(len(members))
 
 
 def hybrid_gains(instance: EpochInstance, serving: np.ndarray,
@@ -53,10 +54,9 @@ def hybrid_gains(instance: EpochInstance, serving: np.ndarray,
 
     # the current hybrid beams, designed here rather than by hybrid_beams,
     # which stands for the final-beam step in traced runs
-    members_of = instance.served_map(serving)
     current = {i: hybrid_from_beamspace(instance, i, np.array([members]), beta)[0]
-               for i, members in members_of.items()}
-    power, own, intra = beam_powers(instance, members_of, current)
+               for i, members in instance.served_map(serving).items()}
+    power, own, intra = beam_powers(instance, serving, current)
     signal, by_sat = signal_and_interference(instance, serving, power, own, intra)
     interference = by_sat.sum(axis=1)
     base = np.log2(1.0 + signal / (interference + 1.0))
@@ -139,7 +139,8 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
         if not candidates:
             break
         served = instance.served_map(serving)
-        base_beams = scoring_beams(instance, served, mode, beta)
+        base_beams = {i: scoring_mixer(instance, i, members, mode, beta)
+                      for i, members in served.items()}
         base_se = metrics.total_se(instance, serving, base_beams)
 
         gains = []
@@ -147,7 +148,7 @@ def reference_greedy(instance: EpochInstance, mode: "SchemeMode | str",
         best_gain = -math.inf
         for i, u in candidates:
             members = sorted(served.get(i, []) + [u])
-            cand = {**base_beams, **scoring_beams(instance, {i: members}, mode, beta)}
+            cand = {**base_beams, i: scoring_mixer(instance, i, members, mode, beta)}
             trial = serving.copy()
             trial[u] = i
             gain = metrics.total_se(instance, trial, cand) - base_se

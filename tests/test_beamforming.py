@@ -10,7 +10,8 @@ from conftest import beam_matrix, close_beams, same_bits
 from coopsat import beamforming
 from coopsat.beamforming import analog_beamform, regularized_zf
 from coopsat.channel import ArrayConfig
-from coopsat.network import equal_power_beams, hybrid_beams
+from coopsat.network import hybrid_beams
+from coopsat.scheduling import SchemeMode, final_beams
 from reference_links import build_codebook, combination, phase_projection
 
 
@@ -313,7 +314,7 @@ class TestHybridAndPowerScaling:
     def test_single_user_hybrid_is_scaled_analog(self, instance_factory):
         inst = instance_factory(np.random.default_rng(9), n_sats=1, n_gus=1,
                                 visible={100: (0,)})
-        (mixer,) = hybrid_beams(inst, {0: [0]}).values()
+        (mixer,) = hybrid_beams(inst, np.zeros(1, dtype=int)).values()
         hybrid = beam_matrix(inst, np.zeros(1, dtype=int), 0, mixer)
         w = inst.analog[0, 0][:, None]
         assert np.linalg.norm(hybrid) ** 2 == pytest.approx(80.0, rel=1e-12)
@@ -326,7 +327,7 @@ class TestHybridAndPowerScaling:
         inst = instance_factory(np.random.default_rng(10 + n_users), n_sats=1,
                                 n_gus=n_users, n_beams=n_users,
                                 visible={g: (0,) for g in range(100, 100 + n_users)})
-        (mixer,) = hybrid_beams(inst, {0: list(range(n_users))}).values()
+        (mixer,) = hybrid_beams(inst, np.zeros(n_users, dtype=int)).values()
         w = beam_matrix(inst, np.zeros(n_users, dtype=int), 0, mixer)
         total = float(np.sum(np.abs(w) ** 2))
         assert total == pytest.approx(80.0, rel=1e-9)
@@ -336,7 +337,7 @@ class TestHybridAndPowerScaling:
         inst = instance_factory(np.random.default_rng(14), n_sats=1, n_gus=1,
                                 visible={100: (0,)}, channel_scale=0.0)
         with pytest.raises(ValueError, match="identically zero"):
-            hybrid_beams(inst, {0: [0]})
+            hybrid_beams(inst, np.zeros(1, dtype=int))
 
     def test_equal_power_beams_arithmetic(self, instance_factory):
         # P / n per beam: 80 W over 1, 4 and 32 beams of one satellite
@@ -344,7 +345,7 @@ class TestHybridAndPowerScaling:
             inst = instance_factory(np.random.default_rng(n_beams), n_sats=1,
                                     n_gus=n_beams, n_beams=n_beams,
                                     visible={g: (0,) for g in range(100, 100 + n_beams)})
-            (mixer,) = equal_power_beams(inst, {0: list(range(n_beams))}).values()
+            (mixer,) = final_beams(inst, np.zeros(n_beams, dtype=int), SchemeMode.AU).values()
             w = beam_matrix(inst, np.zeros(n_beams, dtype=int), 0, mixer)
             assert np.sum(np.abs(w) ** 2, axis=0) == pytest.approx(
                 [per_beam] * n_beams, rel=1e-12)

@@ -11,8 +11,7 @@ import reference_links as ref_links
 from conftest import close_to_reference, draw_paths, same_bits
 from coopsat import harness
 from coopsat.channel import (ArrayConfig, ChannelConfig, LinkInvalidError,
-                             RfConfig, clear_sky_loss_db, draw_links,
-                             large_scale_amplitude, path_loss,
+                             RfConfig, draw_links, large_scale_amplitude, path_loss,
                              sample_ray_angles, small_scale, vsat_gain_dbi)
 from coopsat.config import from_dict
 from coopsat.geometry import ConstellationConfig
@@ -101,8 +100,7 @@ class TestReferenceChannel:
         # across links shows too
         new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = draw_links([new_rng] * n_links, cfg)
-        loss = path_loss(clear_sky_loss_db(elevations, slants, rf, cfg),
-                         draws.shadow_db, cfg)
+        loss = path_loss(elevations, slants, draws.shadow_db, rf, cfg)
         angles = sample_ray_angles(direct, draws.offsets_deg, cfg)
         h = small_scale(angles, draws.gains, cfg, array)
         for k, d in zip(links, direct.tolist()):
@@ -193,7 +191,7 @@ class TestSmallScale:
 
 
 def no_shadow_loss(elevation_deg, slant_range_km, rf, cfg):
-    return path_loss(clear_sky_loss_db(elevation_deg, slant_range_km, rf, cfg), 0.0, cfg)
+    return path_loss(elevation_deg, slant_range_km, 0.0, rf, cfg)
 
 
 class TestPathLoss:
@@ -221,8 +219,7 @@ class TestPathLoss:
         # the shadow fading is the first draw of the link's stream
         cfg = ChannelConfig()
         draws = draw_links([np.random.default_rng(3)], cfg)
-        (pl,) = path_loss(clear_sky_loss_db([45.0], [1200.0], rf, cfg),
-                          draws.shadow_db, cfg)
+        (pl,) = path_loss([45.0], [1200.0], draws.shadow_db, rf, cfg)
         fspl = 20.0 * math.log10(4.0 * math.pi * 1.2e6 * 20e9 / 299792458.0)
         shadow = np.random.default_rng(3).normal(0.0, cfg.shadow_sigma_db)
         gas = cfg.zenith_gas_db / math.sin(math.radians(45.0))
@@ -230,11 +227,11 @@ class TestPathLoss:
 
     def test_below_horizon_rejected(self, rf):
         with pytest.raises(LinkInvalidError):
-            clear_sky_loss_db(-1.0, 1200.0, rf, ChannelConfig())
+            no_shadow_loss(-1.0, 1200.0, rf, ChannelConfig())
         # the first link at or below the horizon is named
         with pytest.raises(LinkInvalidError,
                            match=r"^satellite below horizon \(elevation 0\.00 deg\)$"):
-            clear_sky_loss_db([30.0, 0.0, -1.0], [1200.0] * 3, rf, ChannelConfig())
+            no_shadow_loss([30.0, 0.0, -1.0], [1200.0] * 3, rf, ChannelConfig())
 
 
 class TestVsatGain:
@@ -326,8 +323,7 @@ class TestRangeCorners:
         slant = ref_links.slant_range_km(ConstellationConfig(altitude_km=sat_km), elevation,
                                          user_km)
         assert slant == pytest.approx(slant_km, abs=0.05)
-        amplitude = large_scale_amplitude(
-            path_loss(clear_sky_loss_db(elevation, slant, rf, channel), 0.0, channel), rf)
+        amplitude = large_scale_amplitude(no_shadow_loss(elevation, slant, rf, channel), rf)
         assert math.isfinite(amplitude) and amplitude > 0.0
         g_db = 20.0 * math.log10(amplitude)
         assert g_db == pytest.approx(gain_db, abs=0.05)

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -124,32 +124,56 @@ class TestFromDict:
         assert err.value.errors == ["count: must be a positive integer",
                                     "step_s: must be > 0", "start_s: must be >= 0"]
 
-    @pytest.mark.parametrize("fields,message", [
-        ({"array": ArrayConfig(n_x=2.5)}, "array.n_x: must be an integer"),
-        ({"epochs": EpochGrid(count=2.5)}, "epochs.count: must be an integer"),
-        ({"seed": 1.5}, "seed: must be an integer"),
-        ({"seed": "1"}, "seed: must be an integer"),
-        ({"codewords": 2.5}, "codewords: must be an integer"),
-        ({"rf": RfConfig(tx_power_w=math.nan)}, "rf.tx_power_w: must be a finite number"),
-        ({"beta": math.nan}, "beta: must be a finite number"),
-        ({"epochs": EpochGrid(step_s=math.inf)},
+    # each case builds its sections when the test runs, so a section that
+    # raises on construction fails its case rather than the collection
+    @pytest.mark.parametrize("fields,message", [pytest.param(*case, id=f"fields{i}-{case[1]}")
+                                                for i, case in enumerate([
+        (lambda: {"array": ArrayConfig(n_x=2.5)}, "array.n_x: must be an integer"),
+        (lambda: {"epochs": EpochGrid(count=2.5)}, "epochs.count: must be an integer"),
+        (lambda: {"seed": 1.5}, "seed: must be an integer"),
+        (lambda: {"seed": "1"}, "seed: must be an integer"),
+        (lambda: {"codewords": 2.5}, "codewords: must be an integer"),
+        (lambda: {"rf": RfConfig(tx_power_w=math.nan)}, "rf.tx_power_w: must be a finite number"),
+        (lambda: {"beta": math.nan}, "beta: must be a finite number"),
+        (lambda: {"epochs": EpochGrid(step_s=math.inf)},
          "epochs.step_s: must be a finite number"),
-        ({"density_threshold_km": math.nan},
+        (lambda: {"density_threshold_km": math.nan},
          "density_threshold_km: must be a finite number"),
-        ({"channel": ChannelConfig(angle_spread_deg=math.nan)},
+        (lambda: {"channel": ChannelConfig(angle_spread_deg=math.nan)},
          "channel.angle_spread_deg: must be a finite number"),
-        ({"channel": ChannelConfig(zenith_gas_db=True)},
+        (lambda: {"channel": ChannelConfig(zenith_gas_db=True)},
          "channel.zenith_gas_db: must be a finite number"),
-        ({"gus": (GroundUser(0, 30.0, 116.0, altitude_km=math.inf),)},
+        (lambda: {"gus": (GroundUser(0, 30.0, 116.0, altitude_km=math.inf),)},
          "gus[0].altitude_km: must be a finite number"),
-        ({"gus": (GroundUser(0.5, 30.0, 116.0),)}, "gus[0].user_id: must be an integer"),
-        ({"gus": (GroundUser(0, 30.0, 116.0, label=None),)}, "gus[0].label: must be a string"),
-        ({"gus": (GroundUser(0, 30.0, 116.0, label=[1]),)}, "gus[0].label: must be a string"),
-    ])
+        (lambda: {"gus": (GroundUser(0.5, 30.0, 116.0),)},
+         "gus[0].user_id: must be an integer"),
+        (lambda: {"gus": (GroundUser(0, 30.0, 116.0, label=None),)},
+         "gus[0].label: must be a string"),
+        (lambda: {"gus": (GroundUser(0, 30.0, 116.0, label=[1]),)},
+         "gus[0].label: must be a string"),
+        # values of the wrong type, which a range check must not compare
+        (lambda: {"rf": RfConfig(tx_power_w="80")}, "rf.tx_power_w: must be a finite number"),
+        (lambda: {"array": ArrayConfig(n_x="8")}, "array.n_x: must be an integer"),
+        (lambda: {"channel": ChannelConfig(n_rays="5")}, "channel.n_rays: must be an integer"),
+        (lambda: {"constellation": ConstellationConfig(planes="6")},
+         "constellation.planes: must be an integer"),
+        (lambda: {"epochs": EpochGrid(count="3")}, "epochs.count: must be an integer"),
+        (lambda: {"gus": (GroundUser(0, "30", 116.0),)},
+         "gus[0].latitude_deg: must be a finite number"),
+        (lambda: {"gus": (GroundUser(0, 30.0, None),)},
+         "gus[0].longitude_deg: must be a finite number"),
+        (lambda: {"array": ArrayConfig(element_spacing=None)},
+         "array.element_spacing: must be a finite number"),
+        # a section that is not its dataclass, a user that is not a GroundUser
+        (lambda: {"rf": {}}, "rf: must be of type RfConfig"),
+        (lambda: {"epochs": None}, "epochs: must be of type EpochGrid"),
+        (lambda: {"gus": (1,)}, "gus[0]: must be of type GroundUser"),
+        (lambda: {"gus": None}, "gus: must be a tuple of GroundUser"),
+    ])])
     def test_python_built_scenario_gets_the_file_type_rules(self, fields, message):
         # reported before a range check compares the value
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig(**fields)
+            ScenarioConfig(**fields())
         assert err.value.errors == [message]
 
     @pytest.mark.parametrize("gus,message", [
@@ -406,7 +430,17 @@ class TestYamlLoading:
         block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "readme.yaml"
         path.write_text(block)
-        assert load_config(path) == from_dict({})
+        defaults = from_dict({})
+        assert load_config(path) == defaults
+        # and it names every field of the scenario and of each section
+        import yaml
+
+        raw = yaml.safe_load(block)
+        assert set(raw) == {f.name for f in fields(ScenarioConfig)}
+        for name, value in raw.items():
+            section = getattr(defaults, name)
+            if is_dataclass(section):
+                assert set(value) == {f.name for f in fields(section)}, name
 
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "mini.yaml"

@@ -21,7 +21,7 @@ from conftest import instances, make_instance, mirror_first_satellite
 from coopsat import scheduling
 from coopsat.network import EpochInstance, beam_powers, hybrid_from_beamspace
 from coopsat.scheduling import SchemeMode, greedy_schedule, preassign_single_visibility
-from reference_greedy import hybrid_gains, reference_greedy
+from reference_greedy import hybrid_gains, reference_greedy, unit_power_beams
 
 # Reference gains closer than this (relative) are a near-tie, which the
 # two scorers may break differently: their rounding differs.
@@ -188,10 +188,9 @@ def assert_fresh_powers(powers, inst: EpochInstance, serving: np.ndarray,
                         beta: float | None) -> None:
     """``powers`` (L, own, intra) equal the ``beam_powers`` of the hybrid
     beams of ``serving``, each satellite's mixer designed alone."""
-    served = inst.served_map(serving)
-    fresh = beam_powers(inst, served, {
+    fresh = beam_powers(inst, serving, {
         i: hybrid_from_beamspace(inst, i, np.array([members]), beta)[0]
-        for i, members in served.items()})
+        for i, members in inst.served_map(serving).items()})
     for got, want in zip(powers, fresh):
         assert np.array_equal(got, want)
 
@@ -233,8 +232,7 @@ def test_kept_au_powers_equal_fresh_unit_beams_after_every_commit(inst):
     kept = []
 
     def assert_unit_powers(powers, serving):
-        served = inst.served_map(serving)
-        fresh = beam_powers(inst, served, {i: np.eye(len(m)) for i, m in served.items()})
+        fresh = beam_powers(inst, serving, unit_power_beams(inst, serving))
         for got, want in zip(powers, fresh):
             np.testing.assert_allclose(got, want, rtol=UNIT_POWER_TOL, atol=0.0)
 

@@ -95,9 +95,8 @@ def test_stacked_total_se_equals_total_se(beams_of, data):
     inst = data.draw(instances())
     cases = data.draw(st.lists(_served_on(inst), min_size=1, max_size=6))
     links = [serving_vector(inst, serving) for _, serving in cases]
-    beams = [beams_of(inst, inst.served_map(v)) for v in links]
-    powers = [network.beam_powers(inst, inst.served_map(v), b)
-              for v, b in zip(links, beams)]
+    beams = [beams_of(inst, v) for v in links]
+    powers = [network.beam_powers(inst, v, b) for v, b in zip(links, beams)]
     stacked = tuple(np.stack(p) for p in zip(*powers))
     np.testing.assert_allclose(
         metrics.stacked_total_se(inst, np.stack(links), stacked),
@@ -115,7 +114,7 @@ class TestSinrEvaluator:
         # other beams, not a difference of nearly equal totals
         inst, serving = case
         links = serving_vector(inst, serving)
-        assert_matches_oracle(inst, links, beams_of(inst, inst.served_map(links)))
+        assert_matches_oracle(inst, links, beams_of(inst, links))
 
     def test_hand_built_two_satellite_closed_form(self):
         # fully hand-built 2x2 instance with unit analog beams; expected
@@ -141,7 +140,7 @@ class TestSinrEvaluator:
                              channels=channels, analog=analog, directions=dirs)
         links = serving_vector(inst, {100: 0, 101: 1})
         users = metrics.user_metrics(inst, links,
-                                     unit_power_beams(inst, inst.served_map(links)))
+                                     unit_power_beams(inst, links))
 
         g_max = 1e4
         # user 100: signal |[1,0].[s,s]|^2, interferer 10 deg off (floored
@@ -159,7 +158,7 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=1, n_gus=1, n_beams=2,
                                 visible={100: (0,)})
         links = serving_vector(inst, {100: 0})
-        beams = unit_power_beams(inst, inst.served_map(links))
+        beams = unit_power_beams(inst, links)
         (u,) = metrics.user_metrics(inst, links, beams)
         h = inst.channels[0, 0]
         w = inst.analog[0, 0]
@@ -174,7 +173,7 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=1, n_gus=2, n_beams=2,
                                 visible={100: (0,), 101: (0,)})
         links = serving_vector(inst, {100: 0, 101: 0})
-        beams = hybrid_beams(inst, inst.served_map(links), beta=0.0)
+        beams = hybrid_beams(inst, links, beta=0.0)
         users = metrics.user_metrics(inst, links, beams)
         for u in users:
             assert u.interference_power <= 1e-6 * u.sinr
@@ -188,7 +187,7 @@ class TestSinrEvaluator:
         inst = instance_factory(rng, n_sats=2, n_gus=3, n_beams=2)
         serving = {g: visible_sats(inst, g)[0] for g in inst.gu_ids}
         links = serving_vector(inst, serving)
-        beams = unit_power_beams(inst, inst.served_map(links))
+        beams = unit_power_beams(inst, links)
         before = [u.sinr for u in metrics.user_metrics(inst, links, beams)]
         # rotate every channel of one user by a common unit phasor
         rotated = inst.channels.copy()
@@ -208,13 +207,13 @@ class TestSinrEvaluator:
                 serving[g] = s
                 load[s] = load.get(s, 0) + 1
         links = serving_vector(inst, serving)
-        beams = unit_power_beams(inst, inst.served_map(links))
+        beams = unit_power_beams(inst, links)
         base = {u.gu_id: u.sinr for u in metrics.user_metrics(inst, links, beams)}
         # drop one served user's link, keep every other beam identical
         victim = next(iter(serving))
         reduced = {g: s for g, s in serving.items() if g != victim}
         links2 = serving_vector(inst, reduced)
-        beams2 = unit_power_beams(inst, inst.served_map(links2))
+        beams2 = unit_power_beams(inst, links2)
         for u in metrics.user_metrics(inst, links2, beams2):
             if u.gu_id != victim and u.serving_sat is not None:
                 assert u.sinr >= base[u.gu_id] * (1.0 - 1e-12)

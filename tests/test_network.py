@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from coopsat.channel import vsat_gain_linear
 from coopsat.config import load_config
 from coopsat.harness import build_epoch_instance
 from coopsat.metrics import user_metrics
-from coopsat.network import design_powers, equal_power_mixer, hybrid_from_beamspace
+from coopsat.network import (beam_powers, design_powers, equal_power_mixer,
+                             hybrid_from_beamspace)
 from coopsat.scheduling import SchemeMode, final_beams
 from reference_powers import reference_design_powers
 
@@ -144,11 +146,9 @@ class TestRollOff:
 
 
 def _design_cases(inst):
-    """(sat, idx, rows) of every member set of up to three users who see
-    a satellite: per satellite, at every user row and at the rows of the
-    users who see it, with the satellite given once and per row; and
-    every satellite's sets of one size in one stack, at every user row."""
-    every = np.arange(len(inst.gu_ids))
+    """(sat, idx) of every member set of up to three users who see a
+    satellite: per satellite, with the satellite given once and per row;
+    and every satellite's sets of one size in one stack."""
     for m in range(1, 4):
         sats, sets = [], []
         for s, seen in enumerate(inst.visible_mask.T):
@@ -156,24 +156,23 @@ def _design_cases(inst):
                            dtype=int).reshape(-1, m)
             if not len(idx):
                 continue
-            for rows in (every, np.flatnonzero(seen)):
-                yield s, idx, rows
-                yield np.full(len(idx), s), idx, rows
+            yield s, idx
+            yield np.full(len(idx), s), idx
             sats.append(np.full(len(idx), s))
             sets.append(idx)
         if sets:
-            yield np.concatenate(sats), np.concatenate(sets), every
+            yield np.concatenate(sats), np.concatenate(sets)
 
 
 @pytest.mark.parametrize("beta", [None, 0.0])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(inst=instances(max_gus=6))
 def test_design_powers_equal_per_beam_loop(beta, inst):
-    for sat, idx, rows in _design_cases(inst):
+    for sat, idx in _design_cases(inst):
         hybrid = hybrid_from_beamspace(inst, sat, idx, beta)
         for mixer in (hybrid, equal_power_mixer(inst, idx.shape[1])):
-            got = design_powers(inst, sat, idx, mixer, rows)
-            want = reference_design_powers(inst, sat, idx, mixer, rows)
+            got = design_powers(inst, sat, idx, mixer)
+            want = reference_design_powers(inst, sat, idx, mixer)
             assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
@@ -184,8 +183,25 @@ def test_design_powers_equal_per_beam_loop_at_many_beams(m):
     inst = make_instance(np.random.default_rng(44), n_sats=2, n_gus=10, n_beams=10,
                          visible={g: (0, 1) for g in range(100, 110)})
     idx = np.array(list(itertools.combinations(range(10), m)))
-    for sat, rows in ((1, np.arange(10)), (np.arange(len(idx)) % 2, np.arange(10))):
+    for sat in (1, np.arange(len(idx)) % 2):
         for mixer in (hybrid_from_beamspace(inst, sat, idx), equal_power_mixer(inst, m)):
-            got = design_powers(inst, sat, idx, mixer, rows)
-            want = reference_design_powers(inst, sat, idx, mixer, rows)
+            got = design_powers(inst, sat, idx, mixer)
+            want = reference_design_powers(inst, sat, idx, mixer)
             assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("serving,beams", [
+    ({100: 0, 101: 1}, {0: np.eye(1), 1: np.ones((1, 2))}),  # a 1 x 2 mixer for one user
+    ({100: 0, 101: 1}, {0: np.eye(1)}),                     # a serving satellite without beams
+    ({100: 0}, {0: np.eye(1), 1: np.eye(1)}),               # beams of a satellite serving nobody
+], ids=["shape", "missing", "extra"])
+def test_beam_powers_rejects_beams_that_do_not_match_the_serving_vector(serving, beams):
+    inst = make_instance(np.random.default_rng(30), n_sats=2, n_gus=2,
+                         visible={100: (0,), 101: (1,)})
+    links = serving_vector(inst, serving)
+    beam_powers(inst, links, {i: np.eye(1) for i in inst.served_map(links)})
+    shapes = {i: np.shape(b) for i, b in beams.items()}
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"mixer shapes {shapes} do not match the user rows served by each "
+            f"satellite row, {inst.served_map(links)}") + "$"):
+        beam_powers(inst, links, beams)

@@ -24,7 +24,7 @@ import pytest
 from conftest import make_instance, same_bits
 from coopsat import metrics
 from coopsat.beamforming import analog_beamform
-from coopsat.channel import (ArrayConfig, ChannelConfig, RfConfig, clear_sky_loss_db, draw_links,
+from coopsat.channel import (ArrayConfig, ChannelConfig, RfConfig, draw_links,
                              large_scale_amplitude, path_loss, sample_ray_angles,
                              vsat_gain_linear)
 from coopsat.config import load_config
@@ -84,15 +84,14 @@ def test_link_budget_of_a_link_alone_as_in_any_stack(links, n):
     elevation = elevation_deg(sats.position_km, gu_pos)
     slant = link_geometry(sats, gu_pos).slant_range_km
     shadow = np.random.default_rng(3).normal(0.0, channel.shadow_sigma_db, len(slant))
-    loss = path_loss(clear_sky_loss_db(elevation, slant, rf, channel), shadow, channel)
+    loss = path_loss(elevation, slant, shadow, rf, channel)
     # alone from Python floats, which numpy turns into 0-d values
-    fspl, gas = zip(*(clear_sky_loss_db(float(e), float(s), rf, channel)
-                      for e, s in zip(elevation, slant)))
+    alone = [path_loss(float(e), float(s), float(x), rf, channel)
+             for e, s, x in zip(elevation, slant, shadow)]
     amplitude = [large_scale_amplitude(float(x), rf) for x in loss]
     for index in stacks(len(slant), n):
-        stacked_fspl, stacked_gas = clear_sky_loss_db(elevation[index], slant[index], rf, channel)
-        assert_rows_alone(stacked_fspl, fspl, index, "free-space loss")
-        assert_rows_alone(stacked_gas, gas, index, "gas absorption")
+        stacked = path_loss(elevation[index], slant[index], shadow[index], rf, channel)
+        assert_rows_alone(stacked, alone, index, "path loss")
         assert_rows_alone(large_scale_amplitude(loss[index], rf), amplitude, index,
                           "large-scale amplitude")
 
